@@ -6,11 +6,7 @@
 //! instruction-like unit counts in every kernel, which makes the metric
 //! exact and machine independent.
 
-/// Accumulates abstract work units, plus an optional second channel of
-/// abstract *energy* units (the Approxify-style multi-resource cost:
-/// memory traffic and wide arithmetic cost more energy than they cost
-/// time). Applications that do not charge energy leave the channel at
-/// zero; budget division can then remain single-resource.
+/// Accumulates abstract work units.
 ///
 /// # Example
 ///
@@ -19,23 +15,18 @@
 ///
 /// let mut w = WorkCounter::new();
 /// w.add(10);
-/// w.charge(5, 12); // 5 work units, 12 energy units
+/// w.add(5);
 /// assert_eq!(w.total(), 15);
-/// assert_eq!(w.energy(), 12);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkCounter {
     total: u64,
-    energy: u64,
 }
 
 impl WorkCounter {
     /// Creates a zeroed counter.
     pub fn new() -> Self {
-        WorkCounter {
-            total: 0,
-            energy: 0,
-        }
+        WorkCounter { total: 0 }
     }
 
     /// Adds `units` of work.
@@ -44,35 +35,14 @@ impl WorkCounter {
         self.total += units;
     }
 
-    /// Adds `units` of abstract energy without touching the work channel.
-    #[inline]
-    pub fn add_energy(&mut self, units: u64) {
-        self.energy += units;
-    }
-
-    /// Adds to both channels at once: `work` work units and `energy`
-    /// energy units.
-    #[inline]
-    pub fn charge(&mut self, work: u64, energy: u64) {
-        self.total += work;
-        self.energy += energy;
-    }
-
     /// Total work accumulated so far.
     pub fn total(&self) -> u64 {
         self.total
     }
 
-    /// Total abstract energy accumulated so far (zero when the
-    /// application never charged the channel).
-    pub fn energy(&self) -> u64 {
-        self.energy
-    }
-
-    /// Resets both channels to zero.
+    /// Resets the counter to zero.
     pub fn reset(&mut self) {
         self.total = 0;
-        self.energy = 0;
     }
 }
 
@@ -101,24 +71,6 @@ pub fn speedup(accurate_work: u64, approximate_work: u64) -> f64 {
     }
 }
 
-/// Energy saving ratio, with the same conventions as [`speedup`]:
-/// `E = energy(accurate) / energy(approximate)`.
-///
-/// A second objective for multi-resource budget division: an optimizer
-/// can weigh time speedup against energy saving when both channels of a
-/// [`WorkCounter`] are charged.
-///
-/// # Example
-///
-/// ```
-/// use opprox_approx_rt::counter::energy_saving;
-/// assert_eq!(energy_saving(300, 100), 3.0);
-/// assert_eq!(energy_saving(0, 0), 1.0); // app never charged the channel
-/// ```
-pub fn energy_saving(accurate_energy: u64, approximate_energy: u64) -> f64 {
-    speedup(accurate_energy, approximate_energy)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,28 +85,6 @@ mod tests {
         assert_eq!(w.total(), 10);
         w.reset();
         assert_eq!(w.total(), 0);
-    }
-
-    #[test]
-    fn energy_channel_is_independent_of_work() {
-        let mut w = WorkCounter::new();
-        w.add(5);
-        assert_eq!(w.energy(), 0, "work must not leak into energy");
-        w.add_energy(9);
-        assert_eq!(w.total(), 5);
-        assert_eq!(w.energy(), 9);
-        w.charge(2, 3);
-        assert_eq!(w.total(), 7);
-        assert_eq!(w.energy(), 12);
-        w.reset();
-        assert_eq!((w.total(), w.energy()), (0, 0));
-    }
-
-    #[test]
-    fn energy_saving_matches_speedup_semantics() {
-        assert_eq!(energy_saving(100, 50), 2.0);
-        assert_eq!(energy_saving(0, 10), 0.0);
-        assert_eq!(energy_saving(10, 0), f64::INFINITY);
     }
 
     #[test]

@@ -72,7 +72,7 @@ impl ApproxApp for SyntheticSurvey {
                 output.push(quantized(value(k), lvl_p, 0.1));
                 w += cost;
             }
-            counter.charge(w, w * 2);
+            counter.add(w);
             log.record(iter, 0, w);
 
             let lvl_s = cfg.level(1);
@@ -88,7 +88,7 @@ impl ApproxApp for SyntheticSurvey {
                     w += 5;
                 }
             }
-            counter.charge(w, w);
+            counter.add(w);
             log.record(iter, 1, w);
         }
         Ok(RunResult {

@@ -168,7 +168,7 @@ impl ApproxApp for PageRank {
                 contrib[i] = quantized(rank[i] * inv_degree, lvl_c, quant_base);
                 w += cost_c;
             }
-            counter.charge(w, w * 2); // contributions are memory traffic
+            counter.add(w);
             log.record(iter, BLOCK_CONTRIB, w);
 
             // --- Block 1: rank_update (task skipping) -------------------
@@ -191,7 +191,7 @@ impl ApproxApp for PageRank {
                 rank[i] = new_rank;
                 w += in_edges[i].len() as u64 + 3;
             }
-            counter.charge(w, w);
+            counter.add(w);
             log.record(iter, BLOCK_UPDATE, w);
 
             // --- Block 2: residual_norm (perforation over nodes) --------
@@ -211,7 +211,7 @@ impl ApproxApp for PageRank {
                 norm / sampled as f64
             };
             scale = mean_residual;
-            counter.charge(w, w);
+            counter.add(w);
             log.record(iter, BLOCK_NORM, w);
 
             // Trajectory average: the observable the kernel reports.

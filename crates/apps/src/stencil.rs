@@ -211,11 +211,9 @@ impl ApproxApp for Stencil {
                     w_flux += cost_q;
                 }
             }
-            counter.charge(w_rows, w_rows);
+            counter.add(w_rows);
             log.record(iter, BLOCK_DIFFUSE, w_rows);
-            // Precision-scaled arithmetic sheds energy faster than time:
-            // narrower flux words shrink memory traffic quadratically.
-            counter.charge(w_flux, w_flux * cost_q / 6);
+            counter.add(w_flux);
             log.record(iter, BLOCK_FLUX, w_flux);
             std::mem::swap(&mut temp, &mut next);
 
@@ -227,7 +225,7 @@ impl ApproxApp for Stencil {
                 temp[c] *= COOLING;
                 w += 2;
             }
-            counter.charge(w, w);
+            counter.add(w);
             log.record(iter, BLOCK_BOUNDARY, w);
 
             // Trajectory average — the reported image.

@@ -150,7 +150,7 @@ impl ApproxApp for StreamAgg {
                     w += 6; // full ingest: parse, validate, route
                 }
             }
-            counter.charge(w, w * 2);
+            counter.add(w);
             log.record(iter, BLOCK_FILTER, w);
 
             // --- Block 1: ema_update (precision scaling) ----------------
@@ -164,7 +164,7 @@ impl ApproxApp for StreamAgg {
                 w += cost_p;
             }
             cum_count += window as u64;
-            counter.charge(w, w * 3); // wide accumulators dominate energy
+            counter.add(w);
             log.record(iter, BLOCK_EMA, w);
 
             // --- Block 2: window_stats (memoization) --------------------
@@ -177,7 +177,7 @@ impl ApproxApp for StreamAgg {
                 0.5 * (sorted[window / 2] + sorted[(window - 1) / 2])
             });
             w += 1;
-            counter.charge(w, w);
+            counter.add(w);
             log.record(iter, BLOCK_STATS, w);
 
             ema_sum += ema;

@@ -21,16 +21,17 @@
 //!   digest, so concurrent lookups and insert-backs on different keys do
 //!   not serialize on one global lock (rule `C006` in the
 //!   `opprox-analyze` registry).
-//! * **Metrics.** The engine counts executions, cache hits, and work
-//!   units, and records wall time per pipeline stage; [`EvalMetrics`] is
-//!   surfaced through `core::report` and printed by the CLI.
+//! * **Metrics.** The engine records executions, cache hits, work units,
+//!   and per-stage wall time in its telemetry registry, the only ledger;
+//!   [`EvalMetrics`] is a view computed from it on demand, surfaced
+//!   through `core::report` and printed by the CLI.
 
 use crate::error::OpproxError;
 use crate::fault::{
     FailureKind, FaultEvent, FaultPlan, FaultPoint, FaultState, RecoveryPolicy, RobustnessReport,
 };
 use crate::pool::WorkPool;
-use crate::sync::{AtomicU64, Mutex, Ordering};
+use crate::sync::Mutex;
 use crate::telemetry::{Clock, Telemetry, TelemetryReport};
 use opprox_approx_rt::log::CallContextLog;
 use opprox_approx_rt::{
@@ -42,7 +43,6 @@ use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Identity of one real execution: application, input, and schedule.
 ///
@@ -187,12 +187,12 @@ pub struct StageMetrics {
 pub struct EvalMetrics {
     /// Real application executions performed.
     pub executions: u64,
-    /// Requests served from the execution cache (including duplicate
-    /// submissions within one batch).
+    /// Requests served from the execution cache (including successful
+    /// duplicate submissions within one batch).
     pub cache_hits: u64,
     /// Total abstract work units across all real executions.
     pub total_work_units: u64,
-    /// Per-stage wall time and execution counts, in first-use order.
+    /// Per-stage wall time and execution counts, in stage-name order.
     pub stages: Vec<StageMetrics>,
 }
 
@@ -252,10 +252,6 @@ impl fmt::Display for EvalMetrics {
 pub struct EvalEngine {
     threads: usize,
     cache: ShardedCache,
-    executions: AtomicU64,
-    cache_hits: AtomicU64,
-    total_work: AtomicU64,
-    stages: Mutex<Vec<StageMetrics>>,
     faults: FaultState,
     telemetry: Telemetry,
 }
@@ -292,10 +288,6 @@ impl EvalEngine {
         EvalEngine {
             threads: threads.max(1),
             cache: ShardedCache::new(),
-            executions: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            total_work: AtomicU64::new(0),
-            stages: Mutex::new(Vec::new()),
             faults: FaultState::new(None, policy),
             telemetry: Telemetry::new(),
         }
@@ -307,14 +299,8 @@ impl EvalEngine {
     /// schedule is identical across runs and thread counts.
     pub fn with_faults(threads: usize, plan: FaultPlan, policy: RecoveryPolicy) -> Self {
         EvalEngine {
-            threads: threads.max(1),
-            cache: ShardedCache::new(),
-            executions: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            total_work: AtomicU64::new(0),
-            stages: Mutex::new(Vec::new()),
             faults: FaultState::new(Some(plan), policy),
-            telemetry: Telemetry::new(),
+            ..EvalEngine::with_recovery(threads, policy)
         }
     }
 
@@ -354,13 +340,14 @@ impl EvalEngine {
 
     /// Snapshot of the fault-injection and recovery ledger, in canonical
     /// order (byte-identical across runs and thread counts for a fixed
-    /// [`FaultPlan`]).
+    /// [`FaultPlan`]), read from the fault state and the telemetry
+    /// registry.
     pub fn robustness_report(&self) -> RobustnessReport {
-        self.faults.report()
+        self.faults.report(&self.telemetry)
     }
 
     /// Shared fault state, for in-crate collaborators (sampling records
-    /// drops and requested-sample counts here).
+    /// dropped samples here).
     pub(crate) fn faults(&self) -> &FaultState {
         &self.faults
     }
@@ -385,14 +372,11 @@ impl EvalEngine {
         let key = CacheKey::new(app, input, schedule);
         let digest = key.digest();
         if let Some(hit) = self.cache.get(digest, &key) {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
             self.note_hit(digest);
             return Ok(hit);
         }
         let result = Arc::new(self.evaluate_with_recovery(app, input, schedule, digest)?);
-        self.executions.fetch_add(1, Ordering::Relaxed);
-        self.total_work.fetch_add(result.work, Ordering::Relaxed);
-        self.note_exec(digest, schedule.is_accurate());
+        self.note_exec(digest, schedule.is_accurate(), result.work);
         self.cache
             .shard(digest)
             .lock()
@@ -413,8 +397,7 @@ impl EvalEngine {
         digest: u64,
     ) -> Result<RunResult, OpproxError> {
         if self.faults.is_quarantined(digest) {
-            self.faults.count_failure(FailureKind::Quarantined);
-            self.telemetry.incr("eval.quarantine.hit");
+            self.telemetry.incr(FailureKind::Quarantined.counter());
             self.telemetry
                 .incr(&format!("eval.quarantine[{digest:#018x}]"));
             return Err(OpproxError::Quarantined {
@@ -428,10 +411,13 @@ impl EvalEngine {
                 Ok(result) => return Ok(result),
                 Err(AttemptFailure::Fatal(e)) => return Err(e),
                 Err(AttemptFailure::Transient(kind)) => {
-                    self.faults.count_failure(kind);
+                    self.telemetry.incr(kind.counter());
                     last = kind;
                     if attempt + 1 < max_attempts {
-                        self.faults.account_retry(attempt);
+                        // Accounted, never slept (see `RecoveryPolicy`).
+                        self.telemetry.incr("fault.retry");
+                        self.telemetry
+                            .add("fault.backoff_ms", self.faults.policy.backoff_ms(attempt));
                     }
                 }
             }
@@ -555,8 +541,8 @@ impl EvalEngine {
     /// results in **submission order**.
     ///
     /// Duplicate jobs (by cache key) are executed once; the extra
-    /// submissions — and any jobs already in the cache — are counted as
-    /// cache hits. Because every application is deterministic and results
+    /// submissions of a key whose evaluation succeeds — and any jobs
+    /// already in the cache — are counted as cache hits. Because every application is deterministic and results
     /// are assembled into pre-assigned slots, the returned vector is
     /// bit-identical to running the jobs sequentially in submission
     /// order, for any thread count.
@@ -600,20 +586,20 @@ impl EvalEngine {
         let mut slots: Vec<Slot> = Vec::with_capacity(jobs.len());
         let mut pending: Vec<(CacheKey, &InputParams, &PhaseSchedule)> = Vec::new();
         let mut seen: HashMap<CacheKey, usize> = HashMap::new();
-        let mut hits = 0u64;
+        // In-batch repeats of a pending key: (pending index, digest). They
+        // count as cache hits only once the shared evaluation succeeds.
+        let mut repeats: Vec<(usize, u64)> = Vec::new();
         for (input, schedule) in jobs {
             let key = CacheKey::new(app, input, schedule);
             let digest = key.digest();
             if let Some(hit) = self.cache.get(digest, &key) {
-                hits += 1;
                 self.note_hit(digest);
                 slots.push(Slot::Cached(hit));
                 continue;
             }
             match seen.entry(key.clone()) {
                 Entry::Occupied(e) => {
-                    hits += 1;
-                    self.note_hit(digest);
+                    repeats.push((*e.get(), digest));
                     slots.push(Slot::Pending(*e.get()));
                 }
                 Entry::Vacant(e) => {
@@ -623,7 +609,6 @@ impl EvalEngine {
                 }
             }
         }
-        self.cache_hits.fetch_add(hits, Ordering::Relaxed);
         self.telemetry
             .set_gauge("eval.queue_depth", pending.len() as f64);
 
@@ -639,6 +624,11 @@ impl EvalEngine {
                     .lock()
                     .expect("cache shard lock")
                     .insert(key.clone(), Arc::clone(result));
+            }
+        }
+        for (i, digest) in repeats {
+            if results[i].is_ok() {
+                self.note_hit(digest);
             }
         }
 
@@ -666,17 +656,15 @@ impl EvalEngine {
             let (key, input, schedule) = &pending[i];
             self.evaluate_with_recovery(app, input, schedule, key.digest())
         });
-        for _ in 0..run.respawns {
-            self.faults.record_respawn();
+        if run.respawns > 0 {
+            self.telemetry.add("pool.respawn", run.respawns);
         }
         run.outcomes
             .into_iter()
             .zip(pending.iter())
             .map(|(outcome, (key, _, schedule))| match outcome {
                 Ok(Ok(result)) => {
-                    self.executions.fetch_add(1, Ordering::Relaxed);
-                    self.total_work.fetch_add(result.work, Ordering::Relaxed);
-                    self.note_exec(key.digest(), schedule.is_accurate());
+                    self.note_exec(key.digest(), schedule.is_accurate(), result.work);
                     Ok(Arc::new(result))
                 }
                 Ok(Err(e)) => Err(e),
@@ -700,11 +688,12 @@ impl EvalEngine {
         self.telemetry.incr(&format!("eval.hit[{digest:#018x}]"));
     }
 
-    /// Per-key execution bookkeeping; accurate-schedule (golden)
-    /// executions are counted separately so "golden exactly once per
-    /// input" is an assertable fact.
-    fn note_exec(&self, digest: u64, golden: bool) {
+    /// Per-key execution bookkeeping plus the `eval.work` total;
+    /// accurate-schedule (golden) executions are counted separately so
+    /// "golden exactly once per input" is an assertable fact.
+    fn note_exec(&self, digest: u64, golden: bool, work: u64) {
         self.telemetry.incr("eval.exec");
+        self.telemetry.add("eval.work", work);
         self.telemetry.incr(&format!("eval.exec[{digest:#018x}]"));
         if golden {
             self.telemetry.incr("eval.golden.exec");
@@ -713,42 +702,46 @@ impl EvalEngine {
         }
     }
 
-    /// Runs `f`, attributing its wall time and the executions and cache
-    /// hits it causes to the named pipeline stage. Repeated stages
-    /// accumulate. The stage is also recorded as a telemetry span
-    /// `stage/<name>` against the engine's injectable clock.
+    /// Runs `f` inside the telemetry span `stage/<name>` (timed by the
+    /// engine's injectable clock), and adds the executions and cache hits
+    /// it causes to the counters `stage[<name>].exec` and
+    /// `stage[<name>].hit`. Repeated stages accumulate.
     pub fn stage<T>(&self, name: &str, f: impl FnOnce() -> T) -> T {
-        let execs_before = self.executions.load(Ordering::Relaxed);
-        let hits_before = self.cache_hits.load(Ordering::Relaxed);
-        let start = Instant::now();
+        let execs_before = self.telemetry.counter_value("eval.exec");
+        let hits_before = self.telemetry.counter_value("eval.cache.hit");
         let out = self.telemetry.span(&format!("stage/{name}"), f);
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        let executions = self.executions.load(Ordering::Relaxed) - execs_before;
-        let cache_hits = self.cache_hits.load(Ordering::Relaxed) - hits_before;
-        let mut stages = self.stages.lock().expect("stage lock");
-        match stages.iter_mut().find(|s| s.name == name) {
-            Some(s) => {
-                s.executions += executions;
-                s.cache_hits += cache_hits;
-                s.wall_ms += wall_ms;
-            }
-            None => stages.push(StageMetrics {
-                name: name.to_string(),
-                executions,
-                cache_hits,
-                wall_ms,
-            }),
+        let execs = self.telemetry.counter_value("eval.exec") - execs_before;
+        let hits = self.telemetry.counter_value("eval.cache.hit") - hits_before;
+        if execs > 0 {
+            self.telemetry.add(&format!("stage[{name}].exec"), execs);
+        }
+        if hits > 0 {
+            self.telemetry.add(&format!("stage[{name}].hit"), hits);
         }
         out
     }
 
-    /// Snapshot of the engine's counters.
+    /// Snapshot of the engine's counters, read from its telemetry
+    /// registry.
     pub fn metrics(&self) -> EvalMetrics {
+        let t = &self.telemetry;
         EvalMetrics {
-            executions: self.executions.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            total_work_units: self.total_work.load(Ordering::Relaxed),
-            stages: self.stages.lock().expect("stage lock").clone(),
+            executions: t.counter_value("eval.exec"),
+            cache_hits: t.counter_value("eval.cache.hit"),
+            total_work_units: t.counter_value("eval.work"),
+            stages: t
+                .spans_with_prefix("stage/")
+                .into_iter()
+                .map(|span| {
+                    let name = &span.path["stage/".len()..];
+                    StageMetrics {
+                        executions: t.counter_value(&format!("stage[{name}].exec")),
+                        cache_hits: t.counter_value(&format!("stage[{name}].hit")),
+                        wall_ms: span.total_micros as f64 / 1e3,
+                        name: name.to_string(),
+                    }
+                })
+                .collect(),
         }
     }
 
@@ -852,6 +845,24 @@ mod tests {
         let bad = PhaseSchedule::constant(LevelConfig::new(vec![99, 99, 99]));
         let jobs = vec![(input(), good), (input(), bad)];
         assert!(engine.run_batch(&app, &jobs).is_err());
+    }
+
+    #[test]
+    fn failed_in_batch_repeat_is_not_a_cache_hit() {
+        let plan = FaultPlan::seeded(1).fail_first_attempts(u32::MAX);
+        let policy = RecoveryPolicy {
+            max_retries: 0,
+            ..RecoveryPolicy::default()
+        };
+        let engine = EvalEngine::with_faults(2, plan, policy);
+        let app = app();
+        let s = schedules(1).remove(0);
+        let results = engine.run_batch_resilient(&app, &[(input(), s.clone()), (input(), s)]);
+        assert!(
+            results.iter().all(Result::is_err),
+            "both entries share the error"
+        );
+        assert_eq!(engine.metrics().cache_hits, 0);
     }
 
     #[test]

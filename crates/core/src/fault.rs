@@ -26,7 +26,8 @@
 //! see `EvalEngine` for the enforcement and `tests/loom.rs` (rule `C005`)
 //! for the model-checked interleavings.
 
-use crate::sync::{AtomicU64, Mutex, Ordering};
+use crate::sync::Mutex;
+use crate::telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
@@ -64,6 +65,19 @@ pub enum FailureKind {
     PoisonedResult,
     /// The key was already quarantined; the attempt was refused outright.
     Quarantined,
+}
+
+impl FailureKind {
+    /// The telemetry counter that counts failures of this kind.
+    pub(crate) fn counter(self) -> &'static str {
+        match self {
+            FailureKind::Panic => "fault.panic",
+            FailureKind::Timeout => "fault.timeout",
+            FailureKind::NonFiniteQos => "fault.non_finite",
+            FailureKind::PoisonedResult => "fault.poisoned",
+            FailureKind::Quarantined => "eval.quarantine.hit",
+        }
+    }
 }
 
 impl fmt::Display for FailureKind {
@@ -297,6 +311,13 @@ impl RecoveryPolicy {
     pub fn max_attempts(&self) -> u32 {
         self.max_retries.saturating_add(1)
     }
+
+    /// Backoff accounted for retry `retry_index` (0-based), in ms.
+    pub(crate) fn backoff_ms(&self, retry_index: u32) -> u64 {
+        self.backoff_base_ms
+            .checked_shl(retry_index)
+            .unwrap_or(u64::MAX)
+    }
 }
 
 /// One injected fault, identified by the evaluation key digest it hit.
@@ -464,7 +485,10 @@ pub(crate) fn degradable_kind(e: &crate::error::OpproxError) -> Option<FailureKi
     }
 }
 
-/// Shared fault-injection and recovery state carried by an `EvalEngine`.
+/// Shared fault-injection and recovery state carried by an `EvalEngine`:
+/// only what recovery itself needs. Every count in a [`RobustnessReport`]
+/// lives in the engine's telemetry registry; [`FaultState::report`]
+/// reads them back.
 ///
 /// All interior state is behind the `crate::sync` primitives so the loom
 /// build can model-check the quarantine/cache protocol.
@@ -472,18 +496,6 @@ pub(crate) fn degradable_kind(e: &crate::error::OpproxError) -> Option<FailureKi
 pub(crate) struct FaultState {
     pub(crate) plan: Option<FaultPlan>,
     pub(crate) policy: RecoveryPolicy,
-    injected: AtomicU64,
-    panics: AtomicU64,
-    timeouts: AtomicU64,
-    non_finite: AtomicU64,
-    poisoned: AtomicU64,
-    retries: AtomicU64,
-    backoff_ms: AtomicU64,
-    failed_evals: AtomicU64,
-    quarantine_hits: AtomicU64,
-    respawns: AtomicU64,
-    dropped_inputs: AtomicU64,
-    total_samples: AtomicU64,
     /// Key digest → attempts exhausted; presence means quarantined.
     quarantine: Mutex<HashMap<u64, u32>>,
     events: Mutex<Vec<FaultEvent>>,
@@ -495,55 +507,19 @@ impl FaultState {
         FaultState {
             plan,
             policy,
-            injected: AtomicU64::new(0),
-            panics: AtomicU64::new(0),
-            timeouts: AtomicU64::new(0),
-            non_finite: AtomicU64::new(0),
-            poisoned: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            backoff_ms: AtomicU64::new(0),
-            failed_evals: AtomicU64::new(0),
-            quarantine_hits: AtomicU64::new(0),
-            respawns: AtomicU64::new(0),
-            dropped_inputs: AtomicU64::new(0),
-            total_samples: AtomicU64::new(0),
             quarantine: Mutex::new(HashMap::new()),
             events: Mutex::new(Vec::new()),
             drops: Mutex::new(Vec::new()),
         }
     }
 
-    /// Records an injected fault in the counters and the event ledger.
+    /// Records an injected fault in the event ledger.
     pub(crate) fn record_injection(&self, event: FaultEvent) {
-        self.injected.fetch_add(1, Ordering::Relaxed);
         self.events.lock().expect("fault events lock").push(event);
-    }
-
-    pub(crate) fn count_failure(&self, kind: FailureKind) {
-        let counter = match kind {
-            FailureKind::Panic => &self.panics,
-            FailureKind::Timeout => &self.timeouts,
-            FailureKind::NonFiniteQos => &self.non_finite,
-            FailureKind::PoisonedResult => &self.poisoned,
-            FailureKind::Quarantined => &self.quarantine_hits,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Accounts one retry and its deterministic exponential backoff.
-    pub(crate) fn account_retry(&self, retry_index: u32) {
-        self.retries.fetch_add(1, Ordering::Relaxed);
-        let backoff = self
-            .policy
-            .backoff_base_ms
-            .checked_shl(retry_index)
-            .unwrap_or(u64::MAX);
-        self.backoff_ms.fetch_add(backoff, Ordering::Relaxed);
     }
 
     /// Marks a key as quarantined after a fully failed evaluation.
     pub(crate) fn quarantine(&self, key: u64, attempts: u32) {
-        self.failed_evals.fetch_add(1, Ordering::Relaxed);
         self.quarantine
             .lock()
             .expect("quarantine lock")
@@ -557,23 +533,13 @@ impl FaultState {
             .contains_key(&key)
     }
 
-    pub(crate) fn record_respawn(&self) {
-        self.respawns.fetch_add(1, Ordering::Relaxed);
-    }
-
     pub(crate) fn record_drop(&self, drop: DroppedSample) {
-        if drop.golden {
-            self.dropped_inputs.fetch_add(1, Ordering::Relaxed);
-        }
         self.drops.lock().expect("fault drops lock").push(drop);
     }
 
-    pub(crate) fn add_requested_samples(&self, n: u64) {
-        self.total_samples.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Snapshots the state into a canonical-order [`RobustnessReport`].
-    pub(crate) fn report(&self) -> RobustnessReport {
+    /// Builds a canonical-order [`RobustnessReport`] from this state and
+    /// the counters in `tele`.
+    pub(crate) fn report(&self, tele: &Telemetry) -> RobustnessReport {
         let mut events = self.events.lock().expect("fault events lock").clone();
         events.sort();
         let mut dropped_samples: Vec<DroppedSample> =
@@ -582,19 +548,19 @@ impl FaultState {
         let quarantined_keys = self.quarantine.lock().expect("quarantine lock").len() as u64;
         RobustnessReport {
             fault_seed: self.plan.as_ref().map(FaultPlan::seed),
-            injected_faults: self.injected.load(Ordering::Relaxed),
-            panics_caught: self.panics.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            non_finite_results: self.non_finite.load(Ordering::Relaxed),
-            poisoned_rejected: self.poisoned.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            backoff_ms_accounted: self.backoff_ms.load(Ordering::Relaxed),
-            failed_evaluations: self.failed_evals.load(Ordering::Relaxed),
+            injected_faults: events.len() as u64,
+            panics_caught: tele.counter_value(FailureKind::Panic.counter()),
+            timeouts: tele.counter_value(FailureKind::Timeout.counter()),
+            non_finite_results: tele.counter_value(FailureKind::NonFiniteQos.counter()),
+            poisoned_rejected: tele.counter_value(FailureKind::PoisonedResult.counter()),
+            retries: tele.counter_value("fault.retry"),
+            backoff_ms_accounted: tele.counter_value("fault.backoff_ms"),
+            failed_evaluations: tele.counter_value("eval.quarantined"),
             quarantined_keys,
-            quarantine_hits: self.quarantine_hits.load(Ordering::Relaxed),
-            worker_respawns: self.respawns.load(Ordering::Relaxed),
-            dropped_inputs: self.dropped_inputs.load(Ordering::Relaxed),
-            total_samples: self.total_samples.load(Ordering::Relaxed),
+            quarantine_hits: tele.counter_value(FailureKind::Quarantined.counter()),
+            worker_respawns: tele.counter_value("pool.respawn"),
+            dropped_inputs: dropped_samples.iter().filter(|d| d.golden).count() as u64,
+            total_samples: tele.counter_value("sampling.requested"),
             dropped_samples,
             events,
         }
@@ -691,6 +657,7 @@ mod tests {
     #[test]
     fn report_is_canonical_and_serializable() {
         let state = FaultState::new(Some(FaultPlan::seeded(5)), RecoveryPolicy::default());
+        let tele = Telemetry::new();
         // Insert events out of order; the snapshot must sort them.
         state.record_injection(FaultEvent {
             key: 9,
@@ -704,11 +671,13 @@ mod tests {
             point: FaultPoint::AppRun,
             kind: FailureKind::Panic,
         });
-        state.count_failure(FailureKind::Panic);
-        state.account_retry(0);
-        state.account_retry(1);
+        tele.incr(FailureKind::Panic.counter());
+        for retry in 0..2 {
+            tele.incr("fault.retry");
+            tele.add("fault.backoff_ms", state.policy.backoff_ms(retry));
+        }
         state.quarantine(2, 3);
-        state.add_requested_samples(10);
+        tele.add("sampling.requested", 10);
         state.record_drop(DroppedSample {
             phase: Some(1),
             levels: vec![2, 0],
@@ -721,8 +690,11 @@ mod tests {
             golden: true,
             kind: FailureKind::Timeout,
         });
-        let report = state.report();
+        let report = state.report(&tele);
         assert_eq!(report.events[0].key, 2, "events sorted by key");
+        assert_eq!(report.injected_faults, 2);
+        assert_eq!(report.panics_caught, 1);
+        assert_eq!(report.dropped_inputs, 1, "one golden among the drops");
         assert!(report.dropped_samples[0].golden, "goldens sort first");
         assert_eq!(report.retries, 2);
         assert_eq!(report.backoff_ms_accounted, 10 + 20);

@@ -33,7 +33,6 @@ use opprox_ml::polyreg::PredictScratch;
 use opprox_ml::Dataset;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::time::Instant;
 
 /// Floor applied to QoS degradations when computing ROI ratios, so
 /// near-zero-error samples do not produce unbounded ROI.
@@ -375,6 +374,39 @@ pub struct ModelingMetrics {
     pub total_wall_ms: f64,
 }
 
+impl ModelingMetrics {
+    /// The registry readings a view is computed from: the `ml.*`
+    /// counters, then the `fit/base`, `fit/combined` and `fit` span
+    /// totals in microseconds.
+    fn ledger(tele: &Telemetry) -> [u64; 6] {
+        [
+            tele.counter_value("ml.fits_attempted"),
+            tele.counter_value("ml.cv_solves"),
+            tele.counter_value("ml.degrees_tried"),
+            tele.span_micros("fit/base"),
+            tele.span_micros("fit/combined"),
+            tele.span_micros("fit"),
+        ]
+    }
+
+    /// The view of one fit: the change in the ledger since `before`,
+    /// plus the `ml.threads` gauge.
+    fn since(tele: &Telemetry, before: [u64; 6]) -> Self {
+        let after = Self::ledger(tele);
+        let delta = |i: usize| after[i] - before[i];
+        let ms = |i: usize| delta(i) as f64 / 1e3;
+        ModelingMetrics {
+            fits_attempted: delta(0),
+            cv_solves: delta(1),
+            degrees_tried: delta(2),
+            threads: tele.gauge_last("ml.threads").map_or(0, |t| t as usize),
+            base_fit_wall_ms: ms(3),
+            combined_fit_wall_ms: ms(4),
+            total_wall_ms: ms(5),
+        }
+    }
+}
+
 impl fmt::Display for ModelingMetrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -411,12 +443,14 @@ impl AppModels {
         Self::fit_traced(data, num_phases, options, None)
     }
 
-    /// [`AppModels::fit`] with an optional telemetry registry: the two
-    /// fan-out stages become spans (`fit/base`, `fit/combined`), the
-    /// [`ModelingMetrics`] counters are absorbed into the registry
-    /// (`ml.fits_attempted`, `ml.cv_solves`, `ml.degrees_tried`), and the
-    /// per-degree CV-solve counts feed the fixed-bucket
-    /// `ml.cv_solves_per_degree` histogram.
+    /// [`AppModels::fit`] recording into a telemetry registry (a private
+    /// one when `telemetry` is `None`): the whole fit and its two fan-out
+    /// stages become spans (`fit`, `fit/base`, `fit/combined`), the fit
+    /// counters land in `ml.fits_attempted`, `ml.cv_solves` and
+    /// `ml.degrees_tried`, the pool width in the `ml.threads` gauge, and
+    /// the per-degree CV-solve counts feed the fixed-bucket
+    /// `ml.cv_solves_per_degree` histogram. [`AppModels::metrics`] is
+    /// read back from the registry as the change over this fit.
     ///
     /// # Errors
     ///
@@ -427,7 +461,21 @@ impl AppModels {
         options: &ModelingOptions,
         telemetry: Option<&Telemetry>,
     ) -> Result<Self, OpproxError> {
-        let fit_start = Instant::now();
+        let private = Telemetry::new();
+        let tele = telemetry.unwrap_or(&private);
+        let before = ModelingMetrics::ledger(tele);
+        let mut models = tele.span("fit", || Self::fit_into(data, num_phases, options, tele))?;
+        models.metrics = ModelingMetrics::since(tele, before);
+        Ok(models)
+    }
+
+    /// The body of [`AppModels::fit_traced`], recording into `tele`.
+    fn fit_into(
+        data: &TrainingData,
+        num_phases: usize,
+        options: &ModelingOptions,
+        tele: &Telemetry,
+    ) -> Result<Self, OpproxError> {
         let control_flow = ControlFlowModel::learn(data)?;
         let first = data
             .records
@@ -495,9 +543,8 @@ impl AppModels {
         // of every (class, phase) bucket are mutually independent — fan
         // them out across the pool. Results come back in submission order,
         // so the assembled model set is identical to a sequential fit.
-        let stage1_start = Instant::now();
         let jobs_per_bucket = 1 + TARGETS.len() * num_blocks;
-        let stage1 = Telemetry::maybe_span(telemetry, "fit/base", || {
+        let stage1 = tele.span("fit/base", || {
             pool.run(buckets.len() * jobs_per_bucket, |i| {
                 let bucket = &buckets[i / jobs_per_bucket];
                 match i % jobs_per_bucket {
@@ -521,7 +568,6 @@ impl AppModels {
                 }
             })
         });
-        let base_fit_wall_ms = stage1_start.elapsed().as_secs_f64() * 1e3;
 
         // Deterministic assembly; the earliest-submitted error wins.
         let mut stage1 = stage1.into_iter();
@@ -543,8 +589,7 @@ impl AppModels {
         // Stage 2: combined models — each depends on one bucket's local
         // models and iteration estimator, but not on any other combined
         // fit, so they fan out the same way.
-        let stage2_start = Instant::now();
-        let stage2 = Telemetry::maybe_span(telemetry, "fit/combined", || {
+        let stage2 = tele.span("fit/combined", || {
             pool.run(buckets.len() * TARGETS.len(), |i| {
                 let (bi, t) = (i / TARGETS.len(), i % TARGETS.len());
                 let (transform, raw) = TARGETS[t];
@@ -560,7 +605,6 @@ impl AppModels {
                     .map_err(OpproxError::from)
             })
         });
-        let combined_fit_wall_ms = stage2_start.elapsed().as_secs_f64() * 1e3;
 
         // Final assembly: cheap sequential scans for ROI and ranges.
         let mut stage2 = stage2.into_iter();
@@ -605,30 +649,18 @@ impl AppModels {
             classes.push(ClassModels { phases });
         }
 
-        let metrics = ModelingMetrics {
-            fits_attempted: counters.fits(),
-            cv_solves: counters.cv_solves(),
-            degrees_tried: counters.degrees_tried(),
-            threads: pool.threads(),
-            base_fit_wall_ms,
-            combined_fit_wall_ms,
-            total_wall_ms: fit_start.elapsed().as_secs_f64() * 1e3,
-        };
-
-        // Absorb the modeling counters into the telemetry registry. The
+        // Absorb the fit counters into the telemetry registry. The
         // histogram buckets are fixed (one per polynomial degree up to
         // MAX_TRACKED_DEGREE, plus overflow), so the counts are invariant
         // under fit-job scheduling order and thread count.
-        if let Some(t) = telemetry {
-            t.add("ml.fits_attempted", counters.fits());
-            t.add("ml.cv_solves", counters.cv_solves());
-            t.add("ml.degrees_tried", counters.degrees_tried());
-            t.set_gauge("ml.threads", pool.threads() as f64);
-            let bounds: Vec<f64> = (0..=MAX_TRACKED_DEGREE).map(|d| d as f64 + 0.5).collect();
-            for (degree, &n) in counters.cv_solves_by_degree().iter().enumerate() {
-                if n > 0 {
-                    t.observe_n("ml.cv_solves_per_degree", &bounds, degree as f64, n);
-                }
+        tele.add("ml.fits_attempted", counters.fits());
+        tele.add("ml.cv_solves", counters.cv_solves());
+        tele.add("ml.degrees_tried", counters.degrees_tried());
+        tele.set_gauge("ml.threads", pool.threads() as f64);
+        let bounds: Vec<f64> = (0..=MAX_TRACKED_DEGREE).map(|d| d as f64 + 0.5).collect();
+        for (degree, &n) in counters.cv_solves_by_degree().iter().enumerate() {
+            if n > 0 {
+                tele.observe_n("ml.cv_solves_per_degree", &bounds, degree as f64, n);
             }
         }
 
@@ -638,7 +670,7 @@ impl AppModels {
             num_phases,
             num_blocks,
             num_params,
-            metrics,
+            metrics: ModelingMetrics::default(),
         })
     }
 
@@ -1752,5 +1784,25 @@ mod tests {
         let back: AppModels = serde_json::from_str(&json).unwrap();
         assert_eq!(back.metrics(), &ModelingMetrics::default());
         assert_eq!(back.num_phases(), models.num_phases());
+    }
+
+    #[test]
+    fn metrics_read_back_as_the_change_over_each_fit() {
+        let (_, _, data) = trained();
+        let tele = Telemetry::new();
+        let options = ModelingOptions::default();
+        let first = AppModels::fit_traced(&data, 2, &options, Some(&tele)).unwrap();
+        let second = AppModels::fit_traced(&data, 2, &options, Some(&tele)).unwrap();
+        let (a, b) = (first.metrics(), second.metrics());
+        assert_eq!(
+            (a.fits_attempted, a.cv_solves, a.degrees_tried),
+            (b.fits_attempted, b.cv_solves, b.degrees_tried),
+            "the second fit reads only its own share of the registry"
+        );
+        assert_eq!(
+            tele.counter_value("ml.cv_solves"),
+            a.cv_solves + b.cv_solves
+        );
+        assert!(b.total_wall_ms + 1e-9 >= b.base_fit_wall_ms + b.combined_fit_wall_ms);
     }
 }

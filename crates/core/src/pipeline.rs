@@ -115,15 +115,13 @@ impl Opprox {
             ..options.sampling
         };
         let data = collect_training_data_with(engine, app, &inputs, &plan)?;
-        let mut trained = engine.telemetry().span("fit", || {
-            Self::train_from_data_traced(
-                app,
-                &data,
-                num_phases,
-                &options.modeling,
-                Some(engine.telemetry()),
-            )
-        })?;
+        let mut trained = Self::train_from_data_traced(
+            app,
+            &data,
+            num_phases,
+            &options.modeling,
+            Some(engine.telemetry()),
+        )?;
         trained.golden_iter_rel_error = engine.stage("self-check", || {
             let mut total = 0.0f64;
             let mut checked = 0usize;

@@ -242,7 +242,6 @@ pub fn collect_training_data_with(
                 labels.push((ii, None, config.clone()));
             }
         }
-        engine.faults().add_requested_samples(labels.len() as u64);
         engine
             .telemetry()
             .add("sampling.requested", labels.len() as u64);

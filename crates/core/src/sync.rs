@@ -8,14 +8,10 @@
 //! byte-identical between the two builds.
 
 #[cfg(loom)]
-pub(crate) use loom::sync::atomic::{AtomicU64, Ordering};
-#[cfg(loom)]
 pub(crate) use loom::sync::Mutex;
 #[cfg(loom)]
 pub(crate) use loom::thread;
 
-#[cfg(not(loom))]
-pub(crate) use std::sync::atomic::{AtomicU64, Ordering};
 #[cfg(not(loom))]
 pub(crate) use std::sync::Mutex;
 #[cfg(not(loom))]

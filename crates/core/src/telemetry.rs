@@ -34,6 +34,7 @@ use serde::value::{Number, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::ops::Bound;
 use std::sync::atomic::AtomicU64 as StdAtomicU64;
 use std::sync::Arc;
 use std::time::Instant;
@@ -209,6 +210,16 @@ struct HistAgg {
     counts: Vec<u64>,
 }
 
+/// The entry for `key`, inserted with `init` on first use. The key is
+/// allocated only on that first insert, so repeated writes to an existing
+/// counter, gauge, histogram, or span aggregate never allocate.
+fn slot<'m, V>(map: &'m mut BTreeMap<String, V>, key: &str, init: impl FnOnce() -> V) -> &'m mut V {
+    if !map.contains_key(key) {
+        map.insert(key.to_string(), init());
+    }
+    map.get_mut(key).expect("slot inserted above")
+}
+
 /// The live telemetry registry threaded through the pipeline.
 ///
 /// Cheap to write from any thread (counters, gauges, histograms) and from
@@ -264,7 +275,7 @@ impl Telemetry {
         let duration = end.saturating_sub(start);
         {
             let mut spans = self.spans.lock().expect("telemetry spans lock");
-            let agg = spans.entry(path.to_string()).or_default();
+            let agg = slot(&mut spans, path, SpanAgg::default);
             agg.count += 1;
             agg.total_micros += duration;
         }
@@ -279,24 +290,16 @@ impl Telemetry {
         out
     }
 
-    /// Like [`Telemetry::span`] but tolerates an absent registry, for call
-    /// sites that are traced only when a caller opted in.
-    pub fn maybe_span<T>(tele: Option<&Telemetry>, path: &str, f: impl FnOnce() -> T) -> T {
-        match tele {
-            Some(t) => t.span(path, f),
-            None => f(),
-        }
-    }
-
     /// Increments the counter `name` by one.
     pub fn incr(&self, name: &str) {
         self.add(name, 1);
     }
 
-    /// Adds `n` to the counter `name`.
+    /// Adds `n` to the counter `name`, saturating at `u64::MAX`.
     pub fn add(&self, name: &str, n: u64) {
         let mut counters = self.counters.lock().expect("telemetry counters lock");
-        *counters.entry(name.to_string()).or_insert(0) += n;
+        let value = slot(&mut counters, name, || 0);
+        *value = value.saturating_add(n);
     }
 
     /// The current value of counter `name` (0 when never written).
@@ -309,10 +312,44 @@ impl Telemetry {
             .unwrap_or(0)
     }
 
+    /// Total microseconds recorded under span `path` (0 when it never ran).
+    pub fn span_micros(&self, path: &str) -> u64 {
+        self.spans
+            .lock()
+            .expect("telemetry spans lock")
+            .get(path)
+            .map_or(0, |agg| agg.total_micros)
+    }
+
+    /// Aggregates of every span whose path starts with `prefix`, in path
+    /// order. Reads the aggregates only, never the timeline.
+    pub fn spans_with_prefix(&self, prefix: &str) -> Vec<SpanStat> {
+        self.spans
+            .lock()
+            .expect("telemetry spans lock")
+            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+            .take_while(|(path, _)| path.starts_with(prefix))
+            .map(|(path, agg)| SpanStat {
+                path: path.clone(),
+                count: agg.count,
+                total_micros: agg.total_micros,
+            })
+            .collect()
+    }
+
+    /// The last value written to gauge `name`, when it was ever written.
+    pub fn gauge_last(&self, name: &str) -> Option<f64> {
+        self.gauges
+            .lock()
+            .expect("telemetry gauges lock")
+            .get(name)
+            .map(|agg| agg.last)
+    }
+
     /// Writes gauge `name`: updates `last` and folds into `max`.
     pub fn set_gauge(&self, name: &str, value: f64) {
         let mut gauges = self.gauges.lock().expect("telemetry gauges lock");
-        let agg = gauges.entry(name.to_string()).or_default();
+        let agg = slot(&mut gauges, name, GaugeAgg::default);
         agg.last = value;
         if value > agg.max {
             agg.max = value;
@@ -337,7 +374,7 @@ impl Telemetry {
     /// `bounds`.
     pub fn observe_n(&self, name: &str, bounds: &[f64], value: f64, n: u64) {
         let mut hists = self.histograms.lock().expect("telemetry histograms lock");
-        let agg = hists.entry(name.to_string()).or_insert_with(|| HistAgg {
+        let agg = slot(&mut hists, name, || HistAgg {
             bounds: bounds.to_vec(),
             counts: vec![0; bounds.len() + 1],
         });

@@ -21,7 +21,7 @@ use opprox::approx_rt::config::sample_configs;
 use opprox::approx_rt::{ApproxApp, InputParams, PhaseSchedule};
 use opprox::core::pipeline::Opprox;
 use opprox::core::request::OptimizeRequest;
-use opprox::core::{AccuracySpec, Telemetry};
+use opprox::core::{AccuracySpec, Telemetry, TelemetryReport};
 use opprox_apps::Pso;
 use opprox_testutil::chaos::ChaosScenario;
 use opprox_testutil::fixtures::{fast_training_options, prod_input};
@@ -138,6 +138,22 @@ fn quarantined_keys_are_never_reexecuted() {
         );
     }
     assert_eq!(report.counter("eval.exec"), 0, "no job ever succeeded");
+
+    // The exported trace carries the fault ledger the robustness report
+    // is read from.
+    let exported = TelemetryReport::from_json(&report.to_json()).expect("trace round-trips");
+    let robustness = engine.robustness_report();
+    for (counter, field) in [
+        ("fault.retry", robustness.retries),
+        ("fault.backoff_ms", robustness.backoff_ms_accounted),
+        ("fault.timeout", robustness.timeouts),
+    ] {
+        assert!(
+            exported.counters.iter().any(|c| c.name == counter),
+            "exported trace lacks {counter}"
+        );
+        assert_eq!(exported.counter(counter), field, "{counter}");
+    }
 }
 
 fn train_trace_json(seed_offset: u64, threads: usize) -> String {
