@@ -21,6 +21,8 @@
 use crate::diag::Report;
 use crate::rules::diag;
 use crate::session::{Session, SessionModel, Solve};
+use opprox_approx_rt::LevelViolation;
+use opprox_core::optimizer::compose;
 
 /// Default relative tolerance for rule `X001` drift: a realized
 /// per-phase speedup may exceed the model's observed band by this
@@ -573,31 +575,28 @@ fn check_x006(session: &Session, report: &mut Report) {
             }
         }
         for (phase, config) in schedule.configs().iter().enumerate() {
-            if config.num_blocks() != blocks.len() {
-                diag(
-                    report,
-                    "X006",
-                    format!("schedule[{i}].phase[{phase}]"),
-                    format!(
-                        "config sets {} block levels but the block set has {}",
-                        config.num_blocks(),
-                        blocks.len()
-                    ),
-                );
-                continue;
-            }
-            for (b, block) in blocks.iter().enumerate() {
-                let level = config.level(b);
-                if level > block.max_level {
-                    diag(
+            for violation in config.violations(blocks) {
+                match violation {
+                    LevelViolation::BlockCount { expected, actual } => {
+                        diag(
+                            report,
+                            "X006",
+                            format!("schedule[{i}].phase[{phase}]"),
+                            format!(
+                                "config sets {actual} block levels but the block set has {expected}"
+                            ),
+                        );
+                        break;
+                    }
+                    LevelViolation::Level { block, level, max } => diag(
                         report,
                         "X006",
-                        format!("schedule[{i}].phase[{phase}].block[{b}]"),
+                        format!("schedule[{i}].phase[{phase}].block[{block}]"),
                         format!(
-                            "level {level} exceeds block '{}' max_level {}",
-                            block.name, block.max_level
+                            "level {level} exceeds block '{}' max_level {max}",
+                            blocks[block].name
                         ),
-                    );
+                    ),
                 }
             }
         }
@@ -669,7 +668,8 @@ fn check_x009(model: &SessionModel, report: &mut Report) {
     }
 }
 
-/// X007: the composed plan prediction follows from its per-phase parts.
+/// X007: the composed plan prediction follows from its per-phase parts,
+/// recomposed in phase order with [`compose`].
 fn check_x007(model: &SessionModel, report: &mut Report) {
     for solve in &model.solves {
         let Some((plan_speedup, plan_qos)) = solve.plan else {
@@ -678,15 +678,12 @@ fn check_x007(model: &SessionModel, report: &mut Report) {
         if solve.steps.is_empty() {
             continue;
         }
-        let mut saved = 0.0f64;
-        let mut qos = 0.0f64;
         let mut by_phase = solve.steps.clone();
         by_phase.sort_by_key(|s| s.phase);
-        for step in &by_phase {
-            saved += 1.0 - 1.0 / step.predicted_speedup.max(0.01);
-            qos += step.predicted_qos;
-        }
-        let speedup = 1.0 / (1.0 - saved).clamp(0.05, 1.0);
+        let pairs = by_phase
+            .iter()
+            .map(|s| (s.predicted_speedup, s.predicted_qos));
+        let (speedup, qos) = compose(pairs);
         let location = format!("trace.event[optimize.plan solve={}]", solve.id);
         if !approx_eq(speedup, plan_speedup) {
             diag(

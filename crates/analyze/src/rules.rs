@@ -6,17 +6,11 @@
 //! [`RuleKind`]). Each lint states which artifacts it needs and silently
 //! passes when the set lacks them; rule `A013` reports when the
 //! predictive lints were skipped for lack of inputs.
-//!
-//! Error-severity model-integrity rules (A004/A007/A012) delegate to
-//! [`opprox_core::modeling::AppModels::integrity_issues`] — the same
-//! check `TrainedOpprox::load` and the optimizer entry path enforce —
-//! and A011 delegates to [`AccuracySpec::try_new`], so the lints cannot
-//! drift from the validation the pipeline actually applies.
 
 use crate::artifact::ArtifactSet;
 use crate::diag::{Diagnostic, Report, Severity};
 use opprox_approx_rt::block::{BlockDescriptor, BlockId};
-use opprox_core::modeling::IssueKind;
+use opprox_approx_rt::LevelViolation;
 use opprox_core::AccuracySpec;
 
 /// How a rule is discharged.
@@ -315,27 +309,27 @@ pub(crate) fn diag(report: &mut Report, code: &'static str, location: String, me
 }
 
 /// A001 — every phase's levels within each block's `0..=max_level`.
-/// Needs a schedule and block descriptors. The per-block comparison is
-/// the one [`opprox_approx_rt::LevelConfig::validate`] applies.
+/// Needs a schedule and block descriptors.
 fn lint_schedule_levels(set: &ArtifactSet, report: &mut Report) {
     let (Some(schedule), Some(blocks)) = (&set.schedule, set.effective_blocks()) else {
         return;
     };
     for (p, cfg) in schedule.configs().iter().enumerate() {
-        // Ragged configs are A002's finding; compare the overlap only.
-        for (b, block) in blocks.iter().enumerate().take(cfg.num_blocks()) {
-            let level = cfg.level(b);
-            if level > block.max_level {
-                diag(
-                    report,
-                    "A001",
-                    format!("schedule.phase[{p}].block[{}]", BlockId(b)),
-                    format!(
-                        "level {level} exceeds max level {} of block `{}` ({})",
-                        block.max_level, block.name, block.technique
-                    ),
-                );
-            }
+        for violation in cfg.violations(blocks) {
+            // Ragged configs are A002's finding.
+            let LevelViolation::Level { block, level, max } = violation else {
+                continue;
+            };
+            let d = &blocks[block];
+            diag(
+                report,
+                "A001",
+                format!("schedule.phase[{p}].block[{}]", BlockId(block)),
+                format!(
+                    "level {level} exceeds max level {max} of block `{}` ({})",
+                    d.name, d.technique
+                ),
+            );
         }
     }
 }
@@ -418,30 +412,18 @@ fn lint_expected_iters(set: &ArtifactSet, report: &mut Report) {
 
 /// A004 / A007 / A012 — non-finite coefficients, invalid confidence
 /// bands, and shape mismatches, straight from
-/// [`opprox_core::modeling::AppModels::integrity_issues`]. Needs a
+/// [`opprox_core::pipeline::TrainedOpprox::integrity_issues`]. Needs a
 /// trained model set.
 fn lint_model_integrity(set: &ArtifactSet, report: &mut Report) {
     let Some(trained) = &set.trained else {
         return;
     };
-    for issue in trained.models().integrity_issues() {
-        let code = match issue.kind {
-            IssueKind::NonFiniteCoefficient => "A004",
-            IssueKind::InvalidBand => "A007",
-            IssueKind::ShapeMismatch => "A012",
-        };
-        diag(report, code, issue.location, issue.message);
-    }
-    if trained.blocks().len() != trained.models().num_blocks() {
+    for issue in trained.integrity_issues() {
         diag(
             report,
-            "A012",
-            "blocks".into(),
-            format!(
-                "{} block descriptors for models trained over {} blocks",
-                trained.blocks().len(),
-                trained.models().num_blocks()
-            ),
+            issue.kind.rule_code(),
+            issue.location,
+            issue.message,
         );
     }
 }

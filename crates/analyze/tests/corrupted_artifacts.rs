@@ -746,3 +746,25 @@ fn optimizer_rejects_corrupt_model_set() {
         "the optimizer entry path must reject corrupt models: {err}"
     );
 }
+
+#[test]
+fn optimizer_rejects_non_finite_roi() {
+    // `"roi": null` decodes as NaN, and the load-time integrity check
+    // does not look at ROIs, so the file loads; Algorithm 2 must then
+    // refuse it instead of panicking on the ROI ranking.
+    let mut v = trained_value();
+    mutate_first_key(&mut v, "roi", |r| *r = Value::Null);
+    let dir = std::env::temp_dir().join(format!("opprox-analyze-roi-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("null-roi.json");
+    std::fs::write(&path, v.render_compact()).unwrap();
+    let trained = TrainedOpprox::load(&path).expect("the integrity check ignores ROIs");
+    std::fs::remove_dir_all(&dir).ok();
+    let err = OptimizeRequest::new(InputParams::new(vec![20.0, 3.0]), AccuracySpec::new(10.0))
+        .run(&trained)
+        .unwrap_err();
+    assert!(
+        matches!(err, OpproxError::InvalidModel(_)),
+        "a non-finite ROI must be refused as an invalid model: {err}"
+    );
+}

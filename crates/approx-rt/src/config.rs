@@ -70,7 +70,8 @@ impl LevelConfig {
         LevelConfig { levels }
     }
 
-    /// Validates the configuration against block descriptors.
+    /// Validates the configuration against block descriptors: the first
+    /// of its [`violations`](Self::violations), as an error.
     ///
     /// # Errors
     ///
@@ -78,23 +79,64 @@ impl LevelConfig {
     /// * [`RuntimeError::LevelOutOfRange`] if any level exceeds its
     ///   block's maximum.
     pub fn validate(&self, blocks: &[BlockDescriptor]) -> Result<(), RuntimeError> {
+        match self.violations(blocks).first() {
+            None => Ok(()),
+            Some(&LevelViolation::BlockCount { expected, actual }) => {
+                Err(RuntimeError::BlockCountMismatch { expected, actual })
+            }
+            Some(&LevelViolation::Level { block, level, max }) => {
+                Err(RuntimeError::LevelOutOfRange {
+                    block: blocks[block].name.clone(),
+                    level,
+                    max,
+                })
+            }
+        }
+    }
+
+    /// Every way the configuration fails `blocks`: the block-count
+    /// mismatch first, if there is one, then each out-of-range level over
+    /// the blocks both sides have, in block order. Empty when the
+    /// configuration is executable against `blocks`.
+    pub fn violations(&self, blocks: &[BlockDescriptor]) -> Vec<LevelViolation> {
+        let mut found = Vec::new();
         if self.levels.len() != blocks.len() {
-            return Err(RuntimeError::BlockCountMismatch {
+            found.push(LevelViolation::BlockCount {
                 expected: blocks.len(),
                 actual: self.levels.len(),
             });
         }
-        for (l, b) in self.levels.iter().zip(blocks.iter()) {
-            if *l > b.max_level {
-                return Err(RuntimeError::LevelOutOfRange {
-                    block: b.name.clone(),
-                    level: *l,
-                    max: b.max_level,
-                });
+        for (block, (&level, d)) in self.levels.iter().zip(blocks).enumerate() {
+            if level > d.max_level {
+                let max = d.max_level;
+                found.push(LevelViolation::Level { block, level, max });
             }
         }
-        Ok(())
+        found
     }
+}
+
+/// One way a [`LevelConfig`] fails a block set; see
+/// [`LevelConfig::violations`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LevelViolation {
+    /// The configuration sets `actual` block levels; the block set has
+    /// `expected` blocks.
+    BlockCount {
+        /// Blocks in the block set.
+        expected: usize,
+        /// Levels the configuration sets.
+        actual: usize,
+    },
+    /// Block index `block` is set to `level`, above its maximum `max`.
+    Level {
+        /// Index of the block in the block set.
+        block: usize,
+        /// The offending level.
+        level: u8,
+        /// The block's maximum level.
+        max: u8,
+    },
 }
 
 /// Enumerates the full cartesian level space of the given blocks:

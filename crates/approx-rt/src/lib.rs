@@ -45,7 +45,7 @@ pub mod technique;
 
 pub use app::{run_with_timeout, ApproxApp, InputParams, RunResult};
 pub use block::{BlockDescriptor, BlockId};
-pub use config::LevelConfig;
+pub use config::{LevelConfig, LevelViolation};
 pub use counter::WorkCounter;
 pub use error::RuntimeError;
 pub use schedule::PhaseSchedule;

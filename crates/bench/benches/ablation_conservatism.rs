@@ -12,7 +12,7 @@
 
 use opprox_approx_rt::InputParams;
 use opprox_bench::TextTable;
-use opprox_core::optimizer::{optimize_with, Conservatism};
+use opprox_core::optimizer::{optimize_traced, Conservatism};
 use opprox_core::pipeline::{Opprox, TrainingOptions};
 use opprox_core::report::percent_less_work;
 use opprox_core::request::OptimizeRequest;
@@ -67,13 +67,14 @@ fn main() {
 
         let mut cells = vec![name.clone()];
         for mode in [Conservatism::Band, Conservatism::Point] {
-            let plan = optimize_with(
+            let plan = optimize_traced(
                 trained.models(),
                 &app.meta().blocks,
                 &input,
                 &spec,
                 expected,
                 mode,
+                None,
             )
             .expect("optimize");
             let outcome = trained

@@ -14,7 +14,7 @@ use opprox_approx_rt::config::enumerate_configs;
 use opprox_approx_rt::{ApproxApp, InputParams, LevelConfig};
 use opprox_apps::Pso;
 use opprox_core::modeling::{AppModels, ModelingOptions};
-use opprox_core::optimizer::{optimize_traced, optimize_with, Conservatism};
+use opprox_core::optimizer::{optimize_traced, Conservatism};
 use opprox_core::sampling::{collect_training_data, SamplingPlan};
 use opprox_core::telemetry::Telemetry;
 use opprox_core::AccuracySpec;
@@ -49,26 +49,28 @@ fn bench_optimize(c: &mut Criterion) {
     group.sample_size(30);
     group.bench_function("e2e_band", |b| {
         b.iter(|| {
-            optimize_with(
+            optimize_traced(
                 &models,
                 blocks,
                 &input,
                 &AccuracySpec::new(10.0),
                 iters,
                 Conservatism::Band,
+                None,
             )
             .unwrap()
         })
     });
     group.bench_function("e2e_point", |b| {
         b.iter(|| {
-            optimize_with(
+            optimize_traced(
                 &models,
                 blocks,
                 &input,
                 &AccuracySpec::new(10.0),
                 iters,
                 Conservatism::Point,
+                None,
             )
             .unwrap()
         })
@@ -77,13 +79,14 @@ fn bench_optimize(c: &mut Criterion) {
         b.iter(|| {
             let mut acc = 0.0;
             for budget in [2.0, 5.0, 10.0, 20.0, 40.0] {
-                let plan = optimize_with(
+                let plan = optimize_traced(
                     &models,
                     blocks,
                     &input,
                     &AccuracySpec::new(budget),
                     iters,
                     Conservatism::Band,
+                    None,
                 )
                 .unwrap();
                 acc += plan.predicted_speedup;

@@ -30,20 +30,18 @@
 //! A020 (re-plan count bounded by the phase count).
 
 use opprox_approx_rt::log::CallContextLog;
-use opprox_approx_rt::{ApproxApp, InputParams, LevelConfig, PhaseSchedule, RunResult};
+use opprox_approx_rt::{ApproxApp, InputParams, PhaseSchedule, RunResult};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 use crate::error::OpproxError;
 use crate::evaluator::EvalEngine;
 use crate::fault::degradable_kind;
-use crate::modeling::AppModels;
 use crate::optimizer::{
-    optimize_phase, optimize_traced, Conservatism, OptimizationPlan, PhasePlan,
+    compose, divide_budget, optimize_traced, schedule_of, Conservatism, OptimizationPlan, PhasePlan,
 };
 use crate::pipeline::{MeasuredOutcome, TrainedOpprox};
 use crate::spec::AccuracySpec;
-use crate::telemetry::Telemetry;
 
 /// Default relative drift tolerance: how far the observed per-phase
 /// speedup may sit outside the model's confidence band before the
@@ -284,90 +282,6 @@ fn signature_distance(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum()
 }
 
-/// The accurate fallback plan entry the offline optimizer uses when
-/// nothing fits a phase's sub-budget.
-fn accurate_plan(phase: usize, num_blocks: usize, allocated: f64) -> PhasePlan {
-    PhasePlan {
-        phase,
-        config: LevelConfig::accurate(num_blocks),
-        allocated_budget: allocated,
-        predicted_qos: 0.0,
-        predicted_speedup: 1.0,
-    }
-}
-
-/// Composes per-phase predictions exactly like the offline optimizer:
-/// speedups via saved-time fractions, QoS additively.
-fn compose(phases: &[PhasePlan]) -> (f64, f64) {
-    let mut saved_fraction = 0.0;
-    let mut predicted_qos = 0.0;
-    for p in phases {
-        saved_fraction += 1.0 - 1.0 / p.predicted_speedup.max(0.01);
-        predicted_qos += p.predicted_qos;
-    }
-    let predicted_speedup = 1.0 / (1.0 - saved_fraction).clamp(0.05, 1.0);
-    (predicted_speedup, predicted_qos)
-}
-
-/// Re-runs the per-phase search (Algorithm 2's budget division) over the
-/// `remaining` phases only, with `pool` as the total budget: ROI-
-/// proportional split, decreasing-ROI visit order, leftover rollover.
-/// Overwrites the remaining entries of `plan` in place. Spans are named
-/// `control/replan[phase]` so they never collide with the offline
-/// solve's `optimize/phase[...]` ledger (audited by X002/X004).
-fn replan_suffix(
-    models: &AppModels,
-    blocks: &[opprox_approx_rt::BlockDescriptor],
-    input: &InputParams,
-    pool: f64,
-    remaining: &[usize],
-    plan: &mut [PhasePlan],
-    tele: &Telemetry,
-) -> Result<(), OpproxError> {
-    let rois = models.rois(input)?;
-    let roi_sum: f64 = remaining.iter().map(|&p| rois[p]).sum();
-    let mut order: Vec<usize> = remaining.to_vec();
-    order.sort_by(|&a, &b| {
-        rois[b]
-            .partial_cmp(&rois[a])
-            .expect("finite ROI")
-            .then(a.cmp(&b))
-    });
-    let mut leftover = 0.0f64;
-    for &phase in &order {
-        let norm_roi = if roi_sum > 0.0 {
-            rois[phase] / roi_sum
-        } else {
-            1.0 / remaining.len() as f64
-        };
-        let phase_budget = pool * norm_roi + leftover;
-        let (best, _stats) = tele.span(&format!("control/replan[{phase}]"), || {
-            optimize_phase(
-                models,
-                blocks,
-                input,
-                phase,
-                phase_budget,
-                Conservatism::Band,
-            )
-        })?;
-        match best {
-            Some(found) => {
-                leftover = (phase_budget - found.predicted_qos).max(0.0);
-                plan[phase] = PhasePlan {
-                    allocated_budget: phase_budget,
-                    ..found
-                };
-            }
-            None => {
-                leftover = phase_budget;
-                plan[phase] = accurate_plan(phase, blocks.len(), phase_budget);
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Executes `schedule`, degrading rather than aborting on recoverable
 /// faults: a quarantined or terminally failed evaluation returns
 /// `Ok(None)`; everything else propagates.
@@ -440,11 +354,7 @@ pub fn run_adaptive(
 
     let mut plan_phases = offline.phases.clone();
     let num_phases = plan_phases.len();
-    let mut schedule = PhaseSchedule::new(
-        plan_phases.iter().map(|p| p.config.clone()).collect(),
-        expected_iters,
-    )
-    .map_err(OpproxError::from)?;
+    let mut schedule = schedule_of(&plan_phases, expected_iters)?;
 
     tele.event(
         "control.start",
@@ -477,14 +387,10 @@ pub fn run_adaptive(
     let mut result = run_degradable(engine, app, input, &schedule)?;
     if result.is_none() {
         let pool = total_budget.max(0.0);
-        for (p, plan) in plan_phases.iter_mut().enumerate().take(num_phases) {
-            *plan = accurate_plan(p, num_blocks, plan.allocated_budget);
+        for plan in &mut plan_phases {
+            *plan = PhasePlan::accurate(plan.phase, num_blocks, plan.allocated_budget);
         }
-        schedule = PhaseSchedule::new(
-            plan_phases.iter().map(|p| p.config.clone()).collect(),
-            expected_iters,
-        )
-        .map_err(OpproxError::from)?;
+        schedule = schedule_of(&plan_phases, expected_iters)?;
         replans += 1;
         total_reclaimed += pool;
         total_redistributed += pool;
@@ -564,20 +470,24 @@ pub fn run_adaptive(
             if drifted && !frozen && phase + 1 < num_phases {
                 let remaining: Vec<usize> = (phase + 1..num_phases).collect();
                 let pool = (total_budget - committed_qos).max(0.0);
-                replan_suffix(
+                // The offline solve's Algorithm 2 over the suffix, under
+                // `control/replan[p]` spans so the re-plan never collides
+                // with the `optimize/phase[p]` ledger (audited by
+                // X002/X004).
+                let visits = divide_budget(
                     models,
                     blocks,
                     input,
-                    pool,
                     &remaining,
-                    &mut plan_phases,
-                    tele,
+                    pool,
+                    Conservatism::Band,
+                    Some((tele, "control/replan")),
                 )?;
-                let next = PhaseSchedule::new(
-                    plan_phases.iter().map(|p| p.config.clone()).collect(),
-                    expected_iters,
-                )
-                .map_err(OpproxError::from)?;
+                for visit in visits {
+                    let p = visit.plan.phase;
+                    plan_phases[p] = visit.plan;
+                }
+                let next = schedule_of(&plan_phases, expected_iters)?;
                 replanned = true;
                 replans += 1;
                 reclaimed += pool;
@@ -596,13 +506,9 @@ pub fn run_adaptive(
                         // and freeze. Keeps the executed prefix intact.
                         for &q in &remaining {
                             plan_phases[q] =
-                                accurate_plan(q, num_blocks, plan_phases[q].allocated_budget);
+                                PhasePlan::accurate(q, num_blocks, plan_phases[q].allocated_budget);
                         }
-                        let safe = PhaseSchedule::new(
-                            plan_phases.iter().map(|p| p.config.clone()).collect(),
-                            expected_iters,
-                        )
-                        .map_err(OpproxError::from)?;
+                        let safe = schedule_of(&plan_phases, expected_iters)?;
                         frozen = true;
                         match run_degradable(engine, app, input, &safe)? {
                             Some(run) => {
@@ -704,6 +610,7 @@ pub fn run_adaptive(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use opprox_approx_rt::LevelConfig;
 
     #[test]
     fn drift_spec_parses_and_rejects() {
@@ -740,29 +647,5 @@ mod tests {
         assert_eq!(signature(&[0.0, 0.0]), vec![0.0, 0.0]);
         let d = signature_distance(&[0.25, 0.75], &[0.75, 0.25]);
         assert!((d - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn compose_matches_the_offline_formula() {
-        let phases = vec![
-            PhasePlan {
-                phase: 0,
-                config: LevelConfig::accurate(1),
-                allocated_budget: 5.0,
-                predicted_qos: 2.0,
-                predicted_speedup: 1.25,
-            },
-            PhasePlan {
-                phase: 1,
-                config: LevelConfig::accurate(1),
-                allocated_budget: 5.0,
-                predicted_qos: 1.0,
-                predicted_speedup: 1.1,
-            },
-        ];
-        let (speedup, qos) = compose(&phases);
-        assert!((qos - 3.0).abs() < 1e-12);
-        let saved = (1.0 - 1.0 / 1.25) + (1.0 - 1.0 / 1.1);
-        assert!((speedup - 1.0 / (1.0 - saved)).abs() < 1e-12);
     }
 }

@@ -698,10 +698,19 @@ impl AppModels {
     ///
     /// # Errors
     ///
-    /// Propagates control-flow prediction errors.
+    /// Propagates control-flow prediction errors, and returns
+    /// [`OpproxError::InvalidModel`] naming the class and phase when an
+    /// ROI is not finite: Algorithm 2 can neither rank nor split on it.
     pub fn rois(&self, input: &InputParams) -> Result<Vec<f64>, OpproxError> {
         let class = self.control_flow.predict(input)?;
-        Ok(self.classes[class].phases.iter().map(|p| p.roi).collect())
+        let phases = &self.classes[class].phases;
+        if let Some(p) = phases.iter().position(|p| !p.roi.is_finite()) {
+            return Err(OpproxError::InvalidModel(format!(
+                "models.class[{class}].phase[{p}].roi is {}, not a finite ROI",
+                phases[p].roi
+            )));
+        }
+        Ok(phases.iter().map(|p| p.roi).collect())
     }
 
     /// Conservative prediction for approximating phase `phase` of the

@@ -107,69 +107,159 @@ pub enum Conservatism {
     Point,
 }
 
+impl PhasePlan {
+    /// The accurate fallback for a phase whose sub-budget nothing fits:
+    /// every block at level 0, no predicted QoS cost, no speedup.
+    pub fn accurate(phase: usize, num_blocks: usize, allocated_budget: f64) -> Self {
+        PhasePlan {
+            phase,
+            config: LevelConfig::accurate(num_blocks),
+            allocated_budget,
+            predicted_qos: 0.0,
+            predicted_speedup: 1.0,
+        }
+    }
+}
+
+/// A phase plan's `(predicted_speedup, predicted_qos)` pair, the input
+/// [`compose`] takes.
+impl From<&PhasePlan> for (f64, f64) {
+    fn from(p: &PhasePlan) -> Self {
+        (p.predicted_speedup, p.predicted_qos)
+    }
+}
+
+/// Composes per-phase `(predicted_speedup, predicted_qos)` pairs, given
+/// in phase order, into the whole-plan `(speedup, qos)`: speedups compose
+/// via saved time fractions (each per-phase speedup is a whole-run
+/// speedup with only that phase approximated), QoS degradations compose
+/// additively.
+pub fn compose<P: Into<(f64, f64)>>(phases: impl IntoIterator<Item = P>) -> (f64, f64) {
+    let mut saved_fraction = 0.0;
+    let mut predicted_qos = 0.0;
+    for (speedup, qos) in phases.into_iter().map(Into::into) {
+        saved_fraction += 1.0 - 1.0 / speedup.max(0.01);
+        predicted_qos += qos;
+    }
+    let predicted_speedup = 1.0 / (1.0 - saved_fraction).clamp(0.05, 1.0);
+    (predicted_speedup, predicted_qos)
+}
+
+/// The schedule that runs `phases`' configurations (in phase order) over
+/// `iters` expected outer iterations.
+///
+/// # Errors
+///
+/// Returns [`OpproxError::Runtime`] when the configurations do not form
+/// a well-formed schedule.
+pub fn schedule_of(phases: &[PhasePlan], iters: u64) -> Result<PhaseSchedule, OpproxError> {
+    let configs = phases.iter().map(|p| p.config.clone()).collect();
+    PhaseSchedule::new(configs, iters).map_err(OpproxError::from)
+}
+
+/// One phase visit of [`divide_budget`]: the phase's ROI (Eq. 1), the
+/// unused budget rolled in from earlier visits and on to later ones, the
+/// chosen plan (whose `allocated_budget` is the visit's sub-budget), and
+/// the search counters.
+#[derive(Debug, Clone)]
+pub(crate) struct PhaseVisit {
+    pub roi: f64,
+    pub leftover_in: f64,
+    pub leftover_out: f64,
+    pub plan: PhasePlan,
+    pub stats: SearchStats,
+}
+
+/// Algorithm 2's budget division over `phases`: splits `budget` in
+/// proportion to the phases' ROIs (evenly when they sum to zero), visits
+/// them in decreasing-ROI order (ties by phase index), solves each with
+/// its share plus the leftover rolled over from earlier visits, and
+/// falls back to the accurate plan when nothing fits. Returns one record
+/// per visit, in visit order. With `trace = Some((t, prefix))` each
+/// phase search runs under span `{prefix}[{phase}]` in `t`.
+///
+/// # Errors
+///
+/// Propagates ROI and model prediction errors.
+pub(crate) fn divide_budget(
+    models: &AppModels,
+    blocks: &[BlockDescriptor],
+    input: &InputParams,
+    phases: &[usize],
+    budget: f64,
+    conservatism: Conservatism,
+    trace: Option<(&Telemetry, &str)>,
+) -> Result<Vec<PhaseVisit>, OpproxError> {
+    let rois = models.rois(input)?;
+    let roi_sum: f64 = phases.iter().map(|&p| rois[p]).sum();
+    let mut order = phases.to_vec();
+    order.sort_by(|&a, &b| {
+        rois[b]
+            .partial_cmp(&rois[a])
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.cmp(&b))
+    });
+
+    let mut leftover = 0.0f64;
+    let mut visits = Vec::with_capacity(order.len());
+    for phase in order {
+        let share = if roi_sum > 0.0 {
+            rois[phase] / roi_sum
+        } else {
+            1.0 / phases.len() as f64
+        };
+        let leftover_in = leftover;
+        let allocated = budget * share + leftover_in;
+        let search = || optimize_phase(models, blocks, input, phase, allocated, conservatism);
+        let (best, stats) = match trace {
+            Some((t, prefix)) => t.span(&format!("{prefix}[{phase}]"), search),
+            None => search(),
+        }?;
+        let plan = match best {
+            Some(found) => {
+                leftover = (allocated - found.predicted_qos).max(0.0);
+                PhasePlan {
+                    allocated_budget: allocated,
+                    ..found
+                }
+            }
+            None => {
+                // Nothing fits: the whole sub-budget rolls over.
+                leftover = allocated;
+                PhasePlan::accurate(phase, blocks.len(), allocated)
+            }
+        };
+        visits.push(PhaseVisit {
+            roi: rois[phase],
+            leftover_in,
+            leftover_out: leftover,
+            plan,
+            stats,
+        });
+    }
+    Ok(visits)
+}
+
 /// Solves Algorithm 2 for one input and budget.
 ///
 /// `expected_iters` is the accurate-run iteration count used to lay out
 /// the phase boundaries (the paper derives it from the golden run of the
-/// production input's control-flow class).
+/// production input's control-flow class). `conservatism` picks the QoS
+/// estimate the per-phase searches constrain on.
+///
+/// With a telemetry registry, each phase search runs under span
+/// `optimize/phase[p]`, every phase visit emits an `optimize.phase` event
+/// (solve id, visit step, ROI, allocated sub-budget, leftover roll-over,
+/// predicted QoS/speedup, search counters) and each solve closes with an
+/// `optimize.plan` event. Events are emitted in visit order — decreasing
+/// ROI — so traces make Algorithm 2's budget redistribution an assertable
+/// fact.
 ///
 /// # Errors
 ///
-/// Propagates model prediction errors. An empty result is never an
-/// error: if no configuration fits a phase's budget, that phase stays
+/// Propagates ROI and model prediction errors. An empty result is never
+/// an error: if no configuration fits a phase's budget, that phase stays
 /// accurate.
-pub fn optimize(
-    models: &AppModels,
-    blocks: &[BlockDescriptor],
-    input: &InputParams,
-    spec: &AccuracySpec,
-    expected_iters: u64,
-) -> Result<OptimizationPlan, OpproxError> {
-    optimize_with(
-        models,
-        blocks,
-        input,
-        spec,
-        expected_iters,
-        Conservatism::Band,
-    )
-}
-
-/// [`optimize`] with an explicit conservatism mode.
-///
-/// # Errors
-///
-/// Same as [`optimize`].
-pub fn optimize_with(
-    models: &AppModels,
-    blocks: &[BlockDescriptor],
-    input: &InputParams,
-    spec: &AccuracySpec,
-    expected_iters: u64,
-    conservatism: Conservatism,
-) -> Result<OptimizationPlan, OpproxError> {
-    optimize_traced(
-        models,
-        blocks,
-        input,
-        spec,
-        expected_iters,
-        conservatism,
-        None,
-    )
-}
-
-/// [`optimize_with`] with an optional telemetry registry: every phase
-/// visit emits an `optimize.phase` event (solve id, visit step, ROI,
-/// allocated sub-budget, leftover roll-over, predicted QoS/speedup) and
-/// each solve closes with an `optimize.plan` event. Events are emitted in
-/// visit order — decreasing ROI — so traces make Algorithm 2's budget
-/// redistribution an assertable fact.
-///
-/// # Errors
-///
-/// Same as [`optimize`].
-#[allow(clippy::too_many_arguments)]
 pub fn optimize_traced(
     models: &AppModels,
     blocks: &[BlockDescriptor],
@@ -180,28 +270,30 @@ pub fn optimize_traced(
     telemetry: Option<&Telemetry>,
 ) -> Result<OptimizationPlan, OpproxError> {
     let num_phases = models.num_phases();
-    let rois = models.rois(input)?;
-    let roi_sum: f64 = rois.iter().sum();
-
-    // Visit phases in decreasing ROI order (Algorithm 2, line 3).
-    let mut order: Vec<usize> = (0..num_phases).collect();
-    order.sort_by(|&a, &b| {
-        rois[b]
-            .partial_cmp(&rois[a])
-            .expect("finite ROI")
-            .then(a.cmp(&b))
-    });
-
+    let all: Vec<usize> = (0..num_phases).collect();
     let total_budget = spec.error_budget();
-    let mut leftover = 0.0f64;
-    let mut chosen: Vec<Option<PhasePlan>> = vec![None; num_phases];
+    let visits = divide_budget(
+        models,
+        blocks,
+        input,
+        &all,
+        total_budget,
+        conservatism,
+        telemetry.map(|t| (t, "optimize/phase")),
+    )?;
 
-    // A per-registry solve id keeps events from the many candidate solves
-    // a validated request performs distinguishable in one trace. The root
-    // `optimize.start` event carries the total budget, so the per-phase
-    // allocations in the `optimize.phase` ledger telescope to an amount a
-    // cross-artifact audit can check (rule X002).
-    let solve = telemetry.map(|t| {
+    let mut phases: Vec<PhasePlan> = visits.iter().map(|v| v.plan.clone()).collect();
+    phases.sort_by_key(|p| p.phase);
+    let (predicted_speedup, predicted_qos) = compose(&phases);
+    let schedule = schedule_of(&phases, expected_iters.max(1))?;
+
+    if let Some(t) = telemetry {
+        // A per-registry solve id keeps events from the many candidate
+        // solves a validated request performs distinguishable in one
+        // trace. The root `optimize.start` event carries the total
+        // budget, so the per-phase allocations in the `optimize.phase`
+        // ledger telescope to an amount a cross-artifact audit can check
+        // (rule X002).
         t.incr("optimize.solves");
         let solve = (t.counter_value("optimize.solves") - 1) as f64;
         t.event(
@@ -212,91 +304,28 @@ pub fn optimize_traced(
                 ("phases", num_phases as f64),
             ],
         );
-        solve
-    });
-
-    for (step, &phase) in order.iter().enumerate() {
-        let norm_roi = if roi_sum > 0.0 {
-            rois[phase] / roi_sum
-        } else {
-            1.0 / num_phases as f64
-        };
-        let leftover_in = leftover;
-        let phase_budget = total_budget * norm_roi + leftover;
-        // The span path carries the phase id, linking the span tree to
-        // the `optimize.phase` event ledger (one span per phase visit).
-        let searched = match telemetry {
-            Some(t) => t.span(&format!("optimize/phase[{phase}]"), || {
-                optimize_phase(models, blocks, input, phase, phase_budget, conservatism)
-            }),
-            None => optimize_phase(models, blocks, input, phase, phase_budget, conservatism),
-        };
-        let (best, stats) = searched?;
-        match best {
-            Some(plan) => {
-                leftover = (phase_budget - plan.predicted_qos).max(0.0);
-                chosen[phase] = Some(PhasePlan {
-                    allocated_budget: phase_budget,
-                    ..plan
-                });
-            }
-            None => {
-                // Nothing fits: the whole sub-budget rolls over.
-                leftover = phase_budget;
-                chosen[phase] = Some(PhasePlan {
-                    phase,
-                    config: LevelConfig::accurate(blocks.len()),
-                    allocated_budget: phase_budget,
-                    predicted_qos: 0.0,
-                    predicted_speedup: 1.0,
-                });
-            }
-        }
-        if let (Some(t), Some(solve)) = (telemetry, solve) {
-            let plan = chosen[phase].as_ref().expect("just filled");
+        for (step, v) in visits.iter().enumerate() {
             t.event(
                 "optimize.phase",
                 &[
                     ("solve", solve),
                     ("step", step as f64),
-                    ("phase", phase as f64),
-                    ("roi", rois[phase]),
-                    ("allocated", phase_budget),
-                    ("leftover_in", leftover_in),
-                    ("leftover_out", leftover),
-                    ("predicted_qos", plan.predicted_qos),
-                    ("predicted_speedup", plan.predicted_speedup),
+                    ("phase", v.plan.phase as f64),
+                    ("roi", v.roi),
+                    ("allocated", v.plan.allocated_budget),
+                    ("leftover_in", v.leftover_in),
+                    ("leftover_out", v.leftover_out),
+                    ("predicted_qos", v.plan.predicted_qos),
+                    ("predicted_speedup", v.plan.predicted_speedup),
                     ("space", config_space_size(blocks) as f64),
-                    ("visited", stats.visited as f64),
-                    ("expanded", stats.expanded as f64),
-                    ("pruned", stats.pruned as f64),
-                    ("evaluated", stats.evaluated as f64),
-                    ("bound_quality", stats.bound_quality()),
+                    ("visited", v.stats.visited as f64),
+                    ("expanded", v.stats.expanded as f64),
+                    ("pruned", v.stats.pruned as f64),
+                    ("evaluated", v.stats.evaluated as f64),
+                    ("bound_quality", v.stats.bound_quality()),
                 ],
             );
         }
-    }
-
-    let phases: Vec<PhasePlan> = chosen.into_iter().map(|p| p.expect("filled")).collect();
-
-    // Combine per-phase predictions: speedups compose via saved time
-    // fractions (each per-phase speedup is a whole-run speedup with only
-    // that phase approximated), QoS degradations compose additively.
-    let mut saved_fraction = 0.0;
-    let mut predicted_qos = 0.0;
-    for p in &phases {
-        saved_fraction += 1.0 - 1.0 / p.predicted_speedup.max(0.01);
-        predicted_qos += p.predicted_qos;
-    }
-    let predicted_speedup = 1.0 / (1.0 - saved_fraction).clamp(0.05, 1.0);
-
-    let schedule = PhaseSchedule::new(
-        phases.iter().map(|p| p.config.clone()).collect(),
-        expected_iters.max(1),
-    )
-    .map_err(OpproxError::from)?;
-
-    if let (Some(t), Some(solve)) = (telemetry, solve) {
         t.event(
             "optimize.plan",
             &[
@@ -706,7 +735,16 @@ mod tests {
         let (app, models, iters) = setup();
         let input = InputParams::new(vec![16.0, 3.0]);
         let spec = AccuracySpec::new(15.0);
-        let plan = optimize(&models, &app.meta().blocks, &input, &spec, iters).unwrap();
+        let plan = optimize_traced(
+            &models,
+            &app.meta().blocks,
+            &input,
+            &spec,
+            iters,
+            Conservatism::Band,
+            None,
+        )
+        .unwrap();
         assert_eq!(plan.phases.len(), 2);
         assert!(
             plan.predicted_qos <= spec.error_budget() + 1e-6,
@@ -721,7 +759,16 @@ mod tests {
         let (app, models, iters) = setup();
         let input = InputParams::new(vec![16.0, 3.0]);
         let spec = AccuracySpec::new(0.0);
-        let plan = optimize(&models, &app.meta().blocks, &input, &spec, iters).unwrap();
+        let plan = optimize_traced(
+            &models,
+            &app.meta().blocks,
+            &input,
+            &spec,
+            iters,
+            Conservatism::Band,
+            None,
+        )
+        .unwrap();
         assert!(plan.schedule.is_accurate());
         assert_eq!(plan.predicted_qos, 0.0);
     }
@@ -730,20 +777,24 @@ mod tests {
     fn larger_budget_never_predicts_less_speedup() {
         let (app, models, iters) = setup();
         let input = InputParams::new(vec![16.0, 3.0]);
-        let small = optimize(
+        let small = optimize_traced(
             &models,
             &app.meta().blocks,
             &input,
             &AccuracySpec::new(5.0),
             iters,
+            Conservatism::Band,
+            None,
         )
         .unwrap();
-        let large = optimize(
+        let large = optimize_traced(
             &models,
             &app.meta().blocks,
             &input,
             &AccuracySpec::new(40.0),
             iters,
+            Conservatism::Band,
+            None,
         )
         .unwrap();
         assert!(large.predicted_speedup >= small.predicted_speedup - 1e-9);
@@ -754,7 +805,16 @@ mod tests {
         let (app, models, iters) = setup();
         let input = InputParams::new(vec![16.0, 3.0]);
         let spec = AccuracySpec::new(10.0);
-        let plan = optimize(&models, &app.meta().blocks, &input, &spec, iters).unwrap();
+        let plan = optimize_traced(
+            &models,
+            &app.meta().blocks,
+            &input,
+            &spec,
+            iters,
+            Conservatism::Band,
+            None,
+        )
+        .unwrap();
         // With PSO's phase profile, the late phase carries the bulk of the
         // approximation.
         let early_sum: u32 = plan.phases[0]
@@ -779,17 +839,43 @@ mod tests {
     fn schedule_matches_chosen_configs() {
         let (app, models, iters) = setup();
         let input = InputParams::new(vec![16.0, 3.0]);
-        let plan = optimize(
+        let plan = optimize_traced(
             &models,
             &app.meta().blocks,
             &input,
             &AccuracySpec::new(20.0),
             iters,
+            Conservatism::Band,
+            None,
         )
         .unwrap();
         assert_eq!(plan.schedule.num_phases(), 2);
         for p in &plan.phases {
             assert_eq!(plan.schedule.configs()[p.phase], p.config);
         }
+    }
+
+    #[test]
+    fn compose_matches_the_offline_formula() {
+        let phases = vec![
+            PhasePlan {
+                phase: 0,
+                config: LevelConfig::accurate(1),
+                allocated_budget: 5.0,
+                predicted_qos: 2.0,
+                predicted_speedup: 1.25,
+            },
+            PhasePlan {
+                phase: 1,
+                config: LevelConfig::accurate(1),
+                allocated_budget: 5.0,
+                predicted_qos: 1.0,
+                predicted_speedup: 1.1,
+            },
+        ];
+        let (speedup, qos) = compose(&phases);
+        assert!((qos - 3.0).abs() < 1e-12);
+        let saved = (1.0 - 1.0 / 1.25) + (1.0 - 1.0 / 1.1);
+        assert!((speedup - 1.0 / (1.0 - saved)).abs() < 1e-12);
     }
 }

@@ -45,7 +45,7 @@ use crate::pool::WorkPool;
 use crate::request::{OptimizePath, OptimizeRequest};
 use crate::spec::AccuracySpec;
 use crate::telemetry::{Clock, Telemetry};
-use opprox_approx_rt::{InputParams, LevelConfig};
+use opprox_approx_rt::{InputParams, LevelConfig, LevelViolation};
 use serde::Serialize as _;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
@@ -150,6 +150,9 @@ pub struct ServeState {
     /// operators can see *why* the swap was refused — the event ledger
     /// only carries the rule code numerically.
     last_reload_rejection: Mutex<Option<String>>,
+    /// (mtime, len) of each app's last refused reload candidate, so a
+    /// refused file is audited once, not again on every poll.
+    rejected_files: Mutex<HashMap<String, Option<(SystemTime, u64)>>>,
 }
 
 impl ServeState {
@@ -179,6 +182,7 @@ impl ServeState {
             tele,
             start_micros,
             last_reload_rejection: Mutex::new(None),
+            rejected_files: Mutex::new(HashMap::new()),
         }
     }
 
@@ -261,16 +265,13 @@ impl ServeState {
     }
 
     /// One hot-reload poll: every file-backed entry whose (mtime, len)
-    /// changed is audited and — only if clean — swapped in. The audit is
-    /// the Error-severity rule set a corrupt candidate could violate:
-    /// the single-artifact integrity rules (A004/A007/A012) plus the
-    /// cross-artifact coverage check between the candidate's level space
-    /// and the plans currently served from the schedule cache (X006). A
-    /// rejected candidate leaves the old artifact installed, increments
-    /// `serve.reload.error` and `serve.reload.reject[CODE]`, and every
-    /// poll outcome lands in the `serve.reload` event ledger with the
-    /// rejecting rule encoded numerically (see [`rule_field`]). Returns
-    /// how many entries were swapped.
+    /// changed is audited (see `audit_candidate`) and — only if clean —
+    /// swapped in. A rejected candidate leaves the old artifact
+    /// installed, increments `serve.reload.error` and
+    /// `serve.reload.reject[CODE]`, and is not audited again until the
+    /// file changes. Every audit outcome lands in the `serve.reload`
+    /// event ledger with the rejecting rule encoded numerically (see
+    /// [`rule_field`]). Returns how many entries were swapped.
     pub fn poll_reload(&self) -> usize {
         let snap = self.snapshot();
         let mut swapped = 0;
@@ -278,7 +279,11 @@ impl ServeState {
             let Some(path) = entry.path.as_deref() else {
                 continue;
             };
-            if file_id(path) == entry.file_id {
+            let id = file_id(path);
+            let rejected = self.rejected_files.lock().expect("reload rejection lock");
+            let seen = rejected.get(app) == Some(&id);
+            drop(rejected);
+            if id == entry.file_id || seen {
                 continue;
             }
             match self.audit_candidate(app, entry, path) {
@@ -296,6 +301,10 @@ impl ServeState {
                     swapped += 1;
                 }
                 Err(rejection) => {
+                    self.rejected_files
+                        .lock()
+                        .expect("reload rejection lock")
+                        .insert(app.clone(), id);
                     self.tele.incr("serve.reload.error");
                     self.tele.incr(&format!(
                         "serve.reload.reject[{}]",
@@ -323,10 +332,11 @@ impl ServeState {
     }
 
     /// The reload audit: loads the candidate artifact leniently, runs the
-    /// Error-severity integrity rules, and cross-checks the candidate's
-    /// level space against every plan the schedule cache is serving for
-    /// this app's current generation. Returns the audited system or the
-    /// first rejection (rule code + diagnostic).
+    /// Error-severity integrity rules (A004/A007/A012), and checks every
+    /// plan the schedule cache is serving for this app's current
+    /// generation against the candidate's blocks with
+    /// [`LevelConfig::violations`] (rule X006). Returns the audited system
+    /// or the first rejection (rule code + diagnostic).
     fn audit_candidate(
         &self,
         app: &str,
@@ -347,11 +357,10 @@ impl ServeState {
                 message: format!("{}: {}", issue.location, issue.message),
             });
         }
-        // Cross-artifact coverage (rule X006): every (block, level) a
-        // cached plan of the serving generation selects must stay inside
-        // the candidate's trained level space, or in-flight clients
-        // would hold schedules the new model never covered.
-        let blocks = trained.blocks();
+        // Every (block, level) a cached plan of the serving generation
+        // selects must stay inside the candidate's trained level space,
+        // or in-flight clients would hold schedules the new model never
+        // covered.
         for shard in &self.cache {
             let shard = shard.lock().expect("plan cache lock");
             for (key, reply) in shard.iter() {
@@ -359,29 +368,23 @@ impl ServeState {
                     continue;
                 }
                 for (p, levels) in reply.levels.iter().enumerate() {
-                    if levels.len() != blocks.len() {
-                        return Err(ReloadRejection {
-                            code: Some("X006"),
-                            message: format!(
-                                "cached plan phase {p} sets {} blocks but the \
-                                 candidate trains {}",
-                                levels.len(),
-                                blocks.len()
-                            ),
-                        });
-                    }
-                    for (b, &level) in levels.iter().enumerate() {
-                        if level > u64::from(blocks[b].max_level) {
-                            return Err(ReloadRejection {
-                                code: Some("X006"),
-                                message: format!(
-                                    "cached plan phase {p} sets block {b} to level \
-                                     {level}, above the candidate's max level {}",
-                                    blocks[b].max_level
-                                ),
-                            });
-                        }
-                    }
+                    let config =
+                        LevelConfig::new(levels.iter().map(|&l| l.min(255) as u8).collect());
+                    let message = match config.violations(trained.blocks()).first() {
+                        None => continue,
+                        Some(LevelViolation::BlockCount { expected, actual }) => format!(
+                            "cached plan phase {p} sets {actual} blocks but the \
+                             candidate trains {expected}"
+                        ),
+                        Some(LevelViolation::Level { block, level, max }) => format!(
+                            "cached plan phase {p} sets block {block} to level \
+                             {level}, above the candidate's max level {max}"
+                        ),
+                    };
+                    return Err(ReloadRejection {
+                        code: Some("X006"),
+                        message,
+                    });
                 }
             }
         }
@@ -1312,6 +1315,18 @@ mod tests {
         );
         let msg = state.last_reload_rejection().expect("diagnostic kept");
         assert!(msg.starts_with("X006 "), "{msg}");
+
+        // A refused file is audited once per change, not on every poll.
+        for _ in 0..2 {
+            clock.advance_micros(10);
+            assert_eq!(state.poll_reload(), 0);
+        }
+        assert_eq!(
+            state.telemetry().counter_value("serve.reload.reject[X006]"),
+            1
+        );
+        let report = state.telemetry().report();
+        assert_eq!(report.events_named("serve.reload").len(), 2);
 
         // 3. A healthy rewrite passes the audit, swaps, and closes the
         //    ledger with an acceptance event.

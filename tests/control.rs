@@ -15,6 +15,7 @@
 //! * the exported control trace is byte-identical across worker thread
 //!   counts and same-seed reruns (proptest).
 
+use opprox::analyze::{audit, Artifact, DEFAULT_DRIFT_TOLERANCE};
 use opprox::core::control::{run_adaptive, ControlOptions, ControlOutcome, DriftInjection};
 use opprox::core::request::{OptimizePath, OptimizeRequest};
 use opprox::core::{AccuracySpec, OpproxError};
@@ -117,6 +118,50 @@ fn seeded_drift_replans_exactly_at_the_drifted_phase() {
         stranded
     );
     assert_ledger_balances(&outcome);
+}
+
+/// The re-plan runs the offline solve's Algorithm 2 but must not leak its
+/// `optimize.*` events or `optimize/phase[p]` spans into the trace (X002
+/// and X004 would flag them): the seeded-drift session's trace audits
+/// clean.
+#[test]
+fn replanned_trace_audits_clean() {
+    let (trained, _) = trained_pso();
+    let capture = TraceCapture::new();
+    let engine = capture.engine(2);
+    let options = ControlOptions {
+        inject: Some(DriftInjection {
+            phase: 0,
+            factor: 6.0,
+            block: None,
+        }),
+        ..ControlOptions::default()
+    };
+    let outcome = run_adaptive(
+        trained,
+        &Pso::new(),
+        &engine,
+        &prod_input("PSO"),
+        &AccuracySpec::new(BUDGET),
+        &options,
+    )
+    .expect("adaptive session");
+    assert_eq!(outcome.replans, 1, "exactly one re-plan");
+    let trace = engine.telemetry_report();
+    assert_eq!(trace.events_named("optimize.start").len(), 1);
+    for step in outcome.steps.iter().filter(|s| s.replanned) {
+        for p in step.phase + 1..trained.num_phases() {
+            let span = format!("control/replan[{p}]");
+            assert!(trace.span(&span).is_some(), "no {span} span");
+        }
+    }
+
+    let report = audit(
+        [Artifact::Telemetry(Box::new(trace))],
+        DEFAULT_DRIFT_TOLERANCE,
+    );
+    assert_eq!(report.errors(), 0, "{}", report.render_text());
+    assert_eq!(report.warnings(), 0, "{}", report.render_text());
 }
 
 #[test]

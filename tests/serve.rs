@@ -5,10 +5,13 @@
 use opprox::core::api::{
     AdaptiveParams, ApiRequest, ApiResponse, OptimizeParams, PredictParams, WireCode,
 };
+use opprox::core::pipeline::TrainedOpprox;
 use opprox::core::pool::WorkPool;
 use opprox::core::telemetry::Clock;
 use opprox::core::{ManualClock, ServeOptions, ServeState, Server, Submission};
+use opprox_testutil::json::mutate_first_key;
 use opprox_testutil::serve::{send_lines, write_pso_artifact, write_streamagg_artifact};
+use serde::value::Value;
 use std::fs::OpenOptions;
 use std::io::Write as _;
 use std::sync::Arc;
@@ -98,6 +101,31 @@ fn failed_reload_keeps_the_old_artifact() {
         panic!("expected the old artifact to keep serving");
     };
     assert_eq!(reply.generation, 1);
+}
+
+/// A model whose ROI decodes as NaN is refused with `invalid_model`
+/// rather than panicking the handler — under `opprox serve` that panic
+/// would kill the dispatcher thread and leave every later request
+/// unanswered. Driven through `handle` directly so a regression fails
+/// instead of hanging.
+#[test]
+fn non_finite_roi_is_refused_with_invalid_model() {
+    let path = temp_artifact("null_roi.json");
+    let text = std::fs::read_to_string(&path).expect("read artifact");
+    let mut v = serde_json::parse_value(&text).expect("artifact is JSON");
+    mutate_first_key(&mut v, "roi", |r| *r = Value::Null);
+    std::fs::write(&path, v.render_compact()).expect("write artifact");
+    let trained = TrainedOpprox::load(&path).expect("the integrity check ignores ROIs");
+
+    let state = ServeState::new(ServeOptions {
+        threads: 1,
+        ..ServeOptions::default()
+    });
+    state.install(trained, None);
+    let ApiResponse::Error { code, message } = state.handle(&optimize_req()) else {
+        panic!("expected an error reply");
+    };
+    assert_eq!(code, WireCode::InvalidModel, "{message}");
 }
 
 /// Uptime is read from the injected clock, so health frames are exactly
