@@ -457,7 +457,7 @@ fn lint_accurate_speedup(set: &ArtifactSet, report: &mut Report) {
     for phase in 0..trained.models().num_phases() {
         let mut best: Option<f64> = None;
         for input in &inputs {
-            let Ok(pred) = trained.models().predict_point(input, phase, &accurate) else {
+            let Ok((pred, _)) = trained.models().predict_pair(input, phase, &accurate) else {
                 continue; // Arity errors surface through A012.
             };
             best = Some(best.map_or(pred.speedup, |b: f64| b.max(pred.speedup)));
@@ -548,8 +548,8 @@ fn lint_schedule_feasibility(set: &ArtifactSet, report: &mut Report) {
             if cfg.is_accurate() {
                 continue;
             }
-            match trained.models().predict(input, p, cfg) {
-                Ok(pred) => total += pred.qos,
+            match trained.models().predict_pair(input, p, cfg) {
+                Ok((_, pred)) => total += pred.qos,
                 Err(_) => {
                     ok = false;
                     break;

@@ -50,8 +50,7 @@ fn bench_predict(c: &mut Criterion) {
         b.iter(|| {
             let mut acc = 0.0;
             for config in &configs {
-                let point = models.predict_point(&input, 0, config).unwrap();
-                let cons = models.predict(&input, 0, config).unwrap();
+                let (point, cons) = models.predict_pair(&input, 0, config).unwrap();
                 acc += point.speedup + cons.qos;
             }
             acc
@@ -59,13 +58,8 @@ fn bench_predict(c: &mut Criterion) {
     });
     group.bench_function("batched", |b| {
         b.iter(|| {
-            let points = models.predict_point_batch(&input, 0, &configs).unwrap();
-            let cons = models.predict_batch(&input, 0, &configs).unwrap();
-            points
-                .iter()
-                .zip(&cons)
-                .map(|(p, c)| p.speedup + c.qos)
-                .sum::<f64>()
+            let pairs = models.predict_pair_batch(&input, 0, &configs).unwrap();
+            pairs.iter().map(|(p, c)| p.speedup + c.qos).sum::<f64>()
         })
     });
     group.finish();

@@ -110,13 +110,8 @@ fn bench_predict(c: &mut Criterion) {
     // expansion throughput.
     group.bench_function("phase_space_pass", |b| {
         b.iter(|| {
-            let points = models.predict_point_batch(&input, 0, &configs).unwrap();
-            let cons = models.predict_batch(&input, 0, &configs).unwrap();
-            points
-                .iter()
-                .zip(&cons)
-                .map(|(p, c)| p.speedup + c.qos)
-                .sum::<f64>()
+            let pairs = models.predict_pair_batch(&input, 0, &configs).unwrap();
+            pairs.iter().map(|(p, c)| p.speedup + c.qos).sum::<f64>()
         })
     });
     group.finish();

@@ -67,8 +67,8 @@ fn main() {
         let mut sp_pred = Vec::new();
         for r in &test {
             let Some(phase) = r.phase else { continue };
-            let p = models
-                .predict_point(&r.input, phase, &r.config)
+            let (p, _) = models
+                .predict_pair(&r.input, phase, &r.config)
                 .expect("prediction");
             qos_actual.push(r.qos.max(0.0).ln_1p());
             qos_pred.push(p.qos.max(0.0).ln_1p());
@@ -93,8 +93,8 @@ fn main() {
         ]);
         for r in test.iter().step_by((test.len() / 8).max(1)).take(8) {
             let Some(phase) = r.phase else { continue };
-            let p = models
-                .predict_point(&r.input, phase, &r.config)
+            let (p, _) = models
+                .predict_pair(&r.input, phase, &r.config)
                 .expect("prediction");
             scatter.add_row(vec![
                 format!("{:.2}", r.qos),

@@ -425,11 +425,8 @@ pub fn run_adaptive(
             let observed_speedup = golden_total / denom;
 
             let config = &plan_phases[phase].config;
-            let point = models
-                .predict_point(input, phase, config)?
-                .speedup
-                .max(1e-9);
-            let cons = models.predict(input, phase, config)?.speedup.max(1e-9);
+            let (point, cons) = models.predict_pair(input, phase, config)?;
+            let (point, cons) = (point.speedup.max(1e-9), cons.speedup.max(1e-9));
             let band_lo = cons.min(point);
             // The conservative prediction is the band's lower edge;
             // reflect it around the point estimate in log space for the

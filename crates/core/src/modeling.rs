@@ -30,7 +30,7 @@ use opprox_approx_rt::{InputParams, LevelConfig};
 use opprox_ml::fitmetrics::{FitCounters, MAX_TRACKED_DEGREE};
 use opprox_ml::model_select::{AutoFitConfig, IntervalPrediction, TargetModel};
 use opprox_ml::polyreg::PredictScratch;
-use opprox_ml::Dataset;
+use opprox_ml::{Dataset, MlError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -38,12 +38,14 @@ use std::fmt;
 /// near-zero-error samples do not produce unbounded ROI.
 pub const ROI_QOS_FLOOR: f64 = 1.0;
 
-/// A conservative prediction for one (phase, input, configuration).
+/// One half of the `(point, conservative)` pair predicted for one
+/// (phase, input, configuration) by [`AppModels::predict_pair`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Prediction {
-    /// Conservative (lower-band) speedup estimate.
+    /// Speedup estimate; the lower band edge in the conservative half.
     pub speedup: f64,
-    /// Conservative (upper-band) QoS-degradation estimate, clamped ≥ 0.
+    /// QoS-degradation estimate, clamped ≥ 0; the upper band edge in the
+    /// conservative half.
     pub qos: f64,
     /// Estimated outer-loop iteration count.
     pub iters: f64,
@@ -95,7 +97,8 @@ pub struct TwoStepModel {
 }
 
 impl TwoStepModel {
-    /// Point-and-band prediction in original units.
+    /// Point-and-band prediction in original units, one configuration at
+    /// a time: the scalar reference for [`Self::predict_full_batch`].
     /// Returns `(point, lower, upper)`.
     fn predict_full(
         &self,
@@ -103,42 +106,22 @@ impl TwoStepModel {
         config: &LevelConfig,
         est_iters_ln: f64,
     ) -> Result<(f64, f64, f64), OpproxError> {
-        // A configuration that approximates a single block is exactly what
-        // the local models were trained on (the exhaustive per-block
-        // sweeps); their prediction is strictly more faithful than the
-        // combined model's re-fit, so use it directly.
-        let nonzero: Vec<usize> = (0..self.locals.len())
-            .filter(|&b| config.level(b) > 0)
-            .collect();
-        if nonzero.len() == 1 {
-            let b = nonzero[0];
+        let local_row = |b: usize| {
             let mut row = input.values().to_vec();
             row.push(config.level(b) as f64);
-            let raw = self.locals[b].predict(&row)?;
-            let point = clamp_to(raw, self.range_t.0, self.range_t.1);
-            let half = (self.locals[b].predict_upper(&row)? - raw).max(0.0);
-            return Ok((
-                self.transform.inverse(point),
-                self.transform.inverse(point - half),
-                self.transform.inverse(point + half),
-            ));
-        }
-
-        let mut features = Vec::with_capacity(self.locals.len() + 1);
-        for (b, local) in self.locals.iter().enumerate() {
-            let mut row = input.values().to_vec();
-            row.push(config.level(b) as f64);
-            features.push(local.predict(&row)?);
-        }
-        features.push(est_iters_ln);
-        let raw = self.combined.predict(&features)?;
-        let point = clamp_to(raw, self.range_t.0, self.range_t.1);
-        let half = (self.combined.predict_upper(&features)? - raw).max(0.0);
-        Ok((
-            self.transform.inverse(point),
-            self.transform.inverse(point - half),
-            self.transform.inverse(point + half),
-        ))
+            row
+        };
+        let (raw, half) = match self.sole_block(config) {
+            Some(b) => self.locals[b].predict_with_half(&local_row(b))?,
+            None => {
+                let mut features = (0..self.locals.len())
+                    .map(|b| self.locals[b].predict(&local_row(b)))
+                    .collect::<Result<Vec<f64>, _>>()?;
+                features.push(est_iters_ln);
+                self.combined.predict_with_half(&features)?
+            }
+        };
+        Ok(self.band_triple(raw, half))
     }
 
     /// Batched [`Self::predict_full`]: one `(point, lower, upper)` triple
@@ -165,9 +148,7 @@ impl TwoStepModel {
             }
             let mut out = Vec::with_capacity(n);
             let mut halves = Vec::with_capacity(n);
-            local
-                .predict_batch_with_band_into(&flat, row_len, &mut out, &mut halves, scratch)
-                .map_err(OpproxError::from)?;
+            local.predict_batch_into(&flat, row_len, &mut out, Some(&mut halves), scratch)?;
             local_preds.push(out);
             local_halves.push(halves);
         }
@@ -181,45 +162,54 @@ impl TwoStepModel {
         }
         let mut combined = Vec::with_capacity(n);
         let mut combined_halves = Vec::with_capacity(n);
-        self.combined
-            .predict_batch_with_band_into(
-                &flat,
-                num_blocks + 1,
-                &mut combined,
-                &mut combined_halves,
-                scratch,
-            )
-            .map_err(OpproxError::from)?;
+        self.combined.predict_batch_into(
+            &flat,
+            num_blocks + 1,
+            &mut combined,
+            Some(&mut combined_halves),
+            scratch,
+        )?;
 
-        let mut results = Vec::with_capacity(n);
-        for (i, c) in configs.iter().enumerate() {
-            // Mirror the per-row path: a configuration that approximates a
-            // single block uses its local model directly.
-            let mut nz_count = 0usize;
-            let mut nz_block = 0usize;
-            for b in 0..num_blocks {
-                if c.level(b) > 0 {
-                    nz_count += 1;
-                    nz_block = b;
-                }
-            }
-            let (raw, half) = if nz_count == 1 {
-                let raw = local_preds[nz_block][i];
-                let upper = raw + local_halves[nz_block][i];
-                (raw, (upper - raw).max(0.0))
-            } else {
-                let raw = combined[i];
-                let upper = raw + combined_halves[i];
-                (raw, (upper - raw).max(0.0))
-            };
-            let point = clamp_to(raw, self.range_t.0, self.range_t.1);
-            results.push((
-                self.transform.inverse(point),
-                self.transform.inverse(point - half),
-                self.transform.inverse(point + half),
-            ));
+        Ok(configs
+            .iter()
+            .enumerate()
+            .map(|(i, c)| match self.sole_block(c) {
+                Some(b) => self.band_triple(local_preds[b][i], local_halves[b][i]),
+                None => self.band_triple(combined[i], combined_halves[i]),
+            })
+            .collect())
+    }
+
+    /// The one block `config` approximates, if it approximates exactly
+    /// one. Such a configuration is exactly what the local models were
+    /// trained on (the exhaustive per-block sweeps); their prediction is
+    /// strictly more faithful than the combined model's re-fit, so both
+    /// prediction paths use it directly.
+    fn sole_block(&self, config: &LevelConfig) -> Option<usize> {
+        let mut nonzero = (0..self.locals.len()).filter(|&b| config.level(b) > 0);
+        match (nonzero.next(), nonzero.next()) {
+            (Some(b), None) => Some(b),
+            _ => None,
         }
-        Ok(results)
+    }
+
+    /// Turns a transformed-space prediction `raw` and its band half-width
+    /// into `(point, lower, upper)` in original units. The point is
+    /// clamped into the observed range before the band is applied; the
+    /// half is re-derived as `(raw + half) - raw`, the rounding both
+    /// paths share. A NaN `raw` comes back as NaN in all three (the
+    /// `Log1p` inverse would floor it to 0) so the caller can refuse it.
+    fn band_triple(&self, raw: f64, half_width: f64) -> (f64, f64, f64) {
+        if raw.is_nan() {
+            return (raw, raw, raw);
+        }
+        let half = ((raw + half_width) - raw).max(0.0);
+        let point = clamp_to(raw, self.range_t.0, self.range_t.1);
+        (
+            self.transform.inverse(point),
+            self.transform.inverse(point - half),
+            self.transform.inverse(point + half),
+        )
     }
 
     /// Cross-validated R² of the combined model (in transformed space).
@@ -256,6 +246,60 @@ pub struct PhaseModels {
     pub speedup_range: (f64, f64),
     /// Observed `(min, max)` QoS degradation in this phase's samples.
     pub qos_range: (f64, f64),
+}
+
+impl PhaseModels {
+    /// Clamps a speedup into the observed range, widened to include the
+    /// accurate run's 1.0.
+    fn clamp_speedup(&self, speedup: f64) -> f64 {
+        clamp_to(speedup, self.speedup_range.0.min(1.0), self.speedup_range.1)
+    }
+
+    /// Clamps a QoS degradation into `[0, observed max]`.
+    fn clamp_qos(&self, qos: f64) -> f64 {
+        clamp_to(qos, 0.0, self.qos_range.1).max(0.0)
+    }
+
+    /// The one projection from model outputs to the `(point,
+    /// conservative)` prediction pair, shared by the scalar and batched
+    /// paths. It applies the paper's band rule: the conservative speedup
+    /// is the lower band edge and the conservative QoS the upper one, so
+    /// the optimizer never overstates benefit or understates error. Both
+    /// are clamped to the observed range.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OpproxError::Model`] with [`MlError::Numeric`] naming
+    /// `phase` when any output is NaN (a polynomial that overflowed far
+    /// outside the training range): clamping would silently turn it into
+    /// a zero-degradation bound.
+    fn project(
+        &self,
+        phase: usize,
+        speedup: (f64, f64, f64),
+        qos: (f64, f64, f64),
+        iters_ln: f64,
+    ) -> Result<(Prediction, Prediction), OpproxError> {
+        let (s, q) = (speedup, qos);
+        let outputs = [s.0, s.1, s.2, q.0, q.1, q.2, iters_ln];
+        if outputs.iter().any(|v| v.is_nan()) {
+            return Err(OpproxError::Model(MlError::Numeric(format!(
+                "phase {phase} models predict NaN (input far outside the training range?)"
+            ))));
+        }
+        let iters = iters_ln.exp().max(1.0);
+        let point = Prediction {
+            speedup: self.clamp_speedup(s.0),
+            qos: self.clamp_qos(q.0),
+            iters,
+        };
+        let conservative = Prediction {
+            speedup: self.clamp_speedup(s.1).max(0.01),
+            qos: self.clamp_qos(q.2),
+            iters,
+        };
+        Ok((point, conservative))
+    }
 }
 
 /// All models for one control-flow class.
@@ -713,174 +757,48 @@ impl AppModels {
         Ok(phases.iter().map(|p| p.roi).collect())
     }
 
-    /// Conservative prediction for approximating phase `phase` of the
-    /// execution of `input` with `config` (all other phases accurate).
+    /// Point and conservative predictions for approximating phase `phase`
+    /// of the execution of `input` with `config` (all other phases
+    /// accurate), one configuration at a time: the scalar reference for
+    /// [`Self::predict_pair_batch`]. The pair is `(point, conservative)`;
+    /// see [`Prediction`].
     ///
     /// # Errors
     ///
-    /// Propagates model prediction errors; `phase` must be in range.
-    pub fn predict(
+    /// Propagates model prediction errors, and refuses NaN model outputs
+    /// with [`OpproxError::Model`]; `phase` must be in range.
+    pub fn predict_pair(
         &self,
         input: &InputParams,
         phase: usize,
         config: &LevelConfig,
-    ) -> Result<Prediction, OpproxError> {
-        assert!(phase < self.num_phases, "phase {phase} out of range");
-        let class = self.control_flow.predict(input)?;
-        let models = &self.classes[class].phases[phase];
+    ) -> Result<(Prediction, Prediction), OpproxError> {
+        let models = self.phase_models(input, phase)?;
         let mut iters_row = input.values().to_vec();
         iters_row.extend(config.levels().iter().map(|&l| l as f64));
         let iters_ln = models.iters.predict(&iters_row)?;
-        let iters = iters_ln.exp().max(1.0);
-        let (_, speedup_lower, _) = models.speedup.predict_full(input, config, iters_ln)?;
-        let (_, _, qos_upper) = models.qos.predict_full(input, config, iters_ln)?;
-        Ok(Prediction {
-            speedup: clamp_to(
-                speedup_lower,
-                models.speedup_range.0.min(1.0),
-                models.speedup_range.1,
-            )
-            .max(0.01),
-            qos: clamp_to(qos_upper, 0.0, models.qos_range.1).max(0.0),
-            iters,
-        })
+        let speedup = models.speedup.predict_full(input, config, iters_ln)?;
+        let qos = models.qos.predict_full(input, config, iters_ln)?;
+        models.project(phase, speedup, qos, iters_ln)
     }
 
-    /// Batched [`Self::predict`] over many configurations of one phase.
+    /// Batched [`Self::predict_pair`] over many configurations of one
+    /// phase, bit-identical to it per configuration.
     ///
     /// One flat prediction pass per underlying model replaces the per-row
     /// scalar pipeline (standardize, expand, dot-product, band), with all
-    /// intermediates living in reusable scratch buffers. The returned
-    /// predictions are bit-identical to calling [`Self::predict`] on each
-    /// configuration in turn.
+    /// intermediates living in reusable scratch buffers.
     ///
     /// # Errors
     ///
-    /// Propagates model prediction errors; `phase` must be in range.
-    pub fn predict_batch(
-        &self,
-        input: &InputParams,
-        phase: usize,
-        configs: &[LevelConfig],
-    ) -> Result<Vec<Prediction>, OpproxError> {
-        assert!(phase < self.num_phases, "phase {phase} out of range");
-        if configs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let class = self.control_flow.predict(input)?;
-        let models = &self.classes[class].phases[phase];
-        let mut scratch = PredictScratch::default();
-
-        let row_len = self.num_params + self.num_blocks;
-        let mut flat = Vec::with_capacity(configs.len() * row_len);
-        for c in configs {
-            flat.extend_from_slice(input.values());
-            flat.extend(c.levels().iter().map(|&l| l as f64));
-        }
-        let mut iters_ln = Vec::with_capacity(configs.len());
-        models
-            .iters
-            .predict_batch_into(&flat, row_len, &mut iters_ln, &mut scratch)
-            .map_err(OpproxError::from)?;
-
-        let speedup = models
-            .speedup
-            .predict_full_batch(input, configs, &iters_ln, &mut scratch)?;
-        let qos = models
-            .qos
-            .predict_full_batch(input, configs, &iters_ln, &mut scratch)?;
-
-        Ok((0..configs.len())
-            .map(|i| Prediction {
-                speedup: clamp_to(
-                    speedup[i].1,
-                    models.speedup_range.0.min(1.0),
-                    models.speedup_range.1,
-                )
-                .max(0.01),
-                qos: clamp_to(qos[i].2, 0.0, models.qos_range.1).max(0.0),
-                iters: iters_ln[i].exp().max(1.0),
-            })
-            .collect())
-    }
-
-    /// Batched [`Self::predict_point`]: the point-prediction counterpart
-    /// of [`Self::predict_batch`], bit-identical to the per-row path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates model prediction errors; `phase` must be in range.
-    pub fn predict_point_batch(
-        &self,
-        input: &InputParams,
-        phase: usize,
-        configs: &[LevelConfig],
-    ) -> Result<Vec<Prediction>, OpproxError> {
-        assert!(phase < self.num_phases, "phase {phase} out of range");
-        if configs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let class = self.control_flow.predict(input)?;
-        let models = &self.classes[class].phases[phase];
-        let mut scratch = PredictScratch::default();
-
-        let row_len = self.num_params + self.num_blocks;
-        let mut flat = Vec::with_capacity(configs.len() * row_len);
-        for c in configs {
-            flat.extend_from_slice(input.values());
-            flat.extend(c.levels().iter().map(|&l| l as f64));
-        }
-        let mut iters_ln = Vec::with_capacity(configs.len());
-        models
-            .iters
-            .predict_batch_into(&flat, row_len, &mut iters_ln, &mut scratch)
-            .map_err(OpproxError::from)?;
-
-        let speedup = models
-            .speedup
-            .predict_full_batch(input, configs, &iters_ln, &mut scratch)?;
-        let qos = models
-            .qos
-            .predict_full_batch(input, configs, &iters_ln, &mut scratch)?;
-
-        Ok((0..configs.len())
-            .map(|i| Prediction {
-                speedup: clamp_to(
-                    speedup[i].0,
-                    models.speedup_range.0.min(1.0),
-                    models.speedup_range.1,
-                ),
-                qos: clamp_to(qos[i].0, 0.0, models.qos_range.1).max(0.0),
-                iters: iters_ln[i].exp().max(1.0),
-            })
-            .collect())
-    }
-
-    /// Batched point **and** conservative predictions in one model pass.
-    ///
-    /// The underlying batch kernels already produce the full
-    /// `(point, lower, upper)` tuple per row, so computing both
-    /// projections costs the same as either [`Self::predict_batch`] or
-    /// [`Self::predict_point_batch`] alone — the search uses this to
-    /// halve its leaf-evaluation work in Band mode. Each returned pair is
-    /// `(point, conservative)`, bit-identical to the two single-mode
-    /// batch calls.
-    ///
-    /// # Errors
-    ///
-    /// Propagates model prediction errors; `phase` must be in range.
+    /// Same as [`Self::predict_pair`].
     pub fn predict_pair_batch(
         &self,
         input: &InputParams,
         phase: usize,
         configs: &[LevelConfig],
     ) -> Result<Vec<(Prediction, Prediction)>, OpproxError> {
-        assert!(phase < self.num_phases, "phase {phase} out of range");
-        if configs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let class = self.control_flow.predict(input)?;
-        let models = &self.classes[class].phases[phase];
+        let models = self.phase_models(input, phase)?;
         let mut scratch = PredictScratch::default();
 
         let row_len = self.num_params + self.num_blocks;
@@ -892,8 +810,7 @@ impl AppModels {
         let mut iters_ln = Vec::with_capacity(configs.len());
         models
             .iters
-            .predict_batch_into(&flat, row_len, &mut iters_ln, &mut scratch)
-            .map_err(OpproxError::from)?;
+            .predict_batch_into(&flat, row_len, &mut iters_ln, None, &mut scratch)?;
 
         let speedup = models
             .speedup
@@ -901,64 +818,16 @@ impl AppModels {
         let qos = models
             .qos
             .predict_full_batch(input, configs, &iters_ln, &mut scratch)?;
-
-        Ok((0..configs.len())
-            .map(|i| {
-                let iters = iters_ln[i].exp().max(1.0);
-                let point = Prediction {
-                    speedup: clamp_to(
-                        speedup[i].0,
-                        models.speedup_range.0.min(1.0),
-                        models.speedup_range.1,
-                    ),
-                    qos: clamp_to(qos[i].0, 0.0, models.qos_range.1).max(0.0),
-                    iters,
-                };
-                let conservative = Prediction {
-                    speedup: clamp_to(
-                        speedup[i].1,
-                        models.speedup_range.0.min(1.0),
-                        models.speedup_range.1,
-                    )
-                    .max(0.01),
-                    qos: clamp_to(qos[i].2, 0.0, models.qos_range.1).max(0.0),
-                    iters,
-                };
-                (point, conservative)
-            })
-            .collect())
+        (0..configs.len())
+            .map(|i| models.project(phase, speedup[i], qos[i], iters_ln[i]))
+            .collect()
     }
 
-    /// Point (non-conservative) prediction, used when evaluating model
-    /// accuracy (paper Fig. 12/13).
-    ///
-    /// # Errors
-    ///
-    /// Propagates model prediction errors.
-    pub fn predict_point(
-        &self,
-        input: &InputParams,
-        phase: usize,
-        config: &LevelConfig,
-    ) -> Result<Prediction, OpproxError> {
+    /// The models of `phase` for the control-flow class of `input`.
+    fn phase_models(&self, input: &InputParams, phase: usize) -> Result<&PhaseModels, OpproxError> {
         assert!(phase < self.num_phases, "phase {phase} out of range");
         let class = self.control_flow.predict(input)?;
-        let models = &self.classes[class].phases[phase];
-        let mut iters_row = input.values().to_vec();
-        iters_row.extend(config.levels().iter().map(|&l| l as f64));
-        let iters_ln = models.iters.predict(&iters_row)?;
-        let iters = iters_ln.exp().max(1.0);
-        let (speedup, _, _) = models.speedup.predict_full(input, config, iters_ln)?;
-        let (qos, _, _) = models.qos.predict_full(input, config, iters_ln)?;
-        Ok(Prediction {
-            speedup: clamp_to(
-                speedup,
-                models.speedup_range.0.min(1.0),
-                models.speedup_range.1,
-            ),
-            qos: clamp_to(qos, 0.0, models.qos_range.1).max(0.0),
-            iters,
-        })
+        Ok(&self.classes[class].phases[phase])
     }
 
     /// Summary of combined-model cross-validation scores, one `(phase,
@@ -997,14 +866,12 @@ impl AppModels {
         phase: usize,
         blocks: &[BlockDescriptor],
     ) -> Result<PhaseBounds<'m>, OpproxError> {
-        assert!(phase < self.num_phases, "phase {phase} out of range");
         assert_eq!(
             blocks.len(),
             self.num_blocks,
             "bounds need one descriptor per trained block"
         );
-        let class = self.control_flow.predict(input)?;
-        let models = &self.classes[class].phases[phase];
+        let models = self.phase_models(input, phase)?;
         let num_blocks = blocks.len();
         let mut scratch = PredictScratch::default();
 
@@ -1022,9 +889,7 @@ impl AppModels {
                     flat.push(l as f64);
                 }
                 let mut out = Vec::with_capacity(levels);
-                local
-                    .predict_batch_into(&flat, local_row_len, &mut out, &mut scratch)
-                    .map_err(OpproxError::from)?;
+                local.predict_batch_into(&flat, local_row_len, &mut out, None, &mut scratch)?;
                 tables.push(out);
             }
             Ok(tables)
@@ -1299,11 +1164,9 @@ impl PhaseBounds<'_> {
 
         let s = &self.models.speedup;
         let mut speedup_ub = match combined_ip(s, &self.s_tbl, &self.s_loc) {
-            Some(ip) if ip.hi.is_finite() => clamp_to(
+            Some(ip) if ip.hi.is_finite() => self.models.clamp_speedup(
                 s.transform
                     .inverse(clamp_to(ip.hi, s.range_t.0, s.range_t.1)),
-                self.models.speedup_range.0.min(1.0),
-                self.models.speedup_range.1,
             ),
             _ => f64::INFINITY,
         };
@@ -1315,7 +1178,7 @@ impl PhaseBounds<'_> {
                 if band {
                     t += ip.half_lo.max(0.0);
                 }
-                clamp_to(q.transform.inverse(t), 0.0, self.models.qos_range.1).max(0.0)
+                self.models.clamp_qos(q.transform.inverse(t))
             }
             _ => 0.0,
         };
@@ -1563,9 +1426,7 @@ fn combined_dataset(
             flat.push(r.config.level(b) as f64);
         }
         let mut out = Vec::with_capacity(n);
-        local
-            .predict_batch_into(&flat, local_row_len, &mut out, &mut scratch)
-            .map_err(OpproxError::from)?;
+        local.predict_batch_into(&flat, local_row_len, &mut out, None, &mut scratch)?;
         local_preds.push(out);
     }
 
@@ -1578,9 +1439,7 @@ fn combined_dataset(
         flat.extend(r.config.levels().iter().map(|&l| l as f64));
     }
     let mut iters_pred = Vec::with_capacity(n);
-    iters_model
-        .predict_batch_into(&flat, iters_row_len, &mut iters_pred, &mut scratch)
-        .map_err(OpproxError::from)?;
+    iters_model.predict_batch_into(&flat, iters_row_len, &mut iters_pred, None, &mut scratch)?;
 
     let mut rows = Vec::with_capacity(n);
     for (i, r) in records.iter().enumerate() {
@@ -1649,7 +1508,7 @@ mod tests {
         let input = InputParams::new(vec![20.0, 3.0]);
         let cfg = LevelConfig::new(vec![2, 1, 0]);
         for phase in 0..2 {
-            let p = models.predict(&input, phase, &cfg).unwrap();
+            let (_, p) = models.predict_pair(&input, phase, &cfg).unwrap();
             assert!(p.speedup.is_finite() && p.speedup > 0.0);
             assert!(p.qos.is_finite() && p.qos >= 0.0);
             assert!(p.iters >= 1.0);
@@ -1661,8 +1520,7 @@ mod tests {
         let (_, models, _) = trained();
         let input = InputParams::new(vec![16.0, 3.0]);
         let cfg = LevelConfig::new(vec![1, 1, 1]);
-        let cons = models.predict(&input, 0, &cfg).unwrap();
-        let point = models.predict_point(&input, 0, &cfg).unwrap();
+        let (point, cons) = models.predict_pair(&input, 0, &cfg).unwrap();
         assert!(cons.qos >= point.qos.max(0.0) - 1e-9);
         assert!(cons.speedup <= point.speedup + 1e-9);
     }
@@ -1672,8 +1530,8 @@ mod tests {
         let (_, models, _) = trained();
         let input = InputParams::new(vec![16.0, 3.0]);
         let cfg = LevelConfig::new(vec![4, 3, 3]);
-        let early = models.predict_point(&input, 0, &cfg).unwrap();
-        let late = models.predict_point(&input, 1, &cfg).unwrap();
+        let early = models.predict_pair(&input, 0, &cfg).unwrap().0;
+        let late = models.predict_pair(&input, 1, &cfg).unwrap().0;
         assert!(
             early.qos > late.qos,
             "models should reproduce phase sensitivity: early {} vs late {}",
@@ -1707,8 +1565,9 @@ mod tests {
         for r in &recs {
             predicted.push(
                 models
-                    .predict_point(&r.input, 1, &r.config)
+                    .predict_pair(&r.input, 1, &r.config)
                     .unwrap()
+                    .0
                     .speedup,
             );
         }
@@ -1726,7 +1585,7 @@ mod tests {
     }
 
     #[test]
-    fn predict_batch_is_bit_identical_to_per_row_predict() {
+    fn predict_pair_batch_is_bit_identical_to_predict_pair() {
         let (_, models, _) = trained();
         let input = InputParams::new(vec![20.0, 3.0]);
         // An enumeration-style sweep: every configuration over a level
@@ -1739,17 +1598,39 @@ mod tests {
                 }
             }
         }
+        let bits = |p: &Prediction| [p.speedup.to_bits(), p.qos.to_bits(), p.iters.to_bits()];
         for phase in 0..2 {
-            let batch = models.predict_batch(&input, phase, &configs).unwrap();
+            let batch = models.predict_pair_batch(&input, phase, &configs).unwrap();
             assert_eq!(batch.len(), configs.len());
-            for (cfg, got) in configs.iter().zip(&batch) {
-                let want = models.predict(&input, phase, cfg).unwrap();
-                assert_eq!(want.speedup.to_bits(), got.speedup.to_bits(), "{cfg:?}");
-                assert_eq!(want.qos.to_bits(), got.qos.to_bits(), "{cfg:?}");
-                assert_eq!(want.iters.to_bits(), got.iters.to_bits(), "{cfg:?}");
+            for (cfg, (point, cons)) in configs.iter().zip(&batch) {
+                let (want_point, want_cons) = models.predict_pair(&input, phase, cfg).unwrap();
+                assert_eq!(bits(&want_point), bits(point), "point {cfg:?}");
+                assert_eq!(bits(&want_cons), bits(cons), "conservative {cfg:?}");
             }
         }
-        assert!(models.predict_batch(&input, 0, &[]).unwrap().is_empty());
+        assert!(models
+            .predict_pair_batch(&input, 0, &[])
+            .unwrap()
+            .is_empty());
+    }
+
+    #[test]
+    fn nan_predictions_are_refused_not_clamped() {
+        // Far outside the training range the polynomials overflow to NaN;
+        // clamping used to turn that into a zero-degradation QoS bound.
+        let (_, models, _) = trained();
+        let input = InputParams::new(vec![1e200, 3.0]);
+        let cfg = LevelConfig::new(vec![2, 1, 2]);
+        let refused = |r: Result<(), OpproxError>| match r {
+            Err(OpproxError::Model(MlError::Numeric(m))) => m.contains("phase 1"),
+            _ => false,
+        };
+        assert!(refused(models.predict_pair(&input, 1, &cfg).map(|_| ())));
+        let batch = models.predict_pair_batch(&input, 1, std::slice::from_ref(&cfg));
+        assert!(refused(batch.map(|_| ())));
+        // An input inside the range still predicts.
+        let inside = InputParams::new(vec![20.0, 3.0]);
+        assert!(models.predict_pair(&inside, 1, &cfg).is_ok());
     }
 
     #[test]

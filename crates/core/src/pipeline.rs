@@ -242,7 +242,7 @@ impl TrainedOpprox {
     /// Propagates model prediction errors.
     pub fn estimate_golden_iters(&self, input: &InputParams) -> Result<u64, OpproxError> {
         let accurate = LevelConfig::accurate(self.blocks.len());
-        let pred = self.models.predict(input, 0, &accurate)?;
+        let (pred, _) = self.models.predict_pair(input, 0, &accurate)?;
         Ok(pred.iters.round().max(1.0) as u64)
     }
 

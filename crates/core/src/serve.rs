@@ -679,15 +679,17 @@ impl ServeState {
         let input = InputParams::new(p.input.clone());
         let class = trained.models().control_flow().predict(&input)?;
         // One flat pass through the batched predictor for the whole
-        // frame — bit-identical to per-config scalar calls.
-        let predictions = trained.models().predict_batch(&input, phase, &configs)?;
+        // frame; the reply carries the conservative half of each pair.
+        let predictions = trained
+            .models()
+            .predict_pair_batch(&input, phase, &configs)?;
         Ok(ApiResponse::Predict(PredictReply {
             app: p.app.clone(),
             generation: entry.generation,
             class: class as u64,
             predictions: predictions
                 .into_iter()
-                .map(|pr| PredictionReply {
+                .map(|(_, pr)| PredictionReply {
                     speedup: pr.speedup,
                     qos: pr.qos,
                     iters: pr.iters,

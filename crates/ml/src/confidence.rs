@@ -52,23 +52,6 @@ impl ConfidenceBand {
     pub fn level(&self) -> f64 {
         self.p
     }
-
-    /// Conservative *upper* bound for a prediction — used for QoS
-    /// degradation so the optimizer never under-estimates error.
-    pub fn upper(&self, prediction: f64) -> f64 {
-        prediction + self.half_width
-    }
-
-    /// Conservative *lower* bound for a prediction — used for speedup so
-    /// the optimizer never over-estimates benefit.
-    pub fn lower(&self, prediction: f64) -> f64 {
-        prediction - self.half_width
-    }
-
-    /// The full interval `[prediction − e, prediction + e]`.
-    pub fn interval(&self, prediction: f64) -> (f64, f64) {
-        (self.lower(prediction), self.upper(prediction))
-    }
 }
 
 #[cfg(test)]
@@ -95,15 +78,6 @@ mod tests {
     }
 
     #[test]
-    fn bounds_bracket_the_prediction() {
-        let band = ConfidenceBand::from_residuals(&[0.5, -0.25, 0.1], 0.99).unwrap();
-        let (lo, hi) = band.interval(10.0);
-        assert!(lo <= 10.0 && 10.0 <= hi);
-        assert_eq!(band.upper(10.0), hi);
-        assert_eq!(band.lower(10.0), lo);
-    }
-
-    #[test]
     fn rejects_bad_arguments() {
         assert!(ConfidenceBand::from_residuals(&[], 0.9).is_err());
         assert!(ConfidenceBand::from_residuals(&[1.0], 0.0).is_err());
@@ -114,7 +88,6 @@ mod tests {
     fn zero_residuals_give_zero_width() {
         let band = ConfidenceBand::from_residuals(&[0.0, 0.0, 0.0], 0.99).unwrap();
         assert_eq!(band.half_width(), 0.0);
-        assert_eq!(band.interval(5.0), (5.0, 5.0));
     }
 
     #[test]

@@ -242,44 +242,28 @@ impl TargetModel {
     /// Returns [`MlError::FeatureMismatch`] if the row is shorter than the
     /// highest kept feature index.
     pub fn predict(&self, full_row: &[f64]) -> Result<f64, MlError> {
+        Ok(self.predict_with_half(full_row)?.0)
+    }
+
+    /// Point prediction for a full feature row together with the
+    /// confidence-band half-width of the sub-model the row routes to. The
+    /// conservative bounds are `point ± half`: the upper one for QoS
+    /// degradation, the lower one for speedup.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`TargetModel::predict`].
+    pub fn predict_with_half(&self, full_row: &[f64]) -> Result<(f64, f64), MlError> {
         let row = self.project(full_row)?;
-        match &self.structure {
-            Structure::Single(m) => m.predict(&row),
+        let m = match &self.structure {
+            Structure::Single(m) => m,
             Structure::Split {
                 feature,
                 boundaries,
                 models,
-            } => {
-                let v = row[*feature];
-                let mut idx = boundaries.iter().filter(|&&b| v >= b).count();
-                if idx >= models.len() {
-                    idx = models.len() - 1;
-                }
-                models[idx].predict(&row)
-            }
-        }
-    }
-
-    /// Conservative upper bound (prediction plus the p-quantile error) —
-    /// used for QoS degradation.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`TargetModel::predict`].
-    pub fn predict_upper(&self, full_row: &[f64]) -> Result<f64, MlError> {
-        let p = self.predict(full_row)?;
-        Ok(self.active_band(full_row)?.upper(p))
-    }
-
-    /// Conservative lower bound (prediction minus the p-quantile error) —
-    /// used for speedup.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`TargetModel::predict`].
-    pub fn predict_lower(&self, full_row: &[f64]) -> Result<f64, MlError> {
-        let p = self.predict(full_row)?;
-        Ok(self.active_band(full_row)?.lower(p))
+            } => &models[route_of(boundaries, models.len(), row[*feature])],
+        };
+        Ok((m.predict(&row)?, m.band.half_width()))
     }
 
     /// Interval enclosure of [`TargetModel::predict`] over the
@@ -325,15 +309,8 @@ impl TargetModel {
                 boundaries,
                 models,
             } => {
-                let route = |v: f64| -> usize {
-                    boundaries
-                        .iter()
-                        .filter(|&&b| v >= b)
-                        .count()
-                        .min(models.len() - 1)
-                };
-                let first = route(row_lo[*feature]);
-                let last = route(row_hi[*feature]).max(first);
+                let first = route_of(boundaries, models.len(), row_lo[*feature]);
+                let last = route_of(boundaries, models.len(), row_hi[*feature]).max(first);
                 let mut out: Option<IntervalPrediction> = None;
                 for m in &models[first..=last] {
                     let (lo, hi) = m.regression.predict_interval(&row_lo, &row_hi)?;
@@ -394,27 +371,12 @@ impl TargetModel {
         }
     }
 
-    /// Batched point predictions for a slice of full feature rows.
-    ///
-    /// Bit-identical to calling [`TargetModel::predict`] per row.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`TargetModel::predict`].
-    pub fn predict_batch(&self, rows: &[Vec<f64>]) -> Result<Vec<f64>, MlError> {
-        let mut out = Vec::with_capacity(rows.len());
-        let mut scratch = PredictScratch::default();
-        for row in rows {
-            self.predict_batch_into(row, row.len(), &mut out, &mut scratch)?;
-        }
-        Ok(out)
-    }
-
     /// Batched, allocation-free point predictions over a flat row-major
     /// buffer of full feature rows. Appends one prediction per row to
-    /// `out`, reusing the buffers in `scratch`.
+    /// `out` and, when `halves` is given, each row's confidence-band
+    /// half-width to it, reusing the buffers in `scratch`.
     ///
-    /// Bit-identical to calling [`TargetModel::predict`] per row.
+    /// Bit-identical to calling [`TargetModel::predict_with_half`] per row.
     ///
     /// # Errors
     ///
@@ -427,45 +389,10 @@ impl TargetModel {
         rows: &[f64],
         row_len: usize,
         out: &mut Vec<f64>,
+        halves: Option<&mut Vec<f64>>,
         scratch: &mut PredictScratch,
     ) -> Result<(), MlError> {
-        self.predict_batch_impl(rows, row_len, out, None, scratch)
-    }
-
-    /// Like [`TargetModel::predict_batch_into`], additionally appending
-    /// each row's confidence-band half-width to `halves`, so callers can
-    /// form the conservative bounds `prediction ± half` exactly as
-    /// [`TargetModel::predict_upper`] / [`TargetModel::predict_lower`] do.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`TargetModel::predict_batch_into`].
-    pub fn predict_batch_with_band_into(
-        &self,
-        rows: &[f64],
-        row_len: usize,
-        out: &mut Vec<f64>,
-        halves: &mut Vec<f64>,
-        scratch: &mut PredictScratch,
-    ) -> Result<(), MlError> {
-        self.predict_batch_impl(rows, row_len, out, Some(halves), scratch)
-    }
-
-    fn predict_batch_impl(
-        &self,
-        rows: &[f64],
-        row_len: usize,
-        out: &mut Vec<f64>,
-        mut halves: Option<&mut Vec<f64>>,
-        scratch: &mut PredictScratch,
-    ) -> Result<(), MlError> {
-        let max = self.kept_features.iter().copied().max().unwrap_or(0);
-        if row_len <= max {
-            return Err(MlError::FeatureMismatch {
-                expected: max + 1,
-                actual: row_len,
-            });
-        }
+        self.check_row_len(row_len)?;
         if !rows.len().is_multiple_of(row_len) {
             return Err(MlError::InvalidTrainingData(format!(
                 "flat buffer of {} values is not a multiple of row length {row_len}",
@@ -486,16 +413,7 @@ impl TargetModel {
             }
         }
         let result = match &self.structure {
-            Structure::Single(m) => {
-                let before = out.len();
-                let r = m.regression.predict_flat_into(&projected, kw, out, scratch);
-                if r.is_ok() {
-                    if let Some(h) = halves.as_deref_mut() {
-                        h.extend(std::iter::repeat_n(m.band.half_width(), out.len() - before));
-                    }
-                }
-                r
-            }
+            Structure::Single(m) => m.regression.predict_flat_into(&projected, kw, out, scratch),
             Structure::Split {
                 feature,
                 boundaries,
@@ -503,22 +421,12 @@ impl TargetModel {
             } => {
                 let mut route = std::mem::take(&mut scratch.route);
                 route.clear();
-                route.reserve(n);
-                for i in 0..n {
-                    let v = projected[i * kw + *feature];
-                    let mut idx = boundaries.iter().filter(|&&b| v >= b).count();
-                    if idx >= models.len() {
-                        idx = models.len() - 1;
-                    }
-                    route.push(idx);
-                }
+                route.extend(
+                    (0..n)
+                        .map(|i| route_of(boundaries, models.len(), projected[i * kw + *feature])),
+                );
                 let base = out.len();
                 out.resize(base + n, 0.0);
-                let hbase = halves.as_deref_mut().map(|h| {
-                    let hb = h.len();
-                    h.resize(hb + n, 0.0);
-                    hb
-                });
                 let mut result = Ok(());
                 for (m_idx, m) in models.iter().enumerate() {
                     let mut gathered = std::mem::take(&mut scratch.gathered);
@@ -546,9 +454,6 @@ impl TargetModel {
                     for (i, &r) in route.iter().enumerate() {
                         if r == m_idx {
                             out[base + i] = gout[cursor];
-                            if let (Some(h), Some(hb)) = (halves.as_deref_mut(), hbase) {
-                                h[hb + i] = m.band.half_width();
-                            }
                             cursor += 1;
                         }
                     }
@@ -560,38 +465,44 @@ impl TargetModel {
             }
         };
         scratch.projected = projected;
-        result
+        result?;
+        if let Some(h) = halves {
+            match &self.structure {
+                Structure::Single(m) => h.extend(std::iter::repeat_n(m.band.half_width(), n)),
+                Structure::Split { models, .. } => {
+                    h.extend(scratch.route.iter().map(|&r| models[r].band.half_width()))
+                }
+            }
+        }
+        Ok(())
     }
 
     fn project(&self, full_row: &[f64]) -> Result<Vec<f64>, MlError> {
-        let max = self.kept_features.iter().copied().max().unwrap_or(0);
-        if full_row.len() <= max {
-            return Err(MlError::FeatureMismatch {
-                expected: max + 1,
-                actual: full_row.len(),
-            });
-        }
+        self.check_row_len(full_row.len())?;
         Ok(self.kept_features.iter().map(|&c| full_row[c]).collect())
     }
 
-    fn active_band(&self, full_row: &[f64]) -> Result<&ConfidenceBand, MlError> {
-        let row = self.project(full_row)?;
-        Ok(match &self.structure {
-            Structure::Single(m) => m.band(),
-            Structure::Split {
-                feature,
-                boundaries,
-                models,
-            } => {
-                let v = row[*feature];
-                let mut idx = boundaries.iter().filter(|&&b| v >= b).count();
-                if idx >= models.len() {
-                    idx = models.len() - 1;
-                }
-                models[idx].band()
-            }
-        })
+    /// Rejects full rows too short to hold the highest kept feature.
+    fn check_row_len(&self, len: usize) -> Result<(), MlError> {
+        let max = self.kept_features.iter().copied().max().unwrap_or(0);
+        if len <= max {
+            return Err(MlError::FeatureMismatch {
+                expected: max + 1,
+                actual: len,
+            });
+        }
+        Ok(())
     }
+}
+
+/// The sub-model a value of the split feature routes to: the first whose
+/// boundary lies above it, or the last.
+fn route_of(boundaries: &[f64], num_models: usize, v: f64) -> usize {
+    boundaries
+        .iter()
+        .filter(|&&b| v >= b)
+        .count()
+        .min(num_models - 1)
 }
 
 /// Clamps a requested fold count to what `n` rows can support.
@@ -768,9 +679,10 @@ mod tests {
         let ds = quadratic_dataset(60);
         let model = TargetModel::fit(&ds, &AutoFitConfig::default()).unwrap();
         let row = [2.0, 0.1];
-        let p = model.predict(&row).unwrap();
-        assert!(model.predict_lower(&row).unwrap() <= p);
-        assert!(model.predict_upper(&row).unwrap() >= p);
+        let (p, half) = model.predict_with_half(&row).unwrap();
+        assert_eq!(p, model.predict(&row).unwrap());
+        assert!(half >= 0.0);
+        assert!(p - half <= p && p <= p + half);
     }
 
     #[test]
@@ -832,20 +744,22 @@ mod tests {
         let rows: Vec<Vec<f64>> = (0..20)
             .map(|i| vec![i as f64 * 0.37, (i % 5) as f64 / 5.0])
             .collect();
-        let batched = model.predict_batch(&rows).unwrap();
         let flat: Vec<f64> = rows.iter().flatten().copied().collect();
         let mut flat_out = Vec::new();
         let mut halves = Vec::new();
         let mut scratch = PredictScratch::default();
         model
-            .predict_batch_with_band_into(&flat, 2, &mut flat_out, &mut halves, &mut scratch)
+            .predict_batch_into(&flat, 2, &mut flat_out, Some(&mut halves), &mut scratch)
+            .unwrap();
+        let mut points_only = Vec::new();
+        model
+            .predict_batch_into(&flat, 2, &mut points_only, None, &mut scratch)
             .unwrap();
         for (i, row) in rows.iter().enumerate() {
-            let single = model.predict(row).unwrap();
-            assert_eq!(single.to_bits(), batched[i].to_bits());
+            let (single, half) = model.predict_with_half(row).unwrap();
             assert_eq!(single.to_bits(), flat_out[i].to_bits());
-            let upper = model.predict_upper(row).unwrap();
-            assert_eq!(upper.to_bits(), (flat_out[i] + halves[i]).to_bits());
+            assert_eq!(single.to_bits(), points_only[i].to_bits());
+            assert_eq!(half.to_bits(), halves[i].to_bits());
         }
     }
 
@@ -871,13 +785,12 @@ mod tests {
         let mut halves = Vec::new();
         let mut scratch = PredictScratch::default();
         model
-            .predict_batch_with_band_into(&flat, 1, &mut flat_out, &mut halves, &mut scratch)
+            .predict_batch_into(&flat, 1, &mut flat_out, Some(&mut halves), &mut scratch)
             .unwrap();
         for (i, row) in rows.iter().enumerate() {
-            let single = model.predict(row).unwrap();
+            let (single, half) = model.predict_with_half(row).unwrap();
             assert_eq!(single.to_bits(), flat_out[i].to_bits());
-            let lower = model.predict_lower(row).unwrap();
-            assert_eq!(lower.to_bits(), (flat_out[i] - halves[i]).to_bits());
+            assert_eq!(half.to_bits(), halves[i].to_bits());
         }
     }
 
@@ -908,9 +821,9 @@ mod tests {
                     ip.lo <= p && p <= ip.hi,
                     "point {p} at {x} outside interval"
                 );
-                let u = model.predict_upper(&[x]).unwrap();
+                let (p, half) = model.predict_with_half(&[x]).unwrap();
+                let (u, l) = (p + half, p - half);
                 assert!(ip.lo + ip.half_lo <= u && u <= ip.hi + ip.half_hi);
-                let l = model.predict_lower(&[x]).unwrap();
                 assert!(ip.lo - ip.half_hi <= l && l <= ip.hi - ip.half_lo);
             }
         }
@@ -924,15 +837,15 @@ mod tests {
         let mut scratch = PredictScratch::default();
         // Empty input is fine and appends nothing.
         model
-            .predict_batch_into(&[], 2, &mut out, &mut scratch)
+            .predict_batch_into(&[], 2, &mut out, None, &mut scratch)
             .unwrap();
         assert!(out.is_empty());
         // Too-short rows and ragged buffers are rejected.
         assert!(model
-            .predict_batch_into(&[1.0, 2.0, 3.0], 2, &mut out, &mut scratch)
+            .predict_batch_into(&[1.0, 2.0, 3.0], 2, &mut out, None, &mut scratch)
             .is_err());
         assert!(model
-            .predict_batch_into(&[], 0, &mut out, &mut scratch)
+            .predict_batch_into(&[], 0, &mut out, None, &mut scratch)
             .is_err());
     }
 

@@ -14,6 +14,28 @@ fn small_f64() -> impl Strategy<Value = f64> {
     (-50.0f64..50.0).prop_filter("finite", |v| v.is_finite())
 }
 
+/// A range-split model over the first column (a discontinuous target no
+/// single quadratic fits), fitted once for every property case.
+fn split_model() -> &'static TargetModel {
+    static MODEL: std::sync::OnceLock<TargetModel> = std::sync::OnceLock::new();
+    MODEL.get_or_init(|| {
+        let mut ds = Dataset::new(vec!["x".into()]);
+        for i in 0..120 {
+            let x = i as f64 * 0.1;
+            ds.push(vec![x], if x < 6.0 { x } else { 1000.0 + x * x })
+                .unwrap();
+        }
+        let cfg = AutoFitConfig {
+            max_degree: 2,
+            mic_threshold: None,
+            ..AutoFitConfig::default()
+        };
+        let model = TargetModel::fit(&ds, &cfg).unwrap();
+        assert!(model.is_split(), "the fixture needs the split structure");
+        model
+    })
+}
+
 proptest! {
     /// The polynomial expansion of any input always starts with the
     /// constant 1 and has the advertised length.
@@ -106,8 +128,8 @@ proptest! {
     }
 
     /// Batched prediction is bit-identical to per-row prediction on both
-    /// the raw regression and the full TargetModel (Single structure),
-    /// for arbitrary query points.
+    /// the raw regression and the full TargetModel (Single and Split
+    /// structures), point and band half-width, for arbitrary query points.
     #[test]
     fn batched_prediction_is_bit_identical(
         queries in proptest::collection::vec(
@@ -125,21 +147,22 @@ proptest! {
         }
         let cfg = AutoFitConfig { mic_threshold: None, ..AutoFitConfig::default() };
         let model = TargetModel::fit(&ds, &cfg).unwrap();
+        prop_assert!(!model.is_split());
         let flat: Vec<f64> = queries.iter().flatten().copied().collect();
-        let mut out = Vec::new();
-        let mut halves = Vec::new();
-        let mut scratch = PredictScratch::default();
-        model
-            .predict_batch_with_band_into(&flat, 2, &mut out, &mut halves, &mut scratch)
-            .unwrap();
-        prop_assert_eq!(out.len(), queries.len());
-        for (i, q) in queries.iter().enumerate() {
-            let single = model.predict(q).unwrap();
-            prop_assert_eq!(single.to_bits(), out[i].to_bits());
-            let upper = model.predict_upper(q).unwrap();
-            prop_assert_eq!(upper.to_bits(), (out[i] + halves[i]).to_bits());
-            let lower = model.predict_lower(q).unwrap();
-            prop_assert_eq!(lower.to_bits(), (out[i] - halves[i]).to_bits());
+        for model in [&model, split_model()] {
+            let mut out = Vec::new();
+            let mut halves = Vec::new();
+            let mut scratch = PredictScratch::default();
+            model
+                .predict_batch_into(&flat, 2, &mut out, Some(&mut halves), &mut scratch)
+                .unwrap();
+            prop_assert_eq!(out.len(), queries.len());
+            prop_assert_eq!(halves.len(), queries.len());
+            for (i, q) in queries.iter().enumerate() {
+                let (point, half) = model.predict_with_half(q).unwrap();
+                prop_assert_eq!(point.to_bits(), out[i].to_bits());
+                prop_assert_eq!(half.to_bits(), halves[i].to_bits());
+            }
         }
     }
 

@@ -38,6 +38,22 @@ fn validated_optimization_respects_budget_for_every_app() {
     }
 }
 
+/// An input so far outside the training range that the models overflow
+/// to NaN gets an error, not a plan built on a zero-degradation bound.
+#[test]
+fn nan_predictions_refuse_the_plan() {
+    let trained = &opprox_testutil::fixtures::trained_pso().0;
+    let request = |input: Vec<f64>| {
+        OptimizeRequest::new(InputParams::new(input), AccuracySpec::new(10.0)).run(trained)
+    };
+    assert!(request(vec![16.0, 3.0]).is_ok());
+    let err = request(vec![1e200, 3.0]).expect_err("a NaN prediction must not plan");
+    assert!(
+        matches!(err, opprox::core::OpproxError::Model(_)),
+        "unexpected error: {err}"
+    );
+}
+
 #[test]
 fn zero_budget_always_yields_accurate_execution() {
     let app = opprox_apps::Pso::new();

@@ -128,6 +128,33 @@ fn non_finite_roi_is_refused_with_invalid_model() {
     assert_eq!(code, WireCode::InvalidModel, "{message}");
 }
 
+/// Far outside the training range the polynomials overflow to NaN. The
+/// predict op refuses that with `model_error` instead of clamping it
+/// into a zero-degradation QoS bound.
+#[test]
+fn nan_prediction_is_refused_with_model_error() {
+    let state = ServeState::new(ServeOptions {
+        threads: 1,
+        ..ServeOptions::default()
+    });
+    state
+        .load_artifact(temp_artifact("nan_predict.json"))
+        .expect("load artifact");
+    let predict = |input: Vec<f64>| {
+        state.handle(&ApiRequest::Predict(PredictParams {
+            app: "pso".into(),
+            input,
+            phase: 1,
+            configs: vec![vec![0, 0, 0], vec![2, 1, 2]],
+        }))
+    };
+    assert!(matches!(predict(vec![16.0, 3.0]), ApiResponse::Predict(_)));
+    let ApiResponse::Error { code, message } = predict(vec![1e200, 3.0]) else {
+        panic!("expected an error reply");
+    };
+    assert_eq!(code, WireCode::ModelError, "{message}");
+}
+
 /// Uptime is read from the injected clock, so health frames are exactly
 /// reproducible.
 #[test]
