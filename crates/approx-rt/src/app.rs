@@ -1,6 +1,7 @@
 //! The application contract the OPPROX core drives.
 
 use crate::block::BlockDescriptor;
+use crate::driver::Checkpoint;
 use crate::error::RuntimeError;
 use crate::log::CallContextLog;
 use crate::qos::relative_distortion;
@@ -165,10 +166,45 @@ pub trait ApproxApp: Sync {
         let schedule = PhaseSchedule::accurate(self.meta().num_blocks());
         self.run(input, &schedule)
     }
+
+    /// Runs the accurate execution of `input` far enough to checkpoint it
+    /// after every iteration count in `at` it reaches, in ascending order
+    /// (see [`crate::driver`]). Ports on the outer-loop driver forward to
+    /// [`crate::driver::checkpoints`]; the default takes none, so every
+    /// run of such an app starts from scratch.
+    ///
+    /// # Errors
+    ///
+    /// Rejects a malformed input with [`RuntimeError`].
+    fn checkpoints(
+        &self,
+        input: &InputParams,
+        at: &[u64],
+    ) -> Result<Vec<Checkpoint>, RuntimeError> {
+        let _ = (input, at);
+        Ok(Vec::new())
+    }
+
+    /// Runs `schedule` on the checkpoint's input, resuming at the
+    /// checkpoint where the schedule is accurate up to it. The result
+    /// must equal `self.run(from.input(), schedule)` bit for bit,
+    /// call-context log included. The default runs from scratch.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`ApproxApp::run`] errors.
+    fn resume(
+        &self,
+        from: &Checkpoint,
+        schedule: &PhaseSchedule,
+    ) -> Result<RunResult, RuntimeError> {
+        self.run(from.input(), schedule)
+    }
 }
 
-/// Runs `app` under a wall-clock budget, timing the execution and
-/// rejecting results that arrive late.
+/// Runs `execute` (one application execution, from scratch or resumed)
+/// under a wall-clock budget, timing it and rejecting a result that
+/// arrives late.
 ///
 /// Applications run in-process and cooperatively, so the check is
 /// post-hoc: the run is not interrupted mid-flight, but a slow execution
@@ -179,15 +215,13 @@ pub trait ApproxApp: Sync {
 /// # Errors
 ///
 /// [`RuntimeError::Timeout`] when the run exceeds `budget_ms`; otherwise
-/// propagates [`ApproxApp::run`] errors.
+/// propagates the errors of `execute`.
 pub fn run_with_timeout(
-    app: &dyn ApproxApp,
-    input: &InputParams,
-    schedule: &PhaseSchedule,
     budget_ms: u64,
+    execute: impl FnOnce() -> Result<RunResult, RuntimeError>,
 ) -> Result<RunResult, RuntimeError> {
     let start = std::time::Instant::now();
-    let result = app.run(input, schedule)?;
+    let result = execute()?;
     let elapsed_ms = start.elapsed().as_millis() as u64;
     if elapsed_ms > budget_ms {
         return Err(RuntimeError::Timeout {
@@ -304,7 +338,7 @@ mod tests {
         let input = InputParams::new(vec![10.0]);
         let schedule = PhaseSchedule::accurate(1);
         // A generous budget passes the result through untouched.
-        let ok = run_with_timeout(&app, &input, &schedule, 60_000).unwrap();
+        let ok = run_with_timeout(60_000, || app.run(&input, &schedule)).unwrap();
         assert_eq!(ok.output[0], 4.0 * 45.0);
 
         /// Wraps Toy with an artificial stall to trip the budget.
@@ -330,7 +364,7 @@ mod tests {
         let slow = Slow {
             inner: Toy { meta: meta() },
         };
-        match run_with_timeout(&slow, &input, &schedule, 1) {
+        match run_with_timeout(1, || slow.run(&input, &schedule)) {
             Err(RuntimeError::Timeout {
                 elapsed_ms,
                 budget_ms,

@@ -12,8 +12,10 @@
 //! * receive a per-phase level assignment ([`schedule`], [`config`]),
 //! * account for the work they perform in abstract instruction-like units
 //!   ([`counter`]),
-//! * log the call contexts of their blocks ([`log`]), and
-//! * measure output quality ([`qos`]).
+//! * log the call contexts of their blocks ([`log`]),
+//! * measure output quality ([`qos`]), and
+//! * run their outer loop on one driver that can checkpoint and resume
+//!   it ([`driver`]).
 //!
 //! Applications implement the [`app::ApproxApp`] trait on top of these
 //! pieces; the OPPROX core drives them through it.
@@ -37,6 +39,7 @@ pub mod app;
 pub mod block;
 pub mod config;
 pub mod counter;
+pub mod driver;
 pub mod error;
 pub mod log;
 pub mod qos;
@@ -47,5 +50,6 @@ pub use app::{run_with_timeout, ApproxApp, InputParams, RunResult};
 pub use block::{BlockDescriptor, BlockId};
 pub use config::{LevelConfig, LevelViolation};
 pub use counter::WorkCounter;
+pub use driver::{Checkpoint, OuterLoop};
 pub use error::RuntimeError;
 pub use schedule::PhaseSchedule;

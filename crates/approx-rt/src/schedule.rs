@@ -140,8 +140,34 @@ impl PhaseSchedule {
     /// iterations beyond the expected count — belong to the final phase.
     pub fn phase_of(&self, iter: u64) -> usize {
         let n = self.configs.len() as u64;
-        let base = (self.expected_iters / n).max(1);
-        ((iter / base).min(n - 1)) as usize
+        ((iter / self.phase_len()).min(n - 1)) as usize
+    }
+
+    /// Iterations per phase before the final one: `⌊expected/N⌋`, at
+    /// least one.
+    fn phase_len(&self) -> u64 {
+        (self.expected_iters / self.configs.len() as u64).max(1)
+    }
+
+    /// The first iteration of phase `phase`: `phase_of(i) >= phase` holds
+    /// exactly when `i >= phase_start(phase)`. A phase past the last never
+    /// starts and maps to `u64::MAX`.
+    pub fn phase_start(&self, phase: usize) -> u64 {
+        if phase >= self.configs.len() {
+            return u64::MAX;
+        }
+        phase as u64 * self.phase_len()
+    }
+
+    /// Number of leading iterations that run fully accurate: the start of
+    /// the first approximated phase, or `u64::MAX` for an accurate
+    /// schedule. Those iterations replay the golden run exactly, which is
+    /// what lets a run resume from a golden-run checkpoint.
+    pub fn accurate_prefix(&self) -> u64 {
+        self.configs
+            .iter()
+            .position(|c| !c.is_accurate())
+            .map_or(u64::MAX, |p| self.phase_start(p))
     }
 
     /// The level configuration in force at iteration `iter`.

@@ -205,6 +205,36 @@ proptest! {
         }
     }
 
+    /// `phase_start` is the one place a phase's first iteration is found:
+    /// `phase_of(i) >= p` holds exactly when `i >= phase_start(p)`, for
+    /// expected iteration counts below, equal to and above the phase count
+    /// (with and without a remainder), for iterations past the expected
+    /// end, and for the phase past the last, which never starts. A
+    /// single-phase probe's accurate prefix ends where its phase starts.
+    #[test]
+    fn phase_start_is_the_first_iteration_of_its_phase(
+        case in (1usize..9).prop_flat_map(|n| (Just(n), 1u64..(6 * n as u64 + 6))),
+    ) {
+        let (phases, expected) = case;
+        let s = PhaseSchedule::new(vec![LevelConfig::accurate(1); phases], expected).unwrap();
+        let last = expected + 3 * phases as u64;
+        for p in 0..=phases {
+            let start = s.phase_start(p);
+            for i in (0..last).chain([u64::MAX - 1]) {
+                prop_assert_eq!(s.phase_of(i) >= p, i >= start, "phase {} iteration {}", p, i);
+            }
+            if p < phases {
+                let probe = PhaseSchedule::single_phase(
+                    LevelConfig::new(vec![1]), p, phases, expected,
+                ).unwrap();
+                prop_assert_eq!(probe.accurate_prefix(), start);
+            }
+        }
+        prop_assert_eq!(s.phase_start(0), 0);
+        prop_assert_eq!(s.phase_start(phases), u64::MAX);
+        prop_assert_eq!(s.accurate_prefix(), u64::MAX);
+    }
+
     /// Floor quantization is exact at level 0 and its error never
     /// decreases as the grid coarsens — each doubled step is a sub-grid
     /// of the previous one.

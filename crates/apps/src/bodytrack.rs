@@ -30,7 +30,7 @@ use crate::util::seed_from;
 use opprox_approx_rt::block::{BlockDescriptor, TechniqueKind};
 use opprox_approx_rt::log::CallContextLog;
 use opprox_approx_rt::technique::{perforated_indices, tuned_parameter};
-use opprox_approx_rt::{ApproxApp, InputParams, PhaseSchedule, RunResult, RuntimeError};
+use opprox_approx_rt::{ApproxApp, InputParams, LevelConfig, OuterLoop, RunResult, RuntimeError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -113,22 +113,34 @@ fn project(pose: &[f64; POSE_DIM], feature: usize) -> f64 {
     v
 }
 
-impl ApproxApp for Bodytrack {
-    fn meta(&self) -> &opprox_approx_rt::app::AppMeta {
-        &self.meta
-    }
+/// Tracking dimensions of one Bodytrack run.
+pub struct Setup {
+    /// Annealing layers per frame: one outer-loop iteration each.
+    layers: usize,
+    num_particles: usize,
+    frames: usize,
+    /// Seed every per-frame RNG derives from.
+    base_seed: u64,
+}
 
-    fn run(
-        &self,
-        input: &InputParams,
-        schedule: &PhaseSchedule,
-    ) -> Result<RunResult, RuntimeError> {
-        self.meta.validate_input(input)?;
-        self.meta.validate_schedule(schedule)?;
-        let layers_in = input.get(0) as usize;
-        if !(2..=8).contains(&layers_in) {
+/// The particle filter and the pose estimates so far.
+#[derive(Clone)]
+pub struct State {
+    particles: Vec<[f64; POSE_DIM]>,
+    weights: Vec<f64>,
+    features: Vec<f64>,
+    output: Vec<f64>,
+}
+
+impl OuterLoop for Bodytrack {
+    type Setup = Setup;
+    type State = State;
+
+    fn setup(&self, input: &InputParams) -> Result<Setup, RuntimeError> {
+        let layers = input.get(0) as usize;
+        if !(2..=8).contains(&layers) {
             return Err(RuntimeError::InvalidInput(format!(
-                "annealing_layers must be in 2..=8, got {layers_in}"
+                "annealing_layers must be in 2..=8, got {layers}"
             )));
         }
         let num_particles = input.get(1) as usize;
@@ -143,14 +155,21 @@ impl ApproxApp for Bodytrack {
                 "frames must be in 4..=400, got {frames}"
             )));
         }
-        let base_seed = seed_from(input, 0x33);
+        Ok(Setup {
+            layers,
+            num_particles,
+            frames,
+            base_seed: seed_from(input, 0x33),
+        })
+    }
 
-        // Particle state: pose hypotheses and weights.
+    fn init(&self, setup: &Setup) -> (State, u64) {
+        let num_particles = setup.num_particles;
         // Particles start dispersed over the pose space: the filter must
         // *acquire* the subject during the first frames, which is why
         // approximating the first phase is so damaging for tracking.
-        let mut init_rng = StdRng::seed_from_u64(base_seed);
-        let mut particles: Vec<[f64; POSE_DIM]> = (0..num_particles)
+        let mut init_rng = StdRng::seed_from_u64(setup.base_seed);
+        let particles: Vec<[f64; POSE_DIM]> = (0..num_particles)
             .map(|_| {
                 let mut p = [0.0; POSE_DIM];
                 for v in p.iter_mut() {
@@ -159,132 +178,163 @@ impl ApproxApp for Bodytrack {
                 p
             })
             .collect();
-        let mut weights: Vec<f64> = vec![1.0 / num_particles as f64; num_particles];
-        let mut features: Vec<f64> = vec![0.0; NUM_FEATURES];
+        let state = State {
+            particles,
+            weights: vec![1.0 / num_particles as f64; num_particles],
+            features: vec![0.0; NUM_FEATURES],
+            output: Vec::with_capacity(setup.frames * POSE_DIM),
+        };
+        (state, 0)
+    }
 
-        let mut log = CallContextLog::new();
+    fn done(&self, setup: &Setup, _: &State, iter: u64) -> bool {
+        // The outer loop always performs `layers` annealing steps per
+        // frame, so the iteration count depends on the input parameters
+        // only (the paper's observation for Bodytrack). The annealing-layer
+        // tuning knob turns the *last* layers of a frame into cheap
+        // pass-throughs instead.
+        iter >= (setup.frames * setup.layers) as u64
+    }
+
+    fn step(
+        &self,
+        setup: &Setup,
+        s: &mut State,
+        iter: u64,
+        cfg: &LevelConfig,
+        log: &mut CallContextLog,
+    ) -> u64 {
+        let (layers_in, num_particles, base_seed) =
+            (setup.layers, setup.num_particles, setup.base_seed);
+        let frame = iter as usize / layers_in;
+        let layer = iter as usize % layers_in;
         let mut work: u64 = 0;
-        let mut iter: u64 = 0;
-        let mut output: Vec<f64> = Vec::with_capacity(frames * POSE_DIM);
 
-        for frame in 0..frames {
-            let truth = true_pose(frame);
-            // The outer loop always performs `layers_in` annealing steps
-            // per frame, so the iteration count depends on the input
-            // parameters only (the paper's observation for Bodytrack).
-            // The annealing-layer tuning knob turns the *last* layers of a
-            // frame into cheap pass-throughs instead.
-            let mut active = num_particles;
-            for layer in 0..layers_in {
-                let cfg = schedule.config_at(iter).clone();
-                let layer_drop = tuned_parameter(&LAYER_DROPS, cfg.level(BLOCK_LAYERS)) as usize;
-                let effective_layers = layers_in.saturating_sub(layer_drop).max(1);
-                let frac = tuned_parameter(&PARTICLE_FRACTIONS, cfg.level(BLOCK_MIN_PARTICLES));
-                active = ((num_particles as f64 * frac) as usize).max(10);
-                if layer >= effective_layers {
-                    // Tuned away: the annealing layer is skipped outright.
-                    log.record(iter, BLOCK_FEATURES, 1);
-                    log.record(iter, BLOCK_LIKELIHOOD, 1);
-                    work += 2;
-                    iter += 1;
-                    continue;
-                }
-
-                // --- Block 0: feature_extract (perforation) -------------
-                let lvl_f = cfg.level(BLOCK_FEATURES);
-                let mut w: u64 = 0;
-                let mut noise_rng =
-                    StdRng::seed_from_u64(base_seed ^ (frame as u64) << 20 ^ layer as u64);
-                for (j, feature) in features.iter_mut().enumerate() {
-                    let noise = noise_rng.gen::<f64>() * 0.04 - 0.02;
-                    // Perforated features keep the previous frame's value.
-                    if perforated_hit(j, lvl_f) {
-                        *feature = project(&truth, j) + noise;
-                        w += 8;
-                    }
-                }
-                work += w;
-                log.record(iter, BLOCK_FEATURES, w);
-
-                // --- Block 1: likelihood_eval (perforation) -------------
-                let lvl_l = cfg.level(BLOCK_LIKELIHOOD);
-                let beta = 0.4 * 2f64.powi(layer as i32); // annealing sharpness
-                let mut w: u64 = 0;
-                for i in perforated_indices(active, lvl_l) {
-                    let mut dist = 0.0;
-                    for (j, feat) in features.iter().enumerate() {
-                        let pred = project(&particles[i], j);
-                        dist += (pred - feat) * (pred - feat);
-                    }
-                    weights[i] = (-beta * dist).exp().max(1e-300);
-                    w += (NUM_FEATURES * 3) as u64;
-                }
-                work += w;
-                log.record(iter, BLOCK_LIKELIHOOD, w);
-
-                // Resample the active set and add annealing-scaled jitter
-                // (part of the filter core, not an approximable block).
-                let mut resample_rng = StdRng::seed_from_u64(
-                    base_seed ^ 0x5151 ^ ((frame as u64) << 24) ^ ((layer as u64) << 4),
-                );
-                let total_w: f64 = weights[..active].iter().sum();
-                if total_w > 0.0 {
-                    let mut new_particles = Vec::with_capacity(active);
-                    // Systematic resampling over the active prefix.
-                    let step = total_w / active as f64;
-                    let mut target = resample_rng.gen::<f64>() * step;
-                    let mut acc = 0.0;
-                    let mut src = 0usize;
-                    for _ in 0..active {
-                        while acc + weights[src] < target && src + 1 < active {
-                            acc += weights[src];
-                            src += 1;
-                        }
-                        new_particles.push(particles[src]);
-                        target += step;
-                    }
-                    let sigma = 0.12 / (layer as f64 + 1.0);
-                    for (i, p) in new_particles.iter_mut().enumerate() {
-                        let _ = i;
-                        for v in p.iter_mut() {
-                            *v += resample_rng.gen::<f64>() * 2.0 * sigma - sigma;
-                        }
-                    }
-                    particles[..active].copy_from_slice(&new_particles);
-                }
-                work += (active * 2) as u64;
-
-                iter += 1;
-            }
-
+        let layer_drop = tuned_parameter(&LAYER_DROPS, cfg.level(BLOCK_LAYERS)) as usize;
+        let effective_layers = layers_in.saturating_sub(layer_drop).max(1);
+        let frac = tuned_parameter(&PARTICLE_FRACTIONS, cfg.level(BLOCK_MIN_PARTICLES));
+        let active = ((num_particles as f64 * frac) as usize).max(10);
+        if layer >= effective_layers {
+            // Tuned away: the annealing layer is skipped outright.
+            log.record(iter, BLOCK_FEATURES, 1);
+            log.record(iter, BLOCK_LIKELIHOOD, 1);
+            work += 2;
+        } else {
+            work += anneal(s, setup, (frame, layer), active, cfg, iter, log);
+        }
+        if layer + 1 == layers_in {
             // Pose estimate: weighted mean of the active particles.
-            let total_w: f64 = weights[..active].iter().sum();
+            let total_w: f64 = s.weights[..active].iter().sum();
             let mut estimate = [0.0f64; POSE_DIM];
             if total_w > 0.0 {
                 for i in 0..active {
                     for (k, e) in estimate.iter_mut().enumerate() {
-                        *e += particles[i][k] * weights[i] / total_w;
+                        *e += s.particles[i][k] * s.weights[i] / total_w;
                     }
                 }
             }
-            output.extend_from_slice(&estimate);
+            s.output.extend_from_slice(&estimate);
             // Motion model: diffuse all particles towards the next frame.
             let mut motion_rng = StdRng::seed_from_u64(base_seed ^ 0xbeef ^ (frame as u64) << 8);
-            for p in particles.iter_mut() {
+            for p in s.particles.iter_mut() {
                 for v in p.iter_mut() {
                     *v += motion_rng.gen::<f64>() * 0.16 - 0.08;
                 }
             }
             work += (num_particles * POSE_DIM) as u64;
         }
-
-        Ok(RunResult {
-            output,
-            work,
-            outer_iters: iter,
-            log,
-        })
+        work
     }
+
+    fn finish(&self, _: &Setup, s: State, _: u64) -> Vec<f64> {
+        s.output
+    }
+}
+
+/// One annealing layer of a frame: feature extraction, scoring of the
+/// `active` particles and their resampling. Returns the layer's work.
+fn anneal(
+    s: &mut State,
+    setup: &Setup,
+    (frame, layer): (usize, usize),
+    active: usize,
+    cfg: &LevelConfig,
+    iter: u64,
+    log: &mut CallContextLog,
+) -> u64 {
+    let base_seed = setup.base_seed;
+    let truth = true_pose(frame);
+    let mut work: u64 = 0;
+
+    // --- Block 0: feature_extract (perforation) -------------------------
+    let lvl_f = cfg.level(BLOCK_FEATURES);
+    let mut w: u64 = 0;
+    let mut noise_rng = StdRng::seed_from_u64(base_seed ^ (frame as u64) << 20 ^ layer as u64);
+    for (j, feature) in s.features.iter_mut().enumerate() {
+        let noise = noise_rng.gen::<f64>() * 0.04 - 0.02;
+        // Perforated features keep the previous frame's value.
+        if perforated_hit(j, lvl_f) {
+            *feature = project(&truth, j) + noise;
+            w += 8;
+        }
+    }
+    work += w;
+    log.record(iter, BLOCK_FEATURES, w);
+
+    // --- Block 1: likelihood_eval (perforation) -------------------------
+    let lvl_l = cfg.level(BLOCK_LIKELIHOOD);
+    let beta = 0.4 * 2f64.powi(layer as i32); // annealing sharpness
+    let mut w: u64 = 0;
+    for i in perforated_indices(active, lvl_l) {
+        let mut dist = 0.0;
+        for (j, feat) in s.features.iter().enumerate() {
+            let pred = project(&s.particles[i], j);
+            dist += (pred - feat) * (pred - feat);
+        }
+        s.weights[i] = (-beta * dist).exp().max(1e-300);
+        w += (NUM_FEATURES * 3) as u64;
+    }
+    work += w;
+    log.record(iter, BLOCK_LIKELIHOOD, w);
+
+    // Resample the active set and add annealing-scaled jitter (part of
+    // the filter core, not an approximable block).
+    let mut resample_rng =
+        StdRng::seed_from_u64(base_seed ^ 0x5151 ^ ((frame as u64) << 24) ^ ((layer as u64) << 4));
+    let weights = &s.weights;
+    let total_w: f64 = weights[..active].iter().sum();
+    if total_w > 0.0 {
+        let mut new_particles = Vec::with_capacity(active);
+        // Systematic resampling over the active prefix.
+        let step = total_w / active as f64;
+        let mut target = resample_rng.gen::<f64>() * step;
+        let mut acc = 0.0;
+        let mut src = 0usize;
+        for _ in 0..active {
+            while acc + weights[src] < target && src + 1 < active {
+                acc += weights[src];
+                src += 1;
+            }
+            new_particles.push(s.particles[src]);
+            target += step;
+        }
+        let sigma = 0.12 / (layer as f64 + 1.0);
+        for p in new_particles.iter_mut() {
+            for v in p.iter_mut() {
+                *v += resample_rng.gen::<f64>() * 2.0 * sigma - sigma;
+            }
+        }
+        s.particles[..active].copy_from_slice(&new_particles);
+    }
+    work + (active * 2) as u64
+}
+
+impl ApproxApp for Bodytrack {
+    fn meta(&self) -> &opprox_approx_rt::app::AppMeta {
+        &self.meta
+    }
+
+    opprox_approx_rt::forward_to_driver!();
 
     fn qos_degradation(&self, exact: &RunResult, approx: &RunResult) -> f64 {
         // Magnitude-weighted distortion: components representing larger
@@ -320,7 +370,7 @@ fn perforated_hit(j: usize, level: u8) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use opprox_approx_rt::LevelConfig;
+    use opprox_approx_rt::PhaseSchedule;
 
     fn input() -> InputParams {
         InputParams::new(vec![3.0, 120.0, 24.0])

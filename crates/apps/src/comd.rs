@@ -24,7 +24,7 @@ use crate::util::seed_from;
 use opprox_approx_rt::block::{BlockDescriptor, TechniqueKind};
 use opprox_approx_rt::log::CallContextLog;
 use opprox_approx_rt::technique::{perforated_indices, truncated_len};
-use opprox_approx_rt::{ApproxApp, InputParams, PhaseSchedule, RunResult, RuntimeError};
+use opprox_approx_rt::{ApproxApp, InputParams, LevelConfig, OuterLoop, RunResult, RuntimeError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -95,18 +95,32 @@ fn lj(r2: f64) -> (f64, f64) {
     (u, f_over_r)
 }
 
-impl ApproxApp for CoMd {
-    fn meta(&self) -> &opprox_approx_rt::app::AppMeta {
-        &self.meta
-    }
+/// Input-derived constants of one CoMD run.
+pub struct Setup {
+    /// Atoms per lattice edge.
+    nx: usize,
+    lattice: f64,
+    steps: u64,
+    /// RNG seed for the initial velocities and disorder.
+    seed: u64,
+}
 
-    fn run(
-        &self,
-        input: &InputParams,
-        schedule: &PhaseSchedule,
-    ) -> Result<RunResult, RuntimeError> {
-        self.meta.validate_input(input)?;
-        self.meta.validate_schedule(schedule)?;
+/// Per-atom dynamics and the running energy average.
+#[derive(Clone)]
+pub struct State {
+    pos: Vec<[f64; 3]>,
+    vel: Vec<[f64; 3]>,
+    force: Vec<[f64; 3]>,
+    pe: Vec<f64>,
+    energy: Vec<f64>,
+    avg_energy: Vec<f64>,
+}
+
+impl OuterLoop for CoMd {
+    type Setup = Setup;
+    type State = State;
+
+    fn setup(&self, input: &InputParams) -> Result<Setup, RuntimeError> {
         let nx = input.get(0) as usize;
         if !(2..=8).contains(&nx) {
             return Err(RuntimeError::InvalidInput(format!(
@@ -125,9 +139,18 @@ impl ApproxApp for CoMd {
                 "timesteps must be in 1..=5000, got {steps}"
             )));
         }
+        Ok(Setup {
+            nx,
+            lattice,
+            steps,
+            seed: seed_from(input, 0x22),
+        })
+    }
 
+    fn init(&self, setup: &Setup) -> (State, u64) {
+        let (nx, lattice) = (setup.nx, setup.lattice);
         let n = nx * nx * nx;
-        let mut rng = StdRng::seed_from_u64(seed_from(input, 0x22));
+        let mut rng = StdRng::seed_from_u64(setup.seed);
         let mut pos: Vec<[f64; 3]> = Vec::with_capacity(n);
         for ix in 0..nx {
             for iy in 0..nx {
@@ -143,7 +166,7 @@ impl ApproxApp for CoMd {
         // Thermal velocities, deterministic per input; hot enough that the
         // system is a chaotic fluid rather than a quasi-harmonic crystal,
         // so early perturbations amplify over the remaining trajectory.
-        let mut vel: Vec<[f64; 3]> = (0..n)
+        let vel: Vec<[f64; 3]> = (0..n)
             .map(|_| {
                 [
                     rng.gen::<f64>() * 2.4 - 1.2,
@@ -158,117 +181,137 @@ impl ApproxApp for CoMd {
                 *c += rng.gen::<f64>() * 0.1 - 0.05;
             }
         }
-        let mut force: Vec<[f64; 3]> = vec![[0.0; 3]; n];
-        let mut pe: Vec<f64> = vec![0.0; n];
-        let mut energy: Vec<f64> = vec![0.0; n];
-        let mut avg_energy: Vec<f64> = vec![0.0; n];
+        let state = State {
+            pos,
+            vel,
+            force: vec![[0.0; 3]; n],
+            pe: vec![0.0; n],
+            energy: vec![0.0; n],
+            avg_energy: vec![0.0; n],
+        };
+        (state, 0)
+    }
 
-        let mut log = CallContextLog::new();
-        let mut work: u64 = 0;
+    fn done(&self, setup: &Setup, _: &State, iter: u64) -> bool {
+        iter >= setup.steps
+    }
+
+    fn step(
+        &self,
+        setup: &Setup,
+        s: &mut State,
+        iter: u64,
+        cfg: &LevelConfig,
+        log: &mut CallContextLog,
+    ) -> u64 {
+        let n = s.pos.len();
         let cutoff2 = CUTOFF * CUTOFF;
+        let mut work: u64 = 0;
 
-        for iter in 0..steps {
-            let cfg = schedule.config_at(iter);
-
-            // --- Block 0: lj_force (perforation over atoms) -------------
-            let lvl_f = cfg.level(BLOCK_FORCE);
-            let mut w: u64 = 0;
-            for i in perforated_indices(n, lvl_f) {
-                let mut f = [0.0f64; 3];
-                let mut u_i = 0.0;
-                for j in 0..n {
-                    if i == j {
-                        continue;
-                    }
-                    let dr = [
-                        pos[i][0] - pos[j][0],
-                        pos[i][1] - pos[j][1],
-                        pos[i][2] - pos[j][2],
-                    ];
-                    let r2 = dr[0] * dr[0] + dr[1] * dr[1] + dr[2] * dr[2];
-                    if r2 < cutoff2 {
-                        let (u, f_over_r) = lj(r2.max(0.64));
-                        u_i += 0.5 * u;
-                        f[0] += f_over_r * dr[0];
-                        f[1] += f_over_r * dr[1];
-                        f[2] += f_over_r * dr[2];
-                        w += 6;
-                    }
-                    w += 3;
+        // --- Block 0: lj_force (perforation over atoms) -----------------
+        let lvl_f = cfg.level(BLOCK_FORCE);
+        let mut w: u64 = 0;
+        let pos = &s.pos;
+        for i in perforated_indices(n, lvl_f) {
+            let mut f = [0.0f64; 3];
+            let mut u_i = 0.0;
+            for j in 0..n {
+                if i == j {
+                    continue;
                 }
-                for c in 0..3 {
-                    force[i][c] = f[c].clamp(-FORCE_CAP, FORCE_CAP);
-                }
-                pe[i] = u_i;
-            }
-            work += w;
-            log.record(iter, BLOCK_FORCE, w);
-
-            // --- Block 1: advance_velocity (truncation over atoms) ------
-            let lvl_v = cfg.level(BLOCK_VELOCITY);
-            let updated = truncated_len(n, lvl_v, n / 10, n / 4);
-            let mut w: u64 = 0;
-            for (i, v) in vel.iter_mut().enumerate().take(updated) {
-                for c in 0..3 {
-                    v[c] = (v[c] + DT * force[i][c]).clamp(-VELOCITY_CAP, VELOCITY_CAP);
-                }
-                w += 4;
-            }
-            // Positions always advance (cheap, not an AB on its own).
-            // Reflective walls keep the fluid at constant density so the
-            // per-iteration force work — and with it the phase-specific
-            // speedup — stays flat across the run.
-            let wall = nx as f64 * lattice + 0.6;
-            for (p, v) in pos.iter_mut().zip(vel.iter_mut()) {
-                for c in 0..3 {
-                    p[c] += DT * v[c];
-                    if p[c] < -0.6 {
-                        p[c] = -1.2 - p[c];
-                        v[c] = -v[c];
-                    } else if p[c] > wall {
-                        p[c] = 2.0 * wall - p[c];
-                        v[c] = -v[c];
-                    }
+                let dr = [
+                    pos[i][0] - pos[j][0],
+                    pos[i][1] - pos[j][1],
+                    pos[i][2] - pos[j][2],
+                ];
+                let r2 = dr[0] * dr[0] + dr[1] * dr[1] + dr[2] * dr[2];
+                if r2 < cutoff2 {
+                    let (u, f_over_r) = lj(r2.max(0.64));
+                    u_i += 0.5 * u;
+                    f[0] += f_over_r * dr[0];
+                    f[1] += f_over_r * dr[1];
+                    f[2] += f_over_r * dr[2];
+                    w += 6;
                 }
                 w += 3;
             }
-            work += w;
-            log.record(iter, BLOCK_VELOCITY, w);
-
-            // --- Block 2: compute_energy (perforation over atoms) -------
-            let lvl_e = cfg.level(BLOCK_ENERGY);
-            let mut w: u64 = 0;
-            for i in perforated_indices(n, lvl_e) {
-                let ke =
-                    0.5 * (vel[i][0] * vel[i][0] + vel[i][1] * vel[i][1] + vel[i][2] * vel[i][2]);
-                energy[i] = ke + pe[i];
-                w += 5;
+            for (fc, f) in s.force[i].iter_mut().zip(f) {
+                *fc = f.clamp(-FORCE_CAP, FORCE_CAP);
             }
-            // Per-atom trajectory averages — the thermodynamic observable
-            // CoMD reports. A perturbation introduced in phase p corrupts
-            // every sample from p to the end of the run (chaotic
-            // trajectories never reconverge), so early-phase approximation
-            // contaminates almost the whole average while late-phase
-            // approximation only touches its own tail.
-            for (avg, e) in avg_energy.iter_mut().zip(energy.iter()) {
-                *avg += e;
+            s.pe[i] = u_i;
+        }
+        work += w;
+        log.record(iter, BLOCK_FORCE, w);
+
+        // --- Block 1: advance_velocity (truncation over atoms) ----------
+        let lvl_v = cfg.level(BLOCK_VELOCITY);
+        let updated = truncated_len(n, lvl_v, n / 10, n / 4);
+        let mut w: u64 = 0;
+        for (i, v) in s.vel.iter_mut().enumerate().take(updated) {
+            for (vc, fc) in v.iter_mut().zip(s.force[i]) {
+                *vc = (*vc + DT * fc).clamp(-VELOCITY_CAP, VELOCITY_CAP);
             }
-            work += w;
-            log.record(iter, BLOCK_ENERGY, w);
-            work += 2;
+            w += 4;
         }
-
-        for avg in avg_energy.iter_mut() {
-            *avg /= steps as f64;
+        // Positions always advance (cheap, not an AB on its own).
+        // Reflective walls keep the fluid at constant density so the
+        // per-iteration force work — and with it the phase-specific
+        // speedup — stays flat across the run.
+        let wall = setup.nx as f64 * setup.lattice + 0.6;
+        for (p, v) in s.pos.iter_mut().zip(s.vel.iter_mut()) {
+            for c in 0..3 {
+                p[c] += DT * v[c];
+                if p[c] < -0.6 {
+                    p[c] = -1.2 - p[c];
+                    v[c] = -v[c];
+                } else if p[c] > wall {
+                    p[c] = 2.0 * wall - p[c];
+                    v[c] = -v[c];
+                }
+            }
+            w += 3;
         }
+        work += w;
+        log.record(iter, BLOCK_VELOCITY, w);
 
-        Ok(RunResult {
-            output: avg_energy,
-            work,
-            outer_iters: steps,
-            log,
-        })
+        // --- Block 2: compute_energy (perforation over atoms) -----------
+        let lvl_e = cfg.level(BLOCK_ENERGY);
+        let mut w: u64 = 0;
+        for i in perforated_indices(n, lvl_e) {
+            let v = s.vel[i];
+            let ke = 0.5 * (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]);
+            s.energy[i] = ke + s.pe[i];
+            w += 5;
+        }
+        // Per-atom trajectory averages — the thermodynamic observable
+        // CoMD reports. A perturbation introduced in phase p corrupts
+        // every sample from p to the end of the run (chaotic
+        // trajectories never reconverge), so early-phase approximation
+        // contaminates almost the whole average while late-phase
+        // approximation only touches its own tail.
+        for (avg, e) in s.avg_energy.iter_mut().zip(s.energy.iter()) {
+            *avg += e;
+        }
+        work += w;
+        log.record(iter, BLOCK_ENERGY, w);
+        work + 2
     }
+
+    fn finish(&self, _: &Setup, s: State, iters: u64) -> Vec<f64> {
+        let mut avg_energy = s.avg_energy;
+        for avg in avg_energy.iter_mut() {
+            *avg /= iters as f64;
+        }
+        avg_energy
+    }
+}
+
+impl ApproxApp for CoMd {
+    fn meta(&self) -> &opprox_approx_rt::app::AppMeta {
+        &self.meta
+    }
+
+    opprox_approx_rt::forward_to_driver!();
 
     fn qos_degradation(&self, exact: &RunResult, approx: &RunResult) -> f64 {
         // Energy difference per atom, scaled by the golden magnitude with
@@ -303,7 +346,7 @@ impl ApproxApp for CoMd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use opprox_approx_rt::LevelConfig;
+    use opprox_approx_rt::PhaseSchedule;
 
     fn input() -> InputParams {
         InputParams::new(vec![3.0, 1.15, 120.0])

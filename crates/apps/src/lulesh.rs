@@ -31,7 +31,7 @@ use crate::util::seed_from;
 use opprox_approx_rt::block::{BlockDescriptor, TechniqueKind};
 use opprox_approx_rt::log::CallContextLog;
 use opprox_approx_rt::technique::{perforated_indices, perforated_indices_offset};
-use opprox_approx_rt::{ApproxApp, InputParams, PhaseSchedule, RunResult, RuntimeError};
+use opprox_approx_rt::{ApproxApp, InputParams, LevelConfig, OuterLoop, RunResult, RuntimeError};
 
 /// Index of the `forces_on_elements` block.
 pub const BLOCK_FORCES: usize = 0;
@@ -95,8 +95,21 @@ impl Lulesh {
     }
 }
 
+/// The Lagrangian mesh's constants: element masses and per-region `γ`.
+pub struct Mesh {
+    /// Element count.
+    n: usize,
+    /// Element mass (constant in a Lagrangian code).
+    m: Vec<f64>,
+    /// Element adiabatic exponent (per material region).
+    gamma: Vec<f64>,
+    /// Per-input perturbation of the initial energy floor.
+    jitter: f64,
+}
+
 /// Full mutable state of the hydro simulation.
-struct State {
+#[derive(Clone)]
+pub struct State {
     /// Node positions (n + 1 nodes).
     x: Vec<f64>,
     /// Node velocities.
@@ -105,8 +118,6 @@ struct State {
     a: Vec<f64>,
     /// Element internal energy.
     e: Vec<f64>,
-    /// Element mass (constant in a Lagrangian code).
-    m: Vec<f64>,
     /// Element density.
     rho: Vec<f64>,
     /// Element pressure.
@@ -115,55 +126,24 @@ struct State {
     q: Vec<f64>,
     /// Element sound speed.
     cs: Vec<f64>,
-    /// Element adiabatic exponent (per material region).
-    gamma: Vec<f64>,
+    /// Nodal force scratch (n + 1 nodes).
+    f: Vec<f64>,
+    /// Simulated time.
+    t: f64,
+    /// The previous step's `dt`, bounding this step's growth.
+    dt_prev: f64,
 }
 
 impl State {
-    fn init(n: usize, regions: usize) -> State {
-        let dx0 = 1.0 / n as f64;
-        let x: Vec<f64> = (0..=n).map(|i| i as f64 * dx0).collect();
-        let gamma: Vec<f64> = (0..n)
-            .map(|j| {
-                let region = j * regions.max(1) / n;
-                1.4 + 0.05 * (region % 3) as f64
-            })
-            .collect();
-        let mut e = vec![1e-5; n];
-        // Sedov-style energy deposit just off the mesh centre: an
-        // odd-index hot element is *not* aligned with the strides of the
-        // perforated time-constraint sampling, so dt-sampling genuinely
-        // misses the constraining element early in the blast.
-        e[n / 2 + 1] = 1.0 / dx0;
-        let rho = vec![1.0; n];
-        let m: Vec<f64> = rho.iter().map(|r| r * dx0).collect();
-        let mut s = State {
-            x,
-            u: vec![0.0; n + 1],
-            a: vec![0.0; n + 1],
-            e,
-            m,
-            rho,
-            p: vec![0.0; n],
-            q: vec![0.0; n],
-            cs: vec![0.0; n],
-            gamma,
-        };
-        for j in 0..n {
-            s.update_eos(j);
-        }
-        s
-    }
-
     fn dx(&self, j: usize) -> f64 {
         (self.x[j + 1] - self.x[j]).max(1e-9)
     }
 
-    fn update_eos(&mut self, j: usize) {
-        self.rho[j] = self.m[j] / self.dx(j);
+    fn update_eos(&mut self, mesh: &Mesh, j: usize) {
+        self.rho[j] = mesh.m[j] / self.dx(j);
         self.e[j] = self.e[j].clamp(1e-9, E_MAX);
-        self.p[j] = (self.gamma[j] - 1.0) * self.rho[j] * self.e[j];
-        self.cs[j] = (self.gamma[j] * self.p[j] / self.rho[j]).max(1e-12).sqrt();
+        self.p[j] = (mesh.gamma[j] - 1.0) * self.rho[j] * self.e[j];
+        self.cs[j] = (mesh.gamma[j] * self.p[j] / self.rho[j]).max(1e-12).sqrt();
     }
 
     /// Characteristic speed used by the Courant condition for element `j`.
@@ -173,18 +153,11 @@ impl State {
     }
 }
 
-impl ApproxApp for Lulesh {
-    fn meta(&self) -> &opprox_approx_rt::app::AppMeta {
-        &self.meta
-    }
+impl OuterLoop for Lulesh {
+    type Setup = Mesh;
+    type State = State;
 
-    fn run(
-        &self,
-        input: &InputParams,
-        schedule: &PhaseSchedule,
-    ) -> Result<RunResult, RuntimeError> {
-        self.meta.validate_input(input)?;
-        self.meta.validate_schedule(schedule)?;
+    fn setup(&self, input: &InputParams) -> Result<Mesh, RuntimeError> {
         let n = input.get(0) as usize;
         if !(8..=4096).contains(&n) {
             return Err(RuntimeError::InvalidInput(format!(
@@ -192,191 +165,239 @@ impl ApproxApp for Lulesh {
             )));
         }
         let regions = (input.get(1) as usize).max(1);
+        let dx0 = 1.0 / n as f64;
         // The mesh is deterministic; the seed only perturbs the initial
         // energy floor so distinct inputs produce distinct golden outputs.
         let seed = seed_from(input, 0x11);
-        let jitter = (seed % 1000) as f64 * 1e-12;
-
-        let mut s = State::init(n, regions);
-        s.e.iter_mut().for_each(|e| *e += jitter);
-        let mut f = vec![0.0f64; n + 1];
-
-        let mut log = CallContextLog::new();
-        let mut work: u64 = 0;
-        let mut t = 0.0f64;
-        let mut iter: u64 = 0;
-        let dt_max = T_END / 50.0;
-        let mut dt_prev = 1e-5;
-
-        while t < T_END && iter < MAX_ITERS {
-            let cfg = schedule.config_at(iter);
-
-            // --- Block 3: calculate_timeconstraints (perforation) -------
-            let lvl_dt = cfg.level(BLOCK_TIMECONSTRAINTS);
-            let mut dt = dt_max;
-            let mut w: u64 = 0;
-            for j in perforated_indices(n, lvl_dt) {
-                let speed = s.char_speed(j).max(1e-12);
-                let cand = CFL * s.dx(j) / speed;
-                if cand < dt {
-                    dt = cand;
-                }
-                w += 8;
-            }
-            // LULESH's bounded dt growth keeps an overshooting sampled
-            // minimum from destabilizing the integration outright.
-            dt = dt.min(dt_prev * DT_GROWTH).clamp(1e-6, dt_max);
-            dt_prev = dt;
-            if t + dt > T_END {
-                dt = T_END - t;
-            }
-            work += w;
-            log.record(iter, BLOCK_TIMECONSTRAINTS, w);
-
-            // --- Block 0: forces_on_elements (perforation) --------------
-            let lvl_f = cfg.level(BLOCK_FORCES);
-            let mut w: u64 = 0;
-            // Compute viscosity on the perforated sample, then fill the
-            // gaps by linear interpolation between computed neighbours —
-            // sampling the result space, as loop perforation does.
-            let samples: Vec<usize> = perforated_indices_offset(n, lvl_f, iter as usize).collect();
-            for &j in &samples {
-                let du = s.u[j + 1] - s.u[j];
-                s.q[j] = if du < 0.0 {
-                    // Viscosity is capped at a multiple of the pressure so a
-                    // perturbed velocity field cannot collapse `dt` without
-                    // bound.
-                    (Q_QUADRATIC * s.rho[j] * du * du + Q_LINEAR * s.rho[j] * s.cs[j] * (-du))
-                        .min(2.0 * s.p[j] + 0.5)
-                } else {
-                    0.0
-                };
-                w += 10;
-            }
-            for win in samples.windows(2) {
-                let (a, b) = (win[0], win[1]);
-                for j in (a + 1)..b {
-                    let frac = (j - a) as f64 / (b - a) as f64;
-                    s.q[j] = s.q[a] * (1.0 - frac) + s.q[b] * frac;
-                    w += 1;
-                }
-            }
-            if let Some((&first, &last)) = samples.first().zip(samples.last()) {
-                for j in 0..first {
-                    s.q[j] = s.q[first];
-                    w += 1;
-                }
-                for j in (last + 1)..n {
-                    s.q[j] = s.q[last];
-                    w += 1;
-                }
-            }
-            // Assemble nodal forces from element stress.
-            for (i, fi) in f.iter_mut().enumerate().take(n).skip(1) {
-                *fi = (s.p[i - 1] + s.q[i - 1]) - (s.p[i] + s.q[i]);
-                w += 4;
-            }
-            f[0] = 0.0;
-            f[n] = 0.0;
-            work += w;
-            log.record(iter, BLOCK_FORCES, w);
-
-            // --- Block 1: position_of_elements (memoization) ------------
-            let lvl_pos = cfg.level(BLOCK_POSITIONS);
-            let recompute = lvl_pos == 0 || iter.is_multiple_of(lvl_pos as u64 + 1);
-            let mut w: u64 = 0;
-            if recompute {
-                for (i, &fi) in f.iter().enumerate().take(n + 1) {
-                    let m_node = if i == 0 {
-                        s.m[0] / 2.0
-                    } else if i == n {
-                        s.m[n - 1] / 2.0
-                    } else {
-                        (s.m[i - 1] + s.m[i]) / 2.0
-                    };
-                    s.a[i] = fi / m_node;
-                    w += 5;
-                }
-            } else {
-                w += 1; // cached accelerations reused
-            }
-            for i in 0..=n {
-                s.u[i] = (s.u[i] + dt * s.a[i]).clamp(-U_MAX, U_MAX);
-                w += 2;
-            }
-            // Reflective boundaries.
-            s.u[0] = 0.0;
-            s.u[n] = 0.0;
-            // Mild unconditional velocity filtering (the 1D analogue of
-            // LULESH's hourglass damping) keeps the scheme from ringing
-            // when approximated blocks inject non-smooth stress.
-            for (i, fi) in f.iter_mut().enumerate().take(n).skip(1) {
-                *fi = s.u[i] + 0.08 * (s.u[i - 1] - 2.0 * s.u[i] + s.u[i + 1]);
-                w += 2;
-            }
-            s.u[1..n].copy_from_slice(&f[1..n]);
-            for i in 0..=n {
-                s.x[i] += dt * s.u[i];
-                w += 2;
-            }
-            // Keep the mesh untangled under aggressive approximation.
-            for i in 1..=n {
-                if s.x[i] <= s.x[i - 1] + 1e-9 {
-                    s.x[i] = s.x[i - 1] + 1e-9;
-                }
-            }
-            work += w;
-            log.record(iter, BLOCK_POSITIONS, w);
-
-            // --- Block 2: strain_of_elements (perforation) ---------------
-            let lvl_s = cfg.level(BLOCK_STRAIN);
-            let mut w: u64 = 0;
-            let samples: Vec<usize> = perforated_indices_offset(n, lvl_s, iter as usize).collect();
-            let mut de = vec![0.0f64; n];
-            for &j in &samples {
-                let du = s.u[j + 1] - s.u[j];
-                // pdV + viscous heating work on the element.
-                de[j] = -dt * (s.p[j] + s.q[j]) * du / s.m[j];
-                w += 12;
-            }
-            for win in samples.windows(2) {
-                let (a, b) = (win[0], win[1]);
-                for j in (a + 1)..b {
-                    let frac = (j - a) as f64 / (b - a) as f64;
-                    de[j] = de[a] * (1.0 - frac) + de[b] * frac;
-                    w += 1;
-                }
-            }
-            if let Some((&first, &last)) = samples.first().zip(samples.last()) {
-                for j in 0..first {
-                    de[j] = de[first];
-                    w += 1;
-                }
-                for j in (last + 1)..n {
-                    de[j] = de[last];
-                    w += 1;
-                }
-            }
-            for (j, &dej) in de.iter().enumerate() {
-                s.e[j] = (s.e[j] + dej).clamp(1e-9, E_MAX);
-                s.update_eos(j);
-                w += 4;
-            }
-            work += w;
-            log.record(iter, BLOCK_STRAIN, w);
-
-            t += dt;
-            iter += 1;
-            work += 2; // outer-loop bookkeeping
-        }
-
-        Ok(RunResult {
-            output: s.e.clone(),
-            work,
-            outer_iters: iter,
-            log,
+        Ok(Mesh {
+            n,
+            m: vec![dx0; n],
+            gamma: (0..n)
+                .map(|j| {
+                    let region = j * regions / n;
+                    1.4 + 0.05 * (region % 3) as f64
+                })
+                .collect(),
+            jitter: (seed % 1000) as f64 * 1e-12,
         })
     }
+
+    fn init(&self, mesh: &Mesh) -> (State, u64) {
+        let n = mesh.n;
+        let dx0 = 1.0 / n as f64;
+        let mut e = vec![1e-5; n];
+        // Sedov-style energy deposit just off the mesh centre: an
+        // odd-index hot element is *not* aligned with the strides of the
+        // perforated time-constraint sampling, so dt-sampling genuinely
+        // misses the constraining element early in the blast.
+        e[n / 2 + 1] = 1.0 / dx0;
+        let mut s = State {
+            x: (0..=n).map(|i| i as f64 * dx0).collect(),
+            u: vec![0.0; n + 1],
+            a: vec![0.0; n + 1],
+            e,
+            rho: vec![1.0; n],
+            p: vec![0.0; n],
+            q: vec![0.0; n],
+            cs: vec![0.0; n],
+            f: vec![0.0; n + 1],
+            t: 0.0,
+            dt_prev: 1e-5,
+        };
+        for j in 0..n {
+            s.update_eos(mesh, j);
+        }
+        s.e.iter_mut().for_each(|e| *e += mesh.jitter);
+        (s, 0)
+    }
+
+    fn done(&self, _: &Mesh, s: &State, iter: u64) -> bool {
+        let running = s.t < T_END && iter < MAX_ITERS;
+        !running
+    }
+
+    fn step(
+        &self,
+        mesh: &Mesh,
+        s: &mut State,
+        iter: u64,
+        cfg: &LevelConfig,
+        log: &mut CallContextLog,
+    ) -> u64 {
+        let n = mesh.n;
+        let dt_max = T_END / 50.0;
+        let mut work: u64 = 0;
+
+        // --- Block 3: calculate_timeconstraints (perforation) -----------
+        let lvl_dt = cfg.level(BLOCK_TIMECONSTRAINTS);
+        let mut dt = dt_max;
+        let mut w: u64 = 0;
+        for j in perforated_indices(n, lvl_dt) {
+            let speed = s.char_speed(j).max(1e-12);
+            let cand = CFL * s.dx(j) / speed;
+            if cand < dt {
+                dt = cand;
+            }
+            w += 8;
+        }
+        // LULESH's bounded dt growth keeps an overshooting sampled
+        // minimum from destabilizing the integration outright.
+        dt = dt.min(s.dt_prev * DT_GROWTH).clamp(1e-6, dt_max);
+        s.dt_prev = dt;
+        if s.t + dt > T_END {
+            dt = T_END - s.t;
+        }
+        work += w;
+        log.record(iter, BLOCK_TIMECONSTRAINTS, w);
+
+        // --- Block 0: forces_on_elements (perforation) ------------------
+        let lvl_f = cfg.level(BLOCK_FORCES);
+        let mut w: u64 = 0;
+        // Compute viscosity on the perforated sample, then fill the
+        // gaps by linear interpolation between computed neighbours —
+        // sampling the result space, as loop perforation does.
+        let samples: Vec<usize> = perforated_indices_offset(n, lvl_f, iter as usize).collect();
+        for &j in &samples {
+            let du = s.u[j + 1] - s.u[j];
+            s.q[j] = if du < 0.0 {
+                // Viscosity is capped at a multiple of the pressure so a
+                // perturbed velocity field cannot collapse `dt` without
+                // bound.
+                (Q_QUADRATIC * s.rho[j] * du * du + Q_LINEAR * s.rho[j] * s.cs[j] * (-du))
+                    .min(2.0 * s.p[j] + 0.5)
+            } else {
+                0.0
+            };
+            w += 10;
+        }
+        for win in samples.windows(2) {
+            let (a, b) = (win[0], win[1]);
+            for j in (a + 1)..b {
+                let frac = (j - a) as f64 / (b - a) as f64;
+                s.q[j] = s.q[a] * (1.0 - frac) + s.q[b] * frac;
+                w += 1;
+            }
+        }
+        if let Some((&first, &last)) = samples.first().zip(samples.last()) {
+            for j in 0..first {
+                s.q[j] = s.q[first];
+                w += 1;
+            }
+            for j in (last + 1)..n {
+                s.q[j] = s.q[last];
+                w += 1;
+            }
+        }
+        // Assemble nodal forces from element stress.
+        for i in 1..n {
+            s.f[i] = (s.p[i - 1] + s.q[i - 1]) - (s.p[i] + s.q[i]);
+            w += 4;
+        }
+        s.f[0] = 0.0;
+        s.f[n] = 0.0;
+        work += w;
+        log.record(iter, BLOCK_FORCES, w);
+
+        // --- Block 1: position_of_elements (memoization) ----------------
+        let lvl_pos = cfg.level(BLOCK_POSITIONS);
+        let recompute = lvl_pos == 0 || iter.is_multiple_of(lvl_pos as u64 + 1);
+        let mut w: u64 = 0;
+        if recompute {
+            for i in 0..=n {
+                let m_node = if i == 0 {
+                    mesh.m[0] / 2.0
+                } else if i == n {
+                    mesh.m[n - 1] / 2.0
+                } else {
+                    (mesh.m[i - 1] + mesh.m[i]) / 2.0
+                };
+                s.a[i] = s.f[i] / m_node;
+                w += 5;
+            }
+        } else {
+            w += 1; // cached accelerations reused
+        }
+        for i in 0..=n {
+            s.u[i] = (s.u[i] + dt * s.a[i]).clamp(-U_MAX, U_MAX);
+            w += 2;
+        }
+        // Reflective boundaries.
+        s.u[0] = 0.0;
+        s.u[n] = 0.0;
+        // Mild unconditional velocity filtering (the 1D analogue of
+        // LULESH's hourglass damping) keeps the scheme from ringing
+        // when approximated blocks inject non-smooth stress.
+        for i in 1..n {
+            s.f[i] = s.u[i] + 0.08 * (s.u[i - 1] - 2.0 * s.u[i] + s.u[i + 1]);
+            w += 2;
+        }
+        let State { u, f, .. } = s;
+        u[1..n].copy_from_slice(&f[1..n]);
+        for i in 0..=n {
+            s.x[i] += dt * s.u[i];
+            w += 2;
+        }
+        // Keep the mesh untangled under aggressive approximation.
+        for i in 1..=n {
+            if s.x[i] <= s.x[i - 1] + 1e-9 {
+                s.x[i] = s.x[i - 1] + 1e-9;
+            }
+        }
+        work += w;
+        log.record(iter, BLOCK_POSITIONS, w);
+
+        // --- Block 2: strain_of_elements (perforation) -------------------
+        let lvl_s = cfg.level(BLOCK_STRAIN);
+        let mut w: u64 = 0;
+        let samples: Vec<usize> = perforated_indices_offset(n, lvl_s, iter as usize).collect();
+        let mut de = vec![0.0f64; n];
+        for &j in &samples {
+            let du = s.u[j + 1] - s.u[j];
+            // pdV + viscous heating work on the element.
+            de[j] = -dt * (s.p[j] + s.q[j]) * du / mesh.m[j];
+            w += 12;
+        }
+        for win in samples.windows(2) {
+            let (a, b) = (win[0], win[1]);
+            for j in (a + 1)..b {
+                let frac = (j - a) as f64 / (b - a) as f64;
+                de[j] = de[a] * (1.0 - frac) + de[b] * frac;
+                w += 1;
+            }
+        }
+        if let Some((&first, &last)) = samples.first().zip(samples.last()) {
+            for j in 0..first {
+                de[j] = de[first];
+                w += 1;
+            }
+            for j in (last + 1)..n {
+                de[j] = de[last];
+                w += 1;
+            }
+        }
+        for (j, &dej) in de.iter().enumerate() {
+            s.e[j] = (s.e[j] + dej).clamp(1e-9, E_MAX);
+            s.update_eos(mesh, j);
+            w += 4;
+        }
+        work += w;
+        log.record(iter, BLOCK_STRAIN, w);
+
+        s.t += dt;
+        work + 2 // outer-loop bookkeeping
+    }
+
+    fn finish(&self, _: &Mesh, s: State, _: u64) -> Vec<f64> {
+        s.e
+    }
+}
+
+impl ApproxApp for Lulesh {
+    fn meta(&self) -> &opprox_approx_rt::app::AppMeta {
+        &self.meta
+    }
+
+    opprox_approx_rt::forward_to_driver!();
 
     fn qos_degradation(&self, exact: &RunResult, approx: &RunResult) -> f64 {
         // Difference in final element energies, averaged across elements
@@ -411,7 +432,7 @@ impl ApproxApp for Lulesh {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use opprox_approx_rt::LevelConfig;
+    use opprox_approx_rt::PhaseSchedule;
 
     fn input() -> InputParams {
         InputParams::new(vec![64.0, 2.0])

@@ -28,7 +28,7 @@ use opprox_approx_rt::block::{BlockDescriptor, TechniqueKind};
 use opprox_approx_rt::log::CallContextLog;
 use opprox_approx_rt::technique::{perforated_indices, precision_cost, quantized, should_skip};
 use opprox_approx_rt::{
-    ApproxApp, InputParams, PhaseSchedule, RunResult, RuntimeError, WorkCounter,
+    ApproxApp, InputParams, LevelConfig, OuterLoop, RunResult, RuntimeError, WorkCounter,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -89,18 +89,34 @@ impl PageRank {
     }
 }
 
-impl ApproxApp for PageRank {
-    fn meta(&self) -> &opprox_approx_rt::app::AppMeta {
-        &self.meta
-    }
+/// The graph and the constants derived from it.
+pub struct Graph {
+    /// Source nodes of every node's incoming edges.
+    in_edges: Vec<Vec<usize>>,
+    max_steps: u64,
+    uniform: f64,
+    inv_degree: f64,
+}
 
-    fn run(
-        &self,
-        input: &InputParams,
-        schedule: &PhaseSchedule,
-    ) -> Result<RunResult, RuntimeError> {
-        self.meta.validate_input(input)?;
-        self.meta.validate_schedule(schedule)?;
+/// Rank vectors, residuals and the running rank average.
+#[derive(Clone)]
+pub struct State {
+    rank: Vec<f64>,
+    contrib: Vec<f64>,
+    residual: Vec<f64>,
+    avg_rank: Vec<f64>,
+    /// Convergence scale for relative task significance: the previous
+    /// iteration's (sampled) mean residual.
+    scale: f64,
+    /// Whether the convergence exit fired.
+    converged: bool,
+}
+
+impl OuterLoop for PageRank {
+    type Setup = Graph;
+    type State = State;
+
+    fn setup(&self, input: &InputParams) -> Result<Graph, RuntimeError> {
         let n = input.get(0) as usize;
         if !(8..=512).contains(&n) {
             return Err(RuntimeError::InvalidInput(format!(
@@ -141,102 +157,121 @@ impl ApproxApp for PageRank {
                 in_edges[t].push(src);
             }
         }
+        Ok(Graph {
+            in_edges,
+            max_steps,
+            uniform: 1.0 / n as f64,
+            inv_degree: 1.0 / degree as f64,
+        })
+    }
 
-        let uniform = 1.0 / n as f64;
-        let mut rank = vec![uniform; n];
-        let mut contrib = vec![0.0f64; n];
-        let mut residual = vec![uniform; n]; // nothing converged yet
-        let mut avg_rank = vec![0.0f64; n];
+    fn init(&self, g: &Graph) -> (State, u64) {
+        let n = g.in_edges.len();
+        let state = State {
+            rank: vec![g.uniform; n],
+            contrib: vec![0.0; n],
+            residual: vec![g.uniform; n], // nothing converged yet
+            avg_rank: vec![0.0; n],
+            scale: g.uniform,
+            converged: false,
+        };
+        (state, 0)
+    }
 
-        let mut log = CallContextLog::new();
+    fn done(&self, g: &Graph, s: &State, iter: u64) -> bool {
+        s.converged || iter >= g.max_steps
+    }
+
+    fn step(
+        &self,
+        g: &Graph,
+        s: &mut State,
+        iter: u64,
+        cfg: &LevelConfig,
+        log: &mut CallContextLog,
+    ) -> u64 {
+        let n = g.in_edges.len();
+        let quant_base = QUANT_STEP * g.uniform;
         let mut counter = WorkCounter::new();
-        let quant_base = QUANT_STEP * uniform;
-        let inv_degree = 1.0 / degree as f64;
-        // Convergence scale for relative task significance: the previous
-        // iteration's (sampled) mean residual.
-        let mut scale = uniform;
 
-        let mut iters: u64 = 0;
-        for iter in 0..max_steps {
-            let cfg = schedule.config_at(iter);
-
-            // --- Block 0: contrib_push (precision scaling) --------------
-            let lvl_c = cfg.level(BLOCK_CONTRIB);
-            let cost_c = precision_cost(4, lvl_c);
-            let mut w: u64 = 0;
-            for i in 0..n {
-                contrib[i] = quantized(rank[i] * inv_degree, lvl_c, quant_base);
-                w += cost_c;
-            }
-            counter.add(w);
-            log.record(iter, BLOCK_CONTRIB, w);
-
-            // --- Block 1: rank_update (task skipping) -------------------
-            let lvl_u = cfg.level(BLOCK_UPDATE);
-            let mut w: u64 = 0;
-            for i in 0..n {
-                // Convergence-based skipping: a node whose residual is
-                // small relative to the current convergence scale keeps
-                // its stale rank this round.
-                if should_skip(residual[i] / scale.max(1e-300), lvl_u, SKIP_STEP) {
-                    w += 1; // the threshold test itself
-                    continue;
-                }
-                let mut sum = 0.0;
-                for &src in &in_edges[i] {
-                    sum += contrib[src];
-                }
-                let new_rank = (1.0 - DAMPING) * uniform + DAMPING * sum;
-                residual[i] = (new_rank - rank[i]).abs();
-                rank[i] = new_rank;
-                w += in_edges[i].len() as u64 + 3;
-            }
-            counter.add(w);
-            log.record(iter, BLOCK_UPDATE, w);
-
-            // --- Block 2: residual_norm (perforation over nodes) --------
-            let lvl_n = cfg.level(BLOCK_NORM);
-            let mut norm = 0.0;
-            let mut sampled = 0u64;
-            let mut w: u64 = 0;
-            for i in perforated_indices(n, lvl_n) {
-                norm += residual[i];
-                sampled += 1;
-                w += 2;
-            }
-            // Rescale the sampled sum to a mean over all nodes.
-            let mean_residual = if sampled == 0 {
-                0.0
-            } else {
-                norm / sampled as f64
-            };
-            scale = mean_residual;
-            counter.add(w);
-            log.record(iter, BLOCK_NORM, w);
-
-            // Trajectory average: the observable the kernel reports.
-            for (avg, r) in avg_rank.iter_mut().zip(rank.iter()) {
-                *avg += r;
-            }
-            counter.add(2);
-            iters = iter + 1;
-
-            if iters >= MIN_ITERS && mean_residual < TOL {
-                break;
-            }
+        // --- Block 0: contrib_push (precision scaling) ------------------
+        let lvl_c = cfg.level(BLOCK_CONTRIB);
+        let cost_c = precision_cost(4, lvl_c);
+        let mut w: u64 = 0;
+        for (c, r) in s.contrib.iter_mut().zip(s.rank.iter()) {
+            *c = quantized(r * g.inv_degree, lvl_c, quant_base);
+            w += cost_c;
         }
+        counter.add(w);
+        log.record(iter, BLOCK_CONTRIB, w);
 
+        // --- Block 1: rank_update (task skipping) -----------------------
+        let lvl_u = cfg.level(BLOCK_UPDATE);
+        let mut w: u64 = 0;
+        for i in 0..n {
+            // Convergence-based skipping: a node whose residual is small
+            // relative to the current convergence scale keeps its stale
+            // rank this round.
+            if should_skip(s.residual[i] / s.scale.max(1e-300), lvl_u, SKIP_STEP) {
+                w += 1; // the threshold test itself
+                continue;
+            }
+            let mut sum = 0.0;
+            for &src in &g.in_edges[i] {
+                sum += s.contrib[src];
+            }
+            let new_rank = (1.0 - DAMPING) * g.uniform + DAMPING * sum;
+            s.residual[i] = (new_rank - s.rank[i]).abs();
+            s.rank[i] = new_rank;
+            w += g.in_edges[i].len() as u64 + 3;
+        }
+        counter.add(w);
+        log.record(iter, BLOCK_UPDATE, w);
+
+        // --- Block 2: residual_norm (perforation over nodes) ------------
+        let lvl_n = cfg.level(BLOCK_NORM);
+        let mut norm = 0.0;
+        let mut sampled = 0u64;
+        let mut w: u64 = 0;
+        for i in perforated_indices(n, lvl_n) {
+            norm += s.residual[i];
+            sampled += 1;
+            w += 2;
+        }
+        // Rescale the sampled sum to a mean over all nodes.
+        let mean_residual = if sampled == 0 {
+            0.0
+        } else {
+            norm / sampled as f64
+        };
+        s.scale = mean_residual;
+        counter.add(w);
+        log.record(iter, BLOCK_NORM, w);
+
+        // Trajectory average: the observable the kernel reports.
+        for (avg, r) in s.avg_rank.iter_mut().zip(s.rank.iter()) {
+            *avg += r;
+        }
+        counter.add(2);
+        s.converged = iter + 1 >= MIN_ITERS && mean_residual < TOL;
+        counter.total()
+    }
+
+    fn finish(&self, _: &Graph, s: State, iters: u64) -> Vec<f64> {
+        let mut avg_rank = s.avg_rank;
         for avg in avg_rank.iter_mut() {
             *avg /= iters as f64;
         }
-
-        Ok(RunResult {
-            output: avg_rank,
-            work: counter.total(),
-            outer_iters: iters,
-            log,
-        })
+        avg_rank
     }
+}
+
+impl ApproxApp for PageRank {
+    fn meta(&self) -> &opprox_approx_rt::app::AppMeta {
+        &self.meta
+    }
+
+    opprox_approx_rt::forward_to_driver!();
 
     fn qos_degradation(&self, exact: &RunResult, approx: &RunResult) -> f64 {
         // Relative rank error scaled by the uniform rank 1/n: per-node
@@ -272,7 +307,7 @@ impl ApproxApp for PageRank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use opprox_approx_rt::LevelConfig;
+    use opprox_approx_rt::PhaseSchedule;
 
     fn input() -> InputParams {
         InputParams::new(vec![48.0, 4.0, 60.0])

@@ -27,7 +27,7 @@ use crate::util::seed_from;
 use opprox_approx_rt::block::{BlockDescriptor, TechniqueKind};
 use opprox_approx_rt::log::CallContextLog;
 use opprox_approx_rt::technique::perforated_indices;
-use opprox_approx_rt::{ApproxApp, InputParams, PhaseSchedule, RunResult, RuntimeError};
+use opprox_approx_rt::{ApproxApp, InputParams, LevelConfig, OuterLoop, RunResult, RuntimeError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -105,18 +105,33 @@ fn rastrigin_perforated(x: &[f64], level: u8, work: &mut u64) -> f64 {
     sum * d as f64 / sampled.max(1) as f64
 }
 
-impl ApproxApp for Pso {
-    fn meta(&self) -> &opprox_approx_rt::app::AppMeta {
-        &self.meta
-    }
+/// Swarm dimensions of one PSO run.
+pub struct Setup {
+    swarm: usize,
+    dim: usize,
+    /// RNG seed for the initial swarm and the velocity updates.
+    seed: u64,
+}
 
-    fn run(
-        &self,
-        input: &InputParams,
-        schedule: &PhaseSchedule,
-    ) -> Result<RunResult, RuntimeError> {
-        self.meta.validate_input(input)?;
-        self.meta.validate_schedule(schedule)?;
+/// The swarm, its bests, the velocity RNG and the convergence counter.
+#[derive(Clone)]
+pub struct State {
+    rng: StdRng,
+    pos: Vec<Vec<f64>>,
+    vel: Vec<Vec<f64>>,
+    pbest_pos: Vec<Vec<f64>>,
+    pbest_fit: Vec<f64>,
+    gbest_pos: Vec<f64>,
+    gbest_fit: f64,
+    /// Iterations since the global best last improved.
+    stall: u64,
+}
+
+impl OuterLoop for Pso {
+    type Setup = Setup;
+    type State = State;
+
+    fn setup(&self, input: &InputParams) -> Result<Setup, RuntimeError> {
         let swarm = input.get(0) as usize;
         if !(5..=500).contains(&swarm) {
             return Err(RuntimeError::InvalidInput(format!(
@@ -129,24 +144,31 @@ impl ApproxApp for Pso {
                 "dimension must be in 2..=32, got {dim}"
             )));
         }
-        let mut rng = StdRng::seed_from_u64(seed_from(input, 0x44));
+        Ok(Setup {
+            swarm,
+            dim,
+            seed: seed_from(input, 0x44),
+        })
+    }
 
-        let mut pos: Vec<Vec<f64>> = (0..swarm)
+    fn init(&self, setup: &Setup) -> (State, u64) {
+        let (swarm, dim) = (setup.swarm, setup.dim);
+        let mut rng = StdRng::seed_from_u64(setup.seed);
+        let pos: Vec<Vec<f64>> = (0..swarm)
             .map(|_| {
                 (0..dim)
                     .map(|_| rng.gen::<f64>() * 2.0 * BOUND - BOUND)
                     .collect()
             })
             .collect();
-        let mut vel: Vec<Vec<f64>> = (0..swarm)
+        let vel: Vec<Vec<f64>> = (0..swarm)
             .map(|_| (0..dim).map(|_| rng.gen::<f64>() * 0.6 - 0.3).collect())
             .collect();
         // Initialization: every particle's personal best starts from one
         // accurate evaluation (part of the setup, not an approximable
         // block), so the pbest vector is always fully populated.
         let mut init_work = 0u64;
-        let mut pbest_pos = pos.clone();
-        let mut pbest_fit: Vec<f64> = pos
+        let pbest_fit: Vec<f64> = pos
             .iter()
             .map(|p| rastrigin_perforated(p, 0, &mut init_work))
             .collect();
@@ -155,97 +177,118 @@ impl ApproxApp for Pso {
             .enumerate()
             .min_by(|(_, a), (_, b)| a.partial_cmp(b).expect("finite fitness"))
             .expect("non-empty swarm");
-        let mut gbest_pos = pos[gbest_idx].clone();
-        let mut gbest_fit = pbest_fit[gbest_idx];
+        let state = State {
+            rng,
+            gbest_pos: pos[gbest_idx].clone(),
+            gbest_fit: pbest_fit[gbest_idx],
+            pbest_pos: pos.clone(),
+            pbest_fit,
+            pos,
+            vel,
+            stall: 0,
+        };
+        (state, init_work)
+    }
 
-        let mut log = CallContextLog::new();
-        let mut work: u64 = init_work;
-        let mut iter: u64 = 0;
-        let mut stall: u64 = 0;
+    fn done(&self, _: &Setup, s: &State, iter: u64) -> bool {
+        iter >= MAX_ITERS || (s.stall >= PATIENCE && iter >= MIN_ITERS)
+    }
 
-        while iter < MAX_ITERS && (stall < PATIENCE || iter < MIN_ITERS) {
-            let cfg = schedule.config_at(iter);
+    fn step(
+        &self,
+        setup: &Setup,
+        s: &mut State,
+        iter: u64,
+        cfg: &LevelConfig,
+        log: &mut CallContextLog,
+    ) -> u64 {
+        let (swarm, dim) = (setup.swarm, setup.dim);
+        let mut work: u64 = 0;
 
-            // --- Block 0: fitness_eval (perforation over dimensions) ----
-            let lvl_fit = cfg.level(BLOCK_FITNESS);
-            let mut w: u64 = 0;
-            let fits: Vec<f64> = pos
-                .iter()
-                .map(|p| rastrigin_perforated(p, lvl_fit, &mut w))
-                .collect();
-            work += w;
-            log.record(iter, BLOCK_FITNESS, w);
+        // --- Block 0: fitness_eval (perforation over dimensions) --------
+        let lvl_fit = cfg.level(BLOCK_FITNESS);
+        let mut w: u64 = 0;
+        let fits: Vec<f64> = s
+            .pos
+            .iter()
+            .map(|p| rastrigin_perforated(p, lvl_fit, &mut w))
+            .collect();
+        work += w;
+        log.record(iter, BLOCK_FITNESS, w);
 
-            // --- Block 2: pbest_update (perforation over particles) -----
-            let lvl_pb = cfg.level(BLOCK_PBEST);
-            let mut w: u64 = 0;
-            let prev_gbest = gbest_fit;
-            for i in perforated_indices(swarm, lvl_pb) {
-                if fits[i] < pbest_fit[i] {
-                    pbest_fit[i] = fits[i];
-                    pbest_pos[i] = pos[i].clone();
-                }
-                if fits[i] < gbest_fit {
-                    gbest_fit = fits[i];
-                    gbest_pos = pos[i].clone();
-                }
-                w += 4;
+        // --- Block 2: pbest_update (perforation over particles) ---------
+        let lvl_pb = cfg.level(BLOCK_PBEST);
+        let mut w: u64 = 0;
+        let prev_gbest = s.gbest_fit;
+        for i in perforated_indices(swarm, lvl_pb) {
+            if fits[i] < s.pbest_fit[i] {
+                s.pbest_fit[i] = fits[i];
+                s.pbest_pos[i] = s.pos[i].clone();
             }
-            work += w;
-            log.record(iter, BLOCK_PBEST, w);
-
-            // --- Block 1: velocity_update (memoization over iterations) -
-            let lvl_v = cfg.level(BLOCK_VELOCITY);
-            let recompute = lvl_v == 0 || iter.is_multiple_of(lvl_v as u64 + 1);
-            let mut w: u64 = 0;
-            if recompute {
-                for i in 0..swarm {
-                    for k in 0..dim {
-                        let rp = rng.gen::<f64>();
-                        let rg = rng.gen::<f64>();
-                        vel[i][k] = INERTIA * vel[i][k]
-                            + C_PERSONAL * rp * (pbest_pos[i][k] - pos[i][k])
-                            + C_GLOBAL * rg * (gbest_pos[k] - pos[i][k]);
-                        w += 6;
-                    }
-                }
-            } else {
-                // Memoized: keep the previous velocities; the RNG stream
-                // still advances identically so runs stay comparable.
-                for _ in 0..swarm * dim {
-                    let _ = rng.gen::<f64>();
-                    let _ = rng.gen::<f64>();
-                }
-                w += swarm as u64;
+            if fits[i] < s.gbest_fit {
+                s.gbest_fit = fits[i];
+                s.gbest_pos = s.pos[i].clone();
             }
+            w += 4;
+        }
+        work += w;
+        log.record(iter, BLOCK_PBEST, w);
+
+        // --- Block 1: velocity_update (memoization over iterations) -----
+        let lvl_v = cfg.level(BLOCK_VELOCITY);
+        let recompute = lvl_v == 0 || iter.is_multiple_of(lvl_v as u64 + 1);
+        let mut w: u64 = 0;
+        if recompute {
             for i in 0..swarm {
                 for k in 0..dim {
-                    pos[i][k] = (pos[i][k] + vel[i][k]).clamp(-BOUND, BOUND);
-                    w += 2;
+                    let rp = s.rng.gen::<f64>();
+                    let rg = s.rng.gen::<f64>();
+                    s.vel[i][k] = INERTIA * s.vel[i][k]
+                        + C_PERSONAL * rp * (s.pbest_pos[i][k] - s.pos[i][k])
+                        + C_GLOBAL * rg * (s.gbest_pos[k] - s.pos[i][k]);
+                    w += 6;
                 }
             }
-            work += w;
-            log.record(iter, BLOCK_VELOCITY, w);
-
-            // Convergence accounting on the global best.
-            let improved = prev_gbest.is_infinite() && gbest_fit.is_finite()
-                || (prev_gbest - gbest_fit) > IMPROVEMENT_TOL * prev_gbest.abs().max(1.0);
-            if improved {
-                stall = 0;
-            } else {
-                stall += 1;
+        } else {
+            // Memoized: keep the previous velocities; the RNG stream
+            // still advances identically so runs stay comparable.
+            for _ in 0..swarm * dim {
+                let _ = s.rng.gen::<f64>();
+                let _ = s.rng.gen::<f64>();
             }
-            work += 3;
-            iter += 1;
+            w += swarm as u64;
         }
+        for i in 0..swarm {
+            for k in 0..dim {
+                s.pos[i][k] = (s.pos[i][k] + s.vel[i][k]).clamp(-BOUND, BOUND);
+                w += 2;
+            }
+        }
+        work += w;
+        log.record(iter, BLOCK_VELOCITY, w);
 
-        Ok(RunResult {
-            output: pbest_fit,
-            work,
-            outer_iters: iter,
-            log,
-        })
+        // Convergence accounting on the global best.
+        let improved = prev_gbest.is_infinite() && s.gbest_fit.is_finite()
+            || (prev_gbest - s.gbest_fit) > IMPROVEMENT_TOL * prev_gbest.abs().max(1.0);
+        if improved {
+            s.stall = 0;
+        } else {
+            s.stall += 1;
+        }
+        work + 3
     }
+
+    fn finish(&self, _: &Setup, s: State, _: u64) -> Vec<f64> {
+        s.pbest_fit
+    }
+}
+
+impl ApproxApp for Pso {
+    fn meta(&self) -> &opprox_approx_rt::app::AppMeta {
+        &self.meta
+    }
+
+    opprox_approx_rt::forward_to_driver!();
 
     fn qos_degradation(&self, exact: &RunResult, approx: &RunResult) -> f64 {
         // Average difference of the per-particle best-fitness values,
@@ -280,7 +323,7 @@ impl ApproxApp for Pso {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use opprox_approx_rt::LevelConfig;
+    use opprox_approx_rt::PhaseSchedule;
 
     fn input() -> InputParams {
         InputParams::new(vec![24.0, 4.0])

@@ -31,7 +31,7 @@ use opprox_approx_rt::technique::{
     perforated_indices_offset, precision_cost, quantized, truncated_len,
 };
 use opprox_approx_rt::{
-    ApproxApp, InputParams, PhaseSchedule, RunResult, RuntimeError, WorkCounter,
+    ApproxApp, InputParams, LevelConfig, OuterLoop, RunResult, RuntimeError, WorkCounter,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -101,18 +101,42 @@ impl Stencil {
     }
 }
 
-impl ApproxApp for Stencil {
-    fn meta(&self) -> &opprox_approx_rt::app::AppMeta {
-        &self.meta
-    }
+/// The grid, its heat sources and its boundary ring.
+pub struct Grid {
+    n: usize,
+    sweeps: u64,
+    /// Interior heat-source cells `(row, col)`.
+    sources: Vec<(usize, usize)>,
+    /// Boundary cells in walk order, for the truncated cooling pass.
+    ring: Vec<usize>,
+}
 
-    fn run(
-        &self,
-        input: &InputParams,
-        schedule: &PhaseSchedule,
-    ) -> Result<RunResult, RuntimeError> {
-        self.meta.validate_input(input)?;
-        self.meta.validate_schedule(schedule)?;
+impl Grid {
+    /// Injects the sources and radiates to ambient (always exact; not an
+    /// approximable block).
+    fn heat(&self, temp: &mut [f64]) {
+        for &(i, j) in &self.sources {
+            temp[i * self.n + j] += SOURCE_HEAT;
+        }
+        for t in temp.iter_mut() {
+            *t *= 1.0 - LEAK;
+        }
+    }
+}
+
+/// The temperature field, its double buffer and the running average.
+#[derive(Clone)]
+pub struct State {
+    temp: Vec<f64>,
+    next: Vec<f64>,
+    avg: Vec<f64>,
+}
+
+impl OuterLoop for Stencil {
+    type Setup = Grid;
+    type State = State;
+
+    fn setup(&self, input: &InputParams) -> Result<Grid, RuntimeError> {
         let n = input.get(0) as usize;
         if !(8..=64).contains(&n) {
             return Err(RuntimeError::InvalidInput(format!(
@@ -132,13 +156,6 @@ impl ApproxApp for Stencil {
             .map(|_| (rng.gen_range(1..n - 1), rng.gen_range(1..n - 1)))
             .collect();
 
-        let mut temp = vec![0.0f64; n * n];
-        let mut next = vec![0.0f64; n * n];
-        let mut avg = vec![0.0f64; n * n];
-        let mut log = CallContextLog::new();
-        let mut counter = WorkCounter::new();
-
-        // Boundary ring in walk order, for the truncated cooling pass.
         let mut ring: Vec<usize> = Vec::with_capacity(4 * n - 4);
         for j in 0..n {
             ring.push(j); // top row
@@ -152,18 +169,24 @@ impl ApproxApp for Stencil {
         for i in (1..n - 1).rev() {
             ring.push(i * n); // left column
         }
+        Ok(Grid {
+            n,
+            sweeps,
+            sources,
+            ring,
+        })
+    }
 
+    fn init(&self, g: &Grid) -> (State, u64) {
+        let n = g.n;
+        let mut temp = vec![0.0f64; n * n];
+        let mut next = vec![0.0f64; n * n];
         // Warm the field to its driven steady state with exact sweeps, so
         // every measured phase sees the same amplitude. Modeled as loading
         // a checkpointed initial condition: charged a token unit per sweep,
         // not the full stencil cost.
         for _ in 0..WARMUP {
-            for &(i, j) in &sources {
-                temp[i * n + j] += SOURCE_HEAT;
-            }
-            for t in temp.iter_mut() {
-                *t *= 1.0 - LEAK;
-            }
+            g.heat(&mut temp);
             next.copy_from_slice(&temp);
             for row in 1..n - 1 {
                 for col in 1..n - 1 {
@@ -173,81 +196,98 @@ impl ApproxApp for Stencil {
                 }
             }
             std::mem::swap(&mut temp, &mut next);
-            for &c in ring.iter() {
+            for &c in g.ring.iter() {
                 temp[c] *= COOLING;
             }
-            counter.add(1);
         }
+        let state = State {
+            temp,
+            next,
+            avg: vec![0.0f64; n * n],
+        };
+        (state, WARMUP)
+    }
 
-        for iter in 0..sweeps {
-            let cfg = schedule.config_at(iter);
+    fn done(&self, g: &Grid, _: &State, iter: u64) -> bool {
+        iter >= g.sweeps
+    }
 
-            // Inject the sources and radiate to ambient (always exact;
-            // not an approximable block).
-            for &(i, j) in &sources {
-                temp[i * n + j] += SOURCE_HEAT;
-            }
-            for t in temp.iter_mut() {
-                *t *= 1.0 - LEAK;
-            }
-            counter.add(NUM_SOURCES as u64 + 1);
+    fn step(
+        &self,
+        g: &Grid,
+        s: &mut State,
+        iter: u64,
+        cfg: &LevelConfig,
+        log: &mut CallContextLog,
+    ) -> u64 {
+        let n = g.n;
+        let mut counter = WorkCounter::new();
+        g.heat(&mut s.temp);
+        counter.add(NUM_SOURCES as u64 + 1);
 
-            // --- Blocks 0+1: diffuse_rows / flux_quantize ---------------
-            // One fused sweep, accounted per block: row selection is the
-            // perforation knob, per-cell arithmetic the precision knob.
-            let lvl_r = cfg.level(BLOCK_DIFFUSE);
-            let lvl_q = cfg.level(BLOCK_FLUX);
-            let cost_q = precision_cost(6, lvl_q);
-            next.copy_from_slice(&temp);
-            let mut w_rows: u64 = 0;
-            let mut w_flux: u64 = 0;
-            for i in perforated_indices_offset(n - 2, lvl_r, iter as usize) {
-                let row = i + 1;
-                w_rows += 2;
-                for col in 1..n - 1 {
-                    let c = row * n + col;
-                    let lap = temp[c - 1] + temp[c + 1] + temp[c - n] + temp[c + n] - 4.0 * temp[c];
-                    next[c] = quantized(temp[c] + KAPPA * lap, lvl_q, QUANT_STEP);
-                    w_flux += cost_q;
-                }
+        // --- Blocks 0+1: diffuse_rows / flux_quantize -------------------
+        // One fused sweep, accounted per block: row selection is the
+        // perforation knob, per-cell arithmetic the precision knob.
+        let lvl_r = cfg.level(BLOCK_DIFFUSE);
+        let lvl_q = cfg.level(BLOCK_FLUX);
+        let cost_q = precision_cost(6, lvl_q);
+        let State { temp, next, avg } = s;
+        next.copy_from_slice(temp);
+        let mut w_rows: u64 = 0;
+        let mut w_flux: u64 = 0;
+        for i in perforated_indices_offset(n - 2, lvl_r, iter as usize) {
+            let row = i + 1;
+            w_rows += 2;
+            for col in 1..n - 1 {
+                let c = row * n + col;
+                let lap = temp[c - 1] + temp[c + 1] + temp[c - n] + temp[c + n] - 4.0 * temp[c];
+                next[c] = quantized(temp[c] + KAPPA * lap, lvl_q, QUANT_STEP);
+                w_flux += cost_q;
             }
-            counter.add(w_rows);
-            log.record(iter, BLOCK_DIFFUSE, w_rows);
-            counter.add(w_flux);
-            log.record(iter, BLOCK_FLUX, w_flux);
-            std::mem::swap(&mut temp, &mut next);
-
-            // --- Block 2: boundary_cool (truncation over the ring) ------
-            let lvl_b = cfg.level(BLOCK_BOUNDARY);
-            let cooled = truncated_len(ring.len(), lvl_b, ring.len() / 5, ring.len() / 4);
-            let mut w: u64 = 0;
-            for &c in ring.iter().take(cooled) {
-                temp[c] *= COOLING;
-                w += 2;
-            }
-            counter.add(w);
-            log.record(iter, BLOCK_BOUNDARY, w);
-
-            // Trajectory average — the reported image.
-            for (a, t) in avg.iter_mut().zip(temp.iter()) {
-                *a += t;
-            }
-            counter.add(2);
         }
+        counter.add(w_rows);
+        log.record(iter, BLOCK_DIFFUSE, w_rows);
+        counter.add(w_flux);
+        log.record(iter, BLOCK_FLUX, w_flux);
+        std::mem::swap(temp, next);
 
+        // --- Block 2: boundary_cool (truncation over the ring) ----------
+        let lvl_b = cfg.level(BLOCK_BOUNDARY);
+        let ring = &g.ring;
+        let cooled = truncated_len(ring.len(), lvl_b, ring.len() / 5, ring.len() / 4);
+        let mut w: u64 = 0;
+        for &c in ring.iter().take(cooled) {
+            temp[c] *= COOLING;
+            w += 2;
+        }
+        counter.add(w);
+        log.record(iter, BLOCK_BOUNDARY, w);
+
+        // Trajectory average — the reported image.
+        for (a, t) in avg.iter_mut().zip(temp.iter()) {
+            *a += t;
+        }
+        counter.add(2);
+        counter.total()
+    }
+
+    fn finish(&self, g: &Grid, s: State, _: u64) -> Vec<f64> {
         // Map onto the pixel scale, saturating like an 8-bit sensor.
-        let inv = 1.0 / sweeps as f64;
+        let mut avg = s.avg;
+        let inv = 1.0 / g.sweeps as f64;
         for a in avg.iter_mut() {
             *a = (*a * inv).clamp(0.0, 255.0);
         }
-
-        Ok(RunResult {
-            output: avg,
-            work: counter.total(),
-            outer_iters: sweeps,
-            log,
-        })
+        avg
     }
+}
+
+impl ApproxApp for Stencil {
+    fn meta(&self) -> &opprox_approx_rt::app::AppMeta {
+        &self.meta
+    }
+
+    opprox_approx_rt::forward_to_driver!();
 
     fn qos_degradation(&self, exact: &RunResult, approx: &RunResult) -> f64 {
         psnr_degradation(self.psnr_of(exact, approx))
@@ -267,7 +307,7 @@ impl ApproxApp for Stencil {
 mod tests {
     use super::*;
     use opprox_approx_rt::qos::PSNR_CAP;
-    use opprox_approx_rt::LevelConfig;
+    use opprox_approx_rt::PhaseSchedule;
 
     fn input() -> InputParams {
         InputParams::new(vec![16.0, 40.0])

@@ -30,9 +30,7 @@ use crate::util::seed_from;
 use opprox_approx_rt::block::{BlockDescriptor, TechniqueKind};
 use opprox_approx_rt::log::CallContextLog;
 use opprox_approx_rt::technique::{precision_cost, quantized, should_skip, Memoizer};
-use opprox_approx_rt::{
-    ApproxApp, InputParams, PhaseSchedule, RunResult, RuntimeError, WorkCounter,
-};
+use opprox_approx_rt::{ApproxApp, InputParams, LevelConfig, OuterLoop, RuntimeError, WorkCounter};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -82,18 +80,34 @@ impl StreamAgg {
     }
 }
 
-impl ApproxApp for StreamAgg {
-    fn meta(&self) -> &opprox_approx_rt::app::AppMeta {
-        &self.meta
-    }
+/// Stream dimensions of one StreamAgg run.
+pub struct Setup {
+    window: usize,
+    /// Windows: one outer-loop iteration each.
+    windows: u64,
+    /// Seed of the synthetic sensor signal.
+    seed: u64,
+}
 
-    fn run(
-        &self,
-        input: &InputParams,
-        schedule: &PhaseSchedule,
-    ) -> Result<RunResult, RuntimeError> {
-        self.meta.validate_input(input)?;
-        self.meta.validate_schedule(schedule)?;
+/// The signal generator, the filter and the running aggregates.
+#[derive(Clone)]
+pub struct State {
+    rng: StdRng,
+    ema: f64,
+    cum_sum: f64,
+    cum_count: u64,
+    ema_sum: f64,
+    med_sum: f64,
+    stats_memo: Memoizer<f64>,
+    buffer: Vec<f64>,
+    output: Vec<f64>,
+}
+
+impl OuterLoop for StreamAgg {
+    type Setup = Setup;
+    type State = State;
+
+    fn setup(&self, input: &InputParams) -> Result<Setup, RuntimeError> {
         let window = input.get(0) as usize;
         if !(8..=1024).contains(&window) {
             return Err(RuntimeError::InvalidInput(format!(
@@ -106,96 +120,122 @@ impl ApproxApp for StreamAgg {
                 "windows must be in 1..=5000, got {windows}"
             )));
         }
-
-        let mut rng = StdRng::seed_from_u64(seed_from(input, 0x5A));
-        let mut log = CallContextLog::new();
-        let mut counter = WorkCounter::new();
-
-        let mut ema = 0.0f64;
-        let mut cum_sum = 0.0f64;
-        let mut cum_count = 0u64;
-        let mut ema_sum = 0.0f64;
-        let mut med_sum = 0.0f64;
-        let mut stats_memo: Memoizer<f64> = Memoizer::new();
-        let mut output = Vec::with_capacity(3 * windows as usize);
-        let mut buffer = vec![0.0f64; window];
-
-        for iter in 0..windows {
-            let cfg = schedule.config_at(iter);
-            let t0 = (iter as usize * window) as f64;
-
-            // --- Block 0: event_filter (task skipping) ------------------
-            // Generating an event is free (it models the sensor); the
-            // work is *processing* it. A skipped event is replaced by the
-            // filter's prediction — the EMA state — before aggregation.
-            let lvl_s = cfg.level(BLOCK_FILTER);
-            let mut w: u64 = 0;
-            for (k, slot) in buffer.iter_mut().enumerate() {
-                let t = t0 + k as f64;
-                // Drift + two seasonal harmonics + noise + rare spikes.
-                let mut x = 2.0
-                    + 1.5e-4 * t
-                    + 0.8 * (t * 0.021).sin()
-                    + 0.3 * (t * 0.0043).cos()
-                    + (rng.gen::<f64>() - 0.5) * 0.2;
-                if rng.gen::<f64>() < 0.01 {
-                    x += rng.gen::<f64>() * 3.0;
-                }
-                let deviation = (x - ema).abs();
-                if should_skip(deviation, lvl_s, SKIP_STEP) {
-                    *slot = ema; // predicted, not processed
-                    w += 1;
-                } else {
-                    *slot = x;
-                    w += 6; // full ingest: parse, validate, route
-                }
-            }
-            counter.add(w);
-            log.record(iter, BLOCK_FILTER, w);
-
-            // --- Block 1: ema_update (precision scaling) ----------------
-            let lvl_p = cfg.level(BLOCK_EMA);
-            let cost_p = precision_cost(4, lvl_p);
-            let mut w: u64 = 0;
-            for &x in buffer.iter() {
-                ema += ALPHA * (x - ema);
-                ema = quantized(ema, lvl_p, QUANT_STEP);
-                cum_sum += x;
-                w += cost_p;
-            }
-            cum_count += window as u64;
-            counter.add(w);
-            log.record(iter, BLOCK_EMA, w);
-
-            // --- Block 2: window_stats (memoization) --------------------
-            let lvl_m = cfg.level(BLOCK_STATS);
-            let mut w: u64 = 0;
-            let median = stats_memo.get_or_compute(iter as usize, lvl_m, || {
-                let mut sorted = buffer.clone();
-                sorted.sort_by(|a, b| a.partial_cmp(b).expect("signal values are finite"));
-                w = 4 * window as u64; // the sort is the expensive part
-                0.5 * (sorted[window / 2] + sorted[(window - 1) / 2])
-            });
-            w += 1;
-            counter.add(w);
-            log.record(iter, BLOCK_STATS, w);
-
-            ema_sum += ema;
-            med_sum += median;
-            let reports = (iter + 1) as f64;
-            output.push(cum_sum / cum_count as f64);
-            output.push(ema_sum / reports);
-            output.push(med_sum / reports);
-            counter.add(3);
-        }
-
-        Ok(RunResult {
-            output,
-            work: counter.total(),
-            outer_iters: windows,
-            log,
+        Ok(Setup {
+            window,
+            windows,
+            seed: seed_from(input, 0x5A),
         })
     }
+
+    fn init(&self, setup: &Setup) -> (State, u64) {
+        let state = State {
+            rng: StdRng::seed_from_u64(setup.seed),
+            ema: 0.0,
+            cum_sum: 0.0,
+            cum_count: 0,
+            ema_sum: 0.0,
+            med_sum: 0.0,
+            stats_memo: Memoizer::new(),
+            buffer: vec![0.0; setup.window],
+            output: Vec::with_capacity(3 * setup.windows as usize),
+        };
+        (state, 0)
+    }
+
+    fn done(&self, setup: &Setup, _: &State, iter: u64) -> bool {
+        iter >= setup.windows
+    }
+
+    fn step(
+        &self,
+        setup: &Setup,
+        s: &mut State,
+        iter: u64,
+        cfg: &LevelConfig,
+        log: &mut CallContextLog,
+    ) -> u64 {
+        let window = setup.window;
+        let mut counter = WorkCounter::new();
+        let t0 = (iter as usize * window) as f64;
+
+        // --- Block 0: event_filter (task skipping) ----------------------
+        // Generating an event is free (it models the sensor); the work is
+        // *processing* it. A skipped event is replaced by the filter's
+        // prediction — the EMA state — before aggregation.
+        let lvl_s = cfg.level(BLOCK_FILTER);
+        let mut w: u64 = 0;
+        for (k, slot) in s.buffer.iter_mut().enumerate() {
+            let t = t0 + k as f64;
+            // Drift + two seasonal harmonics + noise + rare spikes.
+            let mut x = 2.0
+                + 1.5e-4 * t
+                + 0.8 * (t * 0.021).sin()
+                + 0.3 * (t * 0.0043).cos()
+                + (s.rng.gen::<f64>() - 0.5) * 0.2;
+            if s.rng.gen::<f64>() < 0.01 {
+                x += s.rng.gen::<f64>() * 3.0;
+            }
+            let deviation = (x - s.ema).abs();
+            if should_skip(deviation, lvl_s, SKIP_STEP) {
+                *slot = s.ema; // predicted, not processed
+                w += 1;
+            } else {
+                *slot = x;
+                w += 6; // full ingest: parse, validate, route
+            }
+        }
+        counter.add(w);
+        log.record(iter, BLOCK_FILTER, w);
+
+        // --- Block 1: ema_update (precision scaling) --------------------
+        let lvl_p = cfg.level(BLOCK_EMA);
+        let cost_p = precision_cost(4, lvl_p);
+        let mut w: u64 = 0;
+        for &x in s.buffer.iter() {
+            s.ema += ALPHA * (x - s.ema);
+            s.ema = quantized(s.ema, lvl_p, QUANT_STEP);
+            s.cum_sum += x;
+            w += cost_p;
+        }
+        s.cum_count += window as u64;
+        counter.add(w);
+        log.record(iter, BLOCK_EMA, w);
+
+        // --- Block 2: window_stats (memoization) ------------------------
+        let lvl_m = cfg.level(BLOCK_STATS);
+        let mut w: u64 = 0;
+        let buffer = &s.buffer;
+        let median = s.stats_memo.get_or_compute(iter as usize, lvl_m, || {
+            let mut sorted = buffer.clone();
+            sorted.sort_by(|a, b| a.partial_cmp(b).expect("signal values are finite"));
+            w = 4 * window as u64; // the sort is the expensive part
+            0.5 * (sorted[window / 2] + sorted[(window - 1) / 2])
+        });
+        w += 1;
+        counter.add(w);
+        log.record(iter, BLOCK_STATS, w);
+
+        s.ema_sum += s.ema;
+        s.med_sum += median;
+        let reports = (iter + 1) as f64;
+        s.output.push(s.cum_sum / s.cum_count as f64);
+        s.output.push(s.ema_sum / reports);
+        s.output.push(s.med_sum / reports);
+        counter.add(3);
+        counter.total()
+    }
+
+    fn finish(&self, _: &Setup, s: State, _: u64) -> Vec<f64> {
+        s.output
+    }
+}
+
+impl ApproxApp for StreamAgg {
+    fn meta(&self) -> &opprox_approx_rt::app::AppMeta {
+        &self.meta
+    }
+
+    opprox_approx_rt::forward_to_driver!();
 
     fn representative_inputs(&self) -> Vec<InputParams> {
         vec![
@@ -210,7 +250,7 @@ impl ApproxApp for StreamAgg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use opprox_approx_rt::LevelConfig;
+    use opprox_approx_rt::PhaseSchedule;
 
     fn input() -> InputParams {
         InputParams::new(vec![64.0, 40.0])

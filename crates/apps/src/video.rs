@@ -33,7 +33,7 @@ use opprox_approx_rt::block::{BlockDescriptor, TechniqueKind};
 use opprox_approx_rt::log::CallContextLog;
 use opprox_approx_rt::qos::{psnr, psnr_degradation};
 use opprox_approx_rt::technique::{perforated_indices, Memoizer};
-use opprox_approx_rt::{ApproxApp, InputParams, PhaseSchedule, RunResult, RuntimeError};
+use opprox_approx_rt::{ApproxApp, InputParams, LevelConfig, OuterLoop, RunResult, RuntimeError};
 
 /// Index of the `edge_detect` block.
 pub const BLOCK_EDGE: usize = 0;
@@ -186,18 +186,30 @@ fn color_balance(input: &Frame, level: u8, work: &mut u64) -> Frame {
     out
 }
 
-impl ApproxApp for VideoPipeline {
-    fn meta(&self) -> &opprox_approx_rt::app::AppMeta {
-        &self.meta
-    }
+/// Clip length, encoder parameters and filter order of one run.
+pub struct Setup {
+    /// Frames: one outer-loop iteration each.
+    frames: usize,
+    qstep: f64,
+    /// Pixels a P-frame may re-code.
+    frame_budget: usize,
+    /// The filter chain, in the order the input selects.
+    chain: [usize; 2],
+}
 
-    fn run(
-        &self,
-        input: &InputParams,
-        schedule: &PhaseSchedule,
-    ) -> Result<RunResult, RuntimeError> {
-        self.meta.validate_input(input)?;
-        self.meta.validate_schedule(schedule)?;
+/// The deflate cache, the encoder's reconstruction and the encoded clip.
+#[derive(Clone)]
+pub struct State {
+    deflate_memo: Memoizer<Frame>,
+    recon: Frame,
+    output: Vec<f64>,
+}
+
+impl OuterLoop for VideoPipeline {
+    type Setup = Setup;
+    type State = State;
+
+    fn setup(&self, input: &InputParams) -> Result<Setup, RuntimeError> {
         let fps = input.get(0) as usize;
         let duration = input.get(1) as usize;
         let frames = fps * duration;
@@ -226,99 +238,123 @@ impl ApproxApp for VideoPipeline {
         // frame leaves wrong pixels that are only repaired when they win a
         // slot in a later frame's budget — exactly the inter-frame
         // dependency the paper describes for FFmpeg.
-        let qstep = (512.0 / bitrate).max(0.25);
-        let frame_budget = ((bitrate / 48.0) as usize).clamp(6, WIDTH * HEIGHT);
-
-        let mut deflate_memo: Memoizer<Frame> = Memoizer::new();
-        let mut recon: Frame = vec![0.0; WIDTH * HEIGHT];
-        let mut output: Vec<f64> = Vec::with_capacity(frames * WIDTH * HEIGHT);
-        let mut log = CallContextLog::new();
-        let mut work: u64 = 0;
-
-        for t in 0..frames {
-            let iter = t as u64;
-            let cfg = schedule.config_at(iter);
-            let src = source_frame(t);
-
-            // Filter chain in the order selected by the input parameter.
+        Ok(Setup {
+            frames,
+            qstep: (512.0 / bitrate).max(0.25),
+            frame_budget: ((bitrate / 48.0) as usize).clamp(6, WIDTH * HEIGHT),
             // The block order in the log is the control-flow signature.
-            let mut frame = src;
-            let chain: [usize; 2] = if order == 0 {
+            chain: if order == 0 {
                 [BLOCK_EDGE, BLOCK_DEFLATE]
             } else {
                 [BLOCK_DEFLATE, BLOCK_EDGE]
-            };
-            for &block in &chain {
-                let mut w: u64 = 0;
-                frame = match block {
-                    BLOCK_EDGE => edge_detect(&frame, cfg.level(BLOCK_EDGE), &mut w),
-                    BLOCK_DEFLATE => {
-                        // The knob maps to a refresh stride of 2·level+1
-                        // frames, so the highest level reuses a result up
-                        // to ten frames old.
-                        let lvl = cfg.level(BLOCK_DEFLATE).saturating_mul(2);
-                        let input_frame = frame.clone();
-                        let out = deflate_memo
-                            .get_or_compute(t, lvl, || deflate_filter(&input_frame, &mut w));
-                        if w == 0 {
-                            w = 2; // cache reuse cost
-                        }
-                        out
-                    }
-                    _ => unreachable!("chain only contains edge/deflate"),
-                };
-                work += w;
-                log.record(iter, block, w);
-            }
-            let mut w: u64 = 0;
-            frame = color_balance(&frame, cfg.level(BLOCK_COLOR), &mut w);
-            work += w;
-            log.record(iter, BLOCK_COLOR, w);
-
-            // Budget-limited delta encoder. Frame 0 is an I-frame (every
-            // pixel coded); later frames only re-code the `frame_budget`
-            // pixels with the largest residuals, so corruption introduced
-            // by an approximated phase persists until those pixels win
-            // budget slots again.
-            if t == 0 {
-                for i in 0..WIDTH * HEIGHT {
-                    recon[i] = ((frame[i] / qstep).round() * qstep).clamp(0.0, 255.0);
-                }
-            } else {
-                // Dead-zone quantizer: pixels within `tau` of the recon
-                // are skipped outright, so low-amplitude corruption left
-                // behind by an approximated phase persists indefinitely —
-                // the codec-drift channel behind the paper's observation
-                // that errors in the first frames propagate to the rest of
-                // the video.
-                let tau = 2.5 * qstep;
-                let mut order: Vec<usize> = (0..WIDTH * HEIGHT)
-                    .filter(|&i| (frame[i] - recon[i]).abs() > tau)
-                    .collect();
-                order.sort_by(|&a, &b| {
-                    let ra = (frame[a] - recon[a]).abs();
-                    let rb = (frame[b] - recon[b]).abs();
-                    rb.partial_cmp(&ra)
-                        .expect("finite residuals")
-                        .then(a.cmp(&b))
-                });
-                for &i in order.iter().take(frame_budget) {
-                    let residual = frame[i] - recon[i];
-                    let quantized = (residual / qstep).round() * qstep;
-                    recon[i] = (recon[i] + quantized).clamp(0.0, 255.0);
-                }
-            }
-            work += (WIDTH * HEIGHT) as u64;
-            output.extend_from_slice(&recon);
-        }
-
-        Ok(RunResult {
-            output,
-            work,
-            outer_iters: frames as u64,
-            log,
+            },
         })
     }
+
+    fn init(&self, setup: &Setup) -> (State, u64) {
+        let state = State {
+            deflate_memo: Memoizer::new(),
+            recon: vec![0.0; WIDTH * HEIGHT],
+            output: Vec::with_capacity(setup.frames * WIDTH * HEIGHT),
+        };
+        (state, 0)
+    }
+
+    fn done(&self, setup: &Setup, _: &State, iter: u64) -> bool {
+        iter >= setup.frames as u64
+    }
+
+    fn step(
+        &self,
+        setup: &Setup,
+        s: &mut State,
+        iter: u64,
+        cfg: &LevelConfig,
+        log: &mut CallContextLog,
+    ) -> u64 {
+        let t = iter as usize;
+        let qstep = setup.qstep;
+        let mut work: u64 = 0;
+
+        // Filter chain in the order selected by the input parameter.
+        let mut frame = source_frame(t);
+        for &block in &setup.chain {
+            let mut w: u64 = 0;
+            frame = match block {
+                BLOCK_EDGE => edge_detect(&frame, cfg.level(BLOCK_EDGE), &mut w),
+                BLOCK_DEFLATE => {
+                    // The knob maps to a refresh stride of 2·level+1
+                    // frames, so the highest level reuses a result up to
+                    // ten frames old.
+                    let lvl = cfg.level(BLOCK_DEFLATE).saturating_mul(2);
+                    let input_frame = frame.clone();
+                    let out = s
+                        .deflate_memo
+                        .get_or_compute(t, lvl, || deflate_filter(&input_frame, &mut w));
+                    if w == 0 {
+                        w = 2; // cache reuse cost
+                    }
+                    out
+                }
+                _ => unreachable!("chain only contains edge/deflate"),
+            };
+            work += w;
+            log.record(iter, block, w);
+        }
+        let mut w: u64 = 0;
+        frame = color_balance(&frame, cfg.level(BLOCK_COLOR), &mut w);
+        work += w;
+        log.record(iter, BLOCK_COLOR, w);
+
+        // Budget-limited delta encoder. Frame 0 is an I-frame (every
+        // pixel coded); later frames only re-code the `frame_budget`
+        // pixels with the largest residuals, so corruption introduced by
+        // an approximated phase persists until those pixels win budget
+        // slots again.
+        let recon = &mut s.recon;
+        if t == 0 {
+            for i in 0..WIDTH * HEIGHT {
+                recon[i] = ((frame[i] / qstep).round() * qstep).clamp(0.0, 255.0);
+            }
+        } else {
+            // Dead-zone quantizer: pixels within `tau` of the recon are
+            // skipped outright, so low-amplitude corruption left behind
+            // by an approximated phase persists indefinitely — the
+            // codec-drift channel behind the paper's observation that
+            // errors in the first frames propagate to the rest of the
+            // video.
+            let tau = 2.5 * qstep;
+            let mut order: Vec<usize> = (0..WIDTH * HEIGHT)
+                .filter(|&i| (frame[i] - recon[i]).abs() > tau)
+                .collect();
+            order.sort_by(|&a, &b| {
+                let ra = (frame[a] - recon[a]).abs();
+                let rb = (frame[b] - recon[b]).abs();
+                rb.partial_cmp(&ra)
+                    .expect("finite residuals")
+                    .then(a.cmp(&b))
+            });
+            for &i in order.iter().take(setup.frame_budget) {
+                let residual = frame[i] - recon[i];
+                let quantized = (residual / qstep).round() * qstep;
+                recon[i] = (recon[i] + quantized).clamp(0.0, 255.0);
+            }
+        }
+        s.output.extend_from_slice(recon);
+        work + (WIDTH * HEIGHT) as u64
+    }
+
+    fn finish(&self, _: &Setup, s: State, _: u64) -> Vec<f64> {
+        s.output
+    }
+}
+
+impl ApproxApp for VideoPipeline {
+    fn meta(&self) -> &opprox_approx_rt::app::AppMeta {
+        &self.meta
+    }
+
+    opprox_approx_rt::forward_to_driver!();
 
     fn qos_degradation(&self, exact: &RunResult, approx: &RunResult) -> f64 {
         psnr_degradation(psnr(&exact.output, &approx.output, 255.0))
@@ -350,7 +386,7 @@ impl VideoPipeline {
 mod tests {
     use super::*;
     use opprox_approx_rt::qos::PSNR_CAP;
-    use opprox_approx_rt::LevelConfig;
+    use opprox_approx_rt::PhaseSchedule;
 
     fn input() -> InputParams {
         InputParams::new(vec![12.0, 4.0, 600.0, 0.0])

@@ -56,7 +56,7 @@ pub fn phase_probe_series_with(
     timeout_ms: Option<u64>,
 ) -> Result<Vec<PhasePoint>, OpproxError> {
     let execute = |schedule: &PhaseSchedule| match timeout_ms {
-        Some(budget) => run_with_timeout(app, input, schedule, budget),
+        Some(budget) => run_with_timeout(budget, || app.run(input, schedule)),
         None => app.run(input, schedule),
     };
     let golden = execute(&PhaseSchedule::accurate(app.meta().num_blocks()))?;

@@ -21,6 +21,17 @@
 //!   digest, so concurrent lookups and insert-backs on different keys do
 //!   not serialize on one global lock (rule `C006` in the
 //!   `opprox-analyze` registry).
+//! * **Resumed probes.** A job whose schedule runs its first phases
+//!   accurately (every single-phase probe past phase 0) would replay the
+//!   golden run's prefix. Instead, for each distinct input among a
+//!   batch's pending jobs, one accurate prefix pass on the pool
+//!   checkpoints the app at every phase start the batch needs
+//!   ([`ApproxApp::checkpoints`]), and each job resumes from its
+//!   checkpoint and runs only the suffix ([`ApproxApp::resume`]). The
+//!   results are bit-identical to runs from scratch, and prefix passes
+//!   are not executions: the cache, the fault decisions and every
+//!   execution counter are exactly those of an app that takes no
+//!   checkpoints. The checkpoint table is dropped when the batch returns.
 //! * **Metrics.** The engine records executions, cache hits, work units,
 //!   and per-stage wall time in its telemetry registry, the only ledger;
 //!   [`EvalMetrics`] is a view computed from it on demand, surfaced
@@ -35,7 +46,7 @@ use crate::sync::Mutex;
 use crate::telemetry::{Clock, Telemetry, TelemetryReport};
 use opprox_approx_rt::log::CallContextLog;
 use opprox_approx_rt::{
-    run_with_timeout, ApproxApp, InputParams, PhaseSchedule, RunResult, RuntimeError,
+    run_with_timeout, ApproxApp, Checkpoint, InputParams, PhaseSchedule, RunResult, RuntimeError,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
@@ -375,7 +386,7 @@ impl EvalEngine {
             self.note_hit(digest);
             return Ok(hit);
         }
-        let result = Arc::new(self.evaluate_with_recovery(app, input, schedule, digest)?);
+        let result = Arc::new(self.evaluate_with_recovery(app, input, schedule, digest, None)?);
         self.note_exec(digest, schedule.is_accurate(), result.work);
         self.cache
             .shard(digest)
@@ -395,6 +406,7 @@ impl EvalEngine {
         input: &InputParams,
         schedule: &PhaseSchedule,
         digest: u64,
+        from: Option<&Checkpoint>,
     ) -> Result<RunResult, OpproxError> {
         if self.faults.is_quarantined(digest) {
             self.telemetry.incr(FailureKind::Quarantined.counter());
@@ -407,7 +419,7 @@ impl EvalEngine {
         let max_attempts = self.faults.policy.max_attempts();
         let mut last = FailureKind::Panic;
         for attempt in 0..max_attempts {
-            match self.attempt_once(app, input, schedule, digest, attempt) {
+            match self.attempt_once(app, input, schedule, digest, attempt, from) {
                 Ok(result) => return Ok(result),
                 Err(AttemptFailure::Fatal(e)) => return Err(e),
                 Err(AttemptFailure::Transient(kind)) => {
@@ -442,6 +454,7 @@ impl EvalEngine {
         schedule: &PhaseSchedule,
         digest: u64,
         attempt: u32,
+        from: Option<&Checkpoint>,
     ) -> Result<RunResult, AttemptFailure> {
         let injected = self
             .faults
@@ -494,23 +507,30 @@ impl EvalEngine {
                 FailureKind::Quarantined => {}
             }
         }
-        self.guarded_run(app, input, schedule)
+        self.guarded_run(app, input, schedule, from)
     }
 
     /// A genuine execution behind the worker-boundary guards: panics are
     /// caught, the optional per-evaluation wall-clock budget is enforced
     /// (via [`opprox_approx_rt::run_with_timeout`]), and non-finite
     /// outputs are rejected before they can reach the cache or a model.
+    /// With a checkpoint the run resumes from it, and the budget times
+    /// only the resumed suffix.
     fn guarded_run(
         &self,
         app: &dyn ApproxApp,
         input: &InputParams,
         schedule: &PhaseSchedule,
+        from: Option<&Checkpoint>,
     ) -> Result<RunResult, AttemptFailure> {
+        let execute = || match from {
+            Some(checkpoint) => app.resume(checkpoint, schedule),
+            None => app.run(input, schedule),
+        };
         let caught = catch_unwind(AssertUnwindSafe(|| {
             match self.faults.policy.eval_timeout_ms {
-                Some(budget) => run_with_timeout(app, input, schedule, budget),
-                None => app.run(input, schedule),
+                Some(budget) => run_with_timeout(budget, execute),
+                None => execute(),
             }
         }));
         match caught {
@@ -612,7 +632,8 @@ impl EvalEngine {
         self.telemetry
             .set_gauge("eval.queue_depth", pending.len() as f64);
 
-        let results = self.execute_pending(app, &pending);
+        let table = self.prefix_checkpoints(app, &pending);
+        let results = self.execute_pending(app, &pending, &table);
 
         // Only successful results cross the cache boundary; failed
         // entries are never stored (rule C005). Each insert-back takes
@@ -641,30 +662,99 @@ impl EvalEngine {
             .collect()
     }
 
+    /// The batch's read-only checkpoint table: for every distinct input
+    /// among the pending jobs, one accurate prefix pass on the pool, forked
+    /// at every accurate-prefix length ([`PhaseSchedule::accurate_prefix`])
+    /// a job of that input needs. Entry `i` is the checkpoint pending job
+    /// `i` resumes from, or `None` when it runs from scratch: its first
+    /// phase is approximated, its schedule is accurate throughout, its key
+    /// is quarantined, the app takes no checkpoints, or the accurate run
+    /// ends before the prefix.
+    ///
+    /// Prefix passes are not executions: they touch neither the cache nor
+    /// the execution counters, only `eval.prefix.pass`. A pass that fails
+    /// or panics leaves its jobs to run from scratch, where the failure
+    /// surfaces through the normal recovery path.
+    fn prefix_checkpoints(
+        &self,
+        app: &dyn ApproxApp,
+        pending: &[(CacheKey, &InputParams, &PhaseSchedule)],
+    ) -> Vec<Option<Checkpoint>> {
+        let mut passes: Vec<(&InputParams, Vec<u64>)> = Vec::new();
+        let mut pass_of: HashMap<&[u64], usize> = HashMap::new();
+        for (key, input, schedule) in pending {
+            let prefix = schedule.accurate_prefix();
+            if prefix == 0 || prefix == u64::MAX || self.faults.is_quarantined(key.digest()) {
+                continue;
+            }
+            let p = *pass_of.entry(&key.input_bits).or_insert_with(|| {
+                passes.push((input, Vec::new()));
+                passes.len() - 1
+            });
+            passes[p].1.push(prefix);
+        }
+        if passes.is_empty() {
+            return vec![None; pending.len()];
+        }
+        let forks: Vec<Vec<Checkpoint>> = WorkPool::new(self.threads)
+            .run_isolated(passes.len(), |i| {
+                let (input, at) = &passes[i];
+                app.checkpoints(input, at)
+            })
+            .outcomes
+            .into_iter()
+            .map(|outcome| match outcome {
+                Ok(Ok(forks)) => forks,
+                _ => Vec::new(),
+            })
+            .collect();
+        let made = forks.iter().filter(|f| !f.is_empty()).count() as u64;
+        if made > 0 {
+            self.telemetry.add("eval.prefix.pass", made);
+        }
+        pending
+            .iter()
+            .map(|(key, _, schedule)| {
+                let forks = &forks[*pass_of.get(key.input_bits.as_slice())?];
+                let prefix = schedule.accurate_prefix();
+                forks
+                    .binary_search_by_key(&prefix, Checkpoint::iter)
+                    .ok()
+                    .map(|i| forks[i].clone())
+            })
+            .collect()
+    }
+
     /// Runs the de-duplicated pending jobs on a work-stealing pool of
     /// scoped threads (see [`WorkPool`]) with per-job panic isolation,
-    /// and returns their outcomes in job order.
+    /// and returns their outcomes in job order. Job `i` resumes from
+    /// `table[i]` when it has a checkpoint.
     fn execute_pending(
         &self,
         app: &dyn ApproxApp,
         pending: &[(CacheKey, &InputParams, &PhaseSchedule)],
+        table: &[Option<Checkpoint>],
     ) -> Vec<Result<Arc<RunResult>, OpproxError>> {
         if pending.is_empty() {
             return Vec::new();
         }
         let run = WorkPool::new(self.threads).run_isolated(pending.len(), |i| {
             let (key, input, schedule) = &pending[i];
-            self.evaluate_with_recovery(app, input, schedule, key.digest())
+            self.evaluate_with_recovery(app, input, schedule, key.digest(), table[i].as_ref())
         });
         if run.respawns > 0 {
             self.telemetry.add("pool.respawn", run.respawns);
         }
         run.outcomes
             .into_iter()
-            .zip(pending.iter())
-            .map(|(outcome, (key, _, schedule))| match outcome {
+            .zip(pending.iter().zip(table))
+            .map(|(outcome, ((key, _, schedule), from))| match outcome {
                 Ok(Ok(result)) => {
                     self.note_exec(key.digest(), schedule.is_accurate(), result.work);
+                    if let Some(checkpoint) = from {
+                        self.telemetry
+                            .add("eval.prefix.iters_skipped", checkpoint.iter());
+                    }
                     Ok(Arc::new(result))
                 }
                 Ok(Err(e)) => Err(e),

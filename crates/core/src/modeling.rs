@@ -490,8 +490,8 @@ impl AppModels {
     /// [`AppModels::fit`] recording into a telemetry registry (a private
     /// one when `telemetry` is `None`): the whole fit and its two fan-out
     /// stages become spans (`fit`, `fit/base`, `fit/combined`), the fit
-    /// counters land in `ml.fits_attempted`, `ml.cv_solves` and
-    /// `ml.degrees_tried`, the pool width in the `ml.threads` gauge, and
+    /// counters land in `ml.fits_attempted`, `ml.cv_solves`,
+    /// `ml.degrees_tried` and `ml.folds_clamped`, the pool width in the `ml.threads` gauge, and
     /// the per-degree CV-solve counts feed the fixed-bucket
     /// `ml.cv_solves_per_degree` histogram. [`AppModels::metrics`] is
     /// read back from the registry as the change over this fit.
@@ -700,6 +700,7 @@ impl AppModels {
         tele.add("ml.fits_attempted", counters.fits());
         tele.add("ml.cv_solves", counters.cv_solves());
         tele.add("ml.degrees_tried", counters.degrees_tried());
+        tele.add("ml.folds_clamped", counters.folds_clamped());
         tele.set_gauge("ml.threads", pool.threads() as f64);
         let bounds: Vec<f64> = (0..=MAX_TRACKED_DEGREE).map(|d| d as f64 + 0.5).collect();
         for (degree, &n) in counters.cv_solves_by_degree().iter().enumerate() {
@@ -1693,6 +1694,11 @@ mod tests {
             tele.counter_value("ml.cv_solves"),
             a.cv_solves + b.cv_solves
         );
+        // Split sub-models have fewer rows than the requested folds: every
+        // clamp is counted in the registry (the same number per fit), not
+        // printed.
+        let clamped = tele.counter_value("ml.folds_clamped");
+        assert!(clamped > 0 && clamped.is_multiple_of(2), "{clamped} clamps");
         assert!(b.total_wall_ms + 1e-9 >= b.base_fit_wall_ms + b.combined_fit_wall_ms);
     }
 }

@@ -20,6 +20,7 @@ pub struct FitCounters {
     fits: AtomicU64,
     cv_solves: AtomicU64,
     degrees_tried: AtomicU64,
+    folds_clamped: AtomicU64,
     cv_solves_per_degree: [AtomicU64; MAX_TRACKED_DEGREE + 1],
 }
 
@@ -52,6 +53,12 @@ impl FitCounters {
         self.degrees_tried.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Records one cross-validation whose requested fold count was
+    /// clamped to what its rows support.
+    pub fn record_folds_clamped(&self) {
+        self.folds_clamped.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Total attempted `TargetModel` fits.
     pub fn fits(&self) -> u64 {
         self.fits.load(Ordering::Relaxed)
@@ -65,6 +72,11 @@ impl FitCounters {
     /// Total polynomial degrees evaluated.
     pub fn degrees_tried(&self) -> u64 {
         self.degrees_tried.load(Ordering::Relaxed)
+    }
+
+    /// Total cross-validations run with a clamped fold count.
+    pub fn folds_clamped(&self) -> u64 {
+        self.folds_clamped.load(Ordering::Relaxed)
     }
 
     /// Cross-validation solves per polynomial degree
@@ -90,9 +102,11 @@ mod tests {
         c.record_fit();
         c.record_cv_solves(11);
         c.record_degree_tried();
+        c.record_folds_clamped();
         assert_eq!(c.fits(), 2);
         assert_eq!(c.cv_solves(), 11);
         assert_eq!(c.degrees_tried(), 1);
+        assert_eq!(c.folds_clamped(), 1);
     }
 
     #[test]

@@ -509,18 +509,13 @@ fn route_of(boundaries: &[f64], num_models: usize, v: f64) -> usize {
 ///
 /// [`crate::crossval::kfold_indices`] hard-errors when `k > n`; small
 /// sub-model subsets routinely have fewer rows than the configured fold
-/// count, so the call site clamps (and logs, once per process — the split
-/// search hits this thousands of times) instead of failing the fit.
-fn effective_folds(requested: usize, n: usize) -> usize {
+/// count, so the call site clamps instead of failing the fit, and counts
+/// every clamp in `counters` (the split search clamps thousands of times
+/// per training run).
+fn effective_folds(requested: usize, n: usize, counters: &FitCounters) -> usize {
     let k = requested.clamp(2, n.max(2));
     if k != requested {
-        static WARNED: std::sync::Once = std::sync::Once::new();
-        WARNED.call_once(|| {
-            eprintln!(
-                "opprox-ml: clamping {requested}-fold CV to k = {k} for n = {n} rows \
-                 (further clamps not logged)"
-            );
-        });
+        counters.record_folds_clamped();
     }
     k
 }
@@ -535,7 +530,7 @@ fn fit_best_degree(
     config: &AutoFitConfig,
     counters: &FitCounters,
 ) -> Result<(SingleModel, f64), MlError> {
-    let folds = effective_folds(config.folds, dataset.len());
+    let folds = effective_folds(config.folds, dataset.len(), counters);
     let mut best: Option<(SingleModel, f64)> = None;
     for degree in config.min_degree..=config.max_degree {
         counters.record_degree_tried();
@@ -862,11 +857,19 @@ mod tests {
             mic_threshold: None,
             ..AutoFitConfig::default()
         };
-        let model = TargetModel::fit(&ds, &cfg).unwrap();
+        let counters = FitCounters::new();
+        let model = TargetModel::fit_with_counters(&ds, &cfg, &counters).unwrap();
         assert!((model.predict(&[3.0]).unwrap() - 6.0).abs() < 1e-6);
-        assert_eq!(effective_folds(10, 5), 5);
-        assert_eq!(effective_folds(10, 20), 10);
-        assert_eq!(effective_folds(0, 20), 2);
+        assert_eq!(
+            counters.folds_clamped(),
+            1,
+            "the fit clamped its folds once"
+        );
+        let counters = FitCounters::new();
+        assert_eq!(effective_folds(10, 5, &counters), 5);
+        assert_eq!(effective_folds(10, 20, &counters), 10);
+        assert_eq!(effective_folds(0, 20, &counters), 2);
+        assert_eq!(counters.folds_clamped(), 2);
     }
 
     #[test]

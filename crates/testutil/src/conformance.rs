@@ -5,8 +5,9 @@
 //! schedule reproduces the golden run bitwise, QoS degradation is finite
 //! and non-negative everywhere, per-iteration block work never increases
 //! with the approximation level, results are byte-identical across
-//! engine thread counts and reruns, and every declared block actually
-//! executes on the reference input. The checks take `&dyn ApproxApp`, so
+//! engine thread counts and reruns, every declared block actually
+//! executes on the reference input, and a run resumed from a golden-run
+//! checkpoint equals the run from scratch. The checks take `&dyn ApproxApp`, so
 //! a test over `all_apps()` covers any future port for free — a new app
 //! is conformant the moment it registers, or the suite names the exact
 //! contract it breaks.
@@ -46,12 +47,17 @@ fn reference_input(app: &dyn ApproxApp) -> InputParams {
         .unwrap_or_else(|| panic!("{}: no representative inputs", app.meta().name))
 }
 
+/// Phases of the split the checkpoint check probes.
+const RESUME_PHASES: usize = 4;
+
 /// Bitwise equality of two runs: every output `f64` compared by bit
 /// pattern (so `-0.0` vs `0.0` or NaN payload drift is caught), plus
-/// work and iteration counts.
+/// work, iteration counts and the call-context log, which feeds the
+/// control-flow signatures and iteration counts training records.
 fn bitwise_equal(a: &RunResult, b: &RunResult) -> bool {
     a.work == b.work
         && a.outer_iters == b.outer_iters
+        && a.log == b.log
         && a.output.len() == b.output.len()
         && a.output
             .iter()
@@ -226,6 +232,63 @@ pub fn assert_declared_blocks_execute(app: &dyn ApproxApp) {
     }
 }
 
+/// A run resumed from a golden-run checkpoint must equal the run from
+/// scratch bitwise, call-context log included: for each phase of a
+/// 4-phase split, the local-sweep and sampled configurations applied in
+/// that phase resume from the checkpoint at the phase's first iteration.
+/// An app that takes no checkpoints passes trivially; its runs always
+/// start from scratch.
+pub fn assert_resume_matches_scratch(app: &dyn ApproxApp) {
+    let meta = app.meta();
+    let name = meta.name.clone();
+    let input = reference_input(app);
+    let golden = app.golden(&input).expect("golden run");
+    let split = PhaseSchedule::new(
+        vec![LevelConfig::accurate(meta.num_blocks()); RESUME_PHASES],
+        golden.outer_iters,
+    )
+    .expect("phase split");
+    let starts: Vec<u64> = (0..RESUME_PHASES).map(|p| split.phase_start(p)).collect();
+    let checkpoints = app.checkpoints(&input, &starts).expect("checkpoints");
+    let mut configs: Vec<LevelConfig> = (0..meta.num_blocks())
+        .flat_map(|b| local_sweep(&meta.blocks, b))
+        .collect();
+    configs.extend(sample_configs(
+        &meta.blocks,
+        NUM_SAMPLES,
+        CONFORMANCE_SEED ^ 0x6,
+    ));
+    for checkpoint in &checkpoints {
+        let phase = starts
+            .iter()
+            .position(|&s| s == checkpoint.iter())
+            .unwrap_or_else(|| {
+                panic!(
+                    "{name}: checkpoint at iteration {} matches no phase start",
+                    checkpoint.iter()
+                )
+            });
+        for config in &configs {
+            let schedule = PhaseSchedule::single_phase(
+                config.clone(),
+                phase,
+                RESUME_PHASES,
+                golden.outer_iters,
+            )
+            .expect("probe schedule");
+            let resumed = app.resume(checkpoint, &schedule).expect("resumed run");
+            let scratch = app.run(&input, &schedule).expect("run from scratch");
+            assert!(
+                bitwise_equal(&resumed, &scratch),
+                "{name}: resuming at iteration {} (phase {phase}) differs from a run \
+                 from scratch at {:?}",
+                checkpoint.iter(),
+                config.levels()
+            );
+        }
+    }
+}
+
 /// Runs the full contract suite against one application.
 pub fn assert_full_conformance(app: &dyn ApproxApp) {
     assert_level_zero_reproduces_golden(app);
@@ -233,6 +296,7 @@ pub fn assert_full_conformance(app: &dyn ApproxApp) {
     assert_block_work_monotone(app);
     assert_thread_count_invariance(app);
     assert_declared_blocks_execute(app);
+    assert_resume_matches_scratch(app);
 }
 
 #[cfg(test)]
@@ -241,7 +305,9 @@ mod tests {
     use opprox_approx_rt::app::AppMeta;
     use opprox_approx_rt::block::BlockDescriptor;
     use opprox_approx_rt::log::CallContextLog;
-    use opprox_approx_rt::{RunResult, RuntimeError, WorkCounter};
+    use opprox_approx_rt::technique::perforated_len;
+    use opprox_approx_rt::{OuterLoop, RunResult, RuntimeError, WorkCounter};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A deliberately broken app: declares two blocks but only runs one.
     struct DeadBlock {
@@ -290,6 +356,89 @@ mod tests {
         fn representative_inputs(&self) -> Vec<InputParams> {
             vec![InputParams::new(vec![4.0])]
         }
+    }
+
+    /// A deliberately broken port: its step counter is an accumulator kept
+    /// in the app instead of the loop state, so a resumed run counts on
+    /// from wherever the previous run stopped.
+    struct LeakyAccumulator {
+        meta: AppMeta,
+        steps: AtomicU64,
+    }
+
+    impl LeakyAccumulator {
+        fn new() -> Self {
+            LeakyAccumulator {
+                meta: AppMeta {
+                    name: "LeakyAccumulator".into(),
+                    input_param_names: vec!["n".into()],
+                    blocks: vec![BlockDescriptor::new(
+                        "sum",
+                        TechniqueKind::LoopPerforation,
+                        2,
+                    )],
+                },
+                steps: AtomicU64::new(0),
+            }
+        }
+    }
+
+    impl OuterLoop for LeakyAccumulator {
+        type Setup = ();
+        type State = f64;
+
+        fn setup(&self, _: &InputParams) -> Result<(), RuntimeError> {
+            Ok(())
+        }
+        fn init(&self, _: &()) -> (f64, u64) {
+            self.steps.store(0, Ordering::Relaxed);
+            (0.0, 0)
+        }
+        fn done(&self, _: &(), _: &f64, iter: u64) -> bool {
+            iter >= 8
+        }
+        fn step(
+            &self,
+            _: &(),
+            sum: &mut f64,
+            iter: u64,
+            config: &LevelConfig,
+            log: &mut CallContextLog,
+        ) -> u64 {
+            let steps = self.steps.fetch_add(1, Ordering::Relaxed) + 1;
+            let w = perforated_len(8, config.level(0)) as u64;
+            *sum += (steps * w) as f64;
+            log.record(iter, 0, w);
+            w
+        }
+        fn finish(&self, _: &(), sum: f64, _: u64) -> Vec<f64> {
+            vec![sum]
+        }
+    }
+
+    impl ApproxApp for LeakyAccumulator {
+        fn meta(&self) -> &AppMeta {
+            &self.meta
+        }
+        opprox_approx_rt::forward_to_driver!();
+        fn representative_inputs(&self) -> Vec<InputParams> {
+            vec![InputParams::new(vec![8.0])]
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "differs from a run from scratch")]
+    fn state_missing_an_accumulator_is_caught() {
+        assert_resume_matches_scratch(&LeakyAccumulator::new());
+    }
+
+    #[test]
+    fn leaky_accumulator_passes_the_from_scratch_checks() {
+        // Sequential runs from scratch re-initialize the accumulator, so
+        // only the checkpoint contract can see the leak.
+        let app = LeakyAccumulator::new();
+        assert_level_zero_reproduces_golden(&app);
+        assert_qos_finite_and_nonnegative(&app);
     }
 
     #[test]

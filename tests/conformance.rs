@@ -43,3 +43,15 @@ fn every_registered_app_executes_every_declared_block() {
         conformance::assert_declared_blocks_execute(app.as_ref());
     }
 }
+
+#[test]
+fn every_registered_app_resumes_bitwise_from_golden_checkpoints() {
+    for app in all_apps() {
+        // Every built-in port runs on the outer-loop driver, so the check
+        // below compares real resumed runs rather than passing vacuously.
+        let input = app.representative_inputs().remove(0);
+        let taken = app.checkpoints(&input, &[1]).expect("checkpoints");
+        assert_eq!(taken.len(), 1, "{} takes no checkpoints", app.meta().name);
+        conformance::assert_resume_matches_scratch(app.as_ref());
+    }
+}

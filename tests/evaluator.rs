@@ -7,7 +7,7 @@ use opprox::core::evaluator::EvalEngine;
 use opprox::core::oracle::phase_agnostic_oracle_with;
 use opprox::core::sampling::{collect_training_data_with, SamplingPlan};
 use opprox::core::AccuracySpec;
-use opprox_apps::Pso;
+use opprox_apps::{CoMd, Pso};
 use opprox_testutil::fixtures::prod_input;
 use proptest::prelude::*;
 
@@ -42,6 +42,41 @@ proptest! {
             serde_json::to_string(&sequential).unwrap(),
             serde_json::to_string(&parallel).unwrap()
         );
+    }
+}
+
+/// CoMD's single-phase probes resume from golden-run checkpoints taken
+/// by prefix passes on the pool; which worker runs which pass or probe
+/// never reaches the training data, byte for byte, at 1, 2 and 4
+/// threads.
+#[test]
+fn resumed_training_data_is_byte_identical_across_thread_counts() {
+    let app = CoMd::new();
+    let inputs = vec![
+        InputParams::new(vec![2.0, 1.1, 40.0]),
+        InputParams::new(vec![3.0, 1.2, 30.0]),
+        InputParams::new(vec![2.0, 1.3, 25.0]),
+    ];
+    let plan = SamplingPlan {
+        num_phases: 4,
+        sparse_samples: 5,
+        whole_run_samples: 1,
+        seed: 0xE7,
+    };
+    let collect = |threads: usize| {
+        let engine = EvalEngine::new(threads);
+        let data = collect_training_data_with(&engine, &app, &inputs, &plan).unwrap();
+        assert!(
+            engine
+                .telemetry()
+                .counter_value("eval.prefix.iters_skipped")
+                > 0
+        );
+        serde_json::to_string(&data).unwrap()
+    };
+    let single = collect(1);
+    for threads in [2, 4] {
+        assert_eq!(single, collect(threads), "1 vs {threads} threads");
     }
 }
 

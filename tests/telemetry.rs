@@ -11,6 +11,8 @@
 //! * Algorithm 2 visits phases in decreasing-ROI order and rolls
 //!   leftover budget forward without losing any;
 //! * quarantined cache keys are never re-executed;
+//! * probes resumed from golden-run checkpoints leave the execution
+//!   ledger exactly as runs from scratch do;
 //! * the JSON export is byte-identical across worker thread counts and
 //!   same-seed reruns, and histogram bucket counts are invariant under
 //!   execution-order shuffling.
@@ -21,9 +23,10 @@ use opprox::approx_rt::config::sample_configs;
 use opprox::approx_rt::{ApproxApp, InputParams, PhaseSchedule};
 use opprox::core::pipeline::Opprox;
 use opprox::core::request::OptimizeRequest;
+use opprox::core::sampling::{collect_training_data_with, SamplingPlan};
 use opprox::core::{AccuracySpec, Telemetry, TelemetryReport};
-use opprox_apps::Pso;
-use opprox_testutil::chaos::ChaosScenario;
+use opprox_apps::{CoMd, Pso};
+use opprox_testutil::chaos::{ChaosScenario, SlowApp};
 use opprox_testutil::fixtures::{fast_training_options, prod_input};
 use opprox_testutil::rng::SplitMix64;
 use opprox_testutil::trace::{optimize_solves, per_key_counters, TraceCapture};
@@ -153,6 +156,147 @@ fn quarantined_keys_are_never_reexecuted() {
             "exported trace lacks {counter}"
         );
         assert_eq!(exported.counter(counter), field, "{counter}");
+    }
+}
+
+/// Resuming single-phase probes from golden-run checkpoints changes how
+/// much the engine computes, never what it accounts: a prefix pass is not
+/// an execution. Executions, per-key golden and execution counts, work
+/// units, cache hits and the robustness ledger equal those of the same
+/// collection through a wrapper that takes no checkpoints, and only the
+/// prefix counters tell the two apart.
+#[test]
+fn prefix_passes_are_not_executions() {
+    let inputs = [
+        InputParams::new(vec![2.0, 1.1, 40.0]),
+        InputParams::new(vec![3.0, 1.2, 30.0]),
+    ];
+    let plan = SamplingPlan {
+        num_phases: 4,
+        sparse_samples: 6,
+        whole_run_samples: 2,
+        seed: 0x9E,
+    };
+    let collect = |app: &dyn ApproxApp| {
+        let capture = TraceCapture::new();
+        let engine = capture.engine(2);
+        let data = collect_training_data_with(&engine, app, &inputs, &plan).expect("training data");
+        // A second request for every golden run is a cache hit.
+        for input in &inputs {
+            engine.golden(app, input).expect("golden");
+        }
+        (
+            serde_json::to_string(&data).expect("serializable"),
+            engine.telemetry_report(),
+            engine.robustness_report(),
+        )
+    };
+    let (resumed_data, resumed, resumed_faults) = collect(&CoMd::new());
+    // SlowApp forwards only `run`: every job of this twin runs from scratch.
+    let (scratch_data, scratch, scratch_faults) = collect(&SlowApp::new(CoMd::new(), 0));
+
+    assert_eq!(
+        resumed_data, scratch_data,
+        "resumed probes changed the data"
+    );
+    for counter in [
+        "eval.exec",
+        "eval.golden.exec",
+        "eval.work",
+        "eval.cache.hit",
+    ] {
+        assert_eq!(
+            resumed.counter(counter),
+            scratch.counter(counter),
+            "{counter}"
+        );
+    }
+    for prefix in ["eval.exec[", "eval.golden.exec[", "eval.hit["] {
+        assert_eq!(
+            per_key_counters(&resumed, prefix),
+            per_key_counters(&scratch, prefix),
+            "{prefix}..] counters"
+        );
+    }
+    let goldens = per_key_counters(&resumed, "eval.golden.exec[");
+    assert_eq!(goldens.len(), inputs.len());
+    assert!(goldens.iter().all(|(_, count)| *count == 1));
+    assert_eq!(resumed_faults, scratch_faults);
+
+    assert_eq!(resumed.counter("eval.prefix.pass"), inputs.len() as u64);
+    assert!(resumed.counter("eval.prefix.iters_skipped") > 0);
+    assert_eq!(scratch.counter("eval.prefix.pass"), 0);
+    assert_eq!(scratch.counter("eval.prefix.iters_skipped"), 0);
+}
+
+/// Faults are decided per key and attempt, not per execution path: a
+/// resumed key retries, recovers and quarantines exactly as the same key
+/// run from scratch, down to the per-key counters and the fault ledger.
+#[test]
+fn injected_faults_on_resumed_keys_retry_and_quarantine_as_before() {
+    let input = InputParams::new(vec![2.0, 1.1, 40.0]);
+    let app = CoMd::new();
+    let golden = app.golden(&input).expect("golden");
+    let jobs: Vec<(InputParams, PhaseSchedule)> = sample_configs(&app.meta().blocks, 4, 0x51)
+        .into_iter()
+        .flat_map(|cfg| {
+            (1..4).map(move |phase| {
+                PhaseSchedule::single_phase(cfg.clone(), phase, 4, golden.outer_iters)
+                    .expect("probe")
+            })
+        })
+        .map(|schedule| (input.clone(), schedule))
+        .collect();
+    // Every key fails its first attempt and recovers on the retry; then
+    // every key fails every attempt and is quarantined.
+    let scenarios = [
+        ChaosScenario::seeded(0x52)
+            .fail_first_attempts(1)
+            .max_retries(2),
+        ChaosScenario::seeded(0x53)
+            .fail_first_attempts(10)
+            .max_retries(1),
+    ];
+    for (recovers, scenario) in [true, false].into_iter().zip(scenarios) {
+        let run = |app: &dyn ApproxApp| {
+            let capture = TraceCapture::new();
+            let engine = capture.chaos_engine(&scenario.threads(2));
+            let outcomes: Vec<bool> = (0..2)
+                .flat_map(|_| engine.run_batch_resilient(app, &jobs))
+                .map(|outcome| outcome.is_ok())
+                .collect();
+            (
+                outcomes,
+                engine.telemetry_report(),
+                engine.robustness_report(),
+            )
+        };
+        let (resumed_ok, resumed, resumed_faults) = run(&app);
+        let (scratch_ok, scratch, scratch_faults) = run(&SlowApp::new(CoMd::new(), 0));
+        assert!(resumed_ok.iter().all(|&ok| ok == recovers));
+        assert_eq!(resumed_ok, scratch_ok);
+        assert_eq!(resumed_faults, scratch_faults);
+        for prefix in ["eval.exec[", "eval.quarantine[", "eval.hit["] {
+            assert_eq!(
+                per_key_counters(&resumed, prefix),
+                per_key_counters(&scratch, prefix),
+                "{prefix}..] counters"
+            );
+        }
+        for counter in ["fault.retry", "eval.quarantined", "eval.quarantine.hit"] {
+            assert_eq!(
+                resumed.counter(counter),
+                scratch.counter(counter),
+                "{counter}"
+            );
+        }
+        assert!(resumed.counter("fault.retry") > 0);
+        assert!(resumed.counter("eval.prefix.pass") > 0);
+        assert_eq!(
+            resumed.counter("eval.prefix.iters_skipped") > 0,
+            recovers,
+            "only successful resumed runs skip their prefix"
+        );
     }
 }
 
