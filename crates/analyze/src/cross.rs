@@ -300,7 +300,7 @@ fn check_x002_phase_cover(solve: &Solve, report: &mut Report) {
     }
 }
 
-/// X003: search-ledger / cache-counter consistency.
+/// X003: cache-counter and per-phase scan-count consistency.
 fn check_x003(session: &Session, model: &SessionModel, report: &mut Report) {
     let tele = session.telemetry.as_ref().expect("gated by caller");
     for (total_name, keys) in [

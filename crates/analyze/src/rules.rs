@@ -9,6 +9,7 @@
 
 use crate::artifact::ArtifactSet;
 use crate::diag::{Diagnostic, Report, Severity};
+use crate::session::SessionModel;
 use opprox_approx_rt::block::{BlockDescriptor, BlockId};
 use opprox_approx_rt::LevelViolation;
 use opprox_core::AccuracySpec;
@@ -157,12 +158,6 @@ pub const RULES: &[RuleInfo] = &[
         summary: "server trace records admission-control events but zero shed responses",
     },
     RuleInfo {
-        code: "A019",
-        severity: Severity::Warn,
-        kind: RuleKind::Lint,
-        summary: "phase-search pruning statistics are self-inconsistent or degenerate",
-    },
-    RuleInfo {
         code: "A020",
         severity: Severity::Warn,
         kind: RuleKind::Lint,
@@ -293,8 +288,9 @@ pub fn run_all(set: &ArtifactSet, report: &mut Report) {
     lint_phase_speedup_consistency(set, report);
     lint_cache_hit_rate(set, report);
     lint_admission_control_ledger(set, report);
-    lint_search_pruning_ledger(set, report);
-    lint_controller_thrashing(set, report);
+    if let Some(tele) = &set.telemetry {
+        lint_controller_thrashing(&SessionModel::from_trace(tele), report);
+    }
     report.sort();
 }
 
@@ -851,60 +847,6 @@ fn lint_admission_control_ledger(set: &ArtifactSet, report: &mut Report) {
     }
 }
 
-/// A019 — the bound-pruned phase search stamps its node accounting on
-/// every `optimize.phase` event: the enumerated `space`, nodes `visited`,
-/// and the `expanded`/`pruned` split. Two defects are visible from the
-/// trace alone. The ledger not balancing (`expanded + pruned != visited`)
-/// is impossible by construction, so the artifact is corrupt or the
-/// counters were hand-edited. A search over a space past the exhaustive
-/// threshold that visited nodes yet pruned *nothing* means the bounds
-/// have degenerated to no-ops — the "pruned" search is an exhaustive
-/// scan in disguise and the hardware-limited latency claim is void.
-/// Needs a telemetry report; events without the search fields (older
-/// traces, bare plan events) silently pass.
-fn lint_search_pruning_ledger(set: &ArtifactSet, report: &mut Report) {
-    let Some(tele) = &set.telemetry else {
-        return;
-    };
-    let limit = opprox_core::optimizer::EXHAUSTIVE_LIMIT as f64;
-    for event in tele.events_named("optimize.phase") {
-        let (Some(space), Some(visited), Some(expanded), Some(pruned)) = (
-            event.field("space"),
-            event.field("visited"),
-            event.field("expanded"),
-            event.field("pruned"),
-        ) else {
-            continue;
-        };
-        let location = format!("telemetry.event[{}].optimize.phase", event.seq);
-        if expanded + pruned != visited {
-            diag(
-                report,
-                "A019",
-                location,
-                format!(
-                    "search ledger does not balance: {expanded:.0} expanded + \
-                     {pruned:.0} pruned != {visited:.0} visited; the counters \
-                     hold this identity by construction, so the trace is \
-                     corrupt or was edited"
-                ),
-            );
-        } else if space > limit && visited > 0.0 && pruned == 0.0 {
-            diag(
-                report,
-                "A019",
-                location,
-                format!(
-                    "searched a {space:.0}-configuration space (over the \
-                     {limit:.0} exhaustive threshold) without pruning a single \
-                     subtree; the admissible bounds have degenerated and the \
-                     search is an exhaustive scan in disguise"
-                ),
-            );
-        }
-    }
-}
-
 /// A020 — the adaptive controller walks each phase once and can re-plan
 /// at most once per phase visited, so a session whose re-plan count
 /// exceeds its declared phase count is thrashing: every drift check
@@ -912,42 +854,23 @@ fn lint_search_pruning_ledger(set: &ArtifactSet, report: &mut Report) {
 /// churning the optimizer instead of converging on a schedule. The
 /// count is taken from both halves of the ledger — `replanned` flags on
 /// `control.step` events and the closing `control.plan` summary — so a
-/// corrupted summary is caught even when the steps look sane. Needs a
-/// telemetry report; traces without controller events silently pass.
-fn lint_controller_thrashing(set: &ArtifactSet, report: &mut Report) {
-    let Some(tele) = &set.telemetry else {
-        return;
-    };
-    for start in tele.events_named("control.start") {
-        let (Some(session), Some(phases)) = (start.field("session"), start.field("phases")) else {
+/// corrupted summary is caught even when the steps look sane. Reads the
+/// trace's decoded [`ControlSession`](crate::session::ControlSession)s;
+/// sessions without a declared phase count silently pass.
+fn lint_controller_thrashing(trace: &SessionModel, report: &mut Report) {
+    for control in &trace.controls {
+        let Some(phases) = control.declared_phases else {
             continue;
         };
-        let step_replans: f64 = tele
-            .events_named("control.step")
-            .iter()
-            .filter(|e| e.field("session") == Some(session))
-            .map(|e| {
-                if e.field("replanned").unwrap_or(0.0) != 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            })
-            .sum();
-        let plan_replans = tele
-            .events_named("control.plan")
-            .iter()
-            .filter(|e| e.field("session") == Some(session))
-            .filter_map(|e| e.field("replans"))
-            .fold(0.0f64, f64::max);
-        let replans = step_replans.max(plan_replans);
-        if replans > phases {
+        let step_replans = control.steps.iter().filter(|s| s.replanned).count() as f64;
+        let replans = step_replans.max(control.replans.unwrap_or(0.0));
+        if replans > phases as f64 {
             diag(
                 report,
                 "A020",
-                format!("telemetry.event[control.start session={session:.0}]"),
+                format!("telemetry.event[control.start session={}]", control.id),
                 format!(
-                    "controller re-planned {replans:.0} times across {phases:.0} \
+                    "controller re-planned {replans:.0} times across {phases} \
                      declared phases; the walk re-plans at most once per phase, \
                      so more re-plans than phases means the drift check fires on \
                      every step and the controller is thrashing instead of \

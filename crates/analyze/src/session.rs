@@ -70,9 +70,18 @@ impl Session {
     /// cross-artifact rules consume. Cheap; an empty model when the
     /// session has no trace.
     pub fn resolve(&self) -> SessionModel {
-        let Some(tele) = &self.telemetry else {
-            return SessionModel::default();
-        };
+        self.telemetry
+            .as_ref()
+            .map(SessionModel::from_trace)
+            .unwrap_or_default()
+    }
+}
+
+impl SessionModel {
+    /// Links one trace's flat ledgers into the typed view: the one place
+    /// the `optimize.*` and `control.*` events are decoded. Lint A020
+    /// calls it directly on a single trace.
+    pub fn from_trace(tele: &TelemetryReport) -> SessionModel {
         let mut model = SessionModel::default();
 
         for event in &tele.events {
@@ -170,6 +179,22 @@ impl Session {
         }
         model
     }
+
+    fn solve_mut(&mut self, id: usize) -> &mut Solve {
+        if self.solves.len() <= id {
+            self.solves.resize_with(id + 1, Solve::default);
+        }
+        self.solves[id].id = id;
+        &mut self.solves[id]
+    }
+
+    fn control_mut(&mut self, id: usize) -> &mut ControlSession {
+        if self.controls.len() <= id {
+            self.controls.resize_with(id + 1, ControlSession::default);
+        }
+        self.controls[id].id = id;
+        &mut self.controls[id]
+    }
 }
 
 /// The trace's ledgers, linked: solves with their budget and step
@@ -194,24 +219,6 @@ pub struct SessionModel {
     pub golden_keys: BTreeMap<u64, u64>,
     /// `profile.phase[p].max_speedup` gauge maxima per phase id.
     pub profiled_max_speedup: BTreeMap<usize, f64>,
-}
-
-impl SessionModel {
-    fn solve_mut(&mut self, id: usize) -> &mut Solve {
-        if self.solves.len() <= id {
-            self.solves.resize_with(id + 1, Solve::default);
-        }
-        self.solves[id].id = id;
-        &mut self.solves[id]
-    }
-
-    fn control_mut(&mut self, id: usize) -> &mut ControlSession {
-        if self.controls.len() <= id {
-            self.controls.resize_with(id + 1, ControlSession::default);
-        }
-        self.controls[id].id = id;
-        &mut self.controls[id]
-    }
 }
 
 /// One Algorithm-2 solve reassembled from the event ledger.
@@ -255,7 +262,7 @@ pub struct PhaseStep {
     pub predicted_speedup: f64,
     /// Size of the enumerated configuration space, when stamped.
     pub space: Option<f64>,
-    /// Leaf configurations batch-evaluated by the search, when stamped.
+    /// Configurations the per-phase scan predicted, when stamped.
     pub evaluated: Option<f64>,
 }
 

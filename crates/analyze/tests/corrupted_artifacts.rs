@@ -1,7 +1,6 @@
-//! The corrupted-artifact suite: every semantic lint (A001–A015, plus
-//! the trace-level A019) has at least one positive test (a seeded defect
-//! it must detect) and one negative test (a healthy artifact it must
-//! stay silent on).
+//! The corrupted-artifact suite: every semantic lint (A001–A015) has at
+//! least one positive test (a seeded defect it must detect) and one
+//! negative test (a healthy artifact it must stay silent on).
 //!
 //! Defects that survive JSON text (ragged configs, negative budgets) are
 //! seeded as handcrafted documents; defects that do not (NaN renders as
@@ -619,89 +618,6 @@ fn a015_accepts_a_real_engines_report() {
     assert_eq!(artifact.kind(), "robustness report");
     let set = set_of(vec![artifact]);
     assert!(!codes(&set).contains(&"A015"), "{:?}", codes(&set));
-}
-
-// ---- A019: phase-search pruning ledger ----------------------------------
-
-/// An `optimize.phase` event carrying the pruned search's node
-/// accounting, as `optimize_traced` emits it.
-fn search_event(t: &opprox_core::Telemetry, space: f64, visited: f64, expanded: f64, pruned: f64) {
-    t.event(
-        "optimize.phase",
-        &[
-            ("phase", 0.0),
-            ("predicted_speedup", 1.4),
-            ("space", space),
-            ("visited", visited),
-            ("expanded", expanded),
-            ("pruned", pruned),
-            ("evaluated", expanded),
-            ("bound_quality", pruned / visited.max(1.0)),
-        ],
-    );
-}
-
-#[test]
-fn a019_detects_unbalanced_search_ledger() {
-    // 4 expanded + 3 pruned != 10 visited: impossible by construction, so
-    // the trace was corrupted or edited.
-    let t = opprox_core::Telemetry::new();
-    search_event(&t, 216.0, 10.0, 4.0, 3.0);
-    let set = set_of(vec![Artifact::Telemetry(Box::new(t.report()))]);
-    let report = analyze(&set);
-    let d = report
-        .diagnostics()
-        .iter()
-        .find(|d| d.code == "A019")
-        .expect("A019 fires");
-    assert_eq!(d.severity, Severity::Warn);
-    assert!(d.message.contains("does not balance"), "{}", d.message);
-}
-
-#[test]
-fn a019_detects_degenerate_pruning_over_large_space() {
-    // A space past the exhaustive threshold scanned node by node with
-    // zero pruned subtrees: the bounds have degenerated to no-ops.
-    let t = opprox_core::Telemetry::new();
-    let space = 2.0 * opprox_core::optimizer::EXHAUSTIVE_LIMIT as f64;
-    search_event(&t, space, 40_000.0, 40_000.0, 0.0);
-    let set = set_of(vec![Artifact::Telemetry(Box::new(t.report()))]);
-    let report = analyze(&set);
-    let d = report
-        .diagnostics()
-        .iter()
-        .find(|d| d.code == "A019")
-        .expect("A019 fires");
-    assert_eq!(d.severity, Severity::Warn);
-    assert!(d.message.contains("exhaustive scan"), "{}", d.message);
-}
-
-#[test]
-fn a019_silent_on_healthy_and_bare_traces() {
-    // Healthy: the ledger balances and the big space was actually pruned.
-    let t = opprox_core::Telemetry::new();
-    search_event(
-        &t,
-        2.0 * opprox_core::optimizer::EXHAUSTIVE_LIMIT as f64,
-        120.0,
-        50.0,
-        70.0,
-    );
-    // Small spaces may legitimately degenerate to a full scan.
-    search_event(&t, 216.0, 12.0, 12.0, 0.0);
-    // A zero-budget phase solves nothing: all-zero counters, real space.
-    search_event(&t, 216.0, 0.0, 0.0, 0.0);
-    let set = set_of(vec![Artifact::Telemetry(Box::new(t.report()))]);
-    assert!(!codes(&set).contains(&"A019"), "{:?}", codes(&set));
-
-    // A bare plan event without the search fields (older traces) passes.
-    let t = opprox_core::Telemetry::new();
-    t.event(
-        "optimize.phase",
-        &[("phase", 0.0), ("predicted_speedup", 1.4)],
-    );
-    let set = set_of(vec![Artifact::Telemetry(Box::new(t.report()))]);
-    assert!(!codes(&set).contains(&"A019"), "{:?}", codes(&set));
 }
 
 // ---- Boundary enforcement: load + optimizer reject Error-severity corruption

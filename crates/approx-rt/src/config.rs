@@ -197,8 +197,8 @@ impl Iterator for ConfigEnumerator<'_> {
 /// Total number of level combinations without materializing them.
 /// Saturates at `u64::MAX` on pathological block counts (e.g. 64 blocks
 /// of 4 levels is 2^128 combinations) instead of overflowing; callers
-/// compare the result against enumeration limits, and a saturated size
-/// routes to the pruned/capped search exactly like any huge space.
+/// compare the result against enumeration limits, so a saturated size is
+/// refused like any other space over the limit.
 pub fn config_space_size(blocks: &[BlockDescriptor]) -> u64 {
     blocks
         .iter()

@@ -25,10 +25,9 @@ use crate::error::OpproxError;
 use crate::pool::WorkPool;
 use crate::sampling::{GoldenRecord, SampleRecord, TrainingData};
 use crate::telemetry::Telemetry;
-use opprox_approx_rt::block::BlockDescriptor;
 use opprox_approx_rt::{InputParams, LevelConfig};
 use opprox_ml::fitmetrics::{FitCounters, MAX_TRACKED_DEGREE};
-use opprox_ml::model_select::{AutoFitConfig, IntervalPrediction, TargetModel};
+use opprox_ml::model_select::{AutoFitConfig, TargetModel};
 use opprox_ml::polyreg::PredictScratch;
 use opprox_ml::{Dataset, MlError};
 use serde::{Deserialize, Serialize};
@@ -852,127 +851,6 @@ impl AppModels {
         self.num_params
     }
 
-    /// Precomputes an admissible-bounds evaluator for the per-phase
-    /// search over the level space of `blocks` (which may restrict each
-    /// block to fewer levels than the models were trained on). See
-    /// [`PhaseBounds`] for the soundness contract.
-    ///
-    /// # Errors
-    ///
-    /// Propagates model prediction errors; `phase` must be in range and
-    /// `blocks` must match the trained block count.
-    pub fn phase_bounds<'m>(
-        &'m self,
-        input: &InputParams,
-        phase: usize,
-        blocks: &[BlockDescriptor],
-    ) -> Result<PhaseBounds<'m>, OpproxError> {
-        assert_eq!(
-            blocks.len(),
-            self.num_blocks,
-            "bounds need one descriptor per trained block"
-        );
-        let models = self.phase_models(input, phase)?;
-        let num_blocks = blocks.len();
-        let mut scratch = PredictScratch::default();
-
-        // Exact per-(block, level) local-model predictions, tabulated with
-        // the same batched path leaf evaluation uses, so fixed-block
-        // features in the interval boxes are the leaf values themselves.
-        let local_row_len = input.len() + 1;
-        let mut local_tables = |ts: &TwoStepModel| -> Result<Vec<Vec<f64>>, OpproxError> {
-            let mut tables = Vec::with_capacity(num_blocks);
-            for (b, local) in ts.locals.iter().enumerate().take(num_blocks) {
-                let levels = blocks[b].max_level as usize + 1;
-                let mut flat = Vec::with_capacity(levels * local_row_len);
-                for l in 0..levels {
-                    flat.extend_from_slice(input.values());
-                    flat.push(l as f64);
-                }
-                let mut out = Vec::with_capacity(levels);
-                local.predict_batch_into(&flat, local_row_len, &mut out, None, &mut scratch)?;
-                tables.push(out);
-            }
-            Ok(tables)
-        };
-        let s_tbl = local_tables(&models.speedup)?;
-        let q_tbl = local_tables(&models.qos)?;
-        let minmax = |t: &[f64]| {
-            t.iter()
-                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
-                    (lo.min(v), hi.max(v))
-                })
-        };
-        let s_loc: Vec<(f64, f64)> = s_tbl.iter().map(|t| minmax(t)).collect();
-        let q_loc: Vec<(f64, f64)> = q_tbl.iter().map(|t| minmax(t)).collect();
-
-        // Single-nonzero-block configurations route through the local
-        // models directly (see `predict_full`), a discontinuity interval
-        // bounds over the combined model cannot see — enumerate their
-        // exact leaf predictions instead.
-        let mut sb_configs = Vec::new();
-        for (b, block) in blocks.iter().enumerate() {
-            for l in 1..=block.max_level {
-                sb_configs.push(LevelConfig::accurate(num_blocks).with_level(b, l));
-            }
-        }
-        let sb_pairs = self.predict_pair_batch(input, phase, &sb_configs)?;
-        let mut sb_speedup = Vec::with_capacity(num_blocks);
-        let mut sb_point_qos = Vec::with_capacity(num_blocks);
-        let mut sb_band_qos = Vec::with_capacity(num_blocks);
-        let mut cursor = 0usize;
-        for block in blocks {
-            let levels = block.max_level as usize + 1;
-            let mut sp = vec![f64::NAN; levels];
-            let mut pq = vec![f64::NAN; levels];
-            let mut bq = vec![f64::NAN; levels];
-            for l in 1..levels {
-                sp[l] = sb_pairs[cursor].0.speedup;
-                pq[l] = sb_pairs[cursor].0.qos;
-                bq[l] = sb_pairs[cursor].1.qos;
-                cursor += 1;
-            }
-            sb_speedup.push(sp);
-            sb_point_qos.push(pq);
-            sb_band_qos.push(bq);
-        }
-
-        // Prefix aggregates over blocks `0..k`: the extremal single-block
-        // leaf predictions a free prefix can reach.
-        let agg = |tables: &[Vec<f64>], max: bool| -> Vec<f64> {
-            let mut out = Vec::with_capacity(num_blocks + 1);
-            let mut acc = if max {
-                f64::NEG_INFINITY
-            } else {
-                f64::INFINITY
-            };
-            out.push(acc);
-            for t in tables {
-                for &v in &t[1..] {
-                    acc = if max { acc.max(v) } else { acc.min(v) };
-                }
-                out.push(acc);
-            }
-            out
-        };
-
-        Ok(PhaseBounds {
-            models,
-            params: input.values().to_vec(),
-            max_levels: blocks.iter().map(|b| b.max_level).collect(),
-            pre_sb_speedup_max: agg(&sb_speedup, true),
-            pre_sb_point_qos_min: agg(&sb_point_qos, false),
-            pre_sb_band_qos_min: agg(&sb_band_qos, false),
-            s_tbl,
-            q_tbl,
-            s_loc,
-            q_loc,
-            sb_speedup,
-            sb_point_qos,
-            sb_band_qos,
-        })
-    }
-
     /// Checks the model set for corruption that would make every
     /// prediction meaningless: non-finite regression coefficients,
     /// invalid confidence bands, and shape mismatches between the
@@ -1034,191 +912,6 @@ impl AppModels {
             }
         }
         issues
-    }
-}
-
-/// Admissible bounds for a node of the per-phase level search.
-#[derive(Debug, Clone, Copy)]
-pub struct NodeBounds {
-    /// No configuration in the subtree predicts a point speedup above this.
-    pub speedup_ub: f64,
-    /// No configuration in the subtree predicts a constrained qos below this.
-    pub qos_lb: f64,
-}
-
-impl NodeBounds {
-    /// The trivial bounds: prune nothing.
-    pub const UNBOUNDED: NodeBounds = NodeBounds {
-        speedup_ub: f64::INFINITY,
-        qos_lb: 0.0,
-    };
-}
-
-/// Precomputed bounds evaluator for one `(input, phase)` search.
-///
-/// A search node fixes the levels of a *suffix* of the block vector and
-/// leaves the prefix free. [`PhaseBounds::bound_suffix`] returns a speedup
-/// upper bound and a qos lower bound that hold for **every** leaf
-/// configuration in that subtree, under the same model predictions the
-/// optimizer's batched leaf evaluation produces:
-///
-/// * the combined polynomial models are bounded by interval arithmetic
-///   over per-feature boxes (fixed blocks contribute their exact tabulated
-///   local prediction, free blocks the min/max over their levels, and the
-///   `iters_ln` feature an interval through the iteration model);
-/// * single-nonzero-block configurations take a different prediction path
-///   (the local models directly), so their exact leaf values are tabulated
-///   up front and merged in by the nonzero count of the fixed suffix;
-/// * every monotone post-step (`clamp_to`, the target transforms' inverse)
-///   is pushed through the interval endpoints, and a relative epsilon is
-///   added to absorb the rounding differences between the interval path
-///   and the scalar leaf path.
-///
-/// Non-finite intermediates degrade to [`NodeBounds::UNBOUNDED`]; bounds
-/// are advisory, so the search stays correct (just less pruned).
-pub struct PhaseBounds<'m> {
-    models: &'m PhaseModels,
-    params: Vec<f64>,
-    max_levels: Vec<u8>,
-    /// Exact local-model predictions, indexed `[block][level]`.
-    s_tbl: Vec<Vec<f64>>,
-    q_tbl: Vec<Vec<f64>>,
-    /// `(min, max)` of the local tables over all levels of each block.
-    s_loc: Vec<(f64, f64)>,
-    q_loc: Vec<(f64, f64)>,
-    /// Exact leaf predictions of single-nonzero-block configurations,
-    /// indexed `[block][level]`; level 0 is an unused placeholder.
-    sb_speedup: Vec<Vec<f64>>,
-    sb_point_qos: Vec<Vec<f64>>,
-    sb_band_qos: Vec<Vec<f64>>,
-    /// Aggregates of the `sb_*` tables over blocks `0..k`, indexed by `k`.
-    pre_sb_speedup_max: Vec<f64>,
-    pre_sb_point_qos_min: Vec<f64>,
-    pre_sb_band_qos_min: Vec<f64>,
-}
-
-/// Relative slack applied to the final bounds so that rounding differences
-/// between the interval path and the scalar leaf path can never flip a
-/// pruning decision.
-const BOUND_SLACK: f64 = 1e-9;
-
-impl PhaseBounds<'_> {
-    /// Number of blocks in the search space.
-    pub fn num_blocks(&self) -> usize {
-        self.max_levels.len()
-    }
-
-    /// Maximum level of block `b` in this search space.
-    pub fn max_level(&self, b: usize) -> u8 {
-        self.max_levels[b]
-    }
-
-    /// Bounds for the subtree where blocks `split..` are pinned to
-    /// `fixed` (so `fixed[i]` is the level of block `split + i`, with
-    /// `split = num_blocks - fixed.len()`) and blocks `..split` range
-    /// over all their levels. With `band`, the qos lower bound tracks the
-    /// conservative upper-band prediction; otherwise the point prediction.
-    pub fn bound_suffix(&self, fixed: &[u8], band: bool) -> NodeBounds {
-        let n = self.max_levels.len();
-        debug_assert!(fixed.len() <= n);
-        let split = n - fixed.len();
-
-        // Interval through the iteration model over the raw level box.
-        let mut row_lo = self.params.clone();
-        let mut row_hi = self.params.clone();
-        for b in 0..n {
-            let (lo, hi) = if b < split {
-                (0.0, self.max_levels[b] as f64)
-            } else {
-                let l = fixed[b - split] as f64;
-                (l, l)
-            };
-            row_lo.push(lo);
-            row_hi.push(hi);
-        }
-        let Ok(iters_ip) = self.models.iters.predict_interval(&row_lo, &row_hi) else {
-            return NodeBounds::UNBOUNDED;
-        };
-
-        // Feature boxes for the combined models: exact tabulated locals
-        // for fixed blocks, level-range extrema for free ones.
-        let combined_ip = |ts: &TwoStepModel,
-                           tbl: &[Vec<f64>],
-                           loc: &[(f64, f64)]|
-         -> Option<IntervalPrediction> {
-            let mut feat_lo = Vec::with_capacity(n + 1);
-            let mut feat_hi = Vec::with_capacity(n + 1);
-            for b in 0..n {
-                let (lo, hi) = if b < split {
-                    loc[b]
-                } else {
-                    let v = tbl[b][fixed[b - split] as usize];
-                    (v, v)
-                };
-                feat_lo.push(lo);
-                feat_hi.push(hi);
-            }
-            feat_lo.push(iters_ip.lo);
-            feat_hi.push(iters_ip.hi);
-            ts.combined.predict_interval(&feat_lo, &feat_hi).ok()
-        };
-
-        let s = &self.models.speedup;
-        let mut speedup_ub = match combined_ip(s, &self.s_tbl, &self.s_loc) {
-            Some(ip) if ip.hi.is_finite() => self.models.clamp_speedup(
-                s.transform
-                    .inverse(clamp_to(ip.hi, s.range_t.0, s.range_t.1)),
-            ),
-            _ => f64::INFINITY,
-        };
-
-        let q = &self.models.qos;
-        let mut qos_lb = match combined_ip(q, &self.q_tbl, &self.q_loc) {
-            Some(ip) if ip.lo.is_finite() && ip.half_lo.is_finite() => {
-                let mut t = clamp_to(ip.lo, q.range_t.0, q.range_t.1);
-                if band {
-                    t += ip.half_lo.max(0.0);
-                }
-                self.models.clamp_qos(q.transform.inverse(t))
-            }
-            _ => 0.0,
-        };
-
-        // Merge the exact single-nonzero-block leaves the combined-model
-        // interval does not cover.
-        let nonzero = fixed.iter().filter(|&&l| l > 0).count();
-        let sb_qos = if band {
-            &self.pre_sb_band_qos_min
-        } else {
-            &self.pre_sb_point_qos_min
-        };
-        match nonzero {
-            0 => {
-                // Any single free block may be the lone nonzero one.
-                speedup_ub = speedup_ub.max(self.pre_sb_speedup_max[split]);
-                qos_lb = qos_lb.min(sb_qos[split]);
-            }
-            1 => {
-                let i = fixed.iter().position(|&l| l > 0).expect("nonzero == 1");
-                let (b, l) = (split + i, fixed[i] as usize);
-                speedup_ub = speedup_ub.max(self.sb_speedup[b][l]);
-                let q_sb = if band {
-                    self.sb_band_qos[b][l]
-                } else {
-                    self.sb_point_qos[b][l]
-                };
-                qos_lb = qos_lb.min(q_sb);
-            }
-            _ => {}
-        }
-
-        if !speedup_ub.is_finite() || !qos_lb.is_finite() {
-            return NodeBounds::UNBOUNDED;
-        }
-        NodeBounds {
-            speedup_ub: speedup_ub * (1.0 + BOUND_SLACK) + BOUND_SLACK,
-            qos_lb: (qos_lb * (1.0 - BOUND_SLACK) - BOUND_SLACK).max(0.0),
-        }
     }
 }
 

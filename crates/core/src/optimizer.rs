@@ -13,20 +13,15 @@
 //!    predictions, and
 //! 4. rolls any unused sub-budget over to the remaining phases.
 //!
-//! The per-phase problem is solved by a best-first branch-and-bound
-//! search over partial level assignments: subtrees are cut when an
-//! admissible per-block speedup upper bound cannot beat the incumbent,
-//! when a conservative QoS lower bound already exceeds the sub-budget,
-//! or when the upper bound cannot clear the worth-it gate (see
-//! [`PhaseBounds`](crate::modeling::PhaseBounds)). The pruning rules are
-//! chosen so the search returns the *identical* plan the exhaustive scan
-//! would (ties broken by enumeration index), which the exhaustive oracle
-//! [`exhaustive_phase_oracle`] pins under property test. Spaces above
-//! [`EXHAUSTIVE_LIMIT`] additionally cap the number of leaf evaluations,
-//! turning the search into an any-time heuristic there.
+//! The per-phase problem is solved by [`optimize_phase`], a streamed scan
+//! of the whole level space: configurations are predicted in
+//! [`LEAF_BATCH`]-sized chunks through one fused batched model pass each,
+//! and the first feasible configuration with the greatest point speedup
+//! wins. Spaces above [`EXHAUSTIVE_LIMIT`] are refused with a typed error
+//! instead of being searched.
 
 use crate::error::OpproxError;
-use crate::modeling::{AppModels, PhaseBounds};
+use crate::modeling::AppModels;
 use crate::spec::AccuracySpec;
 use crate::telemetry::Telemetry;
 use opprox_approx_rt::block::BlockDescriptor;
@@ -34,12 +29,9 @@ use opprox_approx_rt::config::{config_space_size, enumerate_configs};
 use opprox_approx_rt::{InputParams, LevelConfig, PhaseSchedule};
 use serde::{Deserialize, Serialize};
 
-/// Above this per-phase configuration-space size the pruned search caps
-/// its number of leaf evaluations at this many configurations (capped
-/// subtrees are reported as pruned in the search stats), trading
-/// exhaustive optimality for bounded latency. At or below the limit the
-/// search is exact: it returns the configuration the exhaustive scan
-/// would.
+/// The largest per-phase configuration space [`optimize_phase`] scans.
+/// Larger spaces are refused with [`OpproxError::InvalidModel`]: the
+/// largest shipped space (LULESH) has 1296 configurations per phase.
 pub const EXHAUSTIVE_LIMIT: u64 = 20_000;
 
 /// The "worth it" gate (Algorithm 2): a configuration must predict at
@@ -48,21 +40,9 @@ pub const EXHAUSTIVE_LIMIT: u64 = 20_000;
 /// phase into approximation for a ~0% win.
 pub const WORTH_IT_SPEEDUP: f64 = 1.005;
 
-/// Subtrees with at most this many leaf configurations are evaluated
-/// directly (batched) instead of bounded further: a bound costs three
-/// interval predictions — on the order of tens of batched row
-/// evaluations — so below this size just evaluating the leaves is
-/// cheaper, and in the worst (unprunable) case the search degrades to
-/// the exhaustive scan plus only a handful of bound calls.
-const DIRECT_EVAL_LEAVES: u64 = 48;
-
-/// Flush the buffered-leaf batch to the models once it reaches this many
-/// rows, so the incumbent tightens while the search is still running.
-const LEAF_BATCH: usize = 512;
-
-/// Minimum buffered rows worth flushing early just to tighten the
-/// incumbent between sibling subtrees.
-const LEAF_FLUSH_MIN: usize = 36;
+/// [`optimize_phase`] predicts the level space this many configurations
+/// at a time, so its memory stays bounded whatever the space size.
+pub const LEAF_BATCH: usize = 512;
 
 /// The plan chosen for one phase.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -94,7 +74,7 @@ pub struct OptimizationPlan {
     pub predicted_qos: f64,
 }
 
-/// How the per-phase search treats the models' uncertainty.
+/// How the per-phase scan treats the models' uncertainty.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Conservatism {
     /// Constrain on the upper confidence band of the QoS prediction —
@@ -160,14 +140,14 @@ pub fn schedule_of(phases: &[PhasePlan], iters: u64) -> Result<PhaseSchedule, Op
 /// One phase visit of [`divide_budget`]: the phase's ROI (Eq. 1), the
 /// unused budget rolled in from earlier visits and on to later ones, the
 /// chosen plan (whose `allocated_budget` is the visit's sub-budget), and
-/// the search counters.
+/// how many configurations the phase's scan predicted.
 #[derive(Debug, Clone)]
 pub(crate) struct PhaseVisit {
     pub roi: f64,
     pub leftover_in: f64,
     pub leftover_out: f64,
     pub plan: PhasePlan,
-    pub stats: SearchStats,
+    pub evaluated: u64,
 }
 
 /// Algorithm 2's budget division over `phases`: splits `budget` in
@@ -176,11 +156,12 @@ pub(crate) struct PhaseVisit {
 /// its share plus the leftover rolled over from earlier visits, and
 /// falls back to the accurate plan when nothing fits. Returns one record
 /// per visit, in visit order. With `trace = Some((t, prefix))` each
-/// phase search runs under span `{prefix}[{phase}]` in `t`.
+/// phase scan runs under span `{prefix}[{phase}]` in `t`.
 ///
 /// # Errors
 ///
-/// Propagates ROI and model prediction errors.
+/// Propagates ROI and model prediction errors, and [`optimize_phase`]'s
+/// refusal of an oversized level space.
 pub(crate) fn divide_budget(
     models: &AppModels,
     blocks: &[BlockDescriptor],
@@ -210,10 +191,10 @@ pub(crate) fn divide_budget(
         };
         let leftover_in = leftover;
         let allocated = budget * share + leftover_in;
-        let search = || optimize_phase(models, blocks, input, phase, allocated, conservatism);
-        let (best, stats) = match trace {
-            Some((t, prefix)) => t.span(&format!("{prefix}[{phase}]"), search),
-            None => search(),
+        let scan = || optimize_phase(models, blocks, input, phase, allocated, conservatism);
+        let (best, evaluated) = match trace {
+            Some((t, prefix)) => t.span(&format!("{prefix}[{phase}]"), scan),
+            None => scan(),
         }?;
         let plan = match best {
             Some(found) => {
@@ -234,7 +215,7 @@ pub(crate) fn divide_budget(
             leftover_in,
             leftover_out: leftover,
             plan,
-            stats,
+            evaluated,
         });
     }
     Ok(visits)
@@ -245,21 +226,23 @@ pub(crate) fn divide_budget(
 /// `expected_iters` is the accurate-run iteration count used to lay out
 /// the phase boundaries (the paper derives it from the golden run of the
 /// production input's control-flow class). `conservatism` picks the QoS
-/// estimate the per-phase searches constrain on.
+/// estimate the per-phase scans constrain on.
 ///
-/// With a telemetry registry, each phase search runs under span
+/// With a telemetry registry, each phase scan runs under span
 /// `optimize/phase[p]`, every phase visit emits an `optimize.phase` event
 /// (solve id, visit step, ROI, allocated sub-budget, leftover roll-over,
-/// predicted QoS/speedup, search counters) and each solve closes with an
+/// predicted QoS/speedup, space size and configurations predicted) and
+/// each solve closes with an
 /// `optimize.plan` event. Events are emitted in visit order — decreasing
 /// ROI — so traces make Algorithm 2's budget redistribution an assertable
 /// fact.
 ///
 /// # Errors
 ///
-/// Propagates ROI and model prediction errors. An empty result is never
-/// an error: if no configuration fits a phase's budget, that phase stays
-/// accurate.
+/// Propagates ROI and model prediction errors, and refuses level spaces
+/// above [`EXHAUSTIVE_LIMIT`] (see [`optimize_phase`]). An empty result is
+/// never an error: if no configuration fits a phase's budget, that phase
+/// stays accurate.
 pub fn optimize_traced(
     models: &AppModels,
     blocks: &[BlockDescriptor],
@@ -318,11 +301,7 @@ pub fn optimize_traced(
                     ("predicted_qos", v.plan.predicted_qos),
                     ("predicted_speedup", v.plan.predicted_speedup),
                     ("space", config_space_size(blocks) as f64),
-                    ("visited", v.stats.visited as f64),
-                    ("expanded", v.stats.expanded as f64),
-                    ("pruned", v.stats.pruned as f64),
-                    ("evaluated", v.stats.evaluated as f64),
-                    ("bound_quality", v.stats.bound_quality()),
+                    ("evaluated", v.evaluated as f64),
                 ],
             );
         }
@@ -344,41 +323,26 @@ pub fn optimize_traced(
     })
 }
 
-/// Counters describing one per-phase search, surfaced as fields on the
-/// `optimize.phase` telemetry event. A considered interior node is either
-/// pruned or expanded, so `visited == pruned + expanded` always holds —
-/// the `analyze` A019 rule lints traces that violate it.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct SearchStats {
-    /// Interior nodes whose bounds were computed.
-    pub visited: u64,
-    /// Visited nodes whose subtree was searched further.
-    pub expanded: u64,
-    /// Visited nodes whose subtree was cut (infeasible, gated, dominated
-    /// by the incumbent, or dropped by the evaluation cap).
-    pub pruned: u64,
-    /// Leaf configurations batch-evaluated through the models.
-    pub evaluated: u64,
-}
-
-impl SearchStats {
-    /// Fraction of considered nodes the bounds managed to cut — a cheap
-    /// proxy for how tight the bounds were on this space.
-    pub fn bound_quality(&self) -> f64 {
-        self.pruned as f64 / self.visited.max(1) as f64
-    }
-}
-
 /// Solves the per-phase constrained maximization (`optimizePhase` in
-/// Algorithm 2) by bound-pruned search. Returns `None` when no
-/// non-accurate configuration fits, along with the search counters.
+/// Algorithm 2) by scanning the whole level space: configurations are
+/// enumerated in [`enumerate_configs`] order, [`LEAF_BATCH`] at a time,
+/// and each chunk is predicted in one fused [`AppModels::predict_pair_batch`]
+/// pass. A configuration is feasible when its constrained QoS (the
+/// upper-band estimate under [`Conservatism::Band`], the point estimate
+/// under [`Conservatism::Point`]) fits `budget` and its point speedup
+/// clears [`WORTH_IT_SPEEDUP`]; the feasible one with the strictly
+/// greatest point speedup wins, so ties go to the first in enumeration
+/// order. (The band is a per-phase constant in log space and would shift
+/// every candidate's speedup identically, so ranking uses the point.)
 ///
-/// On spaces at or below [`EXHAUSTIVE_LIMIT`] the result is bitwise
-/// identical to [`exhaustive_phase_oracle`]'s.
+/// Returns the winner (`None` when no non-accurate configuration fits)
+/// and the number of configurations predicted.
 ///
 /// # Errors
 ///
-/// Propagates model prediction errors.
+/// Returns [`OpproxError::InvalidModel`] naming the space size, before
+/// predicting anything, when `blocks` span more than [`EXHAUSTIVE_LIMIT`]
+/// configurations. Propagates model prediction errors.
 pub fn optimize_phase(
     models: &AppModels,
     blocks: &[BlockDescriptor],
@@ -386,293 +350,54 @@ pub fn optimize_phase(
     phase: usize,
     budget: f64,
     conservatism: Conservatism,
-) -> Result<(Option<PhasePlan>, SearchStats), OpproxError> {
+) -> Result<(Option<PhasePlan>, u64), OpproxError> {
+    let space = config_space_size(blocks);
+    if space > EXHAUSTIVE_LIMIT {
+        return Err(OpproxError::InvalidModel(format!(
+            "phase {phase}'s level space has {space} configurations, over the \
+             {EXHAUSTIVE_LIMIT}-configuration limit of the per-phase scan"
+        )));
+    }
     if budget <= 0.0 {
-        return Ok((None, SearchStats::default()));
+        return Ok((None, 0));
     }
-    let cap = (config_space_size(blocks) > EXHAUSTIVE_LIMIT).then_some(EXHAUSTIVE_LIMIT);
-    let bounds = models.phase_bounds(input, phase, blocks)?;
-    let mut radix_prefix = Vec::with_capacity(blocks.len() + 1);
-    radix_prefix.push(1u64);
-    for block in blocks {
-        let last = *radix_prefix.last().expect("non-empty");
-        radix_prefix.push(last.saturating_mul(block.num_levels() as u64));
-    }
-    let mut search = PhaseSearch {
-        models,
-        input,
-        phase,
-        budget,
-        conservatism,
-        bounds,
-        radix_prefix,
-        cap,
-        capped: false,
-        stats: SearchStats::default(),
-        buf: Vec::new(),
-        buf_idx: Vec::new(),
-        incumbent: None,
-    };
-    let mut levels = vec![0u8; blocks.len()];
-    search.stats.visited += 1;
-    let root = search.bounds.bound_suffix(&[], search.band());
-    if root.qos_lb > budget || root.speedup_ub <= WORTH_IT_SPEEDUP {
-        search.stats.pruned += 1;
-    } else {
-        search.stats.expanded += 1;
-        search.visit(blocks.len(), &mut levels)?;
-        search.flush()?;
-    }
-    let plan = search.incumbent.take().map(|inc| PhasePlan {
-        phase,
-        config: inc.config,
-        allocated_budget: budget,
-        predicted_qos: inc.qos,
-        predicted_speedup: inc.speedup,
-    });
-    Ok((plan, search.stats))
-}
-
-/// The best feasible leaf seen so far. `idx` is the configuration's
-/// mixed-radix enumeration index (block 0 least significant), which is
-/// exactly its position in [`enumerate_configs`] order — the tie-break
-/// that keeps the pruned search plan-identical to the exhaustive scan.
-struct Incumbent {
-    speedup: f64,
-    qos: f64,
-    idx: u64,
-    config: LevelConfig,
-}
-
-/// One in-flight per-phase branch-and-bound search.
-///
-/// A node fixes the levels of a trailing run of blocks (`levels[split..]`)
-/// and leaves the rest free; expanding it pins block `split - 1` to each
-/// of its levels. Fixing from the most significant block down makes every
-/// subtree a *contiguous* range of enumeration indices, and the pruning
-/// rules preserve exhaustive-scan identity:
-///
-/// * `qos_lb > budget` — no leaf in the subtree is feasible;
-/// * `speedup_ub <= WORTH_IT_SPEEDUP` — no leaf clears the gate;
-/// * `speedup_ub < incumbent.speedup` (strictly) — no leaf can beat the
-///   incumbent, and a leaf that merely *ties* it can still never win,
-///   because ties go to the lower enumeration index and an equal-speedup
-///   subtree is only cut when its bound is strictly below (never happens
-///   for a tie, as bounds are admissible).
-///
-/// Children are expanded best-bound-first so strong incumbents appear
-/// early and dominate more of the remaining siblings.
-struct PhaseSearch<'a> {
-    models: &'a AppModels,
-    input: &'a InputParams,
-    phase: usize,
-    budget: f64,
-    conservatism: Conservatism,
-    bounds: PhaseBounds<'a>,
-    /// `radix_prefix[i]` = number of level combinations of blocks `..i`
-    /// (saturating); doubles as the enumeration-index weight of block `i`.
-    radix_prefix: Vec<u64>,
-    cap: Option<u64>,
-    capped: bool,
-    stats: SearchStats,
-    buf: Vec<LevelConfig>,
-    buf_idx: Vec<u64>,
-    incumbent: Option<Incumbent>,
-}
-
-impl PhaseSearch<'_> {
-    fn band(&self) -> bool {
-        matches!(self.conservatism, Conservatism::Band)
-    }
-
-    fn index_of(&self, levels: &[u8]) -> u64 {
-        levels
-            .iter()
-            .zip(&self.radix_prefix)
-            .map(|(&l, &w)| (l as u64).saturating_mul(w))
-            .fold(0u64, u64::saturating_add)
-    }
-
-    /// Searches the subtree where `levels[split..]` is fixed.
-    fn visit(&mut self, split: usize, levels: &mut [u8]) -> Result<(), OpproxError> {
-        if self.radix_prefix[split] <= DIRECT_EVAL_LEAVES {
-            return self.buffer_subtree(split, levels);
+    // The first configuration enumerated is the accurate one: never a
+    // candidate.
+    let mut configs = enumerate_configs(blocks).skip(1);
+    let mut chunk: Vec<LevelConfig> = Vec::with_capacity(LEAF_BATCH);
+    let mut evaluated = 0u64;
+    let mut best: Option<PhasePlan> = None;
+    loop {
+        chunk.clear();
+        chunk.extend(configs.by_ref().take(LEAF_BATCH));
+        if chunk.is_empty() {
+            break;
         }
-        let b = split - 1;
-        let band = self.band();
-
-        // Bound every child once; feasibility and the worth-it gate do
-        // not depend on the incumbent, so those cuts are final.
-        let mut survivors: Vec<(u8, f64)> = Vec::new();
-        for level in 0..=self.bounds.max_level(b) {
-            levels[b] = level;
-            self.stats.visited += 1;
-            let nb = self.bounds.bound_suffix(&levels[b..], band);
-            if nb.qos_lb > self.budget || nb.speedup_ub <= WORTH_IT_SPEEDUP {
-                self.stats.pruned += 1;
-            } else {
-                survivors.push((level, nb.speedup_ub));
-            }
-        }
-
-        // Best bound first (ties by level, though the order of ties
-        // cannot change the result thanks to the index tie-break).
-        survivors.sort_by(|x, y| {
-            y.1.partial_cmp(&x.1)
-                .expect("bounds are never NaN")
-                .then(x.0.cmp(&y.0))
-        });
-        for (level, ub) in survivors {
-            // Let the incumbent catch up with recently buffered leaves
-            // before judging the next sibling.
-            if self.buf.len() >= LEAF_FLUSH_MIN {
-                self.flush()?;
-            }
-            let dominated = self.incumbent.as_ref().is_some_and(|inc| ub < inc.speedup);
-            if self.capped || dominated {
-                self.stats.pruned += 1;
-                continue;
-            }
-            self.stats.expanded += 1;
-            levels[b] = level;
-            self.visit(b, levels)?;
-        }
-        levels[b] = 0;
-        Ok(())
-    }
-
-    /// Buffers every leaf of the subtree (all level combinations of
-    /// blocks `..split`) for batched evaluation, in enumeration order.
-    fn buffer_subtree(&mut self, split: usize, levels: &mut [u8]) -> Result<(), OpproxError> {
-        for l in &mut levels[..split] {
-            *l = 0;
-        }
-        'leaves: loop {
-            if levels.iter().any(|&l| l > 0) {
-                // (The all-zero leaf is the accurate config — never a
-                // candidate.)
-                if let Some(cap) = self.cap {
-                    if self.stats.evaluated + self.buf.len() as u64 >= cap {
-                        self.capped = true;
-                        break 'leaves;
-                    }
-                }
-                self.buf.push(LevelConfig::new(levels.to_vec()));
-                self.buf_idx.push(self.index_of(levels));
-            }
-            let mut b = 0;
-            loop {
-                if b == split {
-                    break 'leaves;
-                }
-                if levels[b] < self.bounds.max_level(b) {
-                    levels[b] += 1;
-                    break;
-                }
-                levels[b] = 0;
-                b += 1;
-            }
-        }
-        for l in &mut levels[..split] {
-            *l = 0;
-        }
-        if self.buf.len() >= LEAF_BATCH {
-            self.flush()?;
-        }
-        Ok(())
-    }
-
-    /// Evaluates the buffered leaves in one fused batched model pass
-    /// (the same pass the exhaustive scan uses, so the values are bit
-    /// identical) and folds the feasible ones into the incumbent.
-    /// Feasibility uses the conservative (upper-band) QoS estimate; the
-    /// worth-it gate and the ranking use the point speedup estimate,
-    /// since the band is a per-phase constant in log space and would
-    /// shift every candidate identically.
-    fn flush(&mut self) -> Result<(), OpproxError> {
-        if self.buf.is_empty() {
-            return Ok(());
-        }
-        let pairs = self
-            .models
-            .predict_pair_batch(self.input, self.phase, &self.buf)?;
-        self.stats.evaluated += self.buf.len() as u64;
-        for (i, (point, conservative)) in pairs.iter().enumerate() {
-            let constrained_qos = match self.conservatism {
+        let pairs = models.predict_pair_batch(input, phase, &chunk)?;
+        evaluated += chunk.len() as u64;
+        for (config, (point, conservative)) in chunk.iter().zip(&pairs) {
+            let constrained_qos = match conservatism {
                 Conservatism::Band => conservative.qos,
                 Conservatism::Point => point.qos,
             };
-            if constrained_qos > self.budget || point.speedup <= WORTH_IT_SPEEDUP {
+            if constrained_qos > budget || point.speedup <= WORTH_IT_SPEEDUP {
                 continue;
             }
-            let idx = self.buf_idx[i];
-            let better = self.incumbent.as_ref().is_none_or(|inc| {
-                point.speedup > inc.speedup || (point.speedup == inc.speedup && idx < inc.idx)
-            });
-            if better {
-                self.incumbent = Some(Incumbent {
-                    speedup: point.speedup,
-                    qos: constrained_qos,
-                    idx,
-                    config: self.buf[i].clone(),
+            if best
+                .as_ref()
+                .is_none_or(|b| point.speedup > b.predicted_speedup)
+            {
+                best = Some(PhasePlan {
+                    phase,
+                    config: config.clone(),
+                    allocated_budget: budget,
+                    predicted_qos: constrained_qos,
+                    predicted_speedup: point.speedup,
                 });
             }
         }
-        self.buf.clear();
-        self.buf_idx.clear();
-        Ok(())
     }
-}
-
-/// The exhaustive per-phase scan, kept as the oracle the pruned search is
-/// checked against: property tests assert the branch-and-bound plan is
-/// bitwise identical on every space at or below [`EXHAUSTIVE_LIMIT`].
-///
-/// Enumerates the level space once and predicts it in one fused batched
-/// model pass (point + conservative together), then applies the
-/// feasibility gate and strictly-greater ranking in enumeration order.
-///
-/// # Errors
-///
-/// Propagates model prediction errors.
-pub fn exhaustive_phase_oracle(
-    models: &AppModels,
-    blocks: &[BlockDescriptor],
-    input: &InputParams,
-    phase: usize,
-    budget: f64,
-    conservatism: Conservatism,
-) -> Result<Option<PhasePlan>, OpproxError> {
-    if budget <= 0.0 {
-        return Ok(None);
-    }
-    let configs: Vec<LevelConfig> = enumerate_configs(blocks)
-        .filter(|c| !c.is_accurate())
-        .collect();
-    let pairs = models.predict_pair_batch(input, phase, &configs)?;
-    let mut best: Option<PhasePlan> = None;
-    for (config, (point, conservative)) in configs.iter().zip(&pairs) {
-        let constrained_qos = match conservatism {
-            Conservatism::Band => conservative.qos,
-            Conservatism::Point => point.qos,
-        };
-        if constrained_qos > budget || point.speedup <= WORTH_IT_SPEEDUP {
-            continue;
-        }
-        let better = best
-            .as_ref()
-            .is_none_or(|b| point.speedup > b.predicted_speedup);
-        if better {
-            best = Some(PhasePlan {
-                phase,
-                config: config.clone(),
-                allocated_budget: budget,
-                predicted_qos: constrained_qos,
-                predicted_speedup: point.speedup,
-            });
-        }
-    }
-    Ok(best)
+    Ok((best, evaluated))
 }
 
 #[cfg(test)]
@@ -699,35 +424,6 @@ mod tests {
         let iters = data.goldens[0].outer_iters;
         let models = AppModels::fit(&data, 2, &ModelingOptions::default()).unwrap();
         (app, models, iters)
-    }
-
-    #[test]
-    fn pruned_search_prunes_and_ledger_balances() {
-        let (app, models, _) = setup();
-        let input = InputParams::new(vec![16.0, 3.0]);
-        let mut total = SearchStats::default();
-        for budget in [2.0, 10.0, 40.0] {
-            for cons in [Conservatism::Band, Conservatism::Point] {
-                for phase in 0..2 {
-                    let (_, s) =
-                        optimize_phase(&models, &app.meta().blocks, &input, phase, budget, cons)
-                            .unwrap();
-                    println!("budget {budget} {cons:?} phase {phase}: {s:?}");
-                    assert_eq!(s.visited, s.expanded + s.pruned);
-                    total.visited += s.visited;
-                    total.pruned += s.pruned;
-                    total.evaluated += s.evaluated;
-                }
-            }
-        }
-        // Individual solves may degenerate to a full scan (a flat phase
-        // under a huge budget gives the bounds nothing to cut), but the
-        // reference workload as a whole must show substantial pruning.
-        assert!(total.pruned > 0, "no pruning on the reference workload");
-        assert!(
-            total.evaluated < 12 * 215 * 3 / 4,
-            "bounds cut less than a quarter of the total leaf work: {total:?}"
-        );
     }
 
     #[test]

@@ -115,21 +115,6 @@ enum Structure {
     },
 }
 
-/// Result of [`TargetModel::predict_interval`]: an enclosure of the point
-/// prediction over a feature box, plus the range of confidence-band
-/// half-widths the box can route to.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IntervalPrediction {
-    /// Lower bound of the point prediction over the box.
-    pub lo: f64,
-    /// Upper bound of the point prediction over the box.
-    pub hi: f64,
-    /// Smallest reachable confidence-band half-width.
-    pub half_lo: f64,
-    /// Largest reachable confidence-band half-width.
-    pub half_hi: f64,
-}
-
 /// A complete, self-describing model for one target (speedup, QoS
 /// degradation, or iteration count) over the full feature row.
 ///
@@ -264,75 +249,6 @@ impl TargetModel {
             } => &models[route_of(boundaries, models.len(), row[*feature])],
         };
         Ok((m.predict(&row)?, m.band.half_width()))
-    }
-
-    /// Interval enclosure of [`TargetModel::predict`] over the
-    /// axis-aligned box `[full_lo, full_hi]` of full feature rows,
-    /// together with the range of confidence-band half-widths reachable
-    /// inside the box.
-    ///
-    /// For a range-split structure the routing feature's interval selects
-    /// every reachable sub-model (routing is monotone in the feature), and
-    /// the result is the union of the sub-model enclosures. The half-width
-    /// range lets callers bound `predict ± half` conservatively:
-    /// `lo + half_lo` never exceeds any reachable upper-band prediction,
-    /// `hi + half_hi` is never below one, and symmetrically for the lower
-    /// band.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`TargetModel::predict`].
-    pub fn predict_interval(
-        &self,
-        full_lo: &[f64],
-        full_hi: &[f64],
-    ) -> Result<IntervalPrediction, MlError> {
-        let row_lo = self.project(full_lo)?;
-        let mut row_hi = self.project(full_hi)?;
-        for (a, b) in row_lo.iter().zip(row_hi.iter_mut()) {
-            if a > b {
-                *b = *a;
-            }
-        }
-        match &self.structure {
-            Structure::Single(m) => {
-                let (lo, hi) = m.regression.predict_interval(&row_lo, &row_hi)?;
-                Ok(IntervalPrediction {
-                    lo,
-                    hi,
-                    half_lo: m.band.half_width(),
-                    half_hi: m.band.half_width(),
-                })
-            }
-            Structure::Split {
-                feature,
-                boundaries,
-                models,
-            } => {
-                let first = route_of(boundaries, models.len(), row_lo[*feature]);
-                let last = route_of(boundaries, models.len(), row_hi[*feature]).max(first);
-                let mut out: Option<IntervalPrediction> = None;
-                for m in &models[first..=last] {
-                    let (lo, hi) = m.regression.predict_interval(&row_lo, &row_hi)?;
-                    let half = m.band.half_width();
-                    out = Some(match out {
-                        None => IntervalPrediction {
-                            lo,
-                            hi,
-                            half_lo: half,
-                            half_hi: half,
-                        },
-                        Some(p) => IntervalPrediction {
-                            lo: p.lo.min(lo),
-                            hi: p.hi.max(hi),
-                            half_lo: p.half_lo.min(half),
-                            half_hi: p.half_hi.max(half),
-                        },
-                    });
-                }
-                Ok(out.expect("split structure has at least one sub-model"))
-            }
-        }
     }
 
     /// The cross-validated R² of the final structure.
@@ -786,41 +702,6 @@ mod tests {
             let (single, half) = model.predict_with_half(row).unwrap();
             assert_eq!(single.to_bits(), flat_out[i].to_bits());
             assert_eq!(half.to_bits(), halves[i].to_bits());
-        }
-    }
-
-    #[test]
-    fn interval_encloses_split_model_predictions_and_bands() {
-        // Same discontinuous target as the split batch test: the box that
-        // spans the boundary must take the union over both sub-models.
-        let mut ds = Dataset::new(vec!["x".into()]);
-        for i in 0..120 {
-            let x = i as f64 * 0.1;
-            let y = if x < 6.0 { x } else { 1000.0 + x * x };
-            ds.push(vec![x], y).unwrap();
-        }
-        let cfg = AutoFitConfig {
-            max_degree: 2,
-            mic_threshold: None,
-            ..AutoFitConfig::default()
-        };
-        let model = TargetModel::fit(&ds, &cfg).unwrap();
-        assert!(model.is_split(), "test needs the split structure");
-        for (lo, hi) in [(0.0, 11.9), (0.5, 3.5), (7.0, 11.0), (5.9, 6.1)] {
-            let ip = model.predict_interval(&[lo], &[hi]).unwrap();
-            assert!(ip.lo <= ip.hi && ip.half_lo <= ip.half_hi);
-            for i in 0..=40 {
-                let x = lo + (hi - lo) * i as f64 / 40.0;
-                let p = model.predict(&[x]).unwrap();
-                assert!(
-                    ip.lo <= p && p <= ip.hi,
-                    "point {p} at {x} outside interval"
-                );
-                let (p, half) = model.predict_with_half(&[x]).unwrap();
-                let (u, l) = (p + half, p - half);
-                assert!(ip.lo + ip.half_lo <= u && u <= ip.hi + ip.half_hi);
-                assert!(ip.lo - ip.half_hi <= l && l <= ip.hi - ip.half_lo);
-            }
         }
     }
 

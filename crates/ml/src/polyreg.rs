@@ -251,95 +251,6 @@ impl PolynomialRegression {
         out.extend_from_slice(&scratch.acc);
         Ok(())
     }
-
-    /// Interval enclosure of [`predict_one`] over the axis-aligned feature
-    /// box `[lo, hi]`: returns `(min, max)` bounds such that every
-    /// `predict_one(x)` with `lo[i] <= x[i] <= hi[i]` lies inside.
-    ///
-    /// The enclosure mirrors the scalar evaluation structure — monotone
-    /// standardization of the endpoints, a corner-product interval chain
-    /// per monomial (one multiplication per exponent, like
-    /// `transform_one`), and a sign-directed dot fold — then widens the
-    /// result by a small relative slack to absorb the floating-point
-    /// rounding the interval chain cannot track exactly. Bounds are for
-    /// pruning, not for exact reproduction: they must only never exclude
-    /// a reachable prediction. Non-finite inputs or coefficients yield an
-    /// unbounded `(-inf, +inf)` interval, which callers treat as
-    /// "cannot prune".
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::FeatureMismatch`] on wrong-length bounds.
-    ///
-    /// [`predict_one`]: PolynomialRegression::predict_one
-    pub fn predict_interval(&self, lo: &[f64], hi: &[f64]) -> Result<(f64, f64), MlError> {
-        let k = self.num_inputs();
-        if lo.len() != k || hi.len() != k {
-            return Err(MlError::FeatureMismatch {
-                expected: k,
-                actual: if lo.len() != k { lo.len() } else { hi.len() },
-            });
-        }
-        // Standardize both corners; (v - m) / s is monotone for s > 0, and
-        // the min/max re-sort keeps the interval valid even if a corrupt
-        // model carries a negative scale.
-        let mut std_lo = Vec::with_capacity(k);
-        let mut std_hi = Vec::with_capacity(k);
-        self.standardizer.transform_into(lo, &mut std_lo)?;
-        self.standardizer.transform_into(hi, &mut std_hi)?;
-        for (a, b) in std_lo.iter_mut().zip(std_hi.iter_mut()) {
-            if a > b {
-                std::mem::swap(a, b);
-            }
-        }
-        let c0 = self.coefficients[0];
-        let mut acc = (c0, c0);
-        for (exps, &c) in self
-            .features
-            .exponents()
-            .iter()
-            .zip(self.coefficients.iter().skip(1))
-        {
-            let mut v = (1.0f64, 1.0f64);
-            for (var, &e) in exps.iter().enumerate() {
-                let x = (std_lo[var], std_hi[var]);
-                for _ in 0..e {
-                    v = interval_mul(v, x);
-                }
-            }
-            let term = if c >= 0.0 {
-                (v.0 * c, v.1 * c)
-            } else {
-                (v.1 * c, v.0 * c)
-            };
-            acc.0 += term.0;
-            acc.1 += term.1;
-        }
-        if !acc.0.is_finite() || !acc.1.is_finite() {
-            return Ok((f64::NEG_INFINITY, f64::INFINITY));
-        }
-        // Relative slack: the interval chain evaluates each operation in
-        // round-to-nearest rather than directed rounding, so pad by a few
-        // orders of magnitude more than the accumulated ulp error.
-        let slack = 1e-9 * acc.0.abs().max(acc.1.abs()).max(1.0);
-        Ok((acc.0 - slack, acc.1 + slack))
-    }
-}
-
-/// Interval product: min/max over the four corner products. NaN corners
-/// (e.g. `0 * inf`) poison the interval to unbounded.
-fn interval_mul(a: (f64, f64), b: (f64, f64)) -> (f64, f64) {
-    let c = [a.0 * b.0, a.0 * b.1, a.1 * b.0, a.1 * b.1];
-    if c.iter().any(|v| v.is_nan()) {
-        return (f64::NEG_INFINITY, f64::INFINITY);
-    }
-    let mut lo = c[0];
-    let mut hi = c[0];
-    for &v in &c[1..] {
-        lo = lo.min(v);
-        hi = hi.max(v);
-    }
-    (lo, hi)
 }
 
 /// Standardizes and polynomial-expands `xs` into one flat design matrix,
@@ -459,42 +370,6 @@ mod tests {
         assert!(m
             .predict_flat_into(&flat, 3, &mut out, &mut scratch)
             .is_err());
-    }
-
-    #[test]
-    fn interval_encloses_point_predictions_over_box() {
-        let xs = grid2(6);
-        let ys: Vec<f64> = xs
-            .iter()
-            .map(|r| 1.0 + r[0] * r[1] - 0.3 * r[1] * r[1] * r[0])
-            .collect();
-        let m = PolynomialRegression::fit(&xs, &ys, 3).unwrap();
-        // Sweep several boxes, including degenerate (point) boxes, and
-        // check a dense grid of interior points never escapes the bounds.
-        let boxes = [
-            ([0.0, 0.0], [5.0, 5.0]),
-            ([1.5, 2.0], [1.5, 2.0]),
-            ([-2.0, 3.0], [0.5, 8.0]),
-            ([4.0, -1.0], [4.5, 0.0]),
-        ];
-        for (lo, hi) in boxes {
-            let (bl, bh) = m.predict_interval(&lo, &hi).unwrap();
-            assert!(bl <= bh);
-            for i in 0..=8 {
-                for j in 0..=8 {
-                    let x = [
-                        lo[0] + (hi[0] - lo[0]) * i as f64 / 8.0,
-                        lo[1] + (hi[1] - lo[1]) * j as f64 / 8.0,
-                    ];
-                    let p = m.predict_one(&x).unwrap();
-                    assert!(
-                        bl <= p && p <= bh,
-                        "prediction {p} escapes interval [{bl}, {bh}] at {x:?}"
-                    );
-                }
-            }
-        }
-        assert!(m.predict_interval(&[0.0], &[1.0, 2.0]).is_err());
     }
 
     #[test]

@@ -1,9 +1,13 @@
 //! Cross-crate property tests on the runtime/optimizer invariants.
 
+use opprox::approx_rt::block::BlockDescriptor;
 use opprox::approx_rt::config::{config_space_size, enumerate_configs, sample_configs};
 use opprox::approx_rt::{ApproxApp, InputParams, LevelConfig, PhaseSchedule};
+use opprox::core::error::OpproxError;
 use opprox::core::modeling::{AppModels, ModelingOptions};
-use opprox::core::optimizer::{exhaustive_phase_oracle, optimize_phase, Conservatism};
+use opprox::core::optimizer::{
+    optimize_phase, Conservatism, PhasePlan, EXHAUSTIVE_LIMIT, LEAF_BATCH, WORTH_IT_SPEEDUP,
+};
 use opprox::core::sampling::{collect_training_data, SamplingPlan};
 use opprox_apps::Pso;
 use opprox_testutil::fixtures::{blocks_with_levels, pso_blocks};
@@ -102,33 +106,108 @@ proptest! {
         prop_assert_eq!(g.speedup_over(&g), 1.0);
     }
 
-    /// The bound-pruned per-phase search returns the *bitwise identical*
-    /// plan to the exhaustive oracle, in both conservatism modes, across
-    /// randomized sub-spaces of the trained block space, and its node
-    /// accounting always balances (`visited == expanded + pruned`).
+    /// The streamed per-phase scan returns the *bitwise identical* plan
+    /// to a per-row reference, in both conservatism modes, across
+    /// randomized sub- and super-spaces of the trained block space (up to
+    /// 1000 configurations, so some cross a `LEAF_BATCH` chunk boundary),
+    /// and predicts nothing at a non-positive budget.
     #[test]
-    fn pruned_phase_search_matches_exhaustive_oracle(
-        maxes in proptest::collection::vec(1u8..6, 3),
-        budget in 0.0f64..40.0,
+    fn phase_scan_matches_per_row_reference(
+        maxes in proptest::collection::vec(1u8..10, 3),
+        budget in -5.0f64..40.0,
         phase in 0usize..2,
-        band in 0u8..2,
         swarm in 12u32..28,
     ) {
-        let models = pso_models();
         let mut blocks = pso_blocks();
         for (b, &m) in blocks.iter_mut().zip(&maxes) {
             b.max_level = m;
         }
-        prop_assert!(config_space_size(&blocks) <= opprox::core::optimizer::EXHAUSTIVE_LIMIT);
         let input = InputParams::new(vec![swarm as f64, 3.0]);
-        let cons = if band == 1 { Conservatism::Band } else { Conservatism::Point };
-        let (pruned, stats) =
-            optimize_phase(models, &blocks, &input, phase, budget, cons).unwrap();
-        let oracle =
-            exhaustive_phase_oracle(models, &blocks, &input, phase, budget, cons).unwrap();
-        prop_assert_eq!(pruned, oracle);
-        prop_assert_eq!(stats.visited, stats.expanded + stats.pruned);
-        prop_assert!(stats.evaluated < config_space_size(&blocks));
+        for cons in [Conservatism::Band, Conservatism::Point] {
+            check_scan_against_reference(&blocks, &input, phase, budget, cons);
+        }
+    }
+}
+
+/// The per-phase solve written the plain way: predict every non-accurate
+/// configuration one row at a time with [`AppModels::predict_pair`], in
+/// enumeration order, and keep the first one with the greatest point
+/// speedup among those whose constrained QoS fits `budget` and whose
+/// point speedup clears the worth-it gate.
+fn per_row_reference(
+    blocks: &[BlockDescriptor],
+    input: &InputParams,
+    phase: usize,
+    budget: f64,
+    cons: Conservatism,
+) -> Result<Option<PhasePlan>, OpproxError> {
+    if budget <= 0.0 {
+        return Ok(None);
+    }
+    let mut best: Option<PhasePlan> = None;
+    for config in enumerate_configs(blocks).filter(|c| !c.is_accurate()) {
+        let (point, conservative) = pso_models().predict_pair(input, phase, &config)?;
+        let qos = match cons {
+            Conservatism::Band => conservative.qos,
+            Conservatism::Point => point.qos,
+        };
+        if qos > budget || point.speedup <= WORTH_IT_SPEEDUP {
+            continue;
+        }
+        if best
+            .as_ref()
+            .is_none_or(|b| point.speedup > b.predicted_speedup)
+        {
+            best = Some(PhasePlan {
+                phase,
+                config,
+                allocated_budget: budget,
+                predicted_qos: qos,
+                predicted_speedup: point.speedup,
+            });
+        }
+    }
+    Ok(best)
+}
+
+/// Asserts that [`optimize_phase`] agrees with [`per_row_reference`]:
+/// the same plan, and one prediction per non-accurate configuration
+/// (none at a non-positive budget).
+fn check_scan_against_reference(
+    blocks: &[BlockDescriptor],
+    input: &InputParams,
+    phase: usize,
+    budget: f64,
+    cons: Conservatism,
+) {
+    let space = config_space_size(blocks);
+    assert!(space <= EXHAUSTIVE_LIMIT);
+    let (plan, evaluated) =
+        optimize_phase(pso_models(), blocks, input, phase, budget, cons).expect("scan solves");
+    let expected = per_row_reference(blocks, input, phase, budget, cons).expect("reference solves");
+    assert_eq!(plan, expected, "{cons:?} budget {budget}");
+    assert_eq!(evaluated, if budget > 0.0 { space - 1 } else { 0 });
+    assert!(budget > 0.0 || plan.is_none());
+}
+
+/// Spaces of two and three `LEAF_BATCH` chunks give the per-row
+/// reference's plan, at budgets from nothing-fits to everything-fits.
+#[test]
+fn phase_scan_crosses_chunk_boundaries_like_the_reference() {
+    let input = InputParams::new(vec![16.0, 3.0]);
+    for maxes in [[7u8, 7, 8], [10, 10, 10]] {
+        let mut blocks = pso_blocks();
+        for (b, m) in blocks.iter_mut().zip(maxes) {
+            b.max_level = m;
+        }
+        assert!(config_space_size(&blocks) > LEAF_BATCH as u64 + 1);
+        for budget in [0.0, 0.5, 3.0, 12.0, 40.0] {
+            for phase in 0..2 {
+                for cons in [Conservatism::Band, Conservatism::Point] {
+                    check_scan_against_reference(&blocks, &input, phase, budget, cons);
+                }
+            }
+        }
     }
 }
 

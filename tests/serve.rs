@@ -2,16 +2,22 @@
 //! dispatch driven in-process with a [`ManualClock`], plus a real TCP
 //! server answering concurrent clients.
 
+use opprox::approx_rt::InputParams;
 use opprox::core::api::{
     AdaptiveParams, ApiRequest, ApiResponse, OptimizeParams, PredictParams, WireCode,
 };
+use opprox::core::error::OpproxError;
+use opprox::core::optimizer::EXHAUSTIVE_LIMIT;
 use opprox::core::pipeline::TrainedOpprox;
 use opprox::core::pool::WorkPool;
+use opprox::core::request::OptimizeRequest;
 use opprox::core::telemetry::Clock;
+use opprox::core::AccuracySpec;
 use opprox::core::{ManualClock, ServeOptions, ServeState, Server, Submission};
-use opprox_testutil::json::mutate_first_key;
+use opprox_testutil::fixtures::{trained_pso_from, trained_pso_value};
+use opprox_testutil::json::{mutate_first_key, mutate_keys, path_mut};
 use opprox_testutil::serve::{send_lines, write_pso_artifact, write_streamagg_artifact};
-use serde::value::Value;
+use serde::value::{Number, Value};
 use std::fs::OpenOptions;
 use std::io::Write as _;
 use std::sync::Arc;
@@ -124,6 +130,47 @@ fn non_finite_roi_is_refused_with_invalid_model() {
     state.install(trained, None);
     let ApiResponse::Error { code, message } = state.handle(&optimize_req()) else {
         panic!("expected an error reply");
+    };
+    assert_eq!(code, WireCode::InvalidModel, "{message}");
+}
+
+/// Block descriptors widened to 31 levels each span 31³ = 29 791
+/// configurations per phase, over the scan's limit. A model-only request
+/// is refused with `invalid_model` naming the space size and the limit,
+/// in process and on the wire.
+#[test]
+fn oversized_level_space_is_refused_with_invalid_model() {
+    let mut v = trained_pso_value();
+    mutate_keys(path_mut(&mut v, &["blocks"]), "max_level", &mut |l| {
+        *l = Value::Number(Number::U64(30));
+    });
+    let trained = trained_pso_from(&v);
+    assert!(trained.blocks().iter().all(|b| b.max_level == 30));
+
+    let refused = OptimizeRequest::new(InputParams::new(vec![16.0, 3.0]), AccuracySpec::new(10.0))
+        .run(&trained);
+    let Err(OpproxError::InvalidModel(message)) = refused else {
+        panic!("expected an invalid-model refusal, got {refused:?}");
+    };
+    assert!(
+        message.contains("29791") && message.contains(&EXHAUSTIVE_LIMIT.to_string()),
+        "{message}"
+    );
+
+    let state = ServeState::new(ServeOptions {
+        threads: 1,
+        ..ServeOptions::default()
+    });
+    state.install(trained, None);
+    let pool = WorkPool::new(1);
+    let reply = std::thread::scope(|s| {
+        s.spawn(|| state.dispatch_loop(&pool));
+        let reply = state.serve_line(&optimize_req().to_wire());
+        state.begin_shutdown();
+        reply
+    });
+    let Ok(ApiResponse::Error { code, message }) = ApiResponse::parse(&reply) else {
+        panic!("expected an error frame, got {reply}");
     };
     assert_eq!(code, WireCode::InvalidModel, "{message}");
 }
