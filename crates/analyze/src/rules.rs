@@ -813,10 +813,10 @@ fn lint_cache_hit_rate(set: &ArtifactSet, report: &mut Report) {
     }
 }
 
-/// A018 — `opprox serve` writes one `serve.admission` event per request
-/// batch in which load was shed, carrying the shed count, and bumps the
-/// `serve.shed` counter once per shed response. Events with a zero
-/// counter mean the two halves of the admission ledger disagree: shed
+/// A018 — `opprox serve` writes one `serve.admission` event per
+/// admission-ledger tick in which load was shed, carrying the shed
+/// count, and bumps the `serve.shed` counter once per shed response.
+/// Events with a zero counter mean the two halves of the admission ledger disagree: shed
 /// responses were recorded as events but never sent (or the counter
 /// wiring broke), so clients saw timeouts instead of `overloaded`
 /// frames. Needs a telemetry report; non-server traces have no

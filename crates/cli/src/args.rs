@@ -169,12 +169,11 @@ pub enum Command {
         /// File the bound address is written to once listening
         /// (`--addr-file`), so scripts can use `--addr 127.0.0.1:0`.
         addr_file: Option<String>,
-        /// Worker threads for the request pool (`None` = all cores).
+        /// Requests handled at once (`None` = all cores).
         threads: Option<usize>,
-        /// Admission bound of the request queue (`--queue-limit`).
+        /// Admission bound on requests waiting for a handling slot
+        /// (`--queue-limit`).
         queue_limit: usize,
-        /// Largest request batch handed to the pool (`--batch-max`).
-        batch_max: usize,
         /// Artifact mtime poll interval (`--reload-poll-ms`).
         reload_poll_ms: u64,
         /// Telemetry export at shutdown (`--trace-out`, `--trace-format`).
@@ -374,7 +373,6 @@ const COMMANDS: &[(&str, &[&str])] = &[
             "addr-file",
             "threads",
             "queue-limit",
-            "batch-max",
             "reload-poll-ms",
             "trace-out",
             "trace-format",
@@ -674,7 +672,6 @@ impl RawArgs {
                 addr_file: self.get("addr-file").map(str::to_string),
                 threads: self.threads()?,
                 queue_limit: self.usize_or("queue-limit", 64)?,
-                batch_max: self.usize_or("batch-max", 8)?,
                 reload_poll_ms: self.u64_or("reload-poll-ms", 200)?,
                 trace: self.trace_spec()?,
             },

@@ -161,7 +161,6 @@ pub fn dispatch(command: &Command, out: &mut dyn std::io::Write) -> CmdResult {
             addr_file,
             threads,
             queue_limit,
-            batch_max,
             reload_poll_ms,
             trace,
         } => cmd_serve(
@@ -170,7 +169,6 @@ pub fn dispatch(command: &Command, out: &mut dyn std::io::Write) -> CmdResult {
             addr_file.as_deref(),
             *threads,
             *queue_limit,
-            *batch_max,
             *reload_poll_ms,
             trace,
             out,
@@ -265,8 +263,7 @@ pub fn cmd_help(out: &mut dyn std::io::Write) -> CmdResult {
          \x20 serve    --model FILE[,FILE...]          serve optimize/predict/health over the\n\
          \x20          [--addr H:P] [--addr-file F]    v1 line-delimited JSON wire protocol;\n\
          \x20          [--threads T] [--queue-limit Q] hot-reloads artifacts on file change,\n\
-         \x20          [--batch-max B]                 sheds load past --queue-limit\n\
-         \x20          [--reload-poll-ms MS]\n\
+         \x20          [--reload-poll-ms MS]           sheds load past --queue-limit\n\
          \x20 client   --op health|metrics|optimize|adaptive|predict|shutdown\n\
          \x20          [--addr H:P] [--app A] [--input I] [--budget B]\n\
          \x20          [--phase P] [--configs 0,0,0;1,2,1] [--point true]\n\
@@ -280,7 +277,8 @@ pub fn cmd_help(out: &mut dyn std::io::Write) -> CmdResult {
          LULESH (mesh_length, num_regions) or --input 64,4,100 for PageRank\n\
          (nodes, out_degree, max_steps); `opprox apps` lists every port with\n\
          its parameters and blocks. --threads bounds the evaluation engine's\n\
-         worker pool (default: all cores).\n\
+         worker pool, or for serve the requests handled at once (default:\n\
+         all cores).\n\
          \n\
          Engine-backed commands (and model-only optimize) also accept\n\
          --trace-out FILE [--trace-format json|chrome|text] to export the\n\
@@ -391,7 +389,6 @@ fn cmd_serve(
     addr_file: Option<&str>,
     threads: Option<usize>,
     queue_limit: usize,
-    batch_max: usize,
     reload_poll_ms: u64,
     trace: &TraceSpec,
     out: &mut dyn std::io::Write,
@@ -404,9 +401,7 @@ fn cmd_serve(
                 .unwrap_or(1)
         }),
         queue_limit,
-        batch_max,
         reload_poll_ms,
-        ..ServeOptions::default()
     };
     let state = std::sync::Arc::new(ServeState::new(options));
     for path in models {

@@ -367,11 +367,11 @@ pub struct HealthReply {
     pub apps: Vec<String>,
     /// Current artifact generation (bumped by every load or reload).
     pub generation: u64,
-    /// Requests currently queued for the worker pool.
+    /// Admitted requests currently waiting for a handling slot.
     pub queue_depth: u64,
     /// The admission bound past which requests are shed.
     pub queue_limit: u64,
-    /// Worker threads serving the queue.
+    /// Handling slots: requests answered at once.
     pub threads: u64,
     /// Micros since the server started, per the server's clock.
     pub uptime_micros: u64,
@@ -459,6 +459,21 @@ fn levels_array(levels: &[Vec<u64>]) -> Value {
 
 fn frame_head(kind: &str) -> Vec<(String, Value)> {
     vec![key("v", u64_v(API_VERSION)), key("kind", str_v(kind))]
+}
+
+/// Appends the `measured` object of an optimize or adaptive reply, when
+/// there is one.
+fn push_measured(e: &mut Vec<(String, Value)>, measured: Option<&MeasuredReply>) {
+    if let Some(m) = measured {
+        e.push(key(
+            "measured",
+            Value::Object(vec![
+                key("speedup", f64_v(m.speedup)),
+                key("qos", f64_v(m.qos)),
+                key("outer_iters", u64_v(m.outer_iters)),
+            ]),
+        ));
+    }
 }
 
 impl ApiRequest {
@@ -623,16 +638,7 @@ impl ApiResponse {
                 e.push(key("predicted_qos", f64_v(r.predicted_qos)));
                 e.push(key("candidates_tried", u64_v(r.candidates_tried)));
                 e.push(key("cached", Value::Bool(r.cached)));
-                if let Some(m) = &r.measured {
-                    e.push(key(
-                        "measured",
-                        Value::Object(vec![
-                            key("speedup", f64_v(m.speedup)),
-                            key("qos", f64_v(m.qos)),
-                            key("outer_iters", u64_v(m.outer_iters)),
-                        ]),
-                    ));
-                }
+                push_measured(&mut e, r.measured.as_ref());
                 e
             }
             ApiResponse::Adaptive(r) => {
@@ -649,16 +655,7 @@ impl ApiResponse {
                 e.push(key("degraded", Value::Bool(r.degraded)));
                 e.push(key("budget_reclaimed", f64_v(r.budget_reclaimed)));
                 e.push(key("budget_redistributed", f64_v(r.budget_redistributed)));
-                if let Some(m) = &r.measured {
-                    e.push(key(
-                        "measured",
-                        Value::Object(vec![
-                            key("speedup", f64_v(m.speedup)),
-                            key("qos", f64_v(m.qos)),
-                            key("outer_iters", u64_v(m.outer_iters)),
-                        ]),
-                    ));
-                }
+                push_measured(&mut e, r.measured.as_ref());
                 e
             }
             ApiResponse::Predict(r) => {
@@ -739,22 +736,7 @@ impl ApiResponse {
                 predicted_qos: need_f64(&obj, "predicted_qos")?,
                 candidates_tried: need_u64(&obj, "candidates_tried")?,
                 cached: need_bool(&obj, "cached")?,
-                measured: match get(&obj, "measured") {
-                    None => None,
-                    Some(v) => {
-                        let m = v.as_object().ok_or_else(|| {
-                            OpproxError::BadRequest(format!(
-                                "field `measured` must be an object, got {}",
-                                v.kind()
-                            ))
-                        })?;
-                        Some(MeasuredReply {
-                            speedup: need_f64(m, "speedup")?,
-                            qos: need_f64(m, "qos")?,
-                            outer_iters: need_u64(m, "outer_iters")?,
-                        })
-                    }
-                },
+                measured: opt_measured(&obj)?,
             })),
             "adaptive" => Ok(ApiResponse::Adaptive(AdaptiveReply {
                 app: need_str(&obj, "app")?.to_string(),
@@ -768,22 +750,7 @@ impl ApiResponse {
                 degraded: need_bool(&obj, "degraded")?,
                 budget_reclaimed: need_f64(&obj, "budget_reclaimed")?,
                 budget_redistributed: need_f64(&obj, "budget_redistributed")?,
-                measured: match get(&obj, "measured") {
-                    None => None,
-                    Some(v) => {
-                        let m = v.as_object().ok_or_else(|| {
-                            OpproxError::BadRequest(format!(
-                                "field `measured` must be an object, got {}",
-                                v.kind()
-                            ))
-                        })?;
-                        Some(MeasuredReply {
-                            speedup: need_f64(m, "speedup")?,
-                            qos: need_f64(m, "qos")?,
-                            outer_iters: need_u64(m, "outer_iters")?,
-                        })
-                    }
-                },
+                measured: opt_measured(&obj)?,
             })),
             "predict" => {
                 let preds = need(&obj, "predictions")?;
@@ -912,6 +879,24 @@ fn opt_f64(obj: &[(String, Value)], name: &str) -> Result<Option<f64>, OpproxErr
         None => Ok(None),
         Some(_) => need_f64(obj, name).map(Some),
     }
+}
+
+/// The optional `measured` object of an optimize or adaptive reply.
+fn opt_measured(obj: &[(String, Value)]) -> Result<Option<MeasuredReply>, OpproxError> {
+    let Some(v) = get(obj, "measured") else {
+        return Ok(None);
+    };
+    let m = v.as_object().ok_or_else(|| {
+        OpproxError::BadRequest(format!(
+            "field `measured` must be an object, got {}",
+            v.kind()
+        ))
+    })?;
+    Ok(Some(MeasuredReply {
+        speedup: need_f64(m, "speedup")?,
+        qos: need_f64(m, "qos")?,
+        outer_iters: need_u64(m, "outer_iters")?,
+    }))
 }
 
 fn need_f64(obj: &[(String, Value)], name: &str) -> Result<f64, OpproxError> {

@@ -71,6 +71,6 @@ pub use evaluator::{EvalEngine, EvalMetrics};
 pub use fault::{FailureKind, FaultPlan, RecoveryPolicy, RobustnessReport};
 pub use pipeline::Opprox;
 pub use request::{OptimizeOutcome, OptimizePath, OptimizeRequest};
-pub use serve::{ServeOptions, ServeState, Server, Submission};
+pub use serve::{ServeOptions, ServeState, Server};
 pub use spec::AccuracySpec;
 pub use telemetry::{Clock, ManualClock, MonotonicClock, Telemetry, TelemetryReport};

@@ -14,13 +14,15 @@
 //!    ([`ServeState::handle_with_models`] is the seam that makes this
 //!    provable under a [`ManualClock`](crate::telemetry::ManualClock)).
 //!    A file that fails to parse never replaces a good artifact.
-//! 3. **Admission control.** The request queue is bounded; past the
-//!    bound, optimize/predict requests are shed immediately with the
-//!    `overloaded` wire code instead of queueing unboundedly. `health`
-//!    is exempt so liveness probes still answer under overload.
-//! 4. **Batched execution.** A single dispatcher drains the queue in
-//!    batches and fans each batch out on the shared
-//!    [`WorkPool`](crate::pool::WorkPool); `predict` frames carry many
+//! 3. **Admission control.** At most `queue_limit` frames wait for a
+//!    handling slot; past the bound, optimize/adaptive/predict frames
+//!    are shed immediately with the `overloaded` wire code instead of
+//!    waiting unboundedly. `health` is exempt so liveness probes still
+//!    answer under overload.
+//! 4. **Answered where it arrives.** Each connection thread answers its
+//!    own frames: an admitted frame waits for one of `threads` handling
+//!    slots and then runs on the calling thread against one model
+//!    snapshot. No request crosses threads. `predict` frames carry many
 //!    configurations and are answered by the batched predictor in one
 //!    flat model pass.
 //!
@@ -32,27 +34,26 @@
 //! once.
 
 use crate::api::{
-    AdaptiveParams, AdaptiveReply, ApiRequest, ApiResponse, HealthReply, MetricsReply,
-    OptimizeParams, OptimizeReply, PredictParams, PredictReply, PredictionReply,
+    AdaptiveParams, AdaptiveReply, ApiRequest, ApiResponse, HealthReply, MeasuredReply,
+    MetricsReply, OptimizeParams, OptimizeReply, PredictParams, PredictReply, PredictionReply,
 };
 use crate::control::{ControlOptions, DriftInjection};
 use crate::error::OpproxError;
 use crate::evaluator::EvalEngine;
 use crate::fault::RecoveryPolicy;
 use crate::optimizer::Conservatism;
-use crate::pipeline::TrainedOpprox;
-use crate::pool::WorkPool;
+use crate::pipeline::{MeasuredOutcome, TrainedOpprox};
 use crate::request::{OptimizePath, OptimizeRequest};
 use crate::spec::AccuracySpec;
 use crate::telemetry::{Clock, Telemetry};
-use opprox_approx_rt::{InputParams, LevelConfig, LevelViolation};
+use opprox_approx_rt::{ApproxApp, InputParams, LevelConfig, LevelViolation, PhaseSchedule};
 use serde::Serialize as _;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, SystemTime};
 
 /// Configuration of a serving instance.
@@ -60,17 +61,15 @@ use std::time::{Duration, SystemTime};
 pub struct ServeOptions {
     /// Bind address (`host:port`; port 0 picks a free port).
     pub addr: String,
-    /// Worker threads of the request pool.
+    /// Requests handled at once: the handling slots admitted frames
+    /// wait for.
     pub threads: usize,
-    /// Admission bound: optimize/predict requests arriving while this
-    /// many are already queued are shed with the `overloaded` code.
+    /// Admission bound: optimize/adaptive/predict frames arriving while
+    /// this many are already waiting for a handling slot are shed with
+    /// the `overloaded` code.
     pub queue_limit: usize,
-    /// Most requests the dispatcher hands to the pool as one batch.
-    pub batch_max: usize,
     /// Artifact mtime poll interval for hot reload, in milliseconds.
     pub reload_poll_ms: u64,
-    /// Shards of the model-only plan cache.
-    pub cache_shards: usize,
 }
 
 impl Default for ServeOptions {
@@ -81,12 +80,19 @@ impl Default for ServeOptions {
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1),
             queue_limit: 64,
-            batch_max: 8,
             reload_poll_ms: 200,
-            cache_shards: 8,
         }
     }
 }
+
+/// Shards of the model-only plan cache.
+const CACHE_SHARDS: usize = 8;
+
+/// Bucket bounds, in microseconds, of the per-op handle-time histograms
+/// (`serve.handle_us.{optimize,adaptive,predict}`).
+const HANDLE_US_BOUNDS: &[f64] = &[
+    10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1e3, 2.5e3, 5e3, 1e4, 2.5e4, 5e4, 1e5, 1e6,
+];
 
 /// One loaded artifact: the trained system plus the file identity the
 /// reload poller compares against.
@@ -118,29 +124,25 @@ struct PlanKey {
     point: bool,
 }
 
-/// One queued request and the channel its reply goes back on.
-struct Job {
-    req: ApiRequest,
-    tx: mpsc::Sender<ApiResponse>,
+/// Occupancy of the handling gate: admitted frames still waiting for a
+/// slot, and slots in use.
+#[derive(Debug, Default)]
+struct Slots {
+    waiting: usize,
+    busy: usize,
 }
 
-/// The outcome of [`ServeState::submit`].
-pub enum Submission {
-    /// Admission control refused the request; reply immediately.
-    Shed(ApiResponse),
-    /// The request was queued; the reply arrives on this receiver.
-    Queued(mpsc::Receiver<ApiResponse>),
-}
-
-/// The shared state of a serving instance: model store, request queue,
+/// The shared state of a serving instance: model store, handling gate,
 /// plan cache, and telemetry registry. [`Server`] wraps it with the TCP
-/// accept/dispatch/reload threads; tests drive it in-process.
+/// accept/connection/reload threads; tests drive it in-process.
 pub struct ServeState {
     options: ServeOptions,
     models: Mutex<Arc<ModelMap>>,
     generation: AtomicU64,
-    queue: Mutex<VecDeque<Job>>,
-    queue_cv: Condvar,
+    slots: Mutex<Slots>,
+    slot_freed: Condvar,
+    /// The `serve.shed` total the admission ledger last recorded.
+    ledger_shed: AtomicU64,
     shutdown: AtomicBool,
     cache: Vec<Mutex<HashMap<PlanKey, OptimizeReply>>>,
     tele: Telemetry,
@@ -162,23 +164,25 @@ impl ServeState {
     }
 
     /// A fresh state timed by `clock` — tests inject a
-    /// [`ManualClock`](crate::telemetry::ManualClock) so spans, uptime,
-    /// and the exported report are deterministic.
+    /// [`ManualClock`](crate::telemetry::ManualClock) so handle times,
+    /// uptime, and the exported report are deterministic.
     pub fn with_clock(options: ServeOptions, clock: Arc<dyn Clock>) -> Self {
         Self::build(options, Telemetry::with_clock(clock))
     }
 
     fn build(options: ServeOptions, tele: Telemetry) -> Self {
         let start_micros = tele.clock().now_micros();
-        let shards = options.cache_shards.max(1);
         ServeState {
             options,
             models: Mutex::new(Arc::new(BTreeMap::new())),
             generation: AtomicU64::new(0),
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
+            slots: Mutex::new(Slots::default()),
+            slot_freed: Condvar::new(),
+            ledger_shed: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
-            cache: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
+            cache: (0..CACHE_SHARDS)
+                .map(|_| Mutex::new(HashMap::new()))
+                .collect(),
             tele,
             start_micros,
             last_reload_rejection: Mutex::new(None),
@@ -200,7 +204,8 @@ impl ServeState {
         &self.options
     }
 
-    /// The telemetry registry (server-level counters, gauges, spans).
+    /// The telemetry registry (server-level counters, gauges,
+    /// histograms, events).
     pub fn telemetry(&self) -> &Telemetry {
         &self.tele
     }
@@ -215,11 +220,10 @@ impl ServeState {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Requests a shutdown: no new work is admitted, the dispatcher
-    /// drains and exits. Idempotent.
+    /// Requests a shutdown: no new frame is admitted, while frames
+    /// already admitted are still answered. Idempotent.
     pub fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        self.queue_cv.notify_all();
     }
 
     // -- model store --------------------------------------------------
@@ -399,26 +403,31 @@ impl ServeState {
     }
 
     /// Handles a request against an explicit model snapshot. The server
-    /// takes one snapshot per batch; tests take one, trigger a reload,
+    /// takes one snapshot per frame; tests take one, trigger a reload,
     /// and then complete the "in-flight" request against the old
     /// snapshot to prove reloads never drop running work.
+    ///
+    /// Runs on any connection thread, so it records no span or event
+    /// (§10's orchestrating-thread contract): each op's handle time goes
+    /// into its fixed-bucket `serve.handle_us.*` histogram instead.
     pub fn handle_with_models(&self, models: &ModelMap, req: &ApiRequest) -> ApiResponse {
         self.tele.incr("serve.requests");
         let result = match req {
             ApiRequest::Optimize(p) => {
                 self.tele.incr("serve.optimize");
-                self.tele
-                    .span("serve.optimize", || self.handle_optimize(models, p))
+                self.timed("serve.handle_us.optimize", || {
+                    self.handle_optimize(models, p)
+                })
             }
             ApiRequest::Adaptive(p) => {
                 self.tele.incr("serve.adaptive");
-                self.tele
-                    .span("serve.adaptive", || self.handle_adaptive(models, p))
+                self.timed("serve.handle_us.adaptive", || {
+                    self.handle_adaptive(models, p)
+                })
             }
             ApiRequest::Predict(p) => {
                 self.tele.incr("serve.predict");
-                self.tele
-                    .span("serve.predict", || self.handle_predict(models, p))
+                self.timed("serve.handle_us.predict", || self.handle_predict(models, p))
             }
             ApiRequest::Health => {
                 self.tele.incr("serve.health");
@@ -437,6 +446,16 @@ impl ServeState {
                 ApiResponse::from_error(&e)
             }
         }
+    }
+
+    /// Runs `f` and records its duration, in clock microseconds, into
+    /// the fixed-bucket histogram `name`.
+    fn timed<T>(&self, name: &'static str, f: impl FnOnce() -> T) -> T {
+        let start = self.tele.clock().now_micros();
+        let out = f();
+        let micros = self.tele.clock().now_micros().saturating_sub(start);
+        self.tele.observe(name, HANDLE_US_BOUNDS, micros as f64);
+        out
     }
 
     fn entry<'m>(
@@ -486,27 +505,9 @@ impl ServeState {
             Conservatism::Band
         };
         let outcome = if p.validate {
-            // Validation executes the application for real; each request
-            // gets a private single-threaded engine (the concurrency
-            // budget belongs to the pool above us) carrying the
-            // request's own recovery knobs.
-            let app = opprox_apps::registry::by_name(&p.app).ok_or_else(|| {
-                OpproxError::Unavailable(format!(
-                    "app `{}` has a trained artifact but no executable implementation",
-                    p.app
-                ))
-            })?;
-            let mut policy = RecoveryPolicy::default();
-            if let Some(r) = p.max_retries {
-                policy.max_retries = u32::try_from(r).unwrap_or(u32::MAX);
-            }
-            if let Some(b) = p.backoff_ms {
-                policy.backoff_base_ms = b;
-            }
-            if let Some(t) = p.eval_timeout_ms {
-                policy.eval_timeout_ms = Some(t);
-            }
-            let engine = EvalEngine::with_recovery(1, policy);
+            // Validation executes the application for real.
+            let app = executable_app(&p.app)?;
+            let engine = request_engine(p.max_retries, p.backoff_ms, p.eval_timeout_ms);
             let mut req = OptimizeRequest::new(input, spec)
                 .conservatism(conservatism)
                 .validate_on(app.as_ref())
@@ -531,22 +532,12 @@ impl ServeState {
                 OptimizePath::Adaptive => "adaptive",
             }
             .to_string(),
-            levels: outcome
-                .plan
-                .schedule
-                .configs()
-                .iter()
-                .map(|c| c.levels().iter().map(|&l| u64::from(l)).collect())
-                .collect(),
+            levels: level_rows(&outcome.plan.schedule),
             predicted_speedup: outcome.plan.predicted_speedup,
             predicted_qos: outcome.plan.predicted_qos,
             candidates_tried: outcome.candidates_tried as u64,
             cached: false,
-            measured: outcome.measured.map(|m| crate::api::MeasuredReply {
-                speedup: m.speedup,
-                qos: m.qos,
-                outer_iters: m.outer_iters,
-            }),
+            measured: outcome.measured.map(MeasuredReply::from),
         };
         if let Some(key) = cache_key {
             self.cache_put(key, reply.clone());
@@ -564,26 +555,10 @@ impl ServeState {
         let input = InputParams::new(p.input.clone());
         let spec = AccuracySpec::try_new(p.budget)?;
 
-        // The controller executes the application for real, so — like
-        // the validated optimize path — each request gets a private
-        // single-threaded engine carrying its own recovery knobs.
-        let app = opprox_apps::registry::by_name(&p.app).ok_or_else(|| {
-            OpproxError::Unavailable(format!(
-                "app `{}` has a trained artifact but no executable implementation",
-                p.app
-            ))
-        })?;
-        let mut policy = RecoveryPolicy::default();
-        if let Some(r) = p.max_retries {
-            policy.max_retries = u32::try_from(r).unwrap_or(u32::MAX);
-        }
-        if let Some(b) = p.backoff_ms {
-            policy.backoff_base_ms = b;
-        }
-        if let Some(t) = p.eval_timeout_ms {
-            policy.eval_timeout_ms = Some(t);
-        }
-        let engine = EvalEngine::with_recovery(1, policy);
+        // The controller executes the application for real, like the
+        // validated optimize path.
+        let app = executable_app(&p.app)?;
+        let engine = request_engine(p.max_retries, p.backoff_ms, p.eval_timeout_ms);
 
         let mut options = ControlOptions {
             resegment: p.resegment,
@@ -613,13 +588,7 @@ impl ServeState {
         Ok(ApiResponse::Adaptive(AdaptiveReply {
             app: p.app.clone(),
             generation: entry.generation,
-            levels: outcome
-                .plan
-                .schedule
-                .configs()
-                .iter()
-                .map(|c| c.levels().iter().map(|&l| u64::from(l)).collect())
-                .collect(),
+            levels: level_rows(&outcome.plan.schedule),
             predicted_speedup: outcome.plan.predicted_speedup,
             predicted_qos: outcome.plan.predicted_qos,
             steps: control.steps.len() as u64,
@@ -628,11 +597,7 @@ impl ServeState {
             degraded: control.degraded,
             budget_reclaimed: control.budget_reclaimed,
             budget_redistributed: control.budget_redistributed,
-            measured: outcome.measured.map(|m| crate::api::MeasuredReply {
-                speedup: m.speedup,
-                qos: m.qos,
-                outer_iters: m.outer_iters,
-            }),
+            measured: outcome.measured.map(MeasuredReply::from),
         }))
     }
 
@@ -702,7 +667,7 @@ impl ServeState {
         ApiResponse::Health(HealthReply {
             apps: models.keys().cloned().collect(),
             generation: self.generation(),
-            queue_depth: self.queue.lock().expect("queue lock").len() as u64,
+            queue_depth: self.waiting() as u64,
             queue_limit: self.options.queue_limit as u64,
             threads: self.options.threads as u64,
             uptime_micros: self
@@ -748,121 +713,79 @@ impl ServeState {
             .insert(key, reply);
     }
 
-    // -- queue + dispatch ---------------------------------------------
+    // -- admission ---------------------------------------------------
 
-    /// Admission control: queues the request (reply arrives on the
-    /// returned receiver) or sheds it immediately with an `overloaded`
-    /// error frame. `health` is exempt from the bound so liveness
-    /// probes answer even under overload; `metrics` and `shutdown` are
-    /// control-plane and are expected to go through
+    /// Admission control, without blocking: a [`Permit`] that answers
+    /// the frame, or the refusal to send instead. `health` is exempt
+    /// from the bound so liveness probes answer under overload;
+    /// `metrics` and `shutdown` are control-plane and go through
     /// [`ServeState::handle`] directly.
-    pub fn submit(&self, req: ApiRequest) -> Submission {
+    ///
+    /// # Errors
+    ///
+    /// [`OpproxError::Unavailable`] after [`ServeState::begin_shutdown`];
+    /// [`OpproxError::Overloaded`] while `queue_limit` frames are
+    /// already waiting for a handling slot.
+    pub fn admit<'s>(&'s self, req: &'s ApiRequest) -> Result<Permit<'s>, OpproxError> {
         if self.is_shutdown() {
-            return Submission::Shed(ApiResponse::from_error(&OpproxError::Unavailable(
+            return Err(OpproxError::Unavailable(
                 "server is shutting down".to_string(),
-            )));
+            ));
         }
-        let exempt = matches!(req, ApiRequest::Health);
-        let mut queue = self.queue.lock().expect("queue lock");
-        let depth = queue.len();
-        if !exempt && depth >= self.options.queue_limit {
-            drop(queue);
+        let mut slots = self.slots.lock().expect("slot gate lock");
+        let depth = slots.waiting;
+        if !matches!(req, ApiRequest::Health) && depth >= self.options.queue_limit {
+            drop(slots);
             self.tele.incr("serve.shed");
-            return Submission::Shed(ApiResponse::from_error(&OpproxError::Overloaded {
+            return Err(OpproxError::Overloaded {
                 depth,
                 limit: self.options.queue_limit,
-            }));
+            });
         }
+        slots.waiting += 1;
+        drop(slots);
         self.tele.incr("serve.admitted");
-        let (tx, rx) = mpsc::channel();
-        queue.push_back(Job { req, tx });
-        drop(queue);
-        self.queue_cv.notify_all();
-        Submission::Queued(rx)
+        Ok(Permit {
+            state: self,
+            req,
+            seated: false,
+        })
     }
 
-    /// Drains up to `batch_max` queued requests and answers them as one
-    /// pool batch. Returns how many were processed (0 when the queue
-    /// was empty). The dispatcher thread loops this; deterministic
-    /// tests call it directly.
-    pub fn drain_once(&self, pool: &WorkPool, last_shed: &mut u64) -> usize {
-        let batch: Vec<Job> = {
-            let mut queue = self.queue.lock().expect("queue lock");
-            let n = queue.len().min(self.options.batch_max.max(1));
-            queue.drain(..n).collect()
-        };
-        if batch.is_empty() {
-            return 0;
-        }
-        let depth = self.queue.lock().expect("queue lock").len();
+    /// Admitted frames still waiting for a handling slot.
+    fn waiting(&self) -> usize {
+        self.slots.lock().expect("slot gate lock").waiting
+    }
+
+    /// One tick of the admission ledger: sets the `serve.queue_depth`
+    /// gauge to the frames waiting for a slot, and records the sheds
+    /// since the previous tick as one `serve.admission` event. Lint
+    /// A018 cross-checks these events against the `serve.shed` counter
+    /// in exported traces. Events are ordered, so one orchestrating
+    /// thread ticks: the [`Server`]'s reload poller, then
+    /// [`Server::stop`] once every other server thread has exited.
+    pub fn admission_tick(&self) {
+        let depth = self.waiting();
         self.tele.set_gauge("serve.queue_depth", depth as f64);
-        // Admission-control ledger: any sheds since the last batch are
-        // recorded as one event from this (orchestrating) thread. Lint
-        // A018 cross-checks these events against the `serve.shed`
-        // counter in exported traces.
         let shed_total = self.tele.counter_value("serve.shed");
-        if shed_total > *last_shed {
+        let last_shed = self.ledger_shed.swap(shed_total, Ordering::SeqCst);
+        if shed_total > last_shed {
             self.tele.event(
                 "serve.admission",
                 &[
-                    ("shed", (shed_total - *last_shed) as f64),
+                    ("shed", (shed_total - last_shed) as f64),
                     ("queue_limit", self.options.queue_limit as f64),
                     ("queue_depth", depth as f64),
                 ],
             );
-            *last_shed = shed_total;
-        }
-        let models = self.snapshot();
-        // `Job` carries an `mpsc::Sender` (`!Sync`), so hand the pool a
-        // view of just the requests.
-        let reqs: Vec<&ApiRequest> = batch.iter().map(|job| &job.req).collect();
-        let replies = pool.run(reqs.len(), |i| self.handle_with_models(&models, reqs[i]));
-        for (job, reply) in batch.iter().zip(replies) {
-            // A receiver dropped mid-flight (client hung up) is fine.
-            let _ = job.tx.send(reply);
-        }
-        batch.len()
-    }
-
-    /// The dispatcher loop: drain batches until shutdown, then fail any
-    /// still-queued requests with `unavailable` instead of leaving
-    /// their clients hanging.
-    pub fn dispatch_loop(&self, pool: &WorkPool) {
-        let mut last_shed = 0u64;
-        loop {
-            {
-                let queue = self.queue.lock().expect("queue lock");
-                if queue.is_empty() {
-                    if self.is_shutdown() {
-                        break;
-                    }
-                    let (_guard, _timeout) = self
-                        .queue_cv
-                        .wait_timeout(queue, Duration::from_millis(50))
-                        .expect("queue lock");
-                    // Re-check from the top with the lock released.
-                    continue;
-                }
-            }
-            self.drain_once(pool, &mut last_shed);
-        }
-        let leftovers: Vec<Job> = {
-            let mut queue = self.queue.lock().expect("queue lock");
-            queue.drain(..).collect()
-        };
-        for job in leftovers {
-            let _ = job
-                .tx
-                .send(ApiResponse::from_error(&OpproxError::Unavailable(
-                    "server stopped before the request ran".to_string(),
-                )));
         }
     }
 
-    /// Parses one wire line and answers it: control-plane frames
-    /// (`metrics`, `shutdown`) and parse failures are answered inline,
-    /// everything else goes through admission control and the pool.
-    /// Returns the response wire line (no trailing newline).
+    /// Parses one wire line and answers it on the calling thread:
+    /// control-plane frames (`metrics`, `shutdown`) and parse failures
+    /// are answered at once, everything else goes through admission
+    /// control and the handling gate. Returns the response wire line
+    /// (no trailing newline).
     pub fn serve_line(&self, line: &str) -> String {
         let req = match ApiRequest::parse(line) {
             Ok(req) => req,
@@ -871,18 +794,108 @@ impl ServeState {
                 return ApiResponse::from_error(&e).to_wire();
             }
         };
-        match req {
-            ApiRequest::Metrics | ApiRequest::Shutdown => self.handle(&req).to_wire(),
-            _ => match self.submit(req) {
-                Submission::Shed(resp) => resp.to_wire(),
-                Submission::Queued(rx) => match rx.recv() {
-                    Ok(resp) => resp.to_wire(),
-                    Err(_) => ApiResponse::from_error(&OpproxError::Unavailable(
-                        "server stopped before the reply was produced".to_string(),
-                    ))
-                    .to_wire(),
-                },
+        let resp = match req {
+            ApiRequest::Metrics | ApiRequest::Shutdown => self.handle(&req),
+            _ => match self.admit(&req) {
+                Ok(permit) => permit.answer(),
+                Err(refusal) => ApiResponse::from_error(&refusal),
             },
+        };
+        resp.to_wire()
+    }
+}
+
+/// An admitted frame. It counts as waiting until [`Permit::answer`]
+/// takes a handling slot; dropping an unanswered permit withdraws it.
+pub struct Permit<'s> {
+    state: &'s ServeState,
+    req: &'s ApiRequest,
+    seated: bool,
+}
+
+impl Permit<'_> {
+    /// Waits for one of the `threads` handling slots, then answers the
+    /// frame on the calling thread against the current model snapshot.
+    pub fn answer(mut self) -> ApiResponse {
+        let state = self.state;
+        let threads = state.options.threads.max(1);
+        let mut slots = state.slots.lock().expect("slot gate lock");
+        while slots.busy >= threads {
+            slots = state.slot_freed.wait(slots).expect("slot gate lock");
+        }
+        slots.waiting -= 1;
+        slots.busy += 1;
+        drop(slots);
+        self.seated = true;
+        state.handle(self.req)
+    }
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        // Runs while a panicking handler unwinds, so it must not panic.
+        // Every gate update is a single counter step, so a poisoned
+        // guard still holds valid counts.
+        let mut slots = self
+            .state
+            .slots
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        if self.seated {
+            slots.busy -= 1;
+            drop(slots);
+            self.state.slot_freed.notify_one();
+        } else {
+            slots.waiting -= 1;
+        }
+    }
+}
+
+/// The executable implementation of `app`, for the paths that run the
+/// application for real.
+fn executable_app(app: &str) -> Result<Box<dyn ApproxApp>, OpproxError> {
+    opprox_apps::registry::by_name(app).ok_or_else(|| {
+        OpproxError::Unavailable(format!(
+            "app `{app}` has a trained artifact but no executable implementation"
+        ))
+    })
+}
+
+/// A private single-threaded engine carrying a request's own recovery
+/// knobs (the concurrency budget belongs to the handling gate).
+fn request_engine(
+    max_retries: Option<u64>,
+    backoff_ms: Option<u64>,
+    eval_timeout_ms: Option<u64>,
+) -> EvalEngine {
+    let mut policy = RecoveryPolicy::default();
+    if let Some(r) = max_retries {
+        policy.max_retries = u32::try_from(r).unwrap_or(u32::MAX);
+    }
+    if let Some(b) = backoff_ms {
+        policy.backoff_base_ms = b;
+    }
+    if let Some(t) = eval_timeout_ms {
+        policy.eval_timeout_ms = Some(t);
+    }
+    EvalEngine::with_recovery(1, policy)
+}
+
+/// The per-phase level rows of a schedule, as the wire carries them.
+fn level_rows(schedule: &PhaseSchedule) -> Vec<Vec<u64>> {
+    schedule
+        .configs()
+        .iter()
+        .map(|c| c.levels().iter().map(|&l| u64::from(l)).collect())
+        .collect()
+}
+
+impl From<MeasuredOutcome> for MeasuredReply {
+    fn from(m: MeasuredOutcome) -> Self {
+        MeasuredReply {
+            speedup: m.speedup,
+            qos: m.qos,
+            outer_iters: m.outer_iters,
         }
     }
 }
@@ -920,20 +933,20 @@ fn file_id(path: &Path) -> Option<(SystemTime, u64)> {
     Some((meta.modified().ok()?, meta.len()))
 }
 
-/// The running TCP server: listener, dispatcher, and reload threads
-/// around a shared [`ServeState`].
+/// The running TCP server: the accept thread, one thread per
+/// connection, and the reload/ledger thread around a shared
+/// [`ServeState`].
 pub struct Server {
     state: Arc<ServeState>,
     addr: SocketAddr,
     listener: Option<std::thread::JoinHandle<()>>,
-    dispatcher: Option<std::thread::JoinHandle<()>>,
     reloader: Option<std::thread::JoinHandle<()>>,
     connections: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
 }
 
 impl Server {
-    /// Binds the configured address and starts the accept, dispatch,
-    /// and hot-reload threads.
+    /// Binds the configured address and starts the accept and
+    /// reload/ledger threads.
     ///
     /// # Errors
     ///
@@ -944,13 +957,6 @@ impl Server {
         let connections: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
             Arc::new(Mutex::new(Vec::new()));
 
-        let dispatcher = {
-            let state = Arc::clone(&state);
-            std::thread::spawn(move || {
-                let pool = WorkPool::new(state.options().threads);
-                state.dispatch_loop(&pool);
-            })
-        };
         let reloader = {
             let state = Arc::clone(&state);
             std::thread::spawn(move || {
@@ -959,6 +965,7 @@ impl Server {
                 let period = Duration::from_millis(state.options().reload_poll_ms.max(1));
                 while !state.is_shutdown() {
                     std::thread::sleep(step);
+                    state.admission_tick();
                     elapsed += step;
                     if elapsed >= period {
                         elapsed = Duration::ZERO;
@@ -989,7 +996,6 @@ impl Server {
             state,
             addr,
             listener: Some(accept_handle),
-            dispatcher: Some(dispatcher),
             reloader: Some(reloader),
             connections,
         })
@@ -1015,7 +1021,8 @@ impl Server {
         self.stop();
     }
 
-    /// Requests a shutdown and joins every server thread. Idempotent.
+    /// Requests a shutdown, joins every server thread, and closes the
+    /// admission ledger with a final tick. Idempotent.
     pub fn stop(&mut self) {
         self.state.begin_shutdown();
         // Unblock the accept loop with a throwaway connection.
@@ -1030,12 +1037,10 @@ impl Server {
         for h in handles {
             let _ = h.join();
         }
-        if let Some(h) = self.dispatcher.take() {
-            let _ = h.join();
-        }
         if let Some(h) = self.reloader.take() {
             let _ = h.join();
         }
+        self.state.admission_tick();
     }
 }
 
@@ -1190,38 +1195,6 @@ mod tests {
             panic!("expected an error");
         };
         assert_eq!(code, crate::api::WireCode::BadRequest);
-    }
-
-    #[test]
-    fn admission_bound_sheds_and_health_is_exempt() {
-        let state = ServeState::new(ServeOptions {
-            threads: 1,
-            queue_limit: 2,
-            ..ServeOptions::default()
-        });
-        state.install(trained(), None);
-        let mk = || ApiRequest::Optimize(OptimizeParams::new("pso", vec![16.0, 3.0], 10.0));
-        let q1 = state.submit(mk());
-        let q2 = state.submit(mk());
-        assert!(matches!(q1, Submission::Queued(_)));
-        assert!(matches!(q2, Submission::Queued(_)));
-        let Submission::Shed(resp) = state.submit(mk()) else {
-            panic!("third request must be shed");
-        };
-        assert!(resp.is_error());
-        assert_eq!(state.telemetry().counter_value("serve.shed"), 1);
-        // Health still gets through.
-        assert!(matches!(
-            state.submit(ApiRequest::Health),
-            Submission::Queued(_)
-        ));
-        // Drain the queue and check the admission event was recorded.
-        let pool = WorkPool::new(1);
-        let mut last_shed = 0;
-        while state.drain_once(&pool, &mut last_shed) > 0 {}
-        let report = state.telemetry().report();
-        assert_eq!(report.events_named("serve.admission").len(), 1);
-        assert_eq!(report.counter("serve.shed"), 1);
     }
 
     /// Rewrites every value stored under `key`, anywhere in the tree

@@ -1,5 +1,5 @@
 //! Server-level integration tests: deterministic hot reload and
-//! dispatch driven in-process with a [`ManualClock`], plus a real TCP
+//! admission driven in-process with a [`ManualClock`], plus a real TCP
 //! server answering concurrent clients.
 
 use opprox::approx_rt::InputParams;
@@ -9,11 +9,10 @@ use opprox::core::api::{
 use opprox::core::error::OpproxError;
 use opprox::core::optimizer::EXHAUSTIVE_LIMIT;
 use opprox::core::pipeline::TrainedOpprox;
-use opprox::core::pool::WorkPool;
 use opprox::core::request::OptimizeRequest;
 use opprox::core::telemetry::Clock;
 use opprox::core::AccuracySpec;
-use opprox::core::{ManualClock, ServeOptions, ServeState, Server, Submission};
+use opprox::core::{ManualClock, ServeOptions, ServeState, Server};
 use opprox_testutil::fixtures::{trained_pso_from, trained_pso_value};
 use opprox_testutil::json::{mutate_first_key, mutate_keys, path_mut};
 use opprox_testutil::serve::{send_lines, write_pso_artifact, write_streamagg_artifact};
@@ -111,8 +110,8 @@ fn failed_reload_keeps_the_old_artifact() {
 
 /// A model whose ROI decodes as NaN is refused with `invalid_model`
 /// rather than panicking the handler — under `opprox serve` that panic
-/// would kill the dispatcher thread and leave every later request
-/// unanswered. Driven through `handle` directly so a regression fails
+/// would kill the connection thread and leave its client without a
+/// reply. Driven through `handle` directly so a regression fails
 /// instead of hanging.
 #[test]
 fn non_finite_roi_is_refused_with_invalid_model() {
@@ -162,13 +161,7 @@ fn oversized_level_space_is_refused_with_invalid_model() {
         ..ServeOptions::default()
     });
     state.install(trained, None);
-    let pool = WorkPool::new(1);
-    let reply = std::thread::scope(|s| {
-        s.spawn(|| state.dispatch_loop(&pool));
-        let reply = state.serve_line(&optimize_req().to_wire());
-        state.begin_shutdown();
-        reply
-    });
+    let reply = state.serve_line(&optimize_req().to_wire());
     let Ok(ApiResponse::Error { code, message }) = ApiResponse::parse(&reply) else {
         panic!("expected an error frame, got {reply}");
     };
@@ -229,57 +222,107 @@ fn health_uptime_follows_the_manual_clock() {
     assert_eq!(health.queue_depth, 0);
 }
 
-/// Driving the queue by hand: submissions beyond the bound shed, one
-/// `drain_once` answers a full batch on the pool, and the dispatcher
-/// records the shed in a `serve.admission` ledger event.
-#[test]
-fn drain_once_answers_queued_requests_and_logs_admission() {
-    let state = ServeState::new(ServeOptions {
-        threads: 2,
-        queue_limit: 2,
-        batch_max: 8,
-        ..ServeOptions::default()
-    });
-    let path = temp_artifact("drain.json");
-    state.load_artifact(&path).expect("load artifact");
-
-    let rx1 = match state.submit(optimize_req()) {
-        Submission::Queued(rx) => rx,
-        Submission::Shed(_) => panic!("first submission must be admitted"),
-    };
-    let rx2 = match state.submit(ApiRequest::Predict(PredictParams {
+fn predict_req() -> ApiRequest {
+    ApiRequest::Predict(PredictParams {
         app: "pso".to_string(),
         input: vec![16.0, 3.0],
         phase: 0,
         configs: vec![vec![1, 1, 1]],
-    })) {
-        Submission::Queued(rx) => rx,
-        Submission::Shed(_) => panic!("second submission must be admitted"),
-    };
-    let Submission::Shed(shed) = state.submit(optimize_req()) else {
-        panic!("third submission must shed");
-    };
-    assert!(shed.is_error());
+    })
+}
 
-    let pool = WorkPool::new(2);
-    let mut last_shed = 0u64;
-    assert_eq!(state.drain_once(&pool, &mut last_shed), 2);
-    assert!(matches!(
-        rx1.recv().expect("reply for job 1"),
-        ApiResponse::Optimize(_)
-    ));
-    assert!(matches!(
-        rx2.recv().expect("reply for job 2"),
-        ApiResponse::Predict(_)
-    ));
+/// Admission by hand: frames past the bound shed with `overloaded`,
+/// `health` is exempt, `health.queue_depth` counts the frames waiting
+/// for a slot, admitted frames are answered through their permits, one
+/// ledger tick records the shed as a `serve.admission` event, and after
+/// a shutdown nothing is admitted.
+#[test]
+fn admit_sheds_past_the_bound_and_logs_admission() {
+    let state = ServeState::new(ServeOptions {
+        threads: 1,
+        queue_limit: 2,
+        ..ServeOptions::default()
+    });
+    let path = temp_artifact("admit.json");
+    state.load_artifact(&path).expect("load artifact");
 
-    let report = state.telemetry().report();
+    let (optimize, predict) = (optimize_req(), predict_req());
+    let first = state.admit(&optimize).expect("first frame is admitted");
+    let second = state.admit(&predict).expect("second frame is admitted");
+    let Err(shed) = state.admit(&optimize) else {
+        panic!("third frame must shed");
+    };
+    assert_eq!(WireCode::of(&shed), WireCode::Overloaded, "{shed}");
+
+    // Health gets through past the bound; answering it takes the free
+    // slot, leaving the two other frames waiting.
+    let health = ApiRequest::Health;
+    let probe = state.admit(&health).expect("health is exempt");
+    let ApiResponse::Health(reply) = probe.answer() else {
+        panic!("expected a health reply");
+    };
+    assert_eq!(reply.queue_depth, 2);
+
+    assert!(matches!(first.answer(), ApiResponse::Optimize(_)));
+    assert!(matches!(second.answer(), ApiResponse::Predict(_)));
+    let ApiResponse::Health(reply) = state.handle(&health) else {
+        panic!("expected a health reply");
+    };
+    assert_eq!(reply.queue_depth, 0);
+
+    let tele = state.telemetry();
+    assert_eq!(tele.counter_value("serve.shed"), 1);
+    assert_eq!(tele.counter_value("serve.admitted"), 3);
+    assert!(tele.report().events_named("serve.admission").is_empty());
+    state.admission_tick();
+    // A tick without new sheds records nothing.
+    state.admission_tick();
+    let report = tele.report();
     let events = report.events_named("serve.admission");
     assert_eq!(events.len(), 1);
     assert_eq!(events[0].field("shed"), Some(1.0));
     assert_eq!(events[0].field("queue_limit"), Some(2.0));
-    assert_eq!(state.telemetry().counter_value("serve.shed"), 1);
-    assert_eq!(state.telemetry().counter_value("serve.admitted"), 2);
+
+    state.begin_shutdown();
+    let Err(refusal) = state.admit(&health) else {
+        panic!("nothing is admitted after a shutdown");
+    };
+    assert_eq!(WireCode::of(&refusal), WireCode::Unavailable, "{refusal}");
+}
+
+/// Serving requests appends nothing to the telemetry timeline: each
+/// op's handle time lands in its fixed-bucket histogram instead, so the
+/// registry stays bounded however many frames are served.
+#[test]
+fn served_frames_fill_histograms_not_the_timeline() {
+    let state = ServeState::new(ServeOptions {
+        threads: 1,
+        ..ServeOptions::default()
+    });
+    state
+        .load_artifact(temp_artifact("histograms.json"))
+        .expect("load artifact");
+    let before = state.telemetry().report().timeline.len();
+    let line = predict_req().to_wire();
+    for _ in 0..100 {
+        let reply = state.serve_line(&line);
+        assert!(
+            matches!(ApiResponse::parse(&reply), Ok(ApiResponse::Predict(_))),
+            "{reply}"
+        );
+    }
+    let report = state.telemetry().report();
+    assert_eq!(report.timeline.len(), before);
+    let hist = report
+        .histogram("serve.handle_us.predict")
+        .expect("the predict op records its handle time");
+    assert_eq!(hist.counts.iter().sum::<u64>(), 100);
+    // The `metrics` op returns the histogram with the rest of the report.
+    let metrics = state.serve_line(&ApiRequest::Metrics.to_wire());
+    assert!(
+        metrics.contains(r#""name":"serve.handle_us.predict""#),
+        "{metrics}"
+    );
 }
 
 /// A real TCP server answering several concurrent connections, then
