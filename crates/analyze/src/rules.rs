@@ -285,11 +285,12 @@ pub fn run_all(set: &ArtifactSet, report: &mut Report) {
     lint_spec_budget(set, report);
     lint_drop_rate(set, report);
     lint_robustness_consistency(set, report);
-    lint_phase_speedup_consistency(set, report);
     lint_cache_hit_rate(set, report);
     lint_admission_control_ledger(set, report);
     if let Some(tele) = &set.telemetry {
-        lint_controller_thrashing(&SessionModel::from_trace(tele), report);
+        let trace = SessionModel::from_trace(tele);
+        lint_phase_speedup_consistency(&trace, report);
+        lint_controller_thrashing(&trace, report);
     }
     report.sort();
 }
@@ -738,23 +739,16 @@ fn lint_robustness_consistency(set: &ArtifactSet, report: &mut Report) {
 /// anything profiling ever measured is model runaway, not interpolation.
 pub const A016_SLACK: f64 = 10.0;
 
-/// A016 — every `optimize.phase` event's predicted speedup must be
-/// consistent with the profiled per-phase ceiling
-/// (`profile.phase[p].max_speedup`): positive, finite, and within
-/// [`A016_SLACK`] of the ceiling. Needs a telemetry report carrying both
-/// halves (the events and the gauges); traces that lack either — e.g. a
-/// model-only `optimize` trace with no profiling — silently pass.
-fn lint_phase_speedup_consistency(set: &ArtifactSet, report: &mut Report) {
-    let Some(tele) = &set.telemetry else {
-        return;
-    };
-    for event in tele.events_named("optimize.phase") {
-        let (Some(phase), Some(pred)) = (event.field("phase"), event.field("predicted_speedup"))
-        else {
-            continue;
-        };
-        let phase = phase as usize;
-        let location = format!("telemetry.event[{}].optimize.phase[{phase}]", event.seq);
+/// A016 — every solve step's predicted speedup must be consistent with
+/// the profiled per-phase ceiling (`profile.phase[p].max_speedup`):
+/// positive, finite, and within [`A016_SLACK`] of the ceiling. Reads the
+/// trace's decoded [`Solve`](crate::session::Solve) steps and profiled
+/// ceilings; a step whose phase has no ceiling — e.g. in a model-only
+/// `optimize` trace with no profiling — only gets the finiteness check.
+fn lint_phase_speedup_consistency(trace: &SessionModel, report: &mut Report) {
+    for step in trace.solves.iter().flat_map(|solve| &solve.steps) {
+        let (phase, pred) = (step.phase, step.predicted_speedup);
+        let location = format!("telemetry.event[{}].optimize.phase[{phase}]", step.seq);
         if !(pred.is_finite() && pred > 0.0) {
             diag(
                 report,
@@ -764,19 +758,18 @@ fn lint_phase_speedup_consistency(set: &ArtifactSet, report: &mut Report) {
             );
             continue;
         }
-        let Some(ceiling) = tele.gauge(&format!("profile.phase[{phase}].max_speedup")) else {
+        let Some(&ceiling) = trace.profiled_max_speedup.get(&phase) else {
             continue; // No profiling in this trace: nothing to compare.
         };
-        if ceiling.max > 0.0 && pred > ceiling.max * A016_SLACK {
+        if ceiling > 0.0 && pred > ceiling * A016_SLACK {
             diag(
                 report,
                 "A016",
                 location,
                 format!(
                     "planned speedup {pred:.2}x is over {A016_SLACK:.0}× the \
-                     {:.2}x ceiling profiling ever measured for phase {phase}; \
-                     the phase's model has run away from its training data",
-                    ceiling.max
+                     {ceiling:.2}x ceiling profiling ever measured for phase {phase}; \
+                     the phase's model has run away from its training data"
                 ),
             );
         }
@@ -957,7 +950,7 @@ mod tests {
         t.set_gauge("profile.phase[0].max_speedup", 1.8);
         t.event(
             "optimize.phase",
-            &[("phase", 0.0), ("predicted_speedup", 1.5)],
+            &[("solve", 0.0), ("phase", 0.0), ("predicted_speedup", 1.5)],
         );
         for _ in 0..30 {
             t.incr("eval.exec");
@@ -976,11 +969,15 @@ mod tests {
         t.set_gauge("profile.phase[0].max_speedup", 1.2);
         t.event(
             "optimize.phase",
-            &[("phase", 0.0), ("predicted_speedup", 50.0)],
+            &[("solve", 0.0), ("phase", 0.0), ("predicted_speedup", 50.0)],
         );
         t.event(
             "optimize.phase",
-            &[("phase", 1.0), ("predicted_speedup", f64::NAN)],
+            &[
+                ("solve", 0.0),
+                ("phase", 1.0),
+                ("predicted_speedup", f64::NAN),
+            ],
         );
         for _ in 0..A017_MIN_EXECUTIONS {
             t.incr("eval.exec");
@@ -1006,7 +1003,7 @@ mod tests {
         t.incr("eval.exec");
         t.event(
             "optimize.phase",
-            &[("phase", 3.0), ("predicted_speedup", 99.0)],
+            &[("solve", 0.0), ("phase", 3.0), ("predicted_speedup", 99.0)],
         );
         let set = ArtifactSet {
             telemetry: Some(t.report()),

@@ -3,219 +3,67 @@
 //! Grammar: `opprox <command> [args...] [--flag value]...`. Parsing is
 //! two-stage: the raw positionals and `--flag value` pairs are
 //! collected, then immediately checked against the selected command's
-//! flag set and converted into a typed [`Command`]. Unknown commands and
-//! unknown flags fail **at parse time** with a nearest-match suggestion,
-//! so nothing stringly-typed survives into dispatch. Only `analyze` and
-//! `audit` (their artifact files) and `trace` (its subcommand and trace
-//! file) take positional arguments; everywhere else a positional is an
-//! error.
+//! flag set and converted into a typed [`Command`] whose payloads are
+//! the option types `opprox-core` already defines ([`TrainingOptions`],
+//! [`ControlOptions`], [`ServeOptions`], [`ApiRequest`], ...). Unknown
+//! commands and unknown flags fail **at parse time** with a
+//! nearest-match suggestion, so nothing stringly-typed survives into
+//! dispatch. Only `analyze` and `audit` (their artifact files) and
+//! `trace` (its subcommand and trace file) take positional arguments;
+//! everywhere else a positional is an error.
 
-use opprox_core::{DriftInjection, FaultPlan, RecoveryPolicy};
+use opprox_core::api::{AdaptiveParams, ApiRequest, OptimizeParams, PredictParams};
+use opprox_core::evaluator::EvalEngine;
+use opprox_core::phases::PhaseSearchOptions;
+use opprox_core::pipeline::TrainingOptions;
+use opprox_core::sampling::SamplingPlan;
+use opprox_core::serve::ServeOptions;
+use opprox_core::{ControlOptions, DriftInjection, FaultPlan, RecoveryPolicy};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::str::FromStr;
 
-/// A fully parsed, typed command line.
+/// A fully parsed, typed command line: each variant carries the one
+/// payload its subcommand runs on.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
     /// List the registered applications.
     Apps,
     /// Algorithm 1: phase-granularity search.
-    Phases {
-        /// Application name.
-        app: String,
-        /// Input parameter values.
-        input: Vec<f64>,
-        /// Probe configurations per phase.
-        probes: usize,
-        /// RNG seed for the probe configurations.
-        seed: u64,
-        /// Worker threads for the evaluation engine (`None` = all cores).
-        threads: Option<usize>,
-        /// Telemetry export (`--trace-out`, `--trace-format`).
-        trace: TraceSpec,
-    },
+    Phases(PhasesArgs),
     /// Profile an application, fit models, save them to disk.
-    Train {
-        /// Application name.
-        app: String,
-        /// Output path for the trained model JSON.
-        out: String,
-        /// Number of phases.
-        phases: usize,
-        /// Sparse multi-block samples per (input, phase).
-        sparse: usize,
-        /// RNG seed for the sampling.
-        seed: u64,
-        /// Worker threads for the evaluation engine.
-        threads: Option<usize>,
-        /// Deterministic fault-injection plan (`--fault-plan`).
-        fault_plan: Option<FaultPlan>,
-        /// Retry and timeout policy (`--max-retries`, `--eval-timeout-ms`).
-        recovery: RecoveryPolicy,
-        /// Telemetry export (`--trace-out`, `--trace-format`).
-        trace: TraceSpec,
-    },
+    Train(TrainArgs),
     /// Algorithm 2, model-only: no real executions.
-    Optimize {
-        /// Path to a trained model JSON.
-        model: String,
-        /// Input parameter values.
-        input: Vec<f64>,
-        /// QoS-degradation budget.
-        budget: f64,
-        /// Telemetry export (`--trace-out`, `--trace-format`).
-        trace: TraceSpec,
-    },
+    Optimize(OptimizeArgs),
     /// Validated optimization plus real execution.
-    Run {
-        /// Path to a trained model JSON.
-        model: String,
-        /// Input parameter values.
-        input: Vec<f64>,
-        /// QoS-degradation budget.
-        budget: f64,
-        /// Optional canary input for the validation executions.
-        canary: Option<Vec<f64>>,
-        /// Cap on validation executions.
-        validations: usize,
-        /// Worker threads for the evaluation engine.
-        threads: Option<usize>,
-        /// Deterministic fault-injection plan (`--fault-plan`).
-        fault_plan: Option<FaultPlan>,
-        /// Retry and timeout policy (`--max-retries`, `--eval-timeout-ms`).
-        recovery: RecoveryPolicy,
-        /// Run the closed-loop controller instead of the one-shot
-        /// validated pipeline (`--adaptive true`).
-        adaptive: bool,
-        /// Controller drift tolerance override (`--drift-tolerance`).
-        drift_tolerance: Option<f64>,
-        /// Online BBV re-segmentation toggle (`--resegment false`).
-        resegment: bool,
-        /// Seeded drift injection for the controller
-        /// (`--inject-drift phase=P,factor=F[,block=B]`).
-        inject_drift: Option<DriftInjection>,
-        /// Telemetry export (`--trace-out`, `--trace-format`).
-        trace: TraceSpec,
-    },
+    Run(RunArgs),
     /// Phase-agnostic exhaustive baseline.
-    Oracle {
-        /// Application name.
-        app: String,
-        /// Input parameter values.
-        input: Vec<f64>,
-        /// QoS-degradation budget.
-        budget: f64,
-        /// Worker threads for the evaluation engine.
-        threads: Option<usize>,
-        /// Telemetry export (`--trace-out`, `--trace-format`).
-        trace: TraceSpec,
-    },
+    Oracle(OracleArgs),
     /// Summarize a trained model.
     Inspect {
         /// Path to a trained model JSON.
         model: String,
     },
     /// Lint serialized artifacts (schedules, specs, trained model sets).
-    Analyze {
-        /// Paths to the artifact files, in any order and combination.
-        artifacts: Vec<String>,
-        /// Report format.
-        format: OutputFormat,
-        /// Treat warnings as fatal (`--deny warnings`).
-        deny_warnings: bool,
-    },
+    Analyze(LintArgs),
     /// Cross-artifact audit of one run's linked artifacts.
     Audit {
-        /// Paths to artifact files or directories of them.
-        artifacts: Vec<String>,
-        /// Report format.
-        format: OutputFormat,
-        /// Treat warnings as fatal (`--deny warnings`).
-        deny_warnings: bool,
+        /// Artifacts, report format and warning gate.
+        lint: LintArgs,
         /// X001 drift band widening (`--tolerance T`).
         tolerance: f64,
     },
     /// OPPROX (validated) vs the oracle in one shot.
-    Compare {
-        /// Application name.
-        app: String,
-        /// Input parameter values.
-        input: Vec<f64>,
-        /// QoS-degradation budget.
-        budget: f64,
-        /// Number of phases for training.
-        phases: usize,
-        /// Sparse samples per (input, phase) for training.
-        sparse: usize,
-        /// RNG seed for the sampling.
-        seed: u64,
-        /// Worker threads for the evaluation engine.
-        threads: Option<usize>,
-        /// Deterministic fault-injection plan (`--fault-plan`).
-        fault_plan: Option<FaultPlan>,
-        /// Retry and timeout policy (`--max-retries`, `--eval-timeout-ms`).
-        recovery: RecoveryPolicy,
-        /// Telemetry export (`--trace-out`, `--trace-format`).
-        trace: TraceSpec,
-    },
+    Compare(CompareArgs),
     /// Long-running optimization service speaking the v1 wire protocol
     /// (line-delimited JSON over TCP).
-    Serve {
-        /// Paths of the trained-model artifacts to load (comma-separated
-        /// in `--model`); each is hot-reloaded on file change.
-        models: Vec<String>,
-        /// Bind address (`host:port`; port 0 picks a free port).
-        addr: String,
-        /// File the bound address is written to once listening
-        /// (`--addr-file`), so scripts can use `--addr 127.0.0.1:0`.
-        addr_file: Option<String>,
-        /// Requests handled at once (`None` = all cores).
-        threads: Option<usize>,
-        /// Admission bound on requests waiting for a handling slot
-        /// (`--queue-limit`).
-        queue_limit: usize,
-        /// Artifact mtime poll interval (`--reload-poll-ms`).
-        reload_poll_ms: u64,
-        /// Telemetry export at shutdown (`--trace-out`, `--trace-format`).
-        trace: TraceSpec,
-    },
+    Serve(ServeArgs),
     /// One-shot wire client for smoke queries against a running server.
     Client {
         /// Server address (`host:port`).
         addr: String,
-        /// Which request to send.
-        op: ClientOp,
-        /// Application name (optimize/predict).
-        app: Option<String>,
-        /// Input parameter values (optimize/predict).
-        input: Option<Vec<f64>>,
-        /// QoS-degradation budget (optimize).
-        budget: Option<f64>,
-        /// Phase index (predict).
-        phase: u64,
-        /// Semicolon-separated level rows, e.g. `0,0,0;1,2,1` (predict).
-        configs: Option<String>,
-        /// Point-estimate conservatism (`--point true`).
-        point: bool,
-        /// Empirical validation on the server (`--validate true`).
-        validate: bool,
-        /// Cap on validation executions (`--validations`).
-        validations: Option<u64>,
-        /// Per-request retry cap (`--max-retries`).
-        max_retries: Option<u64>,
-        /// Per-request retry backoff base (`--backoff-ms`).
-        backoff_ms: Option<u64>,
-        /// Per-request evaluation timeout (`--eval-timeout-ms`).
-        eval_timeout_ms: Option<u64>,
-        /// Controller drift tolerance override (adaptive,
-        /// `--drift-tolerance`).
-        drift_tolerance: Option<f64>,
-        /// Online BBV re-segmentation toggle (adaptive,
-        /// `--resegment false`).
-        resegment: bool,
-        /// Seeded drift injection (adaptive,
-        /// `--inject-drift phase=P,factor=F[,block=B]`).
-        inject_drift: Option<DriftInjection>,
+        /// The request frame to send (`--op` and its flags).
+        request: ApiRequest,
     },
     /// Summarize a previously captured telemetry trace
     /// (`opprox trace summarize FILE`).
@@ -225,6 +73,157 @@ pub enum Command {
     },
     /// Print the usage summary.
     Help,
+}
+
+/// The evaluation-engine flags of the engine-backed commands
+/// (`--threads`, `--fault-plan`, `--max-retries`, `--eval-timeout-ms`).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct EngineArgs {
+    /// Worker threads (`None` = all cores).
+    pub threads: Option<usize>,
+    /// Deterministic fault-injection plan.
+    pub fault_plan: Option<FaultPlan>,
+    /// Retry and timeout policy.
+    pub recovery: RecoveryPolicy,
+}
+
+impl EngineArgs {
+    /// The engine these flags describe.
+    pub fn engine(&self) -> EvalEngine {
+        let threads = self.threads.unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1)
+        });
+        match self.fault_plan {
+            Some(plan) => EvalEngine::with_faults(threads, plan, self.recovery),
+            None => EvalEngine::with_recovery(threads, self.recovery),
+        }
+    }
+}
+
+/// `opprox phases`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PhasesArgs {
+    /// Application name.
+    pub app: String,
+    /// Input parameter values.
+    pub input: Vec<f64>,
+    /// Probe configurations (`--probes`) and their seed (`--seed`).
+    pub options: PhaseSearchOptions,
+    /// Engine flags.
+    pub engine: EngineArgs,
+    /// Telemetry export.
+    pub trace: TraceSpec,
+}
+
+/// `opprox train`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TrainArgs {
+    /// Application name.
+    pub app: String,
+    /// Output path for the trained model JSON.
+    pub out: String,
+    /// Phases, sparse samples, seed, and the fit pool's `--threads`.
+    pub options: TrainingOptions,
+    /// Engine flags.
+    pub engine: EngineArgs,
+    /// Telemetry export.
+    pub trace: TraceSpec,
+}
+
+/// `opprox optimize`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct OptimizeArgs {
+    /// Path to a trained model JSON.
+    pub model: String,
+    /// Input parameter values.
+    pub input: Vec<f64>,
+    /// QoS-degradation budget.
+    pub budget: f64,
+    /// Telemetry export.
+    pub trace: TraceSpec,
+}
+
+/// `opprox run`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunArgs {
+    /// Path to a trained model JSON.
+    pub model: String,
+    /// Input parameter values.
+    pub input: Vec<f64>,
+    /// QoS-degradation budget.
+    pub budget: f64,
+    /// Optional canary input for the validation executions.
+    pub canary: Option<Vec<f64>>,
+    /// Cap on validation executions.
+    pub validations: usize,
+    /// The closed-loop controller's options under `--adaptive true`
+    /// (`--drift-tolerance`, `--resegment`, `--inject-drift`); `None`
+    /// runs the one-shot validated pipeline.
+    pub adaptive: Option<ControlOptions>,
+    /// Engine flags.
+    pub engine: EngineArgs,
+    /// Telemetry export.
+    pub trace: TraceSpec,
+}
+
+/// `opprox oracle`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct OracleArgs {
+    /// Application name.
+    pub app: String,
+    /// Input parameter values.
+    pub input: Vec<f64>,
+    /// QoS-degradation budget.
+    pub budget: f64,
+    /// Engine flags.
+    pub engine: EngineArgs,
+    /// Telemetry export.
+    pub trace: TraceSpec,
+}
+
+/// `opprox compare`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CompareArgs {
+    /// Application name.
+    pub app: String,
+    /// Input parameter values.
+    pub input: Vec<f64>,
+    /// QoS-degradation budget.
+    pub budget: f64,
+    /// Training options, as for `opprox train`.
+    pub options: TrainingOptions,
+    /// Engine flags.
+    pub engine: EngineArgs,
+    /// Telemetry export.
+    pub trace: TraceSpec,
+}
+
+/// `opprox analyze` and the shared part of `opprox audit`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LintArgs {
+    /// Paths to artifact files or directories of them.
+    pub artifacts: Vec<String>,
+    /// Report format.
+    pub format: OutputFormat,
+    /// Treat warnings as fatal (`--deny warnings`).
+    pub deny_warnings: bool,
+}
+
+/// `opprox serve`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ServeArgs {
+    /// Paths of the trained-model artifacts to load (comma-separated in
+    /// `--model`); each is hot-reloaded on file change.
+    pub models: Vec<String>,
+    /// File the bound address is written to once listening
+    /// (`--addr-file`), so scripts can use `--addr 127.0.0.1:0`.
+    pub addr_file: Option<String>,
+    /// Bind address, handling slots, queue limit and reload poll.
+    pub options: ServeOptions,
+    /// Telemetry export at shutdown.
+    pub trace: TraceSpec,
 }
 
 /// Where and how a command exports its telemetry
@@ -250,23 +249,6 @@ pub enum TraceFormat {
     Text,
 }
 
-/// The request kind `opprox client` sends (`--op`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClientOp {
-    /// `health` frame: liveness, loaded apps, queue depth.
-    Health,
-    /// `metrics` frame: the server's telemetry report.
-    Metrics,
-    /// `optimize` frame.
-    Optimize,
-    /// `adaptive` frame: a closed-loop controller session.
-    Adaptive,
-    /// `predict` frame.
-    Predict,
-    /// `shutdown` frame: clean server stop.
-    Shutdown,
-}
-
 /// How `opprox analyze` / `opprox audit` render their reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OutputFormat {
@@ -280,7 +262,7 @@ pub enum OutputFormat {
 
 /// `(name, allowed flags)` for every command, used for validation and
 /// suggestions.
-const COMMANDS: &[(&str, &[&str])] = &[
+pub(crate) const COMMANDS: &[(&str, &[&str])] = &[
     ("apps", &[]),
     (
         "phases",
@@ -575,129 +557,88 @@ impl RawArgs {
         }
         Ok(match name {
             "apps" => Command::Apps,
-            "phases" => Command::Phases {
-                app: self.require("app")?.to_string(),
-                input: self.require_input("input")?,
-                probes: self.usize_or("probes", 6)?,
-                seed: self.u64_or("seed", 0x9A5E)?,
-                threads: self.threads()?,
-                trace: self.trace_spec()?,
-            },
-            "train" => Command::Train {
+            "phases" => {
+                let defaults = PhaseSearchOptions::default();
+                Command::Phases(PhasesArgs {
+                    app: self.require("app")?.to_string(),
+                    input: self.require_input("input")?,
+                    options: PhaseSearchOptions {
+                        probe_configs: self.int_or("probes", defaults.probe_configs)?,
+                        seed: self.int_or("seed", defaults.seed)?,
+                        ..defaults
+                    },
+                    engine: self.engine_args()?,
+                    trace: self.trace_spec()?,
+                })
+            }
+            "train" => Command::Train(TrainArgs {
                 app: self.require("app")?.to_string(),
                 out: self.require("out")?.to_string(),
-                phases: self.usize_or("phases", 4)?,
-                sparse: self.usize_or("sparse", 36)?,
-                seed: self.u64_or("seed", 11)?,
-                threads: self.threads()?,
-                fault_plan: self.fault_plan()?,
-                recovery: self.recovery()?,
+                options: self.training()?,
+                engine: self.engine_args()?,
                 trace: self.trace_spec()?,
-            },
-            "optimize" => Command::Optimize {
+            }),
+            "optimize" => Command::Optimize(OptimizeArgs {
                 model: self.require("model")?.to_string(),
                 input: self.require_input("input")?,
                 budget: self.require_f64("budget")?,
                 trace: self.trace_spec()?,
-            },
-            "run" => Command::Run {
+            }),
+            "run" => Command::Run(RunArgs {
                 model: self.require("model")?.to_string(),
                 input: self.require_input("input")?,
                 budget: self.require_f64("budget")?,
-                canary: match self.get("canary") {
-                    Some(_) => Some(self.require_input("canary")?),
-                    None => None,
-                },
-                validations: self.usize_or("validations", 32)?,
-                threads: self.threads()?,
-                fault_plan: self.fault_plan()?,
-                recovery: self.recovery()?,
-                adaptive: self.bool_or("adaptive", false)?,
-                drift_tolerance: self.drift_tolerance()?,
-                resegment: self.bool_or("resegment", true)?,
-                inject_drift: self.inject_drift()?,
+                canary: self.optional("canary", Self::require_input)?,
+                validations: self.int_or("validations", 32)?,
+                adaptive: self.control_options()?,
+                engine: self.engine_args()?,
                 trace: self.trace_spec()?,
-            },
-            "oracle" => Command::Oracle {
+            }),
+            "oracle" => Command::Oracle(OracleArgs {
                 app: self.require("app")?.to_string(),
                 input: self.require_input("input")?,
                 budget: self.require_f64("budget")?,
-                threads: self.threads()?,
+                engine: self.engine_args()?,
                 trace: self.trace_spec()?,
-            },
+            }),
             "inspect" => Command::Inspect {
                 model: self.require("model")?.to_string(),
             },
-            "analyze" => {
-                if self.positionals.is_empty() {
-                    return Err(ArgError::NoArtifacts);
-                }
-                Command::Analyze {
-                    format: self.output_format()?,
-                    deny_warnings: self.deny_warnings()?,
-                    artifacts: self.positionals,
-                }
-            }
-            "audit" => {
-                if self.positionals.is_empty() {
-                    return Err(ArgError::NoArtifacts);
-                }
-                Command::Audit {
-                    format: self.output_format()?,
-                    deny_warnings: self.deny_warnings()?,
-                    tolerance: self.tolerance()?,
-                    artifacts: self.positionals,
-                }
-            }
-            "compare" => Command::Compare {
+            "analyze" => Command::Analyze(self.lint_args()?),
+            "audit" => Command::Audit {
+                tolerance: self.tolerance()?,
+                lint: self.lint_args()?,
+            },
+            "compare" => Command::Compare(CompareArgs {
                 app: self.require("app")?.to_string(),
                 input: self.require_input("input")?,
                 budget: self.require_f64("budget")?,
-                phases: self.usize_or("phases", 4)?,
-                sparse: self.usize_or("sparse", 36)?,
-                seed: self.u64_or("seed", 11)?,
-                threads: self.threads()?,
-                fault_plan: self.fault_plan()?,
-                recovery: self.recovery()?,
+                options: self.training()?,
+                engine: self.engine_args()?,
                 trace: self.trace_spec()?,
-            },
-            "serve" => Command::Serve {
-                models: self
-                    .require("model")?
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(str::to_string)
-                    .collect(),
-                addr: self.get("addr").unwrap_or(DEFAULT_SERVE_ADDR).to_string(),
-                addr_file: self.get("addr-file").map(str::to_string),
-                threads: self.threads()?,
-                queue_limit: self.usize_or("queue-limit", 64)?,
-                reload_poll_ms: self.u64_or("reload-poll-ms", 200)?,
-                trace: self.trace_spec()?,
-            },
+            }),
+            "serve" => {
+                let defaults = ServeOptions::default();
+                Command::Serve(ServeArgs {
+                    models: self
+                        .require("model")?
+                        .split(',')
+                        .filter(|s| !s.is_empty())
+                        .map(str::to_string)
+                        .collect(),
+                    addr_file: self.get("addr-file").map(str::to_string),
+                    options: ServeOptions {
+                        addr: self.get("addr").unwrap_or(DEFAULT_SERVE_ADDR).to_string(),
+                        threads: self.threads()?.unwrap_or(defaults.threads),
+                        queue_limit: self.int_or("queue-limit", defaults.queue_limit)?,
+                        reload_poll_ms: self.int_or("reload-poll-ms", defaults.reload_poll_ms)?,
+                    },
+                    trace: self.trace_spec()?,
+                })
+            }
             "client" => Command::Client {
                 addr: self.get("addr").unwrap_or(DEFAULT_SERVE_ADDR).to_string(),
-                op: self.client_op()?,
-                app: self.get("app").map(str::to_string),
-                input: match self.get("input") {
-                    Some(_) => Some(self.require_input("input")?),
-                    None => None,
-                },
-                budget: match self.get("budget") {
-                    Some(_) => Some(self.require_f64("budget")?),
-                    None => None,
-                },
-                phase: self.u64_or("phase", 0)?,
-                configs: self.get("configs").map(str::to_string),
-                point: self.bool_or("point", false)?,
-                validate: self.bool_or("validate", false)?,
-                validations: self.opt_u64("validations")?,
-                max_retries: self.opt_u64("max-retries")?,
-                backoff_ms: self.opt_u64("backoff-ms")?,
-                eval_timeout_ms: self.opt_u64("eval-timeout-ms")?,
-                drift_tolerance: self.drift_tolerance()?,
-                resegment: self.bool_or("resegment", true)?,
-                inject_drift: self.inject_drift()?,
+                request: self.api_request()?,
             },
             "trace" => match self.positionals.as_slice() {
                 [verb, file] if verb == "summarize" => Command::Trace { file: file.clone() },
@@ -718,44 +659,53 @@ impl RawArgs {
 
     fn require_f64(&self, flag: &str) -> Result<f64, ArgError> {
         let raw = self.require(flag)?;
-        raw.parse().map_err(|_| ArgError::BadValue {
-            flag: flag.to_string(),
-            value: raw.to_string(),
-            expected: "a number",
-        })
+        raw.parse().map_err(|_| bad_value(flag, raw, "a number"))
     }
 
-    fn usize_or(&self, flag: &str, default: usize) -> Result<usize, ArgError> {
+    fn int_or<T: FromStr>(&self, flag: &str, default: T) -> Result<T, ArgError> {
         match self.get(flag) {
             None => Ok(default),
-            Some(raw) => raw.parse().map_err(|_| ArgError::BadValue {
-                flag: flag.to_string(),
-                value: raw.to_string(),
-                expected: "a non-negative integer",
-            }),
+            Some(raw) => raw
+                .parse()
+                .map_err(|_| bad_value(flag, raw, "a non-negative integer")),
         }
     }
 
-    fn u64_or(&self, flag: &str, default: u64) -> Result<u64, ArgError> {
-        match self.get(flag) {
-            None => Ok(default),
-            Some(raw) => raw.parse().map_err(|_| ArgError::BadValue {
-                flag: flag.to_string(),
-                value: raw.to_string(),
-                expected: "a non-negative integer",
-            }),
-        }
+    /// `flag` as a positive integer, if present.
+    fn positive<T: FromStr + PartialEq + Default>(
+        &self,
+        flag: &str,
+        expected: &'static str,
+    ) -> Result<Option<T>, ArgError> {
+        self.get(flag)
+            .map(|raw| match raw.parse::<T>() {
+                Ok(n) if n != T::default() => Ok(n),
+                _ => Err(bad_value(flag, raw, expected)),
+            })
+            .transpose()
+    }
+
+    /// `flag` as a finite non-negative number, if present.
+    fn non_negative(&self, flag: &str) -> Result<Option<f64>, ArgError> {
+        self.get(flag)
+            .map(|raw| match raw.parse::<f64>() {
+                Ok(t) if t.is_finite() && t >= 0.0 => Ok(t),
+                _ => Err(bad_value(flag, raw, "a finite non-negative number")),
+            })
+            .transpose()
     }
 
     fn opt_u64(&self, flag: &str) -> Result<Option<u64>, ArgError> {
-        match self.get(flag) {
-            None => Ok(None),
-            Some(raw) => raw.parse().map(Some).map_err(|_| ArgError::BadValue {
-                flag: flag.to_string(),
-                value: raw.to_string(),
-                expected: "a non-negative integer",
-            }),
-        }
+        self.optional(flag, |args, flag| args.int_or(flag, 0))
+    }
+
+    /// Parses `flag` with `parse` when it is present.
+    fn optional<T>(
+        &self,
+        flag: &str,
+        parse: impl Fn(&Self, &str) -> Result<T, ArgError>,
+    ) -> Result<Option<T>, ArgError> {
+        self.get(flag).map(|_| parse(self, flag)).transpose()
     }
 
     fn bool_or(&self, flag: &str, default: bool) -> Result<bool, ArgError> {
@@ -763,61 +713,160 @@ impl RawArgs {
             None => Ok(default),
             Some("true") => Ok(true),
             Some("false") => Ok(false),
-            Some(raw) => Err(ArgError::BadValue {
-                flag: flag.to_string(),
-                value: raw.to_string(),
-                expected: "true or false",
-            }),
+            Some(raw) => Err(bad_value(flag, raw, "true or false")),
         }
     }
 
-    /// `--op health|metrics|optimize|adaptive|predict|shutdown`
-    /// (required).
-    fn client_op(&self) -> Result<ClientOp, ArgError> {
-        match self.require("op")? {
-            "health" => Ok(ClientOp::Health),
-            "metrics" => Ok(ClientOp::Metrics),
-            "optimize" => Ok(ClientOp::Optimize),
-            "adaptive" => Ok(ClientOp::Adaptive),
-            "predict" => Ok(ClientOp::Predict),
-            "shutdown" => Ok(ClientOp::Shutdown),
-            raw => Err(ArgError::BadValue {
-                flag: "op".to_string(),
-                value: raw.to_string(),
-                expected: "health, metrics, optimize, adaptive, predict, or shutdown",
+    /// `--op health|metrics|optimize|adaptive|predict|shutdown` and the
+    /// flags of that op, as the wire request `opprox client` sends. Every
+    /// typed flag but `--configs` is checked whatever the op, so a
+    /// malformed value never passes unnoticed.
+    fn api_request(&self) -> Result<ApiRequest, ArgError> {
+        let op = self.require("op")?;
+        let optimize = OptimizeParams {
+            point: self.bool_or("point", false)?,
+            validate: self.bool_or("validate", false)?,
+            validation_budget: self.opt_u64("validations")?,
+            max_retries: self.opt_u64("max-retries")?,
+            backoff_ms: self.opt_u64("backoff-ms")?,
+            eval_timeout_ms: self.opt_u64("eval-timeout-ms")?,
+            ..OptimizeParams::new(String::new(), Vec::new(), 0.0)
+        };
+        let inject = self.inject_drift()?;
+        let adaptive = AdaptiveParams {
+            tolerance: self.non_negative("drift-tolerance")?,
+            resegment: self.bool_or("resegment", true)?,
+            drift_phase: inject.map(|d| d.phase as u64),
+            drift_factor: inject.map(|d| d.factor),
+            drift_block: inject.and_then(|d| d.block).map(|b| b as u64),
+            max_retries: optimize.max_retries,
+            backoff_ms: optimize.backoff_ms,
+            eval_timeout_ms: optimize.eval_timeout_ms,
+            ..AdaptiveParams::new(String::new(), Vec::new(), 0.0)
+        };
+        // Checked for every op; the arms that send them re-read them.
+        self.optional("input", Self::require_input)?;
+        self.optional("budget", Self::require_f64)?;
+        let phase = self.int_or("phase", 0)?;
+        Ok(match op {
+            "health" => ApiRequest::Health,
+            "metrics" => ApiRequest::Metrics,
+            "shutdown" => ApiRequest::Shutdown,
+            "optimize" => ApiRequest::Optimize(OptimizeParams {
+                app: self.require("app")?.to_string(),
+                input: self.require_input("input")?,
+                budget: self.require_f64("budget")?,
+                ..optimize
             }),
-        }
+            "adaptive" => ApiRequest::Adaptive(AdaptiveParams {
+                app: self.require("app")?.to_string(),
+                input: self.require_input("input")?,
+                budget: self.require_f64("budget")?,
+                ..adaptive
+            }),
+            "predict" => ApiRequest::Predict(PredictParams {
+                app: self.require("app")?.to_string(),
+                input: self.require_input("input")?,
+                phase,
+                configs: self.config_rows()?,
+            }),
+            raw => {
+                return Err(bad_value(
+                    "op",
+                    raw,
+                    "health, metrics, optimize, adaptive, predict, or shutdown",
+                ))
+            }
+        })
     }
 
-    /// `--drift-tolerance T` for the adaptive controller (finite,
-    /// non-negative; `None` keeps the controller default).
-    fn drift_tolerance(&self) -> Result<Option<f64>, ArgError> {
-        match self.get("drift-tolerance") {
-            None => Ok(None),
-            Some(raw) => match raw.parse::<f64>() {
-                Ok(t) if t.is_finite() && t >= 0.0 => Ok(Some(t)),
-                _ => Err(ArgError::BadValue {
-                    flag: "drift-tolerance".to_string(),
-                    value: raw.to_string(),
-                    expected: "a finite non-negative number",
-                }),
+    /// `--configs` (required): semicolon-separated configurations of
+    /// comma-separated levels, e.g. `0,0,0;1,2,1`.
+    fn config_rows(&self) -> Result<Vec<Vec<u64>>, ArgError> {
+        let raw = self.require("configs")?;
+        raw.split(';')
+            .filter(|row| !row.trim().is_empty())
+            .map(|row| {
+                row.split(',')
+                    .map(|cell| {
+                        cell.trim().parse().map_err(|_| {
+                            bad_value(
+                                "configs",
+                                raw,
+                                "rows of non-negative integer levels, e.g. 0,0,0;1,2,1",
+                            )
+                        })
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// `--adaptive true` and the controller's flags. The controller
+    /// flags are validated even when `--adaptive` is absent.
+    fn control_options(&self) -> Result<Option<ControlOptions>, ArgError> {
+        let mut options = ControlOptions {
+            resegment: self.bool_or("resegment", true)?,
+            inject: self.inject_drift()?,
+            ..ControlOptions::default()
+        };
+        if let Some(t) = self.non_negative("drift-tolerance")? {
+            options.drift_tolerance = t;
+        }
+        Ok(self.bool_or("adaptive", false)?.then_some(options))
+    }
+
+    /// `--phases N --sparse K --seed S` as training options (defaults 4,
+    /// 36, 11, no whole-run samples); `--threads` also bounds the
+    /// model-fitting pool.
+    fn training(&self) -> Result<TrainingOptions, ArgError> {
+        let phases = self.int_or("phases", 4)?;
+        let mut options = TrainingOptions {
+            num_phases: Some(phases),
+            sampling: SamplingPlan {
+                num_phases: phases,
+                sparse_samples: self.int_or("sparse", 36)?,
+                whole_run_samples: 0,
+                seed: self.int_or("seed", 11)?,
             },
+            ..TrainingOptions::default()
+        };
+        options.modeling.threads = self.threads()?;
+        Ok(options)
+    }
+
+    /// `--threads`, `--fault-plan`, `--max-retries` and
+    /// `--eval-timeout-ms` (the latter three only where the command's
+    /// flag table admits them).
+    fn engine_args(&self) -> Result<EngineArgs, ArgError> {
+        Ok(EngineArgs {
+            threads: self.threads()?,
+            fault_plan: self.fault_plan()?,
+            recovery: self.recovery()?,
+        })
+    }
+
+    /// The artifact positionals, `--format` and `--deny`.
+    fn lint_args(&self) -> Result<LintArgs, ArgError> {
+        if self.positionals.is_empty() {
+            return Err(ArgError::NoArtifacts);
         }
+        Ok(LintArgs {
+            artifacts: self.positionals.clone(),
+            format: self.output_format()?,
+            deny_warnings: self.deny_warnings()?,
+        })
     }
 
     /// `--inject-drift phase=P,factor=F[,block=B]` for seeded-drift
     /// controller sessions.
     fn inject_drift(&self) -> Result<Option<DriftInjection>, ArgError> {
-        match self.get("inject-drift") {
-            None => Ok(None),
-            Some(raw) => DriftInjection::parse(raw)
-                .map(Some)
-                .map_err(|_| ArgError::BadValue {
-                    flag: "inject-drift".to_string(),
-                    value: raw.to_string(),
-                    expected: "`phase=P,factor=F[,block=B]`",
-                }),
-        }
+        self.get("inject-drift")
+            .map(|raw| {
+                DriftInjection::parse(raw)
+                    .map_err(|_| bad_value("inject-drift", raw, "`phase=P,factor=F[,block=B]`"))
+            })
+            .transpose()
     }
 
     /// `--format text|json|sarif` (default `text`).
@@ -826,28 +875,16 @@ impl RawArgs {
             None | Some("text") => Ok(OutputFormat::Text),
             Some("json") => Ok(OutputFormat::Json),
             Some("sarif") => Ok(OutputFormat::Sarif),
-            Some(raw) => Err(ArgError::BadValue {
-                flag: "format".to_string(),
-                value: raw.to_string(),
-                expected: "`text`, `json`, or `sarif`",
-            }),
+            Some(raw) => Err(bad_value("format", raw, "`text`, `json`, or `sarif`")),
         }
     }
 
     /// `--tolerance T` for the X001 drift band (finite, non-negative;
     /// defaults to [`opprox_analyze::DEFAULT_DRIFT_TOLERANCE`]).
     fn tolerance(&self) -> Result<f64, ArgError> {
-        match self.get("tolerance") {
-            None => Ok(opprox_analyze::DEFAULT_DRIFT_TOLERANCE),
-            Some(raw) => match raw.parse::<f64>() {
-                Ok(t) if t.is_finite() && t >= 0.0 => Ok(t),
-                _ => Err(ArgError::BadValue {
-                    flag: "tolerance".to_string(),
-                    value: raw.to_string(),
-                    expected: "a finite non-negative number",
-                }),
-            },
-        }
+        Ok(self
+            .non_negative("tolerance")?
+            .unwrap_or(opprox_analyze::DEFAULT_DRIFT_TOLERANCE))
     }
 
     /// `--deny warnings` (the only deniable class).
@@ -855,27 +892,13 @@ impl RawArgs {
         match self.get("deny") {
             None => Ok(false),
             Some("warnings") => Ok(true),
-            Some(raw) => Err(ArgError::BadValue {
-                flag: "deny".to_string(),
-                value: raw.to_string(),
-                expected: "`warnings`",
-            }),
+            Some(raw) => Err(bad_value("deny", raw, "`warnings`")),
         }
     }
 
     /// `--threads N` (at least 1); `None` means "all cores".
     fn threads(&self) -> Result<Option<usize>, ArgError> {
-        match self.get("threads") {
-            None => Ok(None),
-            Some(raw) => match raw.parse::<usize>() {
-                Ok(n) if n >= 1 => Ok(Some(n)),
-                _ => Err(ArgError::BadValue {
-                    flag: "threads".to_string(),
-                    value: raw.to_string(),
-                    expected: "a positive integer",
-                }),
-            },
-        }
+        self.positive("threads", "a positive integer")
     }
 
     /// `--trace-out FILE [--trace-format json|chrome|text]`; the format
@@ -886,11 +909,11 @@ impl RawArgs {
             Some("chrome") => TraceFormat::Chrome,
             Some("text") => TraceFormat::Text,
             Some(raw) => {
-                return Err(ArgError::BadValue {
-                    flag: "trace-format".to_string(),
-                    value: raw.to_string(),
-                    expected: "`json`, `chrome`, or `text`",
-                })
+                return Err(bad_value(
+                    "trace-format",
+                    raw,
+                    "`json`, `chrome`, or `text`",
+                ))
             }
         };
         let out = self.get("trace-out").map(str::to_string);
@@ -903,43 +926,22 @@ impl RawArgs {
     /// `--fault-plan seed=42,panic=0.1,...`, typed through
     /// [`FaultPlan::parse`].
     fn fault_plan(&self) -> Result<Option<FaultPlan>, ArgError> {
-        match self.get("fault-plan") {
-            None => Ok(None),
-            Some(raw) => {
-                FaultPlan::parse(raw)
-                    .map(Some)
-                    .map_err(|message| ArgError::BadFaultPlan {
-                        value: raw.to_string(),
-                        message,
-                    })
-            }
-        }
+        self.get("fault-plan")
+            .map(|raw| {
+                FaultPlan::parse(raw).map_err(|message| ArgError::BadFaultPlan {
+                    value: raw.to_string(),
+                    message,
+                })
+            })
+            .transpose()
     }
 
     /// `--max-retries N` and `--eval-timeout-ms MS` over the default
     /// [`RecoveryPolicy`].
     fn recovery(&self) -> Result<RecoveryPolicy, ArgError> {
         let mut policy = RecoveryPolicy::default();
-        if let Some(raw) = self.get("max-retries") {
-            policy.max_retries = raw.parse().map_err(|_| ArgError::BadValue {
-                flag: "max-retries".to_string(),
-                value: raw.to_string(),
-                expected: "a non-negative integer",
-            })?;
-        }
-        if let Some(raw) = self.get("eval-timeout-ms") {
-            let ms: u64 = raw.parse().map_err(|_| ArgError::BadValue {
-                flag: "eval-timeout-ms".to_string(),
-                value: raw.to_string(),
-                expected: "a positive integer of milliseconds",
-            })?;
-            if ms == 0 {
-                return Err(ArgError::BadValue {
-                    flag: "eval-timeout-ms".to_string(),
-                    value: raw.to_string(),
-                    expected: "a positive integer of milliseconds",
-                });
-            }
+        policy.max_retries = self.int_or("max-retries", policy.max_retries)?;
+        if let Some(ms) = self.positive("eval-timeout-ms", "a positive integer of milliseconds")? {
             policy.eval_timeout_ms = Some(ms);
         }
         Ok(policy)
@@ -950,13 +952,20 @@ impl RawArgs {
         let raw = self.require(flag)?;
         raw.split(',')
             .map(|part| {
-                part.trim().parse().map_err(|_| ArgError::BadValue {
-                    flag: flag.to_string(),
-                    value: raw.to_string(),
-                    expected: "comma-separated numbers, e.g. 64,2",
-                })
+                part.trim()
+                    .parse()
+                    .map_err(|_| bad_value(flag, raw, "comma-separated numbers, e.g. 64,2"))
             })
             .collect()
+    }
+}
+
+/// A [`ArgError::BadValue`] for `--flag value`.
+fn bad_value(flag: &str, value: &str, expected: &'static str) -> ArgError {
+    ArgError::BadValue {
+        flag: flag.to_string(),
+        value: value.to_string(),
+        expected,
     }
 }
 
@@ -1003,17 +1012,22 @@ mod tests {
         .unwrap();
         assert_eq!(
             c,
-            Command::Train {
+            Command::Train(TrainArgs {
                 app: "lulesh".into(),
                 out: "m.json".into(),
-                phases: 4,
-                sparse: 36,
-                seed: 11,
-                threads: None,
-                fault_plan: None,
-                recovery: RecoveryPolicy::default(),
+                options: TrainingOptions {
+                    num_phases: Some(4),
+                    sampling: SamplingPlan {
+                        num_phases: 4,
+                        sparse_samples: 36,
+                        whole_run_samples: 0,
+                        seed: 11,
+                    },
+                    ..TrainingOptions::default()
+                },
+                engine: EngineArgs::default(),
                 trace: TraceSpec::default(),
-            }
+            })
         );
         let c = parse(&[
             "oracle", "--app", "pso", "--input", "16,3", "--budget", "20",
@@ -1021,13 +1035,13 @@ mod tests {
         .unwrap();
         assert_eq!(
             c,
-            Command::Oracle {
+            Command::Oracle(OracleArgs {
                 app: "pso".into(),
                 input: vec![16.0, 3.0],
                 budget: 20.0,
-                threads: None,
+                engine: EngineArgs::default(),
                 trace: TraceSpec::default(),
-            }
+            })
         );
         assert_eq!(parse(&["apps"]).unwrap(), Command::Apps);
         assert_eq!(parse(&["help"]).unwrap(), Command::Help);
@@ -1134,21 +1148,19 @@ mod tests {
         .unwrap();
         assert_eq!(
             c,
-            Command::Run {
+            Command::Run(RunArgs {
                 model: "m".into(),
                 input: vec![64.0, 2.0],
                 budget: 12.5,
                 canary: Some(vec![8.0, 2.0]),
                 validations: 9,
-                threads: Some(3),
-                fault_plan: None,
-                recovery: RecoveryPolicy::default(),
-                adaptive: false,
-                drift_tolerance: None,
-                resegment: true,
-                inject_drift: None,
+                adaptive: None,
+                engine: EngineArgs {
+                    threads: Some(3),
+                    ..EngineArgs::default()
+                },
                 trace: TraceSpec::default(),
-            }
+            })
         );
     }
 
@@ -1172,25 +1184,19 @@ mod tests {
             "phase=0,factor=6.0,block=1",
         ])
         .unwrap();
-        let Command::Run {
-            adaptive,
-            drift_tolerance,
-            resegment,
-            inject_drift,
-            ..
-        } = c
-        else {
+        let Command::Run(RunArgs { adaptive, .. }) = c else {
             panic!("expected a run command: {c:?}");
         };
-        assert!(adaptive);
-        assert_eq!(drift_tolerance, Some(0.4));
-        assert!(!resegment);
         assert_eq!(
-            inject_drift,
-            Some(DriftInjection {
-                phase: 0,
-                factor: 6.0,
-                block: Some(1),
+            adaptive,
+            Some(ControlOptions {
+                drift_tolerance: 0.4,
+                resegment: false,
+                inject: Some(DriftInjection {
+                    phase: 0,
+                    factor: 6.0,
+                    block: Some(1),
+                }),
             })
         );
         // A malformed drift spec is a parse error naming the flag.
@@ -1227,6 +1233,148 @@ mod tests {
     }
 
     #[test]
+    fn compare_threads_bound_the_fit_pool_like_train() {
+        let train = parse(&["train", "--app", "pso", "--out", "m", "--threads", "2"]);
+        let Ok(Command::Train(train)) = train else {
+            panic!("expected a train command: {train:?}");
+        };
+        let compare = parse(&[
+            "compare",
+            "--app",
+            "pso",
+            "--input",
+            "16,3",
+            "--budget",
+            "5",
+            "--threads",
+            "2",
+        ]);
+        let Ok(Command::Compare(compare)) = compare else {
+            panic!("expected a compare command: {compare:?}");
+        };
+        for (options, engine) in [
+            (train.options, train.engine),
+            (compare.options, compare.engine),
+        ] {
+            assert_eq!(options.modeling.threads, Some(2));
+            assert_eq!(engine.threads, Some(2));
+        }
+        assert_eq!(train.options, compare.options);
+    }
+
+    #[test]
+    fn client_flags_map_onto_wire_requests() {
+        let c = parse(&[
+            "client",
+            "--op",
+            "adaptive",
+            "--app",
+            "pso",
+            "--input",
+            "16,3",
+            "--budget",
+            "10",
+            "--drift-tolerance",
+            "0.4",
+            "--resegment",
+            "false",
+            "--inject-drift",
+            "phase=0,factor=6.0,block=1",
+            "--max-retries",
+            "2",
+        ])
+        .unwrap();
+        let Command::Client { addr, request } = c else {
+            panic!("expected a client command: {c:?}");
+        };
+        assert_eq!(addr, DEFAULT_SERVE_ADDR);
+        let expected = ApiRequest::Adaptive(AdaptiveParams {
+            tolerance: Some(0.4),
+            resegment: false,
+            drift_phase: Some(0),
+            drift_factor: Some(6.0),
+            drift_block: Some(1),
+            max_retries: Some(2),
+            ..AdaptiveParams::new("pso", vec![16.0, 3.0], 10.0)
+        });
+        assert_eq!(request.to_wire(), expected.to_wire());
+
+        let c = parse(&[
+            "client",
+            "--op",
+            "optimize",
+            "--app",
+            "pso",
+            "--input",
+            "16,3",
+            "--budget",
+            "10",
+            "--point",
+            "true",
+            "--validate",
+            "true",
+            "--validations",
+            "4",
+        ])
+        .unwrap();
+        let Command::Client { request, .. } = c else {
+            panic!("expected a client command: {c:?}");
+        };
+        let expected = ApiRequest::Optimize(OptimizeParams {
+            point: true,
+            validate: true,
+            validation_budget: Some(4),
+            ..OptimizeParams::new("pso", vec![16.0, 3.0], 10.0)
+        });
+        assert_eq!(request.to_wire(), expected.to_wire());
+
+        let c = parse(&[
+            "client",
+            "--op",
+            "predict",
+            "--app",
+            "pso",
+            "--input",
+            "16,3",
+            "--phase",
+            "1",
+            "--configs",
+            "0,0,0;1,2,1",
+        ])
+        .unwrap();
+        let Command::Client { request, .. } = c else {
+            panic!("expected a client command: {c:?}");
+        };
+        let expected = ApiRequest::Predict(PredictParams {
+            app: "pso".into(),
+            input: vec![16.0, 3.0],
+            phase: 1,
+            configs: vec![vec![0, 0, 0], vec![1, 2, 1]],
+        });
+        assert_eq!(request.to_wire(), expected.to_wire());
+
+        // Missing and malformed flags fail at parse time, before any
+        // connection; a typed flag the op ignores is still checked.
+        assert_eq!(
+            parse(&["client", "--op", "optimize", "--input", "1", "--budget", "5"]).unwrap_err(),
+            ArgError::MissingFlag("app".into())
+        );
+        assert!(matches!(
+            parse(&["client", "--op", "predict", "--app", "p", "--input", "1", "--configs", "0,x"])
+                .unwrap_err(),
+            ArgError::BadValue { flag, .. } if flag == "configs"
+        ));
+        assert!(matches!(
+            parse(&["client", "--op", "health", "--point", "maybe"]).unwrap_err(),
+            ArgError::BadValue { flag, .. } if flag == "point"
+        ));
+        assert!(matches!(
+            parse(&["client", "--op", "ping"]).unwrap_err(),
+            ArgError::BadValue { flag, .. } if flag == "op"
+        ));
+    }
+
+    #[test]
     fn trace_flags_parse_into_a_spec() {
         let c = parse(&[
             "optimize",
@@ -1242,7 +1390,7 @@ mod tests {
         .unwrap();
         assert_eq!(
             c,
-            Command::Optimize {
+            Command::Optimize(OptimizeArgs {
                 model: "m".into(),
                 input: vec![1.0, 2.0],
                 budget: 5.0,
@@ -1250,7 +1398,7 @@ mod tests {
                     out: Some("t.json".into()),
                     format: TraceFormat::Json,
                 },
-            }
+            })
         );
         let c = parse(&[
             "train",
@@ -1264,7 +1412,7 @@ mod tests {
             "chrome",
         ])
         .unwrap();
-        let Command::Train { trace, .. } = c else {
+        let Command::Train(TrainArgs { trace, .. }) = c else {
             panic!("expected a train command: {c:?}");
         };
         assert_eq!(trace.out.as_deref(), Some("t.trace"));
@@ -1326,11 +1474,11 @@ mod tests {
         let c = parse(&["analyze", "m.json", "s.json"]).unwrap();
         assert_eq!(
             c,
-            Command::Analyze {
+            Command::Analyze(LintArgs {
                 artifacts: vec!["m.json".into(), "s.json".into()],
                 format: OutputFormat::Text,
                 deny_warnings: false,
-            }
+            })
         );
         let c = parse(&[
             "analyze", "m.json", "--format", "json", "--deny", "warnings",
@@ -1338,11 +1486,11 @@ mod tests {
         .unwrap();
         assert_eq!(
             c,
-            Command::Analyze {
+            Command::Analyze(LintArgs {
                 artifacts: vec!["m.json".into()],
                 format: OutputFormat::Json,
                 deny_warnings: true,
-            }
+            })
         );
         assert_eq!(parse(&["analyze"]).unwrap_err(), ArgError::NoArtifacts);
         assert!(matches!(
@@ -1366,9 +1514,11 @@ mod tests {
         assert_eq!(
             c,
             Command::Audit {
-                artifacts: vec!["session/".into()],
-                format: OutputFormat::Text,
-                deny_warnings: false,
+                lint: LintArgs {
+                    artifacts: vec!["session/".into()],
+                    format: OutputFormat::Text,
+                    deny_warnings: false,
+                },
                 tolerance: opprox_analyze::DEFAULT_DRIFT_TOLERANCE,
             }
         );
@@ -1387,9 +1537,11 @@ mod tests {
         assert_eq!(
             c,
             Command::Audit {
-                artifacts: vec!["m.json".into(), "t.json".into()],
-                format: OutputFormat::Sarif,
-                deny_warnings: true,
+                lint: LintArgs {
+                    artifacts: vec!["m.json".into(), "t.json".into()],
+                    format: OutputFormat::Sarif,
+                    deny_warnings: true,
+                },
                 tolerance: 0.5,
             }
         );
@@ -1411,10 +1563,10 @@ mod tests {
         // SARIF is shared with analyze.
         assert!(matches!(
             parse(&["analyze", "m.json", "--format", "sarif"]).unwrap(),
-            Command::Analyze {
+            Command::Analyze(LintArgs {
                 format: OutputFormat::Sarif,
                 ..
-            }
+            })
         ));
     }
 
@@ -1434,11 +1586,15 @@ mod tests {
             "250",
         ])
         .unwrap();
-        let Command::Train {
-            fault_plan: Some(plan),
-            recovery,
+        let Command::Train(TrainArgs {
+            engine:
+                EngineArgs {
+                    fault_plan: Some(plan),
+                    recovery,
+                    ..
+                },
             ..
-        } = c
+        }) = c
         else {
             panic!("expected a train command with a fault plan: {c:?}");
         };
@@ -1449,16 +1605,10 @@ mod tests {
 
         // Without the flags: no plan, default policy.
         let c = parse(&["run", "--model", "m", "--input", "1,2", "--budget", "5"]).unwrap();
-        let Command::Run {
-            fault_plan,
-            recovery,
-            ..
-        } = c
-        else {
+        let Command::Run(RunArgs { engine, .. }) = c else {
             panic!("expected a run command");
         };
-        assert_eq!(fault_plan, None);
-        assert_eq!(recovery, RecoveryPolicy::default());
+        assert_eq!(engine, EngineArgs::default());
     }
 
     #[test]

@@ -10,21 +10,22 @@
 //! [`EvalMetrics`] (executions, cache hits, per-stage wall time) are
 //! printed at the end.
 
-use crate::args::{ClientOp, Command, OutputFormat, TraceFormat, TraceSpec};
+use crate::args::{
+    Command, CompareArgs, LintArgs, OptimizeArgs, OracleArgs, OutputFormat, PhasesArgs, RunArgs,
+    ServeArgs, TraceFormat, TraceSpec, TrainArgs,
+};
 use opprox_analyze::{Artifact, ArtifactSet};
 use opprox_approx_rt::{ApproxApp, InputParams};
-use opprox_core::api::{AdaptiveParams, ApiRequest, ApiResponse, OptimizeParams, PredictParams};
-use opprox_core::control::ControlOptions;
+use opprox_core::api::{ApiRequest, ApiResponse};
 use opprox_core::evaluator::{EvalEngine, EvalMetrics};
 use opprox_core::oracle::phase_agnostic_oracle_with;
-use opprox_core::phases::{find_phase_granularity_with, PhaseSearchOptions};
-use opprox_core::pipeline::{Opprox, TrainedOpprox, TrainingOptions};
+use opprox_core::phases::find_phase_granularity_with;
+use opprox_core::pipeline::{Opprox, TrainedOpprox};
 use opprox_core::report::percent_less_work;
 use opprox_core::request::OptimizeRequest;
-use opprox_core::sampling::SamplingPlan;
-use opprox_core::serve::{ServeOptions, ServeState, Server};
+use opprox_core::serve::{ServeState, Server};
 use opprox_core::OpproxError;
-use opprox_core::{AccuracySpec, DriftInjection, FaultPlan, RecoveryPolicy, TelemetryReport};
+use opprox_core::{AccuracySpec, TelemetryReport};
 use std::error::Error;
 
 /// The result alias used by every subcommand.
@@ -39,178 +40,17 @@ pub type CmdResult = Result<(), Box<dyn Error>>;
 pub fn dispatch(command: &Command, out: &mut dyn std::io::Write) -> CmdResult {
     match command {
         Command::Apps => cmd_apps(out),
-        Command::Phases {
-            app,
-            input,
-            probes,
-            seed,
-            threads,
-            trace,
-        } => cmd_phases(app, input, *probes, *seed, *threads, trace, out),
-        Command::Train {
-            app,
-            out: path,
-            phases,
-            sparse,
-            seed,
-            threads,
-            fault_plan,
-            recovery,
-            trace,
-        } => cmd_train(
-            app,
-            path,
-            *phases,
-            *sparse,
-            *seed,
-            *threads,
-            *fault_plan,
-            *recovery,
-            trace,
-            out,
-        ),
-        Command::Optimize {
-            model,
-            input,
-            budget,
-            trace,
-        } => cmd_optimize(model, input, *budget, trace, out),
-        Command::Run {
-            model,
-            input,
-            budget,
-            canary,
-            validations,
-            threads,
-            fault_plan,
-            recovery,
-            adaptive,
-            drift_tolerance,
-            resegment,
-            inject_drift,
-            trace,
-        } => cmd_run(
-            model,
-            input,
-            *budget,
-            canary.as_deref(),
-            *validations,
-            *threads,
-            *fault_plan,
-            *recovery,
-            adaptive.then(|| {
-                let mut options = ControlOptions {
-                    resegment: *resegment,
-                    inject: *inject_drift,
-                    ..ControlOptions::default()
-                };
-                if let Some(t) = drift_tolerance {
-                    options.drift_tolerance = *t;
-                }
-                options
-            }),
-            trace,
-            out,
-        ),
-        Command::Oracle {
-            app,
-            input,
-            budget,
-            threads,
-            trace,
-        } => cmd_oracle(app, input, *budget, *threads, trace, out),
+        Command::Phases(args) => cmd_phases(args, out),
+        Command::Train(args) => cmd_train(args, out),
+        Command::Optimize(args) => cmd_optimize(args, out),
+        Command::Run(args) => cmd_run(args, out),
+        Command::Oracle(args) => cmd_oracle(args, out),
         Command::Inspect { model } => cmd_inspect(model, out),
-        Command::Analyze {
-            artifacts,
-            format,
-            deny_warnings,
-        } => cmd_analyze(artifacts, *format, *deny_warnings, out),
-        Command::Audit {
-            artifacts,
-            format,
-            deny_warnings,
-            tolerance,
-        } => cmd_audit(artifacts, *format, *deny_warnings, *tolerance, out),
-        Command::Compare {
-            app,
-            input,
-            budget,
-            phases,
-            sparse,
-            seed,
-            threads,
-            fault_plan,
-            recovery,
-            trace,
-        } => cmd_compare(
-            app,
-            input,
-            *budget,
-            *phases,
-            *sparse,
-            *seed,
-            *threads,
-            *fault_plan,
-            *recovery,
-            trace,
-            out,
-        ),
-        Command::Serve {
-            models,
-            addr,
-            addr_file,
-            threads,
-            queue_limit,
-            reload_poll_ms,
-            trace,
-        } => cmd_serve(
-            models,
-            addr,
-            addr_file.as_deref(),
-            *threads,
-            *queue_limit,
-            *reload_poll_ms,
-            trace,
-            out,
-        ),
-        Command::Client {
-            addr,
-            op,
-            app,
-            input,
-            budget,
-            phase,
-            configs,
-            point,
-            validate,
-            validations,
-            max_retries,
-            backoff_ms,
-            eval_timeout_ms,
-            drift_tolerance,
-            resegment,
-            inject_drift,
-        } => cmd_client(
-            addr,
-            *op,
-            &ClientRequest {
-                app: app.clone(),
-                input: input.clone(),
-                budget: *budget,
-                phase: *phase,
-                configs: configs.clone(),
-                point: *point,
-                validate: *validate,
-                validations: *validations,
-                max_retries: *max_retries,
-                backoff_ms: *backoff_ms,
-                eval_timeout_ms: *eval_timeout_ms,
-                drift_tolerance: *drift_tolerance,
-                resegment: *resegment,
-                inject_drift: *inject_drift,
-            },
-            out,
-        ),
+        Command::Analyze(lint) => cmd_analyze(lint, out),
+        Command::Audit { lint, tolerance } => cmd_audit(lint, *tolerance, out),
+        Command::Compare(args) => cmd_compare(args, out),
+        Command::Serve(args) => cmd_serve(args, out),
+        Command::Client { addr, request } => cmd_client(addr, request, out),
         Command::Trace { file } => cmd_trace_summarize(file, out),
         Command::Help => cmd_help(out),
     }
@@ -307,40 +147,15 @@ fn lookup_app(name: &str) -> Result<Box<dyn ApproxApp>, Box<dyn Error>> {
     })
 }
 
-/// An engine with an explicit thread count, or one per core.
-fn make_engine(threads: Option<usize>) -> EvalEngine {
-    make_faulty_engine(threads, None, RecoveryPolicy::default())
-}
-
-/// An engine carrying an optional fault-injection plan and an explicit
-/// recovery policy (`--fault-plan`, `--max-retries`, `--eval-timeout-ms`).
-fn make_faulty_engine(
-    threads: Option<usize>,
-    plan: Option<FaultPlan>,
-    policy: RecoveryPolicy,
-) -> EvalEngine {
-    let threads = threads.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    });
-    match plan {
-        Some(plan) => EvalEngine::with_faults(threads, plan, policy),
-        None => EvalEngine::with_recovery(threads, policy),
-    }
-}
-
 /// Prints the engine's metrics block under a standard header.
 fn report_metrics(metrics: &EvalMetrics, out: &mut dyn std::io::Write) -> CmdResult {
     writeln!(out, "{metrics}")?;
     Ok(())
 }
 
-/// Prints the robustness ledger when fault injection was configured or
-/// any recovery event fired; a clean run on a clean engine stays silent.
+/// Prints the engine's robustness ledger, if it has one worth showing.
 fn report_robustness(engine: &EvalEngine, out: &mut dyn std::io::Write) -> CmdResult {
-    let report = engine.robustness_report();
-    if engine.fault_injection_enabled() || report.has_activity() {
+    if let Some(report) = engine.robustness_ledger() {
         write!(out, "{report}")?;
     }
     Ok(())
@@ -382,178 +197,43 @@ fn cmd_trace_summarize(file: &str, out: &mut dyn std::io::Write) -> CmdResult {
 /// ends it. The server's telemetry report is exported to `--trace-out`
 /// on the way out, so a serving session can be linted with
 /// `opprox analyze` like any other run.
-#[allow(clippy::too_many_arguments)]
-fn cmd_serve(
-    models: &[String],
-    addr: &str,
-    addr_file: Option<&str>,
-    threads: Option<usize>,
-    queue_limit: usize,
-    reload_poll_ms: u64,
-    trace: &TraceSpec,
-    out: &mut dyn std::io::Write,
-) -> CmdResult {
-    let options = ServeOptions {
-        addr: addr.to_string(),
-        threads: threads.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        }),
-        queue_limit,
-        reload_poll_ms,
-    };
-    let state = std::sync::Arc::new(ServeState::new(options));
-    for path in models {
+fn cmd_serve(args: &ServeArgs, out: &mut dyn std::io::Write) -> CmdResult {
+    let state = std::sync::Arc::new(ServeState::new(args.options.clone()));
+    for path in &args.models {
         let app = state.load_artifact(path)?;
         writeln!(out, "loaded `{app}` from {path}")?;
     }
-    let server =
-        Server::start(std::sync::Arc::clone(&state)).map_err(|e| format!("binding {addr}: {e}"))?;
+    let server = Server::start(std::sync::Arc::clone(&state))
+        .map_err(|e| format!("binding {}: {e}", args.options.addr))?;
     writeln!(
         out,
         "listening on {} ({} threads)",
         server.addr(),
         state.options().threads
     )?;
-    if let Some(file) = addr_file {
+    if let Some(file) = &args.addr_file {
         std::fs::write(file, server.addr().to_string())
             .map_err(|e| format!("writing {file}: {e}"))?;
     }
     out.flush()?;
     server.run_until_shutdown();
-    write_trace(trace, &state.telemetry().report(), out)?;
+    write_trace(&args.trace, &state.telemetry().report(), out)?;
     writeln!(out, "shutdown complete")?;
     Ok(())
-}
-
-/// The optimize/predict parameters of one `opprox client` invocation,
-/// bundled so `cmd_client` stays below the argument-count lint.
-struct ClientRequest {
-    app: Option<String>,
-    input: Option<Vec<f64>>,
-    budget: Option<f64>,
-    phase: u64,
-    configs: Option<String>,
-    point: bool,
-    validate: bool,
-    validations: Option<u64>,
-    max_retries: Option<u64>,
-    backoff_ms: Option<u64>,
-    eval_timeout_ms: Option<u64>,
-    drift_tolerance: Option<f64>,
-    resegment: bool,
-    inject_drift: Option<DriftInjection>,
-}
-
-impl ClientRequest {
-    /// Builds the wire request for `op`, reporting missing or malformed
-    /// flags through the same [`OpproxError::BadRequest`] variant the
-    /// server uses (wire code `bad_request`).
-    fn to_api(&self, op: ClientOp) -> Result<ApiRequest, OpproxError> {
-        let need = |field: Option<&str>, flag: &str, op_name: &str| match field {
-            Some(v) => Ok(v.to_string()),
-            None => Err(OpproxError::BadRequest(format!(
-                "`opprox client --op {op_name}` needs --{flag}"
-            ))),
-        };
-        match op {
-            ClientOp::Health => Ok(ApiRequest::Health),
-            ClientOp::Metrics => Ok(ApiRequest::Metrics),
-            ClientOp::Shutdown => Ok(ApiRequest::Shutdown),
-            ClientOp::Optimize => {
-                let app = need(self.app.as_deref(), "app", "optimize")?;
-                let input = self.input.clone().ok_or_else(|| {
-                    OpproxError::BadRequest("`opprox client --op optimize` needs --input".into())
-                })?;
-                let budget = self.budget.ok_or_else(|| {
-                    OpproxError::BadRequest("`opprox client --op optimize` needs --budget".into())
-                })?;
-                let mut params = OptimizeParams::new(app, input, budget);
-                params.point = self.point;
-                params.validate = self.validate;
-                params.validation_budget = self.validations;
-                params.max_retries = self.max_retries;
-                params.backoff_ms = self.backoff_ms;
-                params.eval_timeout_ms = self.eval_timeout_ms;
-                Ok(ApiRequest::Optimize(params))
-            }
-            ClientOp::Adaptive => {
-                let app = need(self.app.as_deref(), "app", "adaptive")?;
-                let input = self.input.clone().ok_or_else(|| {
-                    OpproxError::BadRequest("`opprox client --op adaptive` needs --input".into())
-                })?;
-                let budget = self.budget.ok_or_else(|| {
-                    OpproxError::BadRequest("`opprox client --op adaptive` needs --budget".into())
-                })?;
-                let mut params = AdaptiveParams::new(app, input, budget);
-                params.tolerance = self.drift_tolerance;
-                params.resegment = self.resegment;
-                if let Some(inject) = &self.inject_drift {
-                    params.drift_phase = Some(inject.phase as u64);
-                    params.drift_factor = Some(inject.factor);
-                    params.drift_block = inject.block.map(|b| b as u64);
-                }
-                params.max_retries = self.max_retries;
-                params.backoff_ms = self.backoff_ms;
-                params.eval_timeout_ms = self.eval_timeout_ms;
-                Ok(ApiRequest::Adaptive(params))
-            }
-            ClientOp::Predict => {
-                let app = need(self.app.as_deref(), "app", "predict")?;
-                let input = self.input.clone().ok_or_else(|| {
-                    OpproxError::BadRequest("`opprox client --op predict` needs --input".into())
-                })?;
-                let spec = need(self.configs.as_deref(), "configs", "predict")?;
-                let configs = parse_config_rows(&spec)?;
-                Ok(ApiRequest::Predict(PredictParams {
-                    app,
-                    input,
-                    phase: self.phase,
-                    configs,
-                }))
-            }
-        }
-    }
-}
-
-/// Parses `--configs` rows: semicolon-separated configurations of
-/// comma-separated levels, e.g. `0,0,0;1,2,1`.
-fn parse_config_rows(spec: &str) -> Result<Vec<Vec<u64>>, OpproxError> {
-    spec.split(';')
-        .filter(|row| !row.trim().is_empty())
-        .map(|row| {
-            row.split(',')
-                .map(|cell| {
-                    cell.trim().parse::<u64>().map_err(|_| {
-                        OpproxError::BadRequest(format!(
-                            "--configs level `{cell}` is not a non-negative integer"
-                        ))
-                    })
-                })
-                .collect()
-        })
-        .collect()
 }
 
 /// Sends one request to a running server and prints the raw reply
 /// frame. Exits nonzero when the server answers with an error frame, so
 /// smoke scripts can assert on the exit code alone.
-fn cmd_client(
-    addr: &str,
-    op: ClientOp,
-    request: &ClientRequest,
-    out: &mut dyn std::io::Write,
-) -> CmdResult {
+fn cmd_client(addr: &str, request: &ApiRequest, out: &mut dyn std::io::Write) -> CmdResult {
     use std::io::{BufRead, BufReader, Write as IoWrite};
-    let req = request.to_api(op)?;
     let stream =
         std::net::TcpStream::connect(addr).map_err(|e| format!("connecting {addr}: {e}"))?;
     let _ = stream.set_nodelay(true);
     let mut writer = stream
         .try_clone()
         .map_err(|e| format!("cloning socket: {e}"))?;
-    writer.write_all(req.to_wire().as_bytes())?;
+    writer.write_all(request.to_wire().as_bytes())?;
     writer.write_all(b"\n")?;
     writer.flush()?;
     let mut line = String::new();
@@ -604,63 +284,21 @@ fn cmd_apps(out: &mut dyn std::io::Write) -> CmdResult {
     Ok(())
 }
 
-fn cmd_phases(
-    app: &str,
-    input: &[f64],
-    probes: usize,
-    seed: u64,
-    threads: Option<usize>,
-    trace: &TraceSpec,
-    out: &mut dyn std::io::Write,
-) -> CmdResult {
-    let app = lookup_app(app)?;
-    let input = InputParams::new(input.to_vec());
-    let opts = PhaseSearchOptions {
-        probe_configs: probes,
-        seed,
-        ..PhaseSearchOptions::default()
-    };
-    let engine = make_engine(threads);
-    let n = find_phase_granularity_with(&engine, app.as_ref(), &input, &opts)?;
+fn cmd_phases(args: &PhasesArgs, out: &mut dyn std::io::Write) -> CmdResult {
+    let app = lookup_app(&args.app)?;
+    let input = InputParams::new(args.input.clone());
+    let engine = args.engine.engine();
+    let n = find_phase_granularity_with(&engine, app.as_ref(), &input, &args.options)?;
     writeln!(out, "Algorithm 1 chose {n} phases for {}", app.meta().name)?;
     report_metrics(&engine.metrics(), out)?;
-    write_trace(trace, &engine.telemetry_report(), out)
+    write_trace(&args.trace, &engine.telemetry_report(), out)
 }
 
-fn training_options(phases: usize, sparse: usize, seed: u64) -> TrainingOptions {
-    TrainingOptions {
-        num_phases: Some(phases),
-        sampling: SamplingPlan {
-            num_phases: phases,
-            sparse_samples: sparse,
-            whole_run_samples: 0,
-            seed,
-        },
-        ..TrainingOptions::default()
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn cmd_train(
-    app: &str,
-    path: &str,
-    phases: usize,
-    sparse: usize,
-    seed: u64,
-    threads: Option<usize>,
-    fault_plan: Option<FaultPlan>,
-    recovery: RecoveryPolicy,
-    trace: &TraceSpec,
-    out: &mut dyn std::io::Write,
-) -> CmdResult {
-    let app = lookup_app(app)?;
-    let mut opts = training_options(phases, sparse, seed);
-    // One knob bounds both pools: the evaluation engine's execution
-    // fan-out and the model-fitting fan-out.
-    opts.modeling.threads = threads;
+fn cmd_train(args: &TrainArgs, out: &mut dyn std::io::Write) -> CmdResult {
+    let app = lookup_app(&args.app)?;
     writeln!(out, "training OPPROX on {} …", app.meta().name)?;
-    let engine = make_faulty_engine(threads, fault_plan, recovery);
-    let trained = Opprox::train_with(&engine, app.as_ref(), &opts)?;
+    let engine = args.engine.engine();
+    let trained = Opprox::train_with(&engine, app.as_ref(), &args.options)?;
     for (phase, s_r2, q_r2) in trained.models().accuracy_summary() {
         writeln!(
             out,
@@ -672,12 +310,12 @@ fn cmd_train(
         "golden-iteration estimator: {:.1}% mean relative error",
         trained.golden_iter_rel_error() * 100.0
     )?;
-    std::fs::write(path, trained.to_json()?)?;
-    writeln!(out, "model saved to {path}")?;
+    std::fs::write(&args.out, trained.to_json()?)?;
+    writeln!(out, "model saved to {}", args.out)?;
     report_metrics(&engine.metrics(), out)?;
     report_robustness(&engine, out)?;
     write!(out, "{}", trained.modeling_metrics())?;
-    write_trace(trace, &engine.telemetry_report(), out)?;
+    write_trace(&args.trace, &engine.telemetry_report(), out)?;
     Ok(())
 }
 
@@ -687,16 +325,10 @@ fn load_model(path: &str) -> Result<TrainedOpprox, Box<dyn Error>> {
     Ok(TrainedOpprox::load(path)?)
 }
 
-fn cmd_optimize(
-    model: &str,
-    input: &[f64],
-    budget: f64,
-    trace: &TraceSpec,
-    out: &mut dyn std::io::Write,
-) -> CmdResult {
-    let trained = load_model(model)?;
-    let input = InputParams::new(input.to_vec());
-    let spec = AccuracySpec::try_new(budget)?;
+fn cmd_optimize(args: &OptimizeArgs, out: &mut dyn std::io::Write) -> CmdResult {
+    let trained = load_model(&args.model)?;
+    let input = InputParams::new(args.input.clone());
+    let spec = AccuracySpec::try_new(args.budget)?;
     let outcome = OptimizeRequest::new(input, spec).run(&trained)?;
     writeln!(out, "plan for {} (model-only):", trained.app_name())?;
     for (phase, cfg) in outcome.plan.schedule.configs().iter().enumerate() {
@@ -709,37 +341,24 @@ fn cmd_optimize(
         outcome.plan.predicted_qos,
         spec.error_budget()
     )?;
-    write_trace(trace, &outcome.telemetry, out)?;
+    write_trace(&args.trace, &outcome.telemetry, out)?;
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
-fn cmd_run(
-    model: &str,
-    input: &[f64],
-    budget: f64,
-    canary: Option<&[f64]>,
-    validations: usize,
-    threads: Option<usize>,
-    fault_plan: Option<FaultPlan>,
-    recovery: RecoveryPolicy,
-    adaptive: Option<ControlOptions>,
-    trace: &TraceSpec,
-    out: &mut dyn std::io::Write,
-) -> CmdResult {
-    let trained = load_model(model)?;
+fn cmd_run(args: &RunArgs, out: &mut dyn std::io::Write) -> CmdResult {
+    let trained = load_model(&args.model)?;
     let app = lookup_app(trained.app_name())?;
-    let input = InputParams::new(input.to_vec());
-    let spec = AccuracySpec::try_new(budget)?;
-    let engine = make_faulty_engine(threads, fault_plan, recovery);
+    let input = InputParams::new(args.input.clone());
+    let spec = AccuracySpec::try_new(args.budget)?;
+    let engine = args.engine.engine();
     let mut request = OptimizeRequest::new(input, spec)
         .validate_on(app.as_ref())
-        .validation_budget(validations)
+        .validation_budget(args.validations)
         .engine(&engine);
-    if let Some(canary) = canary {
-        request = request.canary(InputParams::new(canary.to_vec()));
+    if let Some(canary) = &args.canary {
+        request = request.canary(InputParams::new(canary.clone()));
     }
-    if let Some(options) = adaptive {
+    if let Some(options) = args.adaptive {
         request = request.adaptive(options);
     }
     let outcome = request.run(&trained)?;
@@ -813,21 +432,14 @@ fn cmd_run(
     }
     report_metrics(&engine.metrics(), out)?;
     report_robustness(&engine, out)?;
-    write_trace(trace, &outcome.telemetry, out)
+    write_trace(&args.trace, &outcome.telemetry, out)
 }
 
-fn cmd_oracle(
-    app: &str,
-    input: &[f64],
-    budget: f64,
-    threads: Option<usize>,
-    trace: &TraceSpec,
-    out: &mut dyn std::io::Write,
-) -> CmdResult {
-    let app = lookup_app(app)?;
-    let input = InputParams::new(input.to_vec());
-    let spec = AccuracySpec::try_new(budget)?;
-    let engine = make_engine(threads);
+fn cmd_oracle(args: &OracleArgs, out: &mut dyn std::io::Write) -> CmdResult {
+    let app = lookup_app(&args.app)?;
+    let input = InputParams::new(args.input.clone());
+    let spec = AccuracySpec::try_new(args.budget)?;
+    let engine = args.engine.engine();
     let r = phase_agnostic_oracle_with(&engine, app.as_ref(), &input, &spec)?;
     match &r.config {
         Some(cfg) => writeln!(
@@ -849,7 +461,7 @@ fn cmd_oracle(
         )?,
     }
     report_metrics(&engine.metrics(), out)?;
-    write_trace(trace, &engine.telemetry_report(), out)
+    write_trace(&args.trace, &engine.telemetry_report(), out)
 }
 
 fn cmd_inspect(model: &str, out: &mut dyn std::io::Write) -> CmdResult {
@@ -878,22 +490,17 @@ fn cmd_inspect(model: &str, out: &mut dyn std::io::Write) -> CmdResult {
 /// on warnings under `--deny warnings`) so CI and scripts can gate on
 /// the exit status. The report is printed *before* the failure is
 /// returned — the findings are the point, not the exit code.
-fn cmd_analyze(
-    artifacts: &[String],
-    format: OutputFormat,
-    deny_warnings: bool,
-    out: &mut dyn std::io::Write,
-) -> CmdResult {
+fn cmd_analyze(lint: &LintArgs, out: &mut dyn std::io::Write) -> CmdResult {
     let mut set = ArtifactSet::default();
-    for path in expand_artifact_paths(artifacts)? {
+    for path in expand_artifact_paths(&lint.artifacts)? {
         let (artifact, _) = load_artifact(&path)?;
         if let Some(kind) = set.add(artifact) {
             writeln!(out, "note: {path} replaces an earlier {kind} artifact")?;
         }
     }
     let report = opprox_analyze::analyze(&set);
-    render_report(&report, format, out)?;
-    fail_on_findings(&report, deny_warnings, "analysis")
+    render_report(&report, lint, out)?;
+    fail_on_findings(&report, lint, "analysis")
 }
 
 /// `opprox audit`: classify every file of the session, link the
@@ -901,20 +508,14 @@ fn cmd_analyze(
 /// exit status like `analyze` does. Unlike `analyze`, every schedule in
 /// the session is kept (a run emits many candidates), so nothing is
 /// replaced.
-fn cmd_audit(
-    artifacts: &[String],
-    format: OutputFormat,
-    deny_warnings: bool,
-    tolerance: f64,
-    out: &mut dyn std::io::Write,
-) -> CmdResult {
+fn cmd_audit(lint: &LintArgs, tolerance: f64, out: &mut dyn std::io::Write) -> CmdResult {
     let mut loaded = Vec::new();
-    for path in expand_artifact_paths(artifacts)? {
+    for path in expand_artifact_paths(&lint.artifacts)? {
         loaded.push(load_artifact(&path)?.0);
     }
     let report = opprox_analyze::audit(loaded, tolerance);
-    render_report(&report, format, out)?;
-    fail_on_findings(&report, deny_warnings, "audit")
+    render_report(&report, lint, out)?;
+    fail_on_findings(&report, lint, "audit")
 }
 
 /// Expands each path that names a directory into its `*.json` entries,
@@ -955,10 +556,10 @@ fn load_artifact(path: &str) -> Result<(Artifact, String), Box<dyn Error>> {
 
 fn render_report(
     report: &opprox_analyze::Report,
-    format: OutputFormat,
+    lint: &LintArgs,
     out: &mut dyn std::io::Write,
 ) -> CmdResult {
-    match format {
+    match lint.format {
         OutputFormat::Text => write!(out, "{}", report.render_text())?,
         OutputFormat::Json => writeln!(out, "{}", report.render_json())?,
         OutputFormat::Sarif => writeln!(out, "{}", report.render_sarif())?,
@@ -969,7 +570,7 @@ fn render_report(
 /// The shared exit-status gate: errors always fail, warnings fail under
 /// `--deny warnings`. The report has already been printed — the
 /// findings are the point, not the exit code.
-fn fail_on_findings(report: &opprox_analyze::Report, deny_warnings: bool, what: &str) -> CmdResult {
+fn fail_on_findings(report: &opprox_analyze::Report, lint: &LintArgs, what: &str) -> CmdResult {
     let (errors, warnings) = (report.errors(), report.warnings());
     if errors > 0 {
         return Err(format!(
@@ -978,7 +579,7 @@ fn fail_on_findings(report: &opprox_analyze::Report, deny_warnings: bool, what: 
         )
         .into());
     }
-    if deny_warnings && warnings > 0 {
+    if lint.deny_warnings && warnings > 0 {
         return Err(format!(
             "{what} found {warnings} warning{} (denied by --deny warnings)",
             if warnings == 1 { "" } else { "s" }
@@ -988,29 +589,15 @@ fn fail_on_findings(report: &opprox_analyze::Report, deny_warnings: bool, what: 
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
-fn cmd_compare(
-    app: &str,
-    input: &[f64],
-    budget: f64,
-    phases: usize,
-    sparse: usize,
-    seed: u64,
-    threads: Option<usize>,
-    fault_plan: Option<FaultPlan>,
-    recovery: RecoveryPolicy,
-    trace: &TraceSpec,
-    out: &mut dyn std::io::Write,
-) -> CmdResult {
-    let app = lookup_app(app)?;
-    let input = InputParams::new(input.to_vec());
-    let spec = AccuracySpec::try_new(budget)?;
-    let opts = training_options(phases, sparse, seed);
+fn cmd_compare(args: &CompareArgs, out: &mut dyn std::io::Write) -> CmdResult {
+    let app = lookup_app(&args.app)?;
+    let input = InputParams::new(args.input.clone());
+    let spec = AccuracySpec::try_new(args.budget)?;
     writeln!(out, "training OPPROX on {} …", app.meta().name)?;
     // One engine end to end: the oracle sweep reuses any whole-run
     // configurations the training or validation phases already executed.
-    let engine = make_faulty_engine(threads, fault_plan, recovery);
-    let trained = Opprox::train_with(&engine, app.as_ref(), &opts)?;
+    let engine = args.engine.engine();
+    let trained = Opprox::train_with(&engine, app.as_ref(), &args.options)?;
     let outcome = OptimizeRequest::new(input.clone(), spec)
         .validate_on(app.as_ref())
         .engine(&engine)
@@ -1042,7 +629,7 @@ fn cmd_compare(
     report_robustness(&engine, out)?;
     // One engine end to end means one trace covering training, the
     // validated optimization, and the oracle sweep.
-    write_trace(trace, &engine.telemetry_report(), out)
+    write_trace(&args.trace, &engine.telemetry_report(), out)
 }
 
 #[cfg(test)]
@@ -1174,6 +761,26 @@ mod tests {
         .unwrap_err()
         .to_string();
         assert!(err.contains("--configs"), "{err}");
+    }
+
+    #[test]
+    fn help_documents_every_accepted_flag() {
+        let help = run(&["help"]).unwrap();
+        // `--phase` must match on its own, not inside `--phases`.
+        let documented = |flag: &str| {
+            let needle = format!("--{flag}");
+            help.match_indices(&needle).any(|(at, _)| {
+                !help[at + needle.len()..].starts_with(|c: char| c.is_alphanumeric() || c == '-')
+            })
+        };
+        for (command, flags) in crate::args::COMMANDS {
+            for flag in *flags {
+                assert!(
+                    documented(flag),
+                    "`{command} --{flag}` is missing from help"
+                );
+            }
+        }
     }
 
     #[test]

@@ -128,10 +128,9 @@ pub struct ControlOptions {
     /// Relative tolerance outside the per-phase confidence band before a
     /// re-plan triggers.
     pub drift_tolerance: f64,
-    /// Whether online re-segmentation runs before re-optimization.
+    /// Whether online re-segmentation runs before re-optimization (at
+    /// [`DEFAULT_RESEGMENT_THRESHOLD`]).
     pub resegment: bool,
-    /// Manhattan-distance threshold on normalized BBV signatures.
-    pub resegment_threshold: f64,
     /// Optional deterministic drift injection.
     pub inject: Option<DriftInjection>,
 }
@@ -141,7 +140,6 @@ impl Default for ControlOptions {
         Self {
             drift_tolerance: DEFAULT_DRIFT_TOLERANCE,
             resegment: true,
-            resegment_threshold: DEFAULT_RESEGMENT_THRESHOLD,
             inject: None,
         }
     }
@@ -451,7 +449,7 @@ pub fn run_adaptive(
             let mut resegmented = false;
             if options.resegment && !frozen && plan_phases[phase].config.is_accurate() {
                 let dist = signature_distance(&signature(&golden_work), &signature(&observed_work));
-                if dist > options.resegment_threshold {
+                if dist > DEFAULT_RESEGMENT_THRESHOLD {
                     resegmented = true;
                     resegmented_any = true;
                     drifted = true;

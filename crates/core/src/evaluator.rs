@@ -344,17 +344,20 @@ impl EvalEngine {
         self.faults.plan.as_ref().is_some_and(FaultPlan::is_active)
     }
 
-    /// The engine's recovery policy.
-    pub fn recovery_policy(&self) -> RecoveryPolicy {
-        self.faults.policy
-    }
-
     /// Snapshot of the fault-injection and recovery ledger, in canonical
     /// order (byte-identical across runs and thread counts for a fixed
     /// [`FaultPlan`]), read from the fault state and the telemetry
     /// registry.
     pub fn robustness_report(&self) -> RobustnessReport {
         self.faults.report(&self.telemetry)
+    }
+
+    /// The robustness ledger worth showing: `Some` when fault injection
+    /// is configured or any recovery event fired, `None` for a clean run
+    /// on a clean engine.
+    pub fn robustness_ledger(&self) -> Option<RobustnessReport> {
+        let report = self.robustness_report();
+        (self.fault_injection_enabled() || report.has_activity()).then_some(report)
     }
 
     /// Shared fault state, for in-crate collaborators (sampling records

@@ -213,11 +213,13 @@ impl<'a> OptimizeRequest<'a> {
         // a NaN coefficient or inverted band would silently poison every
         // Algorithm-2 solve below (`opprox analyze` rules A004/A007/A012).
         trained.validate_integrity()?;
-        if let Some(options) = &self.adaptive {
-            return self.run_adaptive(trained, options);
-        }
-        let expected = trained.estimate_golden_iters(&self.input)?;
         let Some(app) = self.validation_app else {
+            if self.adaptive.is_some() {
+                return Err(OpproxError::InvalidSpec(
+                    "adaptive mode executes the application: call validate_on(app) as well".into(),
+                ));
+            }
+            let expected = trained.estimate_golden_iters(&self.input)?;
             // A model-only solve still traces its budget division: use the
             // shared engine's registry when one was attached, otherwise a
             // private registry local to this request.
@@ -253,54 +255,31 @@ impl<'a> OptimizeRequest<'a> {
                 &private_engine
             }
         };
-        let mut outcome = engine.stage("validation", || {
-            self.run_validated(engine, app, trained, expected)
-        })?;
-        let report = engine.robustness_report();
-        if engine.fault_injection_enabled() || report.has_activity() {
-            outcome.robustness = Some(report);
-        }
-        outcome.telemetry = engine.telemetry_report();
-        Ok(outcome)
-    }
-
-    /// The adaptive path: hand the whole session to the controller.
-    fn run_adaptive(
-        &self,
-        trained: &TrainedOpprox,
-        options: &ControlOptions,
-    ) -> Result<OptimizeOutcome, OpproxError> {
-        let Some(app) = self.validation_app else {
-            return Err(OpproxError::InvalidSpec(
-                "adaptive mode executes the application: call validate_on(app) as well".into(),
-            ));
-        };
-        let private_engine;
-        let engine = match self.engine {
-            Some(e) => e,
+        let mut outcome = match &self.adaptive {
+            Some(options) => {
+                let session = engine.stage("control", || {
+                    control::run_adaptive(trained, app, engine, &self.input, &self.spec, options)
+                })?;
+                OptimizeOutcome {
+                    plan: session.plan.clone(),
+                    path: OptimizePath::Adaptive,
+                    measured: session.measured,
+                    candidates_tried: 0,
+                    robustness: None,
+                    telemetry: TelemetryReport::default(),
+                    control: Some(session.summary()),
+                }
+            }
             None => {
-                private_engine = EvalEngine::default();
-                &private_engine
+                let expected = trained.estimate_golden_iters(&self.input)?;
+                engine.stage("validation", || {
+                    self.run_validated(engine, app, trained, expected)
+                })?
             }
         };
-        let outcome = engine.stage("control", || {
-            control::run_adaptive(trained, app, engine, &self.input, &self.spec, options)
-        })?;
-        let report = engine.robustness_report();
-        let robustness = if engine.fault_injection_enabled() || report.has_activity() {
-            Some(report)
-        } else {
-            None
-        };
-        Ok(OptimizeOutcome {
-            plan: outcome.plan.clone(),
-            path: OptimizePath::Adaptive,
-            measured: outcome.measured,
-            candidates_tried: 0,
-            robustness,
-            telemetry: engine.telemetry_report(),
-            control: Some(outcome.summary()),
-        })
+        outcome.robustness = engine.robustness_ledger();
+        outcome.telemetry = engine.telemetry_report();
+        Ok(outcome)
     }
 
     /// The validated path: generate a bounded candidate set, vet every

@@ -57,7 +57,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, SystemTime};
 
 /// Configuration of a serving instance.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeOptions {
     /// Bind address (`host:port`; port 0 picks a free port).
     pub addr: String,

@@ -19,13 +19,6 @@ pub enum MlError {
     InvalidHyperparameter(String),
     /// The underlying linear-algebra routine failed.
     Numeric(String),
-    /// No model reached the requested accuracy target.
-    AccuracyTargetUnreachable {
-        /// The best cross-validated R² achieved.
-        best_r2: f64,
-        /// The requested target.
-        target_r2: f64,
-    },
 }
 
 impl fmt::Display for MlError {
@@ -38,10 +31,6 @@ impl fmt::Display for MlError {
             ),
             MlError::InvalidHyperparameter(msg) => write!(f, "invalid hyperparameter: {msg}"),
             MlError::Numeric(msg) => write!(f, "numeric failure: {msg}"),
-            MlError::AccuracyTargetUnreachable { best_r2, target_r2 } => write!(
-                f,
-                "no model reached target R² {target_r2:.3}; best was {best_r2:.3}"
-            ),
         }
     }
 }
@@ -69,12 +58,6 @@ mod tests {
         }
         .to_string()
         .contains("expects 3"));
-        assert!(MlError::AccuracyTargetUnreachable {
-            best_r2: 0.5,
-            target_r2: 0.9
-        }
-        .to_string()
-        .contains("0.900"));
     }
 
     #[test]
