@@ -7,7 +7,9 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use opprox_approx_rt::{InputParams, PhaseSchedule};
 use opprox_ml::dtree::{DecisionTree, TreeParams};
 use opprox_ml::mic::mic;
+use opprox_ml::model_select::{AutoFitConfig, TargetModel};
 use opprox_ml::polyreg::PolynomialRegression;
+use opprox_ml::Dataset;
 
 fn regression_data(n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
     let xs: Vec<Vec<f64>> = (0..n)
@@ -20,6 +22,21 @@ fn regression_data(n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
     (xs, ys)
 }
 
+/// 48 rows over a 4 × 4 × 3 grid of three features with a target no
+/// degree-2 polynomial explains: the mean cross-validation shape of
+/// model fitting in training, where degree escalation and the sub-model
+/// split search both run.
+fn fit_shape_dataset() -> Dataset {
+    let mut ds = Dataset::new(vec!["a".into(), "b".into(), "c".into()]);
+    for i in 0..48usize {
+        let row = vec![(i % 4) as f64, (i / 4 % 4) as f64, (i / 16) as f64];
+        let wiggle = ((i * 2654435761) % 97) as f64 / 97.0;
+        let y = 1.0 + row[0] * row[1] - 0.5 * row[2] * row[2] + 3.0 * wiggle;
+        ds.push(row, y).unwrap();
+    }
+    ds
+}
+
 fn bench_ml(c: &mut Criterion) {
     let (xs, ys) = regression_data(200);
     c.bench_function("polyreg_fit_degree3_200x3", |b| {
@@ -28,6 +45,16 @@ fn bench_ml(c: &mut Criterion) {
     let model = PolynomialRegression::fit(&xs, &ys, 3).unwrap();
     c.bench_function("polyreg_predict_one", |b| {
         b.iter(|| model.predict_one(&[3.0, 2.0, 1.0]).unwrap())
+    });
+
+    let fit_shape = fit_shape_dataset();
+    let fit_config = AutoFitConfig {
+        max_degree: 4,
+        mic_threshold: None,
+        ..AutoFitConfig::default()
+    };
+    c.bench_function("target_model_fit_48x3_deg4", |b| {
+        b.iter(|| TargetModel::fit(&fit_shape, &fit_config).unwrap())
     });
 
     let a: Vec<f64> = (0..256).map(|i| i as f64).collect();

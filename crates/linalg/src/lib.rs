@@ -16,8 +16,8 @@
 //!   systems (used for ridge-regularized normal equations).
 //! * [`lstsq`] — a least-squares driver that prefers QR and falls back to a
 //!   ridge-regularized solve when the design matrix is rank deficient.
-//! * [`gram`] — Gram-system construction and rank-k downdating, the
-//!   engine behind expand-once cross-validation.
+//! * [`gram`] — Gram-system construction and batched Woodbury holdout
+//!   solves, the engine behind expand-once cross-validation.
 //! * [`stats`] — means, variances, quantiles, Pearson correlation, and the
 //!   coefficient of determination (R²).
 //!

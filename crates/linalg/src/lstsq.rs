@@ -1,7 +1,7 @@
 //! Least-squares drivers used by the regression layer.
 
-use crate::cholesky::cholesky_solve;
 use crate::error::LinalgError;
+use crate::gram::GramSystem;
 use crate::matrix::Matrix;
 use crate::qr::qr_least_squares;
 
@@ -29,8 +29,10 @@ pub fn solve_least_squares(a: &Matrix, y: &[f64]) -> Result<Vec<f64>, LinalgErro
 }
 
 /// Solves the ridge-regularized least-squares problem
-/// `min ‖A x − y‖₂² + λ ‖x‖₂²` via the normal equations
-/// `(AᵀA + λI) x = Aᵀ y`.
+/// `min ‖A x − y‖₂² + λ·s ‖x‖₂²` via the normal equations
+/// `(AᵀA + λ·s·I) x = Aᵀ y`, where `s` is the largest Gram diagonal
+/// (floored at 1) so the regularization strength is unit free; see
+/// [`GramSystem::solve_ridge`].
 ///
 /// # Errors
 ///
@@ -39,36 +41,7 @@ pub fn solve_least_squares(a: &Matrix, y: &[f64]) -> Result<Vec<f64>, LinalgErro
 /// * [`LinalgError::Singular`] if the regularized Gram matrix is still not
 ///   positive definite (only possible for `lambda == 0`).
 pub fn ridge_least_squares(a: &Matrix, y: &[f64], lambda: f64) -> Result<Vec<f64>, LinalgError> {
-    if lambda < 0.0 {
-        return Err(LinalgError::InvalidArgument(format!(
-            "ridge parameter must be non-negative, got {lambda}"
-        )));
-    }
-    if a.cols() == 0 {
-        return Err(LinalgError::InvalidArgument(
-            "design matrix has no columns".into(),
-        ));
-    }
-    if y.len() != a.rows() {
-        return Err(LinalgError::DimensionMismatch(format!(
-            "matrix has {} rows but rhs has length {}",
-            a.rows(),
-            y.len()
-        )));
-    }
-    let mut gram = a.gram();
-    // Scale the ridge term by the Gram diagonal magnitude so the
-    // regularization strength is unit free.
-    let diag_scale = (0..gram.rows())
-        .map(|i| gram.get(i, i))
-        .fold(0.0f64, f64::max)
-        .max(1.0);
-    for i in 0..gram.rows() {
-        let v = gram.get(i, i);
-        gram.set(i, i, v + lambda * diag_scale);
-    }
-    let aty = a.t_matvec(y)?;
-    cholesky_solve(&gram, &aty)
+    GramSystem::from_design(a, y)?.solve_ridge(lambda)
 }
 
 #[cfg(test)]

@@ -222,16 +222,26 @@ impl Matrix {
 
     /// Computes `Aᵀ A` (the Gram matrix), which is symmetric positive
     /// semi-definite.
+    ///
+    /// Streams the rows once: row `aᵣ` adds `aᵣᵢ · aᵣ[i..]` into row `i`
+    /// of the upper triangle, so every entry sums its products in row
+    /// order starting from `0.0`, exactly like a per-entry dot product
+    /// down two columns. The lower triangle is mirrored at the end.
     pub fn gram(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.cols);
-        for i in 0..self.cols {
-            for j in i..self.cols {
-                let mut s = 0.0;
-                for r in 0..self.rows {
-                    s += self.get(r, i) * self.get(r, j);
+        let p = self.cols;
+        let mut out = Matrix::zeros(p, p);
+        for r in 0..self.rows {
+            let row = self.row(r);
+            for (i, &ai) in row.iter().enumerate() {
+                let upper = &mut out.data[i * p + i..(i + 1) * p];
+                for (g, &aj) in upper.iter_mut().zip(&row[i..]) {
+                    *g += ai * aj;
                 }
-                out.set(i, j, s);
-                out.set(j, i, s);
+            }
+        }
+        for i in 0..p {
+            for j in 0..i {
+                out.data[i * p + j] = out.data[j * p + i];
             }
         }
         out
@@ -253,8 +263,8 @@ impl Matrix {
         }
         let mut out = vec![0.0; self.cols];
         for (r, &yr) in y.iter().enumerate() {
-            for (c, o) in out.iter_mut().enumerate() {
-                *o += self.get(r, c) * yr;
+            for (o, &a) in out.iter_mut().zip(self.row(r)) {
+                *o += a * yr;
             }
         }
         Ok(out)
@@ -376,6 +386,40 @@ mod tests {
         let g = a.gram();
         let expect = a.transpose().matmul(&a).unwrap();
         assert_eq!(g, expect);
+    }
+
+    #[test]
+    fn row_streamed_gram_equals_naive_triple_loop_bitwise() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(11);
+        for (rows, cols) in [(1, 1), (3, 5), (48, 35), (17, 84), (0, 4)] {
+            let data: Vec<f64> = (0..rows * cols)
+                .map(|i| match i % 7 {
+                    // Signed zeros and exact cancellations exercise the
+                    // start value and the summation order.
+                    0 => -0.0,
+                    1 => 0.0,
+                    _ => rng.gen::<f64>() * 200.0 - 100.0,
+                })
+                .collect();
+            let a = Matrix::from_vec(rows, cols, data).unwrap();
+            let g = a.gram();
+            for i in 0..cols {
+                for j in 0..cols {
+                    let (lo, hi) = (i.min(j), i.max(j));
+                    let mut s = 0.0;
+                    for r in 0..rows {
+                        s += a.get(r, lo) * a.get(r, hi);
+                    }
+                    assert_eq!(
+                        g.get(i, j).to_bits(),
+                        s.to_bits(),
+                        "({i},{j}) of {rows}x{cols}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

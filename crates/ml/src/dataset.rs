@@ -149,22 +149,18 @@ impl Dataset {
         (train, test)
     }
 
-    /// Returns the subset of rows whose column `c` value lies in
-    /// `[lo, hi)` — used for sub-model splitting (paper Sec. 3.7).
+    /// Indices, ascending, of the rows whose column `c` value lies in
+    /// `[lo, hi)` — the sub-ranges of sub-model splitting (paper
+    /// Sec. 3.7).
     ///
     /// # Panics
     ///
     /// Panics if `c` is out of range.
-    pub fn filter_by_range(&self, c: usize, lo: f64, hi: f64) -> Dataset {
+    pub fn rows_in_range(&self, c: usize, lo: f64, hi: f64) -> Vec<usize> {
         assert!(c < self.feature_names.len(), "column {c} out of range");
-        let mut out = Dataset::new(self.feature_names.clone());
-        for (row, &t) in self.rows.iter().zip(self.targets.iter()) {
-            if row[c] >= lo && row[c] < hi {
-                out.rows.push(row.clone());
-                out.targets.push(t);
-            }
-        }
-        out
+        (0..self.rows.len())
+            .filter(|&i| self.rows[i][c] >= lo && self.rows[i][c] < hi)
+            .collect()
     }
 }
 
@@ -231,11 +227,10 @@ mod tests {
     }
 
     #[test]
-    fn filter_by_range_selects_half_open_interval() {
+    fn rows_in_range_selects_half_open_interval() {
         let ds = sample();
-        let f = ds.filter_by_range(0, 2.0, 4.0);
-        assert_eq!(f.len(), 2);
-        assert_eq!(f.rows()[0][0], 2.0);
-        assert_eq!(f.rows()[1][0], 3.0);
+        assert_eq!(ds.rows_in_range(0, 2.0, 4.0), vec![2, 3]);
+        assert_eq!(ds.rows_in_range(1, f64::NEG_INFINITY, 4.0), vec![0, 1]);
+        assert!(ds.rows_in_range(0, 9.0, f64::INFINITY).is_empty());
     }
 }

@@ -179,16 +179,28 @@ impl Standardizer {
     ///
     /// Returns [`MlError::InvalidTrainingData`] if `xs` is empty or ragged.
     pub fn fit(xs: &[Vec<f64>]) -> Result<Self, MlError> {
-        if xs.is_empty() {
-            return Err(MlError::InvalidTrainingData("no rows".into()));
-        }
-        let dim = xs[0].len();
-        if xs.iter().any(|r| r.len() != dim) {
+        Self::fit_rows(xs.iter())
+    }
+
+    /// Like [`Standardizer::fit`] over the rows an iterator yields, in
+    /// that order (the iterator is cloned and walked several times). The
+    /// cross-validation engine fits a row subset this way without copying
+    /// it.
+    pub(crate) fn fit_rows<'a, I>(xs: I) -> Result<Self, MlError>
+    where
+        I: Iterator<Item = &'a Vec<f64>> + Clone,
+    {
+        let dim = xs
+            .clone()
+            .next()
+            .ok_or_else(|| MlError::InvalidTrainingData("no rows".into()))?
+            .len();
+        if xs.clone().any(|r| r.len() != dim) {
             return Err(MlError::InvalidTrainingData("ragged rows".into()));
         }
-        let n = xs.len() as f64;
+        let n = xs.clone().count() as f64;
         let mut means = vec![0.0; dim];
-        for r in xs {
+        for r in xs.clone() {
             for (m, v) in means.iter_mut().zip(r.iter()) {
                 *m += v;
             }

@@ -53,6 +53,16 @@ pub fn mic(xs: &[f64], ys: &[f64]) -> Result<f64, MlError> {
 /// Same as [`mic`], plus [`MlError::InvalidHyperparameter`] for
 /// non-positive `alpha`.
 pub fn mic_with_alpha(xs: &[f64], ys: &[f64], alpha: f64) -> Result<f64, MlError> {
+    let budget = grid_budget(xs, ys, alpha)?;
+    Ok(mic_of_bins(
+        &equal_frequency_bins(xs, budget),
+        &equal_frequency_bins(ys, budget),
+        budget,
+    ))
+}
+
+/// Validates a MIC input pair and returns its grid budget `⌊n^α⌋`.
+fn grid_budget(xs: &[f64], ys: &[f64], alpha: f64) -> Result<usize, MlError> {
     if alpha <= 0.0 {
         return Err(MlError::InvalidHyperparameter(format!(
             "alpha must be positive, got {alpha}"
@@ -71,29 +81,34 @@ pub fn mic_with_alpha(xs: &[f64], ys: &[f64], alpha: f64) -> Result<f64, MlError
             "MIC needs at least 4 points, got {n}"
         )));
     }
-    let budget = (n as f64).powf(alpha).floor() as usize;
-    let max_bins = budget / 2;
+    Ok((n as f64).powf(alpha).floor() as usize)
+}
+
+/// MIC over every admissible grid shape `(a, b)`, where `x_bins[a − 2]`
+/// and `y_bins[b − 2]` are the columns binned into `a` and `b` bins.
+fn mic_of_bins(x_bins: &[Vec<usize>], y_bins: &[Vec<usize>], budget: usize) -> f64 {
     let mut best = 0.0f64;
-    for a in 2..=max_bins.max(2) {
+    for (a, xa) in (2..).zip(x_bins) {
         let max_b = (budget / a).max(2);
         for b in 2..=max_b {
             if a * b > budget && (a, b) != (2, 2) {
                 continue;
             }
-            let x_bins = equal_frequency_assign(xs, a);
-            let y_bins = equal_frequency_assign(ys, b);
-            let mi = mutual_information(&x_bins, a, &y_bins, b);
+            let mi = mutual_information(xa, a, &y_bins[b - 2], b);
             let norm = (a.min(b) as f64).ln();
             if norm > 0.0 {
                 best = best.max(mi / norm);
             }
         }
     }
-    Ok(best.min(1.0))
+    best.min(1.0)
 }
 
-/// Assigns each value to one of `bins` equal-frequency bins.
-fn equal_frequency_assign(vals: &[f64], bins: usize) -> Vec<usize> {
+/// Equal-frequency bin assignments of `vals` for every bin count in
+/// `2..=max(budget / 2, 2)`, the counts a grid under `budget` uses on
+/// either axis; entry `bins − 2` assigns each value to one of `bins`
+/// bins. The column is sorted once for all of them.
+fn equal_frequency_bins(vals: &[f64], budget: usize) -> Vec<Vec<usize>> {
     let n = vals.len();
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&i, &j| {
@@ -102,19 +117,23 @@ fn equal_frequency_assign(vals: &[f64], bins: usize) -> Vec<usize> {
             .expect("NaN in MIC input")
             .then(i.cmp(&j))
     });
-    let mut assign = vec![0usize; n];
-    for (rank, &i) in order.iter().enumerate() {
-        assign[i] = (rank * bins / n).min(bins - 1);
-    }
-    // Ties in value must land in the same bin to avoid phantom information;
-    // merge equal values into the bin of their first occurrence.
-    for w in 1..n {
-        let (i_prev, i_cur) = (order[w - 1], order[w]);
-        if vals[i_prev] == vals[i_cur] {
-            assign[i_cur] = assign[i_prev];
-        }
-    }
-    assign
+    (2..=(budget / 2).max(2))
+        .map(|bins| {
+            let mut assign = vec![0usize; n];
+            for (rank, &i) in order.iter().enumerate() {
+                assign[i] = (rank * bins / n).min(bins - 1);
+            }
+            // Ties in value must land in the same bin to avoid phantom
+            // information; merge equal values into the bin of their first
+            // occurrence.
+            for w in order.windows(2) {
+                if vals[w[0]] == vals[w[1]] {
+                    assign[w[1]] = assign[w[0]];
+                }
+            }
+            assign
+        })
+        .collect()
 }
 
 /// Mutual information (nats) of a discrete joint distribution given bin
@@ -162,6 +181,9 @@ pub fn filter_features_by_mic(
     if xs.iter().any(|r| r.len() != dim) {
         return Err(MlError::InvalidTrainingData("ragged rows".into()));
     }
+    // The target is ranked and binned once, on the first column that
+    // needs it, and shared by every column.
+    let mut y_bins = None;
     let mut keep = Vec::new();
     for c in 0..dim {
         let col: Vec<f64> = xs.iter().map(|r| r[c]).collect();
@@ -169,7 +191,9 @@ pub fn filter_features_by_mic(
         if col.iter().all(|&v| v == col[0]) {
             continue;
         }
-        if mic(&col, ys)? >= threshold {
+        let budget = grid_budget(&col, ys, DEFAULT_ALPHA)?;
+        let y_bins = y_bins.get_or_insert_with(|| equal_frequency_bins(ys, budget));
+        if mic_of_bins(&equal_frequency_bins(&col, budget), y_bins, budget) >= threshold {
             keep.push(c);
         }
     }
@@ -238,6 +262,72 @@ mod tests {
         assert!(keep.contains(&0), "informative feature dropped: {keep:?}");
         assert!(!keep.contains(&1), "noise feature kept: {keep:?}");
         assert!(!keep.contains(&2), "constant feature kept: {keep:?}");
+    }
+
+    /// MIC as computed before columns were sorted once: both columns
+    /// re-sorted and re-binned for every grid shape.
+    fn per_shape_reference(xs: &[f64], ys: &[f64], alpha: f64) -> f64 {
+        fn assign(vals: &[f64], bins: usize) -> Vec<usize> {
+            let n = vals.len();
+            let mut order: Vec<usize> = (0..n).collect();
+            order.sort_by(|&i, &j| vals[i].partial_cmp(&vals[j]).unwrap().then(i.cmp(&j)));
+            let mut assign = vec![0usize; n];
+            for (rank, &i) in order.iter().enumerate() {
+                assign[i] = (rank * bins / n).min(bins - 1);
+            }
+            for w in 1..n {
+                let (i_prev, i_cur) = (order[w - 1], order[w]);
+                if vals[i_prev] == vals[i_cur] {
+                    assign[i_cur] = assign[i_prev];
+                }
+            }
+            assign
+        }
+        let budget = (xs.len() as f64).powf(alpha).floor() as usize;
+        let mut best = 0.0f64;
+        for a in 2..=(budget / 2).max(2) {
+            for b in 2..=(budget / a).max(2) {
+                if a * b > budget && (a, b) != (2, 2) {
+                    continue;
+                }
+                let mi = mutual_information(&assign(xs, a), a, &assign(ys, b), b);
+                let norm = (a.min(b) as f64).ln();
+                if norm > 0.0 {
+                    best = best.max(mi / norm);
+                }
+            }
+        }
+        best.min(1.0)
+    }
+
+    #[test]
+    fn one_sort_per_column_equals_per_shape_recompute_bitwise() {
+        let mut rng = StdRng::seed_from_u64(17);
+        for n in [4, 5, 9, 48, 130, 400] {
+            let xs: Vec<f64> = (0..n).map(|_| rng.gen::<f64>()).collect();
+            // Heavy ties on one side exercise the tie merge.
+            let ties: Vec<f64> = (0..n).map(|i| (i % 3) as f64).collect();
+            let smooth: Vec<f64> = xs.iter().map(|x| (x * 9.0).sin()).collect();
+            for (a, b) in [(&xs, &smooth), (&ties, &xs), (&smooth, &ties)] {
+                for alpha in [0.4, DEFAULT_ALPHA, 0.8] {
+                    let fast = mic_with_alpha(a, b, alpha).unwrap();
+                    assert_eq!(
+                        fast.to_bits(),
+                        per_shape_reference(a, b, alpha).to_bits(),
+                        "n = {n}, alpha = {alpha}"
+                    );
+                }
+            }
+            let rows: Vec<Vec<f64>> = (0..n).map(|i| vec![xs[i], ties[i]]).collect();
+            let kept = filter_features_by_mic(&rows, &smooth, 0.3).unwrap();
+            let expect: Vec<usize> = [&xs, &ties]
+                .iter()
+                .enumerate()
+                .filter(|(_, col)| per_shape_reference(col, &smooth, DEFAULT_ALPHA) >= 0.3)
+                .map(|(c, _)| c)
+                .collect();
+            assert_eq!(kept, expect, "n = {n}");
+        }
     }
 
     #[test]

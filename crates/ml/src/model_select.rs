@@ -14,7 +14,7 @@
 //!    the optimizer can use conservative bounds.
 
 use crate::confidence::ConfidenceBand;
-use crate::crossval::cross_validate_degree;
+use crate::crossval::CvData;
 use crate::dataset::Dataset;
 use crate::error::MlError;
 use crate::fitmetrics::FitCounters;
@@ -187,7 +187,8 @@ impl TargetModel {
         let feature_names = selected.feature_names().to_vec();
 
         // Step 2: degree escalation on a single global model.
-        let (best_single, best_r2) = fit_best_degree(selected, config, counters)?;
+        let all_rows: Vec<usize> = (0..selected.len()).collect();
+        let (best_single, best_r2) = fit_best_degree(selected, &all_rows, config, counters)?;
         if best_r2 >= config.target_r2 {
             return Ok(TargetModel {
                 kept_features: kept,
@@ -198,7 +199,7 @@ impl TargetModel {
             });
         }
 
-        // Step 3: sub-model splitting on the widest-ranged feature.
+        // Step 3: sub-model splitting, trying every feature.
         if let Some((structure, split_r2)) = try_split(selected, config, counters)? {
             if split_r2 > best_r2 {
                 return Ok(TargetModel {
@@ -436,30 +437,27 @@ fn effective_folds(requested: usize, n: usize, counters: &FitCounters) -> usize 
     k
 }
 
-/// Escalates the degree and returns the best single model with its CV R².
+/// Escalates the degree over the `rows` of `dataset` and returns the best
+/// single model with its CV R².
 ///
-/// Each candidate degree costs one expand-once cross-validation pass (see
-/// [`cross_validate_degree`]), which also yields the full-data model and
-/// its out-of-fold residuals — no separate refit.
+/// The folds and the standardizer are prepared once ([`CvData`]); each
+/// candidate degree then costs one expand-once cross-validation pass,
+/// which also yields the full-data model and its out-of-fold residuals —
+/// no separate refit.
 fn fit_best_degree(
     dataset: &Dataset,
+    rows: &[usize],
     config: &AutoFitConfig,
     counters: &FitCounters,
 ) -> Result<(SingleModel, f64), MlError> {
-    let folds = effective_folds(config.folds, dataset.len(), counters);
+    let folds = effective_folds(config.folds, rows.len(), counters);
+    let data = CvData::new(dataset.rows(), dataset.targets(), rows, folds, config.seed)?;
     let mut best: Option<(SingleModel, f64)> = None;
     for degree in config.min_degree..=config.max_degree {
         counters.record_degree_tried();
-        let cv = cross_validate_degree(
-            dataset.rows(),
-            dataset.targets(),
-            degree,
-            folds,
-            config.seed,
-            DEFAULT_RIDGE,
-        )?;
+        let cv = data.cross_validate(degree, DEFAULT_RIDGE)?;
         counters.record_cv_solves_at(degree, cv.solves);
-        let cv_r2 = cv.mean_r2;
+        let cv_r2 = cv.mean_r2();
         let improved = best.as_ref().is_none_or(|(_, r)| cv_r2 > *r);
         if improved {
             let band = ConfidenceBand::from_residuals(&cv.residuals, config.confidence_level)?;
@@ -480,7 +478,8 @@ fn fit_best_degree(
 }
 
 /// Attempts range-splitting each feature into 2..=max_submodels subsets
-/// and returns the best split structure with its weighted CV R².
+/// and returns the best split structure with its weighted CV R². Each
+/// subset is passed to the CV engine as row indices, not copied.
 fn try_split(
     dataset: &Dataset,
     config: &AutoFitConfig,
@@ -521,14 +520,14 @@ fn try_split(
                 } else {
                     boundaries[sub]
                 };
-                let subset = dataset.filter_by_range(feature, lo, hi);
-                if subset.len() < 4 {
+                let rows = dataset.rows_in_range(feature, lo, hi);
+                if rows.len() < 4 {
                     feasible = false;
                     break;
                 }
-                let (m, r2) = fit_best_degree(&subset, config, counters)?;
-                weighted_r2 += r2 * subset.len() as f64;
-                total += subset.len();
+                let (m, r2) = fit_best_degree(dataset, &rows, config, counters)?;
+                weighted_r2 += r2 * rows.len() as f64;
+                total += rows.len();
                 models.push(m);
             }
             if !feasible || total == 0 {

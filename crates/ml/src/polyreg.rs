@@ -253,23 +253,27 @@ impl PolynomialRegression {
     }
 }
 
-/// Standardizes and polynomial-expands `xs` into one flat design matrix,
-/// built without per-row intermediate vectors. Shared by model fitting and
-/// the expand-once cross-validation engine.
-pub(crate) fn expand_design(
+/// Standardizes and polynomial-expands the rows `xs` yields into one flat
+/// design matrix, built without per-row intermediate vectors. Shared by
+/// model fitting and the expand-once cross-validation engine, which
+/// expands a row subset straight from the dataset.
+pub(crate) fn expand_design<'a>(
     standardizer: &Standardizer,
     features: &PolynomialFeatures,
-    xs: &[Vec<f64>],
+    xs: impl IntoIterator<Item = &'a Vec<f64>>,
 ) -> Result<Matrix, MlError> {
+    let xs = xs.into_iter();
     let p = features.num_outputs();
-    let mut flat = Vec::with_capacity(xs.len() * p);
+    let mut flat = Vec::with_capacity(xs.size_hint().0 * p);
     let mut std_row = Vec::with_capacity(features.num_inputs());
+    let mut rows = 0;
     for x in xs {
         std_row.clear();
         standardizer.transform_into(x, &mut std_row)?;
         features.transform_into(&std_row, &mut flat)?;
+        rows += 1;
     }
-    Matrix::from_vec(xs.len(), p, flat).map_err(MlError::from)
+    Matrix::from_vec(rows, p, flat).map_err(MlError::from)
 }
 
 #[cfg(test)]
