@@ -75,7 +75,7 @@ impl Artifact {
     ///
     /// Returns a message when the shape matches no known artifact or
     /// field-level decoding fails.
-    pub fn from_value(value: &Value) -> Result<Self, String> {
+    pub(crate) fn from_value(value: &Value) -> Result<Self, String> {
         let decode_err = |kind: &str, e: serde::DeError| format!("malformed {kind}: {e}");
         if let Some(entries) = value.as_object() {
             let has = |key: &str| entries.iter().any(|(k, _)| k == key);
@@ -186,7 +186,7 @@ impl ArtifactSet {
 
     /// The block descriptors in force: explicit ones win, else the
     /// trained system's.
-    pub fn effective_blocks(&self) -> Option<&[BlockDescriptor]> {
+    pub(crate) fn effective_blocks(&self) -> Option<&[BlockDescriptor]> {
         match (&self.blocks, &self.trained) {
             (Some(b), _) => Some(b),
             (None, Some(t)) => Some(t.blocks()),
@@ -198,7 +198,7 @@ impl ArtifactSet {
     /// the training data's golden-run inputs, else the registered
     /// application's representative inputs, else empty (the predictive
     /// lints emit an Info skip).
-    pub fn inputs(&self) -> Vec<InputParams> {
+    pub(crate) fn inputs(&self) -> Vec<InputParams> {
         if let Some(training) = &self.training {
             if !training.goldens.is_empty() {
                 return training.goldens.iter().map(|g| g.input.clone()).collect();

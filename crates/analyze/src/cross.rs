@@ -39,7 +39,7 @@ fn approx_eq(a: f64, b: f64) -> bool {
 }
 
 /// Runs every applicable cross-artifact rule over the session.
-pub fn run_audit(session: &Session, tolerance: f64, report: &mut Report) {
+pub(crate) fn run_audit(session: &Session, tolerance: f64, report: &mut Report) {
     let model = session.resolve();
     let has_trace = session.telemetry.is_some();
 

@@ -31,7 +31,7 @@ pub enum Severity {
 impl Severity {
     /// The lowercase token used in both emitters (`error`, `warning`,
     /// `info`).
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Severity::Error => "error",
             Severity::Warn => "warning",

@@ -4,7 +4,7 @@
 //! pipeline serializes: block descriptor lists, [`PhaseSchedule`]s,
 //! [`AccuracySpec`]s, trained model sets, and training data. Rules have
 //! stable codes (`A0xx` semantic lints, `C0xx` concurrency rules
-//! discharged by loom/Miri/TSan in CI — see [`rules::RULES`]),
+//! discharged by loom/Miri/TSan in CI — see [`rules`]),
 //! severities, and artifact locations such as
 //! `schedule.phase[3].block[AB2]`; reports render as text or as a
 //! stable JSON schema.
@@ -56,8 +56,8 @@ pub mod session;
 pub use artifact::{Artifact, ArtifactSet};
 pub use cross::DEFAULT_DRIFT_TOLERANCE;
 pub use diag::{Diagnostic, Report, Severity};
-pub use rules::{rule, RuleInfo, RuleKind, RULES};
-pub use session::{Session, SessionModel};
+pub use rules::rule;
+pub use session::Session;
 
 /// Runs every semantic lint over the artifact set and returns the
 /// sorted report.

@@ -10,7 +10,7 @@
 use crate::artifact::ArtifactSet;
 use crate::diag::{Diagnostic, Report, Severity};
 use crate::session::SessionModel;
-use opprox_approx_rt::block::{BlockDescriptor, BlockId};
+use opprox_approx_rt::block::BlockId;
 use opprox_approx_rt::LevelViolation;
 use opprox_core::AccuracySpec;
 
@@ -48,7 +48,7 @@ pub struct RuleInfo {
 /// Every rule, in code order. The `C0xx` entries document the
 /// concurrency rules so `opprox analyze` output, DESIGN.md, and CI stay
 /// in sync; they emit no diagnostics here.
-pub const RULES: &[RuleInfo] = &[
+pub(crate) const RULES: &[RuleInfo] = &[
     RuleInfo {
         code: "A001",
         severity: Severity::Error,
@@ -263,16 +263,16 @@ pub fn rule(code: &str) -> Option<&'static RuleInfo> {
 /// Threshold above which an expected iteration count is reported as
 /// absurd (A003 warning): no modeled application runs 10¹² outer
 /// iterations; such a value is a unit error or corruption.
-pub const ABSURD_ITERS: u64 = 1_000_000_000_000;
+pub(crate) const ABSURD_ITERS: u64 = 1_000_000_000_000;
 
 /// Accurate-configuration speedup below this triggers A005 (when no
 /// known input predicts above it): the accurate run *is* the speedup
 /// baseline, so a healthy model predicts ≈ 1.0 there; the margin absorbs
 /// regression noise and band clamping at the range edge.
-pub const ACCURATE_SPEEDUP_FLOOR: f64 = 0.9;
+pub(crate) const ACCURATE_SPEEDUP_FLOOR: f64 = 0.9;
 
 /// Runs every semantic lint over the set and appends the findings.
-pub fn run_all(set: &ArtifactSet, report: &mut Report) {
+pub(crate) fn run_all(set: &ArtifactSet, report: &mut Report) {
     lint_schedule_levels(set, report);
     lint_block_count_mismatch(set, report);
     lint_expected_iters(set, report);
@@ -647,7 +647,7 @@ fn lint_spec_budget(set: &ArtifactSet, report: &mut Report) {
 /// (cross-validated R² ≥ 0.9) is fitted on the full sampling plan;
 /// losing more than a tenth of it leaves the models under-determined in
 /// the dropped regions.
-pub const MAX_TRUSTED_DROP_RATE: f64 = 0.10;
+pub(crate) const MAX_TRUSTED_DROP_RATE: f64 = 0.10;
 
 /// A014 — degraded training must not have dropped so many samples that
 /// the fitted models stop being trustworthy. Needs a robustness report
@@ -737,7 +737,7 @@ fn lint_robustness_consistency(set: &ArtifactSet, report: &mut Report) {
 /// this factor before A016 fires: the optimizer interpolates between
 /// profiled configurations, so a plan an order of magnitude beyond
 /// anything profiling ever measured is model runaway, not interpolation.
-pub const A016_SLACK: f64 = 10.0;
+pub(crate) const A016_SLACK: f64 = 10.0;
 
 /// A016 — every solve step's predicted speedup must be consistent with
 /// the profiled per-phase ceiling (`profile.phase[p].max_speedup`):
@@ -779,7 +779,7 @@ fn lint_phase_speedup_consistency(trace: &SessionModel, report: &mut Report) {
 /// Below this many executions a zero hit rate is unremarkable (A017
 /// stays silent): tiny runs can legitimately never repeat a
 /// configuration.
-pub const A017_MIN_EXECUTIONS: u64 = 20;
+pub(crate) const A017_MIN_EXECUTIONS: u64 = 20;
 
 /// A017 — a non-trivial run with *zero* cache hits means the execution
 /// cache is not deduplicating anything: cache keys are misconfigured
@@ -872,17 +872,6 @@ fn lint_controller_thrashing(trace: &SessionModel, report: &mut Report) {
             );
         }
     }
-}
-
-/// A `BlockDescriptor` list formatted for messages (used by callers
-/// building context lines).
-pub fn describe_blocks(blocks: &[BlockDescriptor]) -> String {
-    blocks
-        .iter()
-        .enumerate()
-        .map(|(i, b)| format!("{}={} (0..={})", BlockId(i), b.name, b.max_level))
-        .collect::<Vec<_>>()
-        .join(", ")
 }
 
 #[cfg(test)]
@@ -1059,15 +1048,5 @@ mod tests {
         let mut report = crate::Report::new();
         run_all(&set, &mut report);
         assert_eq!(report.diagnostics().len(), 0, "{:?}", report.diagnostics());
-    }
-
-    #[test]
-    fn describe_blocks_renders_positionally() {
-        use opprox_approx_rt::block::TechniqueKind;
-        let blocks = vec![
-            BlockDescriptor::new("a", TechniqueKind::LoopPerforation, 2),
-            BlockDescriptor::new("b", TechniqueKind::Memoization, 5),
-        ];
-        assert_eq!(describe_blocks(&blocks), "AB0=a (0..=2), AB1=b (0..=5)");
     }
 }

@@ -2,11 +2,11 @@
 //!
 //! A *session* is whatever subset of one run's artifacts the user hands
 //! to `opprox audit`: a trained model set, one or more phase schedules,
-//! a telemetry trace, and a robustness report. [`Session::from_artifacts`]
+//! a telemetry trace, and a robustness report. `Session::from_artifacts`
 //! files classified [`Artifact`]s into their slots (keeping every
 //! schedule — a validated run emits many candidate schedules), and
-//! [`Session::resolve`] links the trace's flat ledgers into the typed
-//! [`SessionModel`] the cross-artifact rules (see [`crate::cross`])
+//! `Session::resolve` links the trace's flat ledgers into the typed
+//! `SessionModel` the cross-artifact rules (see [`crate::cross`])
 //! check: `optimize.start`/`optimize.phase`/`optimize.plan` events
 //! grouped into [`Solve`]s, per-phase `optimize/phase[p]` span counts,
 //! per-key evaluation counters keyed by digest, and the profiled
@@ -41,7 +41,7 @@ impl Session {
     /// [`crate::ArtifactSet`], *every* schedule is kept; for the other
     /// kinds a later artifact replaces an earlier one. Specs and
     /// training data have no cross-artifact rules yet and are ignored.
-    pub fn from_artifacts(artifacts: impl IntoIterator<Item = Artifact>) -> Session {
+    pub(crate) fn from_artifacts(artifacts: impl IntoIterator<Item = Artifact>) -> Session {
         let mut session = Session::default();
         for artifact in artifacts {
             match artifact {
@@ -58,7 +58,7 @@ impl Session {
 
     /// The block descriptors in force: explicit ones win, else the
     /// trained system's.
-    pub fn effective_blocks(&self) -> Option<&[BlockDescriptor]> {
+    pub(crate) fn effective_blocks(&self) -> Option<&[BlockDescriptor]> {
         match (&self.blocks, &self.trained) {
             (Some(b), _) => Some(b),
             (None, Some(t)) => Some(t.blocks()),
@@ -69,7 +69,7 @@ impl Session {
     /// Links the trace's flat ledgers into the typed view the
     /// cross-artifact rules consume. Cheap; an empty model when the
     /// session has no trace.
-    pub fn resolve(&self) -> SessionModel {
+    pub(crate) fn resolve(&self) -> SessionModel {
         self.telemetry
             .as_ref()
             .map(SessionModel::from_trace)
@@ -81,7 +81,7 @@ impl SessionModel {
     /// Links one trace's flat ledgers into the typed view: the one place
     /// the `optimize.*` and `control.*` events are decoded. Lint A020
     /// calls it directly on a single trace.
-    pub fn from_trace(tele: &TelemetryReport) -> SessionModel {
+    pub(crate) fn from_trace(tele: &TelemetryReport) -> SessionModel {
         let mut model = SessionModel::default();
 
         for event in &tele.events {
@@ -134,9 +134,6 @@ impl SessionModel {
                         continue;
                     };
                     let step = ControlStep {
-                        seq: event.seq,
-                        step: event.field("step").unwrap_or(f64::NAN) as usize,
-                        phase: event.field("phase").unwrap_or(f64::NAN) as usize,
                         replanned: event.field("replanned").unwrap_or(0.0) != 0.0,
                         reclaimed: event.field("reclaimed").unwrap_or(f64::NAN),
                         redistributed: event.field("redistributed").unwrap_or(f64::NAN),
@@ -201,7 +198,7 @@ impl SessionModel {
 /// events, phase-id span counts, per-key evaluation counters, and the
 /// profiled per-phase speedup ceilings.
 #[derive(Debug, Clone, Default)]
-pub struct SessionModel {
+pub(crate) struct SessionModel {
     /// Algorithm-2 solves, indexed by solve id.
     pub solves: Vec<Solve>,
     /// Adaptive-controller sessions, indexed by session id.
@@ -269,7 +266,7 @@ pub struct PhaseStep {
 /// One adaptive-controller session reassembled from its
 /// `control.start`/`control.step`/`control.plan` event ledger.
 #[derive(Debug, Clone, Default)]
-pub struct ControlSession {
+pub(crate) struct ControlSession {
     /// The session id (position of the `control.sessions` counter when
     /// the session began).
     pub id: usize,
@@ -288,13 +285,7 @@ pub struct ControlSession {
 
 /// One `control.step` event, decoded from its numeric fields.
 #[derive(Debug, Clone, Copy)]
-pub struct ControlStep {
-    /// The event's trace sequence number (for locations).
-    pub seq: u64,
-    /// Position in the phase walk.
-    pub step: usize,
-    /// The phase executed at this step.
-    pub phase: usize,
+pub(crate) struct ControlStep {
     /// Whether a suffix re-plan fired at this step.
     pub replanned: bool,
     /// Budget reclaimed at this step.

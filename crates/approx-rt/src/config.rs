@@ -239,16 +239,16 @@ pub fn local_sweep(blocks: &[BlockDescriptor], block: usize) -> Vec<LevelConfig>
 mod rand_like {
     /// Deterministic xorshift64* generator.
     #[derive(Debug, Clone)]
-    pub struct SimpleRng(u64);
+    pub(crate) struct SimpleRng(u64);
 
     impl SimpleRng {
         /// Seeds the generator (zero is mapped to a fixed odd constant).
-        pub fn new(seed: u64) -> Self {
+        pub(crate) fn new(seed: u64) -> Self {
             SimpleRng(if seed == 0 { 0x9E3779B97F4A7C15 } else { seed })
         }
 
         /// Next pseudo-random 64-bit value.
-        pub fn next_u64(&mut self) -> u64 {
+        pub(crate) fn next_u64(&mut self) -> u64 {
             let mut x = self.0;
             x ^= x >> 12;
             x ^= x << 25;

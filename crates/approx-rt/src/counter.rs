@@ -39,11 +39,6 @@ impl WorkCounter {
     pub fn total(&self) -> u64 {
         self.total
     }
-
-    /// Resets the counter to zero.
-    pub fn reset(&mut self) {
-        self.total = 0;
-    }
 }
 
 /// Computes speedup as defined in the paper (Sec. 3.6):
@@ -76,15 +71,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_accumulates_and_resets() {
+    fn counter_accumulates() {
         let mut w = WorkCounter::new();
         assert_eq!(w.total(), 0);
         w.add(3);
         w.add(0);
         w.add(7);
         assert_eq!(w.total(), 10);
-        w.reset();
-        assert_eq!(w.total(), 0);
     }
 
     #[test]

@@ -31,7 +31,8 @@ use std::sync::Arc;
 ///
 /// A port implements [`ApproxApp::run`], [`ApproxApp::checkpoints`] and
 /// [`ApproxApp::resume`] by calling [`run`], [`checkpoints`] and
-/// [`resume`] with itself, which [`forward_to_driver!`] writes out.
+/// [`resume`] with itself, which [`forward_to_driver!`](crate::forward_to_driver)
+/// writes out.
 ///
 /// The split between [`OuterLoop::Setup`] and [`OuterLoop::State`] is the
 /// contract that makes checkpoints exact: everything an iteration writes
@@ -168,7 +169,7 @@ pub struct Checkpoint {
 
 impl Checkpoint {
     /// The input the checkpointed run executes.
-    pub fn input(&self) -> &InputParams {
+    pub(crate) fn input(&self) -> &InputParams {
         &self.input
     }
 

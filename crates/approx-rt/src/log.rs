@@ -49,16 +49,6 @@ impl CallContextLog {
         &self.records
     }
 
-    /// Number of records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether the log is empty.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
     /// The control-flow signature: the block sequence of the first
     /// complete outer-loop iteration. Two runs that execute their blocks
     /// in a different order (e.g. FFmpeg with swapped filters) get
@@ -93,16 +83,6 @@ impl CallContextLog {
         self.records
             .iter()
             .filter(|r| r.block == block)
-            .map(|r| r.work)
-            .sum()
-    }
-
-    /// Total work in iterations `lo..hi` (half-open) — used to attribute
-    /// work to phases.
-    pub fn work_in_iteration_range(&self, lo: u64, hi: u64) -> u64 {
-        self.records
-            .iter()
-            .filter(|r| r.iteration >= lo && r.iteration < hi)
             .map(|r| r.work)
             .sum()
     }
@@ -160,13 +140,11 @@ mod tests {
         assert_eq!(log.work_of_block(1), 60);
         assert_eq!(log.work_of_block(9), 0);
         assert_eq!(log.total_work(), 105);
-        assert_eq!(log.work_in_iteration_range(1, 3), 70);
-        assert_eq!(log.work_in_iteration_range(0, 0), 0);
     }
 
     #[test]
-    fn len_and_is_empty() {
-        assert!(CallContextLog::new().is_empty());
-        assert_eq!(sample_log().len(), 9);
+    fn every_call_is_one_record() {
+        assert!(CallContextLog::new().records().is_empty());
+        assert_eq!(sample_log().records().len(), 9);
     }
 }

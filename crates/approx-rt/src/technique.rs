@@ -88,16 +88,6 @@ pub fn truncated_len(n: usize, level: u8, drop_per_level: usize, min_len: usize)
     n.saturating_sub(drop).max(min_len.min(n))
 }
 
-/// Iterator over the indices a truncated loop visits.
-pub fn truncated_indices(
-    n: usize,
-    level: u8,
-    drop_per_level: usize,
-    min_len: usize,
-) -> impl Iterator<Item = usize> {
-    0..truncated_len(n, level, drop_per_level, min_len)
-}
-
 /// Compute-and-cache helper implementing the paper's memoization pattern.
 ///
 /// On iteration `i` at level `l > 0`, the value is recomputed only when
@@ -131,7 +121,7 @@ impl<T: Clone> Memoizer<T> {
     /// Returns whether iteration `i` at `level` must recompute.
     ///
     /// The first iteration always computes (there is nothing cached yet).
-    pub fn must_compute(&self, i: usize, level: u8) -> bool {
+    pub(crate) fn must_compute(&self, i: usize, level: u8) -> bool {
         self.cached.is_none() || level == 0 || i.is_multiple_of(level as usize + 1)
     }
 
@@ -145,11 +135,6 @@ impl<T: Clone> Memoizer<T> {
         } else {
             self.cached.clone().expect("checked by must_compute")
         }
-    }
-
-    /// Clears the cache (e.g. at the start of an outer-loop iteration).
-    pub fn reset(&mut self) {
-        self.cached = None;
     }
 }
 
@@ -221,7 +206,7 @@ pub fn quantized(v: f64, level: u8, base_step: f64) -> f64 {
 
 /// Number of precision steps the cost model of [`precision_cost`]
 /// divides a full-precision operation into.
-pub const PRECISION_STEPS: u64 = 8;
+pub(crate) const PRECISION_STEPS: u64 = 8;
 
 /// Work units charged for an operation computed at reduced precision.
 ///
@@ -248,7 +233,7 @@ pub fn precision_cost(full_cost: u64, level: u8) -> u64 {
 /// Level 0 has threshold 0, so nothing is skipped in the accurate run;
 /// the threshold grows linearly with the level, so the skipped set only
 /// ever grows as the level rises.
-pub fn skip_threshold(level: u8, step: f64) -> f64 {
+pub(crate) fn skip_threshold(level: u8, step: f64) -> f64 {
     level as f64 * step
 }
 
@@ -303,7 +288,6 @@ mod tests {
         assert_eq!(truncated_len(50, 5, 20, 2), 2);
         // min_len larger than n clamps to n.
         assert_eq!(truncated_len(3, 0, 5, 10), 3);
-        assert_eq!(truncated_indices(50, 2, 5, 2).count(), 40);
     }
 
     #[test]
@@ -340,15 +324,6 @@ mod tests {
         // i = 1 at level 2 would normally reuse, but the cache is empty.
         let v = memo.get_or_compute(1, 2, || 42);
         assert_eq!(v, 42);
-    }
-
-    #[test]
-    fn memoizer_reset_forces_recompute() {
-        let mut memo = Memoizer::new();
-        memo.get_or_compute(0, 3, || 1);
-        memo.reset();
-        let v = memo.get_or_compute(1, 3, || 2);
-        assert_eq!(v, 2);
     }
 
     #[test]

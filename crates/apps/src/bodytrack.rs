@@ -35,18 +35,18 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Index of the `feature_extract` block.
-pub const BLOCK_FEATURES: usize = 0;
+pub(crate) const BLOCK_FEATURES: usize = 0;
 /// Index of the `likelihood_eval` block.
-pub const BLOCK_LIKELIHOOD: usize = 1;
+pub(crate) const BLOCK_LIKELIHOOD: usize = 1;
 /// Index of the `annealing_layers` tuning block.
-pub const BLOCK_LAYERS: usize = 2;
+pub(crate) const BLOCK_LAYERS: usize = 2;
 /// Index of the `min_particles` tuning block.
-pub const BLOCK_MIN_PARTICLES: usize = 3;
+pub(crate) const BLOCK_MIN_PARTICLES: usize = 3;
 
 /// Dimensionality of the pose vector (joint angles).
-pub const POSE_DIM: usize = 5;
+pub(crate) const POSE_DIM: usize = 5;
 /// Number of observed image features per frame.
-pub const NUM_FEATURES: usize = 12;
+pub(crate) const NUM_FEATURES: usize = 12;
 
 /// Fractions of the particle population kept at each `min_particles`
 /// tuning level.
@@ -70,7 +70,7 @@ impl Default for Bodytrack {
 
 impl Bodytrack {
     /// Creates the application with its four approximable blocks.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Bodytrack {
             meta: opprox_approx_rt::app::AppMeta {
                 name: "Bodytrack".into(),

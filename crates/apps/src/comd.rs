@@ -29,11 +29,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Index of the `lj_force` block.
-pub const BLOCK_FORCE: usize = 0;
+pub(crate) const BLOCK_FORCE: usize = 0;
 /// Index of the `advance_velocity` block.
-pub const BLOCK_VELOCITY: usize = 1;
+pub(crate) const BLOCK_VELOCITY: usize = 1;
 /// Index of the `compute_energy` block.
-pub const BLOCK_ENERGY: usize = 2;
+pub(crate) const BLOCK_ENERGY: usize = 2;
 
 /// Integration time step.
 const DT: f64 = 0.006;

@@ -45,7 +45,7 @@ pub mod pso;
 pub mod registry;
 pub mod stencil;
 pub mod stream;
-pub mod util;
+pub(crate) mod util;
 pub mod video;
 
 pub use bodytrack::Bodytrack;

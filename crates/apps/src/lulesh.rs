@@ -34,13 +34,13 @@ use opprox_approx_rt::technique::{perforated_indices, perforated_indices_offset}
 use opprox_approx_rt::{ApproxApp, InputParams, LevelConfig, OuterLoop, RunResult, RuntimeError};
 
 /// Index of the `forces_on_elements` block.
-pub const BLOCK_FORCES: usize = 0;
+pub(crate) const BLOCK_FORCES: usize = 0;
 /// Index of the `position_of_elements` block.
-pub const BLOCK_POSITIONS: usize = 1;
+pub(crate) const BLOCK_POSITIONS: usize = 1;
 /// Index of the `strain_of_elements` block.
-pub const BLOCK_STRAIN: usize = 2;
+pub(crate) const BLOCK_STRAIN: usize = 2;
 /// Index of the `calculate_timeconstraints` block.
-pub const BLOCK_TIMECONSTRAINTS: usize = 3;
+pub(crate) const BLOCK_TIMECONSTRAINTS: usize = 3;
 
 /// Simulated end time of the blast problem.
 const T_END: f64 = 1.2;

@@ -34,11 +34,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Index of the `contrib_push` block.
-pub const BLOCK_CONTRIB: usize = 0;
+pub(crate) const BLOCK_CONTRIB: usize = 0;
 /// Index of the `rank_update` block.
-pub const BLOCK_UPDATE: usize = 1;
+pub(crate) const BLOCK_UPDATE: usize = 1;
 /// Index of the `residual_norm` block.
-pub const BLOCK_NORM: usize = 2;
+pub(crate) const BLOCK_NORM: usize = 2;
 
 /// PageRank damping factor.
 const DAMPING: f64 = 0.85;
@@ -74,7 +74,7 @@ impl Default for PageRank {
 
 impl PageRank {
     /// Creates the application with its three approximable blocks.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PageRank {
             meta: opprox_approx_rt::app::AppMeta {
                 name: "PageRank".into(),

@@ -32,11 +32,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Index of the `fitness_eval` block.
-pub const BLOCK_FITNESS: usize = 0;
+pub(crate) const BLOCK_FITNESS: usize = 0;
 /// Index of the `velocity_update` block.
-pub const BLOCK_VELOCITY: usize = 1;
+pub(crate) const BLOCK_VELOCITY: usize = 1;
 /// Index of the `pbest_update` block.
-pub const BLOCK_PBEST: usize = 2;
+pub(crate) const BLOCK_PBEST: usize = 2;
 
 /// Hard cap on outer iterations.
 const MAX_ITERS: u64 = 350;

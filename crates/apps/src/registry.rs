@@ -62,7 +62,7 @@ impl AppRegistry {
 
     /// Creates a registry holding every built-in benchmark application:
     /// the paper's Table 1 order, followed by the survey-workload ports.
-    pub fn with_builtin() -> Self {
+    pub(crate) fn with_builtin() -> Self {
         let mut registry = AppRegistry::empty();
         let builtin: Vec<Box<dyn ApproxApp>> = vec![
             Box::new(Lulesh::new()),
@@ -104,7 +104,7 @@ impl AppRegistry {
     }
 
     /// Consumes the registry, yielding the applications in order.
-    pub fn into_apps(self) -> Vec<Box<dyn ApproxApp>> {
+    pub(crate) fn into_apps(self) -> Vec<Box<dyn ApproxApp>> {
         self.apps
     }
 

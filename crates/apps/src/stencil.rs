@@ -37,11 +37,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Index of the `diffuse_rows` block.
-pub const BLOCK_DIFFUSE: usize = 0;
+pub(crate) const BLOCK_DIFFUSE: usize = 0;
 /// Index of the `flux_quantize` block.
-pub const BLOCK_FLUX: usize = 1;
+pub(crate) const BLOCK_FLUX: usize = 1;
 /// Index of the `boundary_cool` block.
-pub const BLOCK_BOUNDARY: usize = 2;
+pub(crate) const BLOCK_BOUNDARY: usize = 2;
 
 /// Diffusion coefficient (stable for the 5-point explicit scheme).
 const KAPPA: f64 = 0.2;
@@ -80,7 +80,7 @@ impl Default for Stencil {
 
 impl Stencil {
     /// Creates the application with its three approximable blocks.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Stencil {
             meta: opprox_approx_rt::app::AppMeta {
                 name: "Stencil".into(),
@@ -96,7 +96,7 @@ impl Stencil {
 
     /// PSNR (dB) of an approximate run against the exact one — the
     /// domain metric before conversion to a degradation.
-    pub fn psnr_of(&self, exact: &RunResult, approx: &RunResult) -> f64 {
+    pub(crate) fn psnr_of(&self, exact: &RunResult, approx: &RunResult) -> f64 {
         psnr(&exact.output, &approx.output, 255.0)
     }
 }

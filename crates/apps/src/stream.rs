@@ -35,11 +35,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Index of the `event_filter` block.
-pub const BLOCK_FILTER: usize = 0;
+pub(crate) const BLOCK_FILTER: usize = 0;
 /// Index of the `ema_update` block.
-pub const BLOCK_EMA: usize = 1;
+pub(crate) const BLOCK_EMA: usize = 1;
 /// Index of the `window_stats` block.
-pub const BLOCK_STATS: usize = 2;
+pub(crate) const BLOCK_STATS: usize = 2;
 
 /// EMA smoothing factor.
 const ALPHA: f64 = 0.08;

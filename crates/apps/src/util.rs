@@ -4,18 +4,7 @@ use opprox_approx_rt::InputParams;
 
 /// Derives a deterministic RNG seed from input parameters and a per-app
 /// salt, so every application run is a pure function of its inputs.
-///
-/// # Example
-///
-/// ```
-/// use opprox_apps::util::seed_from;
-/// use opprox_approx_rt::InputParams;
-///
-/// let p = InputParams::new(vec![30.0, 2.0]);
-/// assert_eq!(seed_from(&p, 7), seed_from(&p, 7));
-/// assert_ne!(seed_from(&p, 7), seed_from(&p, 8));
-/// ```
-pub fn seed_from(params: &InputParams, salt: u64) -> u64 {
+pub(crate) fn seed_from(params: &InputParams, salt: u64) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325 ^ salt.wrapping_mul(0x100000001b3);
     for v in params.values() {
         for b in v.to_bits().to_le_bytes() {
@@ -44,5 +33,6 @@ mod tests {
     fn seed_is_stable() {
         let p = InputParams::new(vec![4.5]);
         assert_eq!(seed_from(&p, 1), seed_from(&p, 1));
+        assert_ne!(seed_from(&p, 1), seed_from(&p, 2));
     }
 }

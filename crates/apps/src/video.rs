@@ -36,16 +36,16 @@ use opprox_approx_rt::technique::{perforated_indices, Memoizer};
 use opprox_approx_rt::{ApproxApp, InputParams, LevelConfig, OuterLoop, RunResult, RuntimeError};
 
 /// Index of the `edge_detect` block.
-pub const BLOCK_EDGE: usize = 0;
+pub(crate) const BLOCK_EDGE: usize = 0;
 /// Index of the `deflate` block.
-pub const BLOCK_DEFLATE: usize = 1;
+pub(crate) const BLOCK_DEFLATE: usize = 1;
 /// Index of the `color_balance` block.
-pub const BLOCK_COLOR: usize = 2;
+pub(crate) const BLOCK_COLOR: usize = 2;
 
 /// Frame width in pixels.
-pub const WIDTH: usize = 24;
+pub(crate) const WIDTH: usize = 24;
 /// Frame height in pixels.
-pub const HEIGHT: usize = 16;
+pub(crate) const HEIGHT: usize = 16;
 
 /// The FFmpeg-style video-processing application.
 ///

@@ -48,7 +48,7 @@ pub fn phase_probe_series(
 /// # Errors
 ///
 /// Propagates application runtime errors, including timeouts.
-pub fn phase_probe_series_with(
+pub(crate) fn phase_probe_series_with(
     app: &dyn ApproxApp,
     input: &InputParams,
     num_phases: usize,

@@ -412,7 +412,7 @@ pub enum ApiResponse {
 
 impl ApiResponse {
     /// The error frame for an [`OpproxError`], using its 1:1 wire code.
-    pub fn from_error(err: &OpproxError) -> Self {
+    pub(crate) fn from_error(err: &OpproxError) -> Self {
         ApiResponse::Error {
             code: WireCode::of(err),
             message: err.to_string(),

@@ -51,7 +51,7 @@ pub const DEFAULT_DRIFT_TOLERANCE: f64 = 0.25;
 /// Default threshold on the Manhattan distance between normalized
 /// per-block work signatures (range 0..2) past which a phase boundary is
 /// considered to have moved and the schedule is re-segmented.
-pub const DEFAULT_RESEGMENT_THRESHOLD: f64 = 0.25;
+pub(crate) const DEFAULT_RESEGMENT_THRESHOLD: f64 = 0.25;
 
 /// Deterministic drift injection for tests and the CI smoke run: scales
 /// the *observed* work attributed to one phase (optionally one block
@@ -128,8 +128,8 @@ pub struct ControlOptions {
     /// Relative tolerance outside the per-phase confidence band before a
     /// re-plan triggers.
     pub drift_tolerance: f64,
-    /// Whether online re-segmentation runs before re-optimization (at
-    /// [`DEFAULT_RESEGMENT_THRESHOLD`]).
+    /// Whether online re-segmentation runs before re-optimization (at a
+    /// relative threshold of `0.25`).
     pub resegment: bool,
     /// Optional deterministic drift injection.
     pub inject: Option<DriftInjection>,
@@ -227,7 +227,7 @@ pub struct ControlSummary {
 
 impl ControlOutcome {
     /// The session facts without the (duplicated) plan payloads.
-    pub fn summary(&self) -> ControlSummary {
+    pub(crate) fn summary(&self) -> ControlSummary {
         ControlSummary {
             replans: self.replans,
             resegmented: self.resegmented,

@@ -16,7 +16,7 @@
 //!   `(app, input, schedule)`. Benchmark applications are deterministic by
 //!   contract, so a cached [`RunResult`] is indistinguishable from a fresh
 //!   execution. Repeated goldens and re-probed configurations become cache
-//!   hits instead of work. The cache is split into [`CACHE_SHARDS`]
+//!   hits instead of work. The cache is split into `CACHE_SHARDS`
 //!   independently locked shards selected by the key's stable FNV-1a
 //!   digest, so concurrent lookups and insert-backs on different keys do
 //!   not serialize on one global lock (rule `C006` in the
@@ -209,7 +209,7 @@ pub struct EvalMetrics {
 
 impl EvalMetrics {
     /// Fraction of requests served from the cache, in `[0, 1]`.
-    pub fn hit_rate(&self) -> f64 {
+    pub(crate) fn hit_rate(&self) -> f64 {
         let total = self.executions + self.cache_hits;
         if total == 0 {
             0.0
@@ -799,7 +799,7 @@ impl EvalEngine {
     /// engine's injectable clock), and adds the executions and cache hits
     /// it causes to the counters `stage[<name>].exec` and
     /// `stage[<name>].hit`. Repeated stages accumulate.
-    pub fn stage<T>(&self, name: &str, f: impl FnOnce() -> T) -> T {
+    pub(crate) fn stage<T>(&self, name: &str, f: impl FnOnce() -> T) -> T {
         let execs_before = self.telemetry.counter_value("eval.exec");
         let hits_before = self.telemetry.counter_value("eval.cache.hit");
         let out = self.telemetry.span(&format!("stage/{name}"), f);

@@ -308,7 +308,7 @@ impl Default for RecoveryPolicy {
 
 impl RecoveryPolicy {
     /// Total attempts allowed per evaluation (`1 + max_retries`).
-    pub fn max_attempts(&self) -> u32 {
+    pub(crate) fn max_attempts(&self) -> u32 {
         self.max_retries.saturating_add(1)
     }
 
@@ -416,7 +416,7 @@ impl RobustnessReport {
 
     /// Whether any degradation (drops, quarantines, failed evaluations,
     /// or dropped inputs) occurred.
-    pub fn is_degraded(&self) -> bool {
+    pub(crate) fn is_degraded(&self) -> bool {
         !self.dropped_samples.is_empty()
             || self.failed_evaluations > 0
             || self.dropped_inputs > 0

@@ -65,12 +65,12 @@ pub(crate) mod sync;
 pub mod telemetry;
 
 pub use api::{ApiRequest, ApiResponse, WireCode, API_VERSION};
-pub use control::{ControlOptions, ControlOutcome, ControlStepRecord, DriftInjection};
+pub use control::{ControlOptions, ControlOutcome, DriftInjection};
 pub use error::OpproxError;
 pub use evaluator::{EvalEngine, EvalMetrics};
 pub use fault::{FailureKind, FaultPlan, RecoveryPolicy, RobustnessReport};
 pub use pipeline::Opprox;
-pub use request::{OptimizeOutcome, OptimizePath, OptimizeRequest};
+pub use request::{OptimizePath, OptimizeRequest};
 pub use serve::{ServeOptions, ServeState, Server};
 pub use spec::AccuracySpec;
-pub use telemetry::{Clock, ManualClock, MonotonicClock, Telemetry, TelemetryReport};
+pub use telemetry::{Clock, ManualClock, Telemetry, TelemetryReport};

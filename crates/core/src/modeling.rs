@@ -35,7 +35,7 @@ use std::fmt;
 
 /// Floor applied to QoS degradations when computing ROI ratios, so
 /// near-zero-error samples do not produce unbounded ROI.
-pub const ROI_QOS_FLOOR: f64 = 1.0;
+pub(crate) const ROI_QOS_FLOOR: f64 = 1.0;
 
 /// One half of the `(point, conservative)` pair predicted for one
 /// (phase, input, configuration) by [`AppModels::predict_pair`].
@@ -58,7 +58,7 @@ pub struct Prediction {
 /// empirical confidence bands stay meaningful. The transforms are
 /// monotone, so band bounds map through the inverse directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TargetTransform {
+pub(crate) enum TargetTransform {
     /// `y ↦ ln(1 + y)` — for non-negative, heavy-tailed QoS values.
     Log1p,
     /// `y ↦ ln(max(y, 1e-6))` — for strictly positive ratios (speedup).
@@ -83,7 +83,7 @@ impl TargetTransform {
 
 /// The paper's two-step model: per-block local models feeding a combined
 /// model (together with the estimated iteration count), fitted under a
-/// [`TargetTransform`].
+/// target transform (identity or log).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TwoStepModel {
     locals: Vec<TargetModel>,
@@ -212,18 +212,8 @@ impl TwoStepModel {
     }
 
     /// Cross-validated R² of the combined model (in transformed space).
-    pub fn combined_r2(&self) -> f64 {
+    pub(crate) fn combined_r2(&self) -> f64 {
         self.combined.cv_r2()
-    }
-
-    /// The per-block local models (one per approximable block).
-    pub fn locals(&self) -> &[TargetModel] {
-        &self.locals
-    }
-
-    /// The combined model over local predictions + estimated iterations.
-    pub fn combined(&self) -> &TargetModel {
-        &self.combined
     }
 }
 
@@ -498,7 +488,7 @@ impl AppModels {
     /// # Errors
     ///
     /// Same as [`AppModels::fit`].
-    pub fn fit_traced(
+    pub(crate) fn fit_traced(
         data: &TrainingData,
         num_phases: usize,
         options: &ModelingOptions,
@@ -719,7 +709,7 @@ impl AppModels {
     }
 
     /// Statistics of the training run that produced this model set.
-    pub fn metrics(&self) -> &ModelingMetrics {
+    pub(crate) fn metrics(&self) -> &ModelingMetrics {
         &self.metrics
     }
 
@@ -745,7 +735,7 @@ impl AppModels {
     /// Propagates control-flow prediction errors, and returns
     /// [`OpproxError::InvalidModel`] naming the class and phase when an
     /// ROI is not finite: Algorithm 2 can neither rank nor split on it.
-    pub fn rois(&self, input: &InputParams) -> Result<Vec<f64>, OpproxError> {
+    pub(crate) fn rois(&self, input: &InputParams) -> Result<Vec<f64>, OpproxError> {
         let class = self.control_flow.predict(input)?;
         let phases = &self.classes[class].phases;
         if let Some(p) = phases.iter().position(|p| !p.roi.is_finite()) {
@@ -760,8 +750,8 @@ impl AppModels {
     /// Point and conservative predictions for approximating phase `phase`
     /// of the execution of `input` with `config` (all other phases
     /// accurate), one configuration at a time: the scalar reference for
-    /// [`Self::predict_pair_batch`]. The pair is `(point, conservative)`;
-    /// see [`Prediction`].
+    /// the batched scan of [`crate::optimizer::optimize_phase`]. The pair
+    /// is `(point, conservative)`; see [`Prediction`].
     ///
     /// # Errors
     ///
@@ -792,7 +782,7 @@ impl AppModels {
     /// # Errors
     ///
     /// Same as [`Self::predict_pair`].
-    pub fn predict_pair_batch(
+    pub(crate) fn predict_pair_batch(
         &self,
         input: &InputParams,
         phase: usize,
@@ -844,11 +834,6 @@ impl AppModels {
     /// The per-class model sets, indexed by control-flow class.
     pub fn classes(&self) -> &[ClassModels] {
         &self.classes
-    }
-
-    /// Number of input parameters the models were trained over.
-    pub fn num_params(&self) -> usize {
-        self.num_params
     }
 
     /// Checks the model set for corruption that would make every
@@ -1248,12 +1233,25 @@ mod tests {
         }
     }
 
+    /// Pearson correlation coefficient of two equally long samples.
+    fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
+        use opprox_linalg::stats::mean;
+        let (mx, my) = (mean(xs), mean(ys));
+        let (mut cov, mut vx, mut vy) = (0.0, 0.0, 0.0);
+        for (x, y) in xs.iter().zip(ys) {
+            cov += (x - mx) * (y - my);
+            vx += (x - mx) * (x - mx);
+            vy += (y - my) * (y - my);
+        }
+        cov / (vx.sqrt() * vy.sqrt())
+    }
+
     #[test]
     fn models_predict_training_records_reasonably() {
         let (_, models, data) = trained();
         // Combined speedup model should rank-order the training data:
         // compute correlation between predicted and actual speedups.
-        let recs: Vec<&SampleRecord> = data.phase_records(1);
+        let recs: Vec<&SampleRecord> = data.records.iter().filter(|r| r.phase == Some(1)).collect();
         let actual: Vec<f64> = recs.iter().map(|r| r.speedup).collect();
         let mut predicted = Vec::new();
         for r in &recs {
@@ -1265,7 +1263,7 @@ mod tests {
                     .speedup,
             );
         }
-        let corr = opprox_linalg::stats::pearson(&actual, &predicted);
+        let corr = pearson(&actual, &predicted);
         assert!(corr > 0.7, "speedup prediction correlation {corr}");
     }
 

@@ -90,7 +90,7 @@ pub enum Conservatism {
 impl PhasePlan {
     /// The accurate fallback for a phase whose sub-budget nothing fits:
     /// every block at level 0, no predicted QoS cost, no speedup.
-    pub fn accurate(phase: usize, num_blocks: usize, allocated_budget: f64) -> Self {
+    pub(crate) fn accurate(phase: usize, num_blocks: usize, allocated_budget: f64) -> Self {
         PhasePlan {
             phase,
             config: LevelConfig::accurate(num_blocks),
@@ -132,7 +132,7 @@ pub fn compose<P: Into<(f64, f64)>>(phases: impl IntoIterator<Item = P>) -> (f64
 ///
 /// Returns [`OpproxError::Runtime`] when the configurations do not form
 /// a well-formed schedule.
-pub fn schedule_of(phases: &[PhasePlan], iters: u64) -> Result<PhaseSchedule, OpproxError> {
+pub(crate) fn schedule_of(phases: &[PhasePlan], iters: u64) -> Result<PhaseSchedule, OpproxError> {
     let configs = phases.iter().map(|p| p.config.clone()).collect();
     PhaseSchedule::new(configs, iters).map_err(OpproxError::from)
 }
@@ -326,7 +326,7 @@ pub fn optimize_traced(
 /// Solves the per-phase constrained maximization (`optimizePhase` in
 /// Algorithm 2) by scanning the whole level space: configurations are
 /// enumerated in [`enumerate_configs`] order, [`LEAF_BATCH`] at a time,
-/// and each chunk is predicted in one fused [`AppModels::predict_pair_batch`]
+/// and each chunk is predicted in one fused `AppModels::predict_pair_batch`
 /// pass. A configuration is feasible when its constrained QoS (the
 /// upper-band estimate under [`Conservatism::Band`], the point estimate
 /// under [`Conservatism::Point`]) fits `budget` and its point speedup

@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 
 /// Cap on the number of whole-program configurations the oracle will
 /// actually execute; beyond it a deterministic random subset is used.
-pub const ORACLE_RUN_LIMIT: usize = 4000;
+pub(crate) const ORACLE_RUN_LIMIT: usize = 4000;
 
 /// The oracle's result.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

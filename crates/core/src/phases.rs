@@ -64,7 +64,7 @@ pub fn max_qos_diff(
 /// # Errors
 ///
 /// Propagates application runtime errors.
-pub fn max_qos_diff_with(
+pub(crate) fn max_qos_diff_with(
     engine: &EvalEngine,
     app: &dyn ApproxApp,
     input: &InputParams,
@@ -113,7 +113,7 @@ pub fn find_phase_granularity(
     find_phase_granularity_with(&EvalEngine::default(), app, input, opts)
 }
 
-/// Algorithm 1 on a shared [`EvalEngine`] (see [`max_qos_diff_with`]).
+/// Algorithm 1 on a shared [`EvalEngine`].
 ///
 /// # Errors
 ///

@@ -164,7 +164,7 @@ impl Opprox {
     }
 
     /// [`Opprox::train_from_data`] with an optional telemetry registry
-    /// threaded through to [`AppModels::fit_traced`].
+    /// threaded through to the model fit.
     ///
     /// # Errors
     ///

@@ -14,7 +14,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// The caught panic of one isolated job (see [`WorkPool::run_isolated`]).
 #[derive(Debug, Clone)]
-pub struct JobPanic {
+pub(crate) struct JobPanic {
     /// The panic payload rendered as text, when it was a string.
     pub message: String,
 }
@@ -22,7 +22,7 @@ pub struct JobPanic {
 /// Result of [`WorkPool::run_isolated`]: per-job outcomes in submission
 /// order, plus worker-death accounting.
 #[derive(Debug)]
-pub struct IsolatedRun<T> {
+pub(crate) struct IsolatedRun<T> {
     /// One entry per job: the job's value, or the panic that killed it.
     pub outcomes: Vec<Result<T, JobPanic>>,
     /// Logical worker deaths: each caught panic ends that worker's
@@ -39,14 +39,14 @@ pub struct WorkPool {
 
 impl WorkPool {
     /// Creates a pool bound to at most `threads` workers (floored at 1).
-    pub fn new(threads: usize) -> Self {
+    pub(crate) fn new(threads: usize) -> Self {
         WorkPool {
             threads: threads.max(1),
         }
     }
 
     /// The configured worker bound.
-    pub fn threads(&self) -> usize {
+    pub(crate) fn threads(&self) -> usize {
         self.threads
     }
 
@@ -57,7 +57,7 @@ impl WorkPool {
     /// # Panics
     ///
     /// Propagates a panic from any job.
-    pub fn run<T, F>(&self, n: usize, job: F) -> Vec<T>
+    pub(crate) fn run<T, F>(&self, n: usize, job: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
@@ -117,7 +117,7 @@ impl WorkPool {
     /// discarded wholesale — callers only ever observe the `Err` — and
     /// the engine defers all shared-state writes (cache inserts, result
     /// publication) until after the pool returns.
-    pub fn run_isolated<T, F>(&self, n: usize, job: F) -> IsolatedRun<T>
+    pub(crate) fn run_isolated<T, F>(&self, n: usize, job: F) -> IsolatedRun<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,

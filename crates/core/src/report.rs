@@ -1,10 +1,7 @@
-//! Result types for OPPROX-vs-baseline comparisons (paper Fig. 14) and
-//! re-exports of the evaluation-engine metrics surfaced by the CLI.
+//! Result types for OPPROX-vs-baseline comparisons (paper Fig. 14).
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
-
-pub use crate::evaluator::{EvalMetrics, StageMetrics};
 
 /// One row of the OPPROX-vs-oracle comparison: an application at one QoS
 /// budget.

@@ -56,7 +56,7 @@ use serde::{Deserialize, Serialize};
 
 /// Default cap on validation executions per optimization — orders of
 /// magnitude below the exhaustive oracle's sweep.
-pub const DEFAULT_VALIDATION_BUDGET: usize = 32;
+pub(crate) const DEFAULT_VALIDATION_BUDGET: usize = 32;
 
 /// Which path of the optimization pipeline produced the returned plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -142,7 +142,7 @@ impl<'a> OptimizeRequest<'a> {
     /// [`Conservatism::Band`], the paper's default). The validated path
     /// explores both modes regardless.
     #[must_use]
-    pub fn conservatism(mut self, mode: Conservatism) -> Self {
+    pub(crate) fn conservatism(mut self, mode: Conservatism) -> Self {
         self.conservatism = mode;
         self
     }
@@ -157,7 +157,7 @@ impl<'a> OptimizeRequest<'a> {
     }
 
     /// Caps the number of candidate plans validated with real executions
-    /// (default [`DEFAULT_VALIDATION_BUDGET`]). Ignored without
+    /// (default 32). Ignored without
     /// [`OptimizeRequest::validate_on`].
     #[must_use]
     pub fn validation_budget(mut self, budget: usize) -> Self {

@@ -65,21 +65,13 @@ pub struct TrainingData {
 }
 
 impl TrainingData {
-    /// Records for a specific phase (across inputs).
-    pub fn phase_records(&self, phase: usize) -> Vec<&SampleRecord> {
-        self.records
-            .iter()
-            .filter(|r| r.phase == Some(phase))
-            .collect()
-    }
-
     /// The golden record for an input, if profiled.
-    pub fn golden_for(&self, input: &InputParams) -> Option<&GoldenRecord> {
+    pub(crate) fn golden_for(&self, input: &InputParams) -> Option<&GoldenRecord> {
         self.goldens.iter().find(|g| &g.input == input)
     }
 
     /// All distinct control-flow signatures seen, in first-seen order.
-    pub fn control_flow_classes(&self) -> Vec<Vec<usize>> {
+    pub(crate) fn control_flow_classes(&self) -> Vec<Vec<usize>> {
         let mut classes: Vec<Vec<usize>> = Vec::new();
         for g in &self.goldens {
             if !classes.contains(&g.control_flow) {
@@ -334,8 +326,10 @@ mod tests {
         // PSO: 3 blocks × 5 nonzero levels = 15 locals + 3 sparse = 18 per
         // phase, × 2 phases + 2 whole-run.
         assert_eq!(data.records.len(), 18 * 2 + 2);
-        assert_eq!(data.phase_records(0).len(), 18);
-        assert_eq!(data.phase_records(1).len(), 18);
+        for phase in 0..2 {
+            let in_phase = data.records.iter().filter(|r| r.phase == Some(phase));
+            assert_eq!(in_phase.count(), 18);
+        }
         assert_eq!(data.records.iter().filter(|r| r.phase.is_none()).count(), 2);
     }
 

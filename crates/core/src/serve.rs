@@ -46,10 +46,10 @@ use crate::pipeline::{MeasuredOutcome, TrainedOpprox};
 use crate::request::{OptimizePath, OptimizeRequest};
 use crate::spec::AccuracySpec;
 use crate::telemetry::{Clock, Telemetry};
-use opprox_approx_rt::{ApproxApp, InputParams, LevelConfig, LevelViolation, PhaseSchedule};
+use opprox_approx_rt::{ApproxApp, InputParams, LevelConfig, PhaseSchedule};
 use serde::Serialize as _;
 use std::collections::{BTreeMap, HashMap};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -87,6 +87,12 @@ impl Default for ServeOptions {
 
 /// Shards of the model-only plan cache.
 const CACHE_SHARDS: usize = 8;
+
+/// The longest request frame a connection may send, newline included.
+/// A longer frame is answered with one `bad_request` and the connection
+/// is closed, so a peer that never sends `\n` cannot grow memory without
+/// limit.
+const MAX_FRAME_BYTES: usize = 1 << 20;
 
 /// Bucket bounds, in microseconds, of the per-op handle-time histograms
 /// (`serve.handle_us.{optimize,adaptive,predict}`).
@@ -147,11 +153,6 @@ pub struct ServeState {
     cache: Vec<Mutex<HashMap<PlanKey, OptimizeReply>>>,
     tele: Telemetry,
     start_micros: u64,
-    /// The rendered diagnostic of the most recent refused reload
-    /// (`"A004 models.class[0]...: coefficient 2 is NaN"`), kept so
-    /// operators can see *why* the swap was refused — the event ledger
-    /// only carries the rule code numerically.
-    last_reload_rejection: Mutex<Option<String>>,
     /// (mtime, len) of each app's last refused reload candidate, so a
     /// refused file is audited once, not again on every poll.
     rejected_files: Mutex<HashMap<String, Option<(SystemTime, u64)>>>,
@@ -185,18 +186,8 @@ impl ServeState {
                 .collect(),
             tele,
             start_micros,
-            last_reload_rejection: Mutex::new(None),
             rejected_files: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// The rendered diagnostic of the most recent refused hot reload,
-    /// `None` while every poll has accepted (or found nothing to do).
-    pub fn last_reload_rejection(&self) -> Option<String> {
-        self.last_reload_rejection
-            .lock()
-            .expect("reload rejection lock")
-            .clone()
     }
 
     /// The instance configuration.
@@ -274,8 +265,9 @@ impl ServeState {
     /// installed, increments `serve.reload.error` and
     /// `serve.reload.reject[CODE]`, and is not audited again until the
     /// file changes. Every audit outcome lands in the `serve.reload`
-    /// event ledger with the rejecting rule encoded numerically (see
-    /// [`rule_field`]). Returns how many entries were swapped.
+    /// event ledger with the rejecting rule encoded numerically (`A004`
+    /// as `1004`, `X006` as `3006`). Returns how many entries were
+    /// swapped.
     pub fn poll_reload(&self) -> usize {
         let snap = self.snapshot();
         let mut swapped = 0;
@@ -304,7 +296,7 @@ impl ServeState {
                     );
                     swapped += 1;
                 }
-                Err(rejection) => {
+                Err(code) => {
                     self.rejected_files
                         .lock()
                         .expect("reload rejection lock")
@@ -312,23 +304,16 @@ impl ServeState {
                     self.tele.incr("serve.reload.error");
                     self.tele.incr(&format!(
                         "serve.reload.reject[{}]",
-                        rejection.code.unwrap_or("unreadable")
+                        code.unwrap_or("unreadable")
                     ));
                     self.tele.event(
                         "serve.reload",
                         &[
                             ("accepted", 0.0),
                             ("generation", entry.generation as f64),
-                            ("rule", rule_field(rejection.code)),
+                            ("rule", rule_field(code)),
                         ],
                     );
-                    *self
-                        .last_reload_rejection
-                        .lock()
-                        .expect("reload rejection lock") = Some(match rejection.code {
-                        Some(code) => format!("{code} {}", rejection.message),
-                        None => rejection.message,
-                    });
                 }
             }
         }
@@ -340,26 +325,20 @@ impl ServeState {
     /// plan the schedule cache is serving for this app's current
     /// generation against the candidate's blocks with
     /// [`LevelConfig::violations`] (rule X006). Returns the audited system
-    /// or the first rejection (rule code + diagnostic).
+    /// or the first rejecting rule code, `None` when the file never
+    /// deserialized far enough to audit. The code lands in the
+    /// `serve.reload.reject[..]` counter name and, numerically encoded,
+    /// in the `serve.reload` event.
     fn audit_candidate(
         &self,
         app: &str,
         entry: &ModelEntry,
         path: &Path,
-    ) -> Result<TrainedOpprox, ReloadRejection> {
-        let json = std::fs::read_to_string(path).map_err(|e| ReloadRejection {
-            code: None,
-            message: format!("reading {}: {e}", path.display()),
-        })?;
-        let trained = TrainedOpprox::from_json(&json).map_err(|e| ReloadRejection {
-            code: None,
-            message: e.to_string(),
-        })?;
+    ) -> Result<TrainedOpprox, Option<&'static str>> {
+        let json = std::fs::read_to_string(path).map_err(|_| None)?;
+        let trained = TrainedOpprox::from_json(&json).map_err(|_| None)?;
         if let Some(issue) = trained.integrity_issues().into_iter().next() {
-            return Err(ReloadRejection {
-                code: Some(issue.kind.rule_code()),
-                message: format!("{}: {}", issue.location, issue.message),
-            });
+            return Err(Some(issue.kind.rule_code()));
         }
         // Every (block, level) a cached plan of the serving generation
         // selects must stay inside the candidate's trained level space,
@@ -371,24 +350,12 @@ impl ServeState {
                 if key.app != app || key.generation != entry.generation {
                     continue;
                 }
-                for (p, levels) in reply.levels.iter().enumerate() {
+                for levels in &reply.levels {
                     let config =
                         LevelConfig::new(levels.iter().map(|&l| l.min(255) as u8).collect());
-                    let message = match config.violations(trained.blocks()).first() {
-                        None => continue,
-                        Some(LevelViolation::BlockCount { expected, actual }) => format!(
-                            "cached plan phase {p} sets {actual} blocks but the \
-                             candidate trains {expected}"
-                        ),
-                        Some(LevelViolation::Level { block, level, max }) => format!(
-                            "cached plan phase {p} sets block {block} to level \
-                             {level}, above the candidate's max level {max}"
-                        ),
-                    };
-                    return Err(ReloadRejection {
-                        code: Some("X006"),
-                        message,
-                    });
+                    if !config.violations(trained.blocks()).is_empty() {
+                        return Err(Some("X006"));
+                    }
                 }
             }
         }
@@ -900,15 +867,6 @@ impl From<MeasuredOutcome> for MeasuredReply {
     }
 }
 
-/// Why a reload candidate was refused: the rejecting rule code (`None`
-/// when the file never deserialized far enough to audit) and the
-/// rendered diagnostic. The code lands in the `serve.reload.reject[..]`
-/// counter name and, numerically encoded, in the `serve.reload` event.
-struct ReloadRejection {
-    code: Option<&'static str>,
-    message: String,
-}
-
 /// Numeric encoding of a rule code for event fields (events carry only
 /// `f64`s): the series letter maps to a thousands digit (A = 1000,
 /// C = 2000, X = 3000) and the code's number is added, so `A004` is
@@ -985,10 +943,16 @@ impl Server {
                     let Ok(stream) = stream else { continue };
                     let state = Arc::clone(&state);
                     let handle = std::thread::spawn(move || handle_connection(&state, stream));
-                    connections
-                        .lock()
-                        .expect("connection list lock")
-                        .push(handle);
+                    let mut live = connections.lock().expect("connection list lock");
+                    // Reap the threads of closed connections, so the list
+                    // holds the live connections, not every one ever made.
+                    let (done, running) = live.drain(..).partition(|h| h.is_finished());
+                    *live = running;
+                    live.push(handle);
+                    drop(live);
+                    for h in done {
+                        let _ = h.join();
+                    }
                 }
             })
         };
@@ -1004,11 +968,6 @@ impl Server {
     /// The bound address (useful with port 0).
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The shared state.
-    pub fn state(&self) -> &Arc<ServeState> {
-        &self.state
     }
 
     /// Blocks until a shutdown is requested (a `shutdown` frame, or
@@ -1051,7 +1010,9 @@ impl Drop for Server {
 }
 
 /// One connection: line in, line out, until EOF or shutdown. Reads use
-/// a short timeout so the thread notices a shutdown even while idle.
+/// a short timeout so the thread notices a shutdown even while idle. A
+/// frame longer than [`MAX_FRAME_BYTES`] is refused with `bad_request`
+/// and ends the connection.
 fn handle_connection(state: &ServeState, stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
     // Frames are tiny; without TCP_NODELAY, Nagle + delayed ACKs add
@@ -1064,8 +1025,21 @@ fn handle_connection(state: &ServeState, stream: TcpStream) {
     let mut writer = stream;
     let mut line = String::new();
     loop {
-        match reader.read_line(&mut line) {
+        // A partial frame from a timed-out read counts against the cap.
+        let room = (MAX_FRAME_BYTES - line.len()) as u64;
+        match (&mut reader).take(room).read_line(&mut line) {
             Ok(0) => break,
+            Ok(_) if line.len() >= MAX_FRAME_BYTES && !line.ends_with('\n') => {
+                state.tele.incr("serve.errors");
+                let refusal = OpproxError::BadRequest(format!(
+                    "frame exceeds {MAX_FRAME_BYTES} bytes without a newline"
+                ));
+                let reply = ApiResponse::from_error(&refusal).to_wire();
+                let _ = writer.write_all(reply.as_bytes());
+                let _ = writer.write_all(b"\n");
+                let _ = writer.flush();
+                break;
+            }
             Ok(_) => {
                 if line.trim().is_empty() {
                     line.clear();
@@ -1197,6 +1171,86 @@ mod tests {
         assert_eq!(code, crate::api::WireCode::BadRequest);
     }
 
+    fn bare_server() -> (Arc<ServeState>, Server) {
+        let state = Arc::new(ServeState::new(ServeOptions {
+            threads: 1,
+            ..ServeOptions::default()
+        }));
+        let server = Server::start(Arc::clone(&state)).expect("start server");
+        (state, server)
+    }
+
+    #[test]
+    fn oversized_frame_is_refused_over_tcp_and_closes_the_connection() {
+        let (state, mut server) = bare_server();
+
+        // A frame of exactly the cap, newline included, is still served.
+        let mut padded = ApiRequest::Health.to_wire();
+        padded.push_str(&" ".repeat(MAX_FRAME_BYTES - 1 - padded.len()));
+        padded.push('\n');
+        assert_eq!(padded.len(), MAX_FRAME_BYTES);
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        // Fail rather than hang if the server keeps waiting for a newline.
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        stream
+            .write_all(padded.as_bytes())
+            .expect("send padded frame");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("padded reply");
+        assert!(
+            matches!(
+                ApiResponse::parse(reply.trim_end()),
+                Ok(ApiResponse::Health(_))
+            ),
+            "{reply}"
+        );
+
+        // The cap's worth of bytes with no newline is one `bad_request`,
+        // then the server closes the connection.
+        stream
+            .write_all(&vec![b'x'; MAX_FRAME_BYTES])
+            .expect("send oversized frame");
+        reply.clear();
+        reader.read_line(&mut reply).expect("refusal");
+        let Ok(ApiResponse::Error { code, .. }) = ApiResponse::parse(reply.trim_end()) else {
+            panic!("expected an error frame, got {reply}");
+        };
+        assert_eq!(code, crate::api::WireCode::BadRequest);
+        reply.clear();
+        assert_eq!(reader.read_line(&mut reply).expect("eof"), 0, "{reply}");
+        assert_eq!(state.telemetry().counter_value("serve.errors"), 1);
+        server.stop();
+    }
+
+    #[test]
+    fn finished_connection_threads_are_reaped_on_accept() {
+        let (_state, mut server) = bare_server();
+        let health = format!("{}\n", ApiRequest::Health.to_wire());
+        for cycle in 0..200 {
+            let mut stream = TcpStream::connect(server.addr()).expect("connect");
+            stream.write_all(health.as_bytes()).expect("send health");
+            let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+            let mut reply = String::new();
+            reader.read_line(&mut reply).expect("health reply");
+            assert!(reply.contains("health"), "{reply}");
+            // Close our half and wait for the server to close its own, so
+            // this connection's thread is returning before the next accept.
+            stream
+                .shutdown(std::net::Shutdown::Write)
+                .expect("close write half");
+            reply.clear();
+            assert_eq!(reader.read_line(&mut reply).expect("eof"), 0);
+            // One live connection, plus at most one handle whose thread
+            // had not quite returned when this connection was accepted.
+            let tracked = server.connections.lock().expect("connection list").len();
+            assert!(tracked <= 2, "cycle {cycle}: {tracked} handles kept");
+        }
+        server.stop();
+    }
+
     /// Rewrites every value stored under `key`, anywhere in the tree
     /// (local copy of the testutil mutator — core cannot depend on
     /// opprox-testutil without a dev-dependency cycle).
@@ -1273,9 +1327,6 @@ mod tests {
             state.telemetry().counter_value("serve.reload.reject[A007]"),
             1
         );
-        let msg = state.last_reload_rejection().expect("diagnostic kept");
-        assert!(msg.starts_with("A007 "), "{msg}");
-        assert!(msg.contains("half-width"), "{msg}");
 
         // 2. Coverage rejection (X006): a structurally clean candidate
         //    whose level space no longer covers the cached plan.
@@ -1288,8 +1339,6 @@ mod tests {
             state.telemetry().counter_value("serve.reload.reject[X006]"),
             1
         );
-        let msg = state.last_reload_rejection().expect("diagnostic kept");
-        assert!(msg.starts_with("X006 "), "{msg}");
 
         // A refused file is audited once per change, not on every poll.
         for _ in 0..2 {

@@ -41,7 +41,7 @@ use std::time::Instant;
 
 /// A monotonic microsecond time source for span accounting.
 ///
-/// Production uses [`MonotonicClock`]; tests inject a [`ManualClock`] so
+/// Production uses a monotonic wall clock; tests inject a [`ManualClock`] so
 /// span durations (and therefore exported reports) are deterministic.
 pub trait Clock: Send + Sync {
     /// Microseconds elapsed since the clock's origin.
@@ -50,13 +50,13 @@ pub trait Clock: Send + Sync {
 
 /// The default wall clock: microseconds since construction.
 #[derive(Debug)]
-pub struct MonotonicClock {
+pub(crate) struct MonotonicClock {
     origin: Instant,
 }
 
 impl MonotonicClock {
     /// A clock whose origin is "now".
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             origin: Instant::now(),
         }
@@ -242,7 +242,7 @@ impl Default for Telemetry {
 }
 
 impl Telemetry {
-    /// A registry timed by a fresh [`MonotonicClock`].
+    /// A registry timed by a fresh monotonic wall clock.
     pub fn new() -> Self {
         Self::with_clock(Arc::new(MonotonicClock::new()))
     }
@@ -261,7 +261,7 @@ impl Telemetry {
     }
 
     /// The clock this registry stamps spans with.
-    pub fn clock(&self) -> &Arc<dyn Clock> {
+    pub(crate) fn clock(&self) -> &Arc<dyn Clock> {
         &self.clock
     }
 
@@ -313,7 +313,7 @@ impl Telemetry {
     }
 
     /// Total microseconds recorded under span `path` (0 when it never ran).
-    pub fn span_micros(&self, path: &str) -> u64 {
+    pub(crate) fn span_micros(&self, path: &str) -> u64 {
         self.spans
             .lock()
             .expect("telemetry spans lock")
@@ -323,7 +323,7 @@ impl Telemetry {
 
     /// Aggregates of every span whose path starts with `prefix`, in path
     /// order. Reads the aggregates only, never the timeline.
-    pub fn spans_with_prefix(&self, prefix: &str) -> Vec<SpanStat> {
+    pub(crate) fn spans_with_prefix(&self, prefix: &str) -> Vec<SpanStat> {
         self.spans
             .lock()
             .expect("telemetry spans lock")
@@ -338,7 +338,7 @@ impl Telemetry {
     }
 
     /// The last value written to gauge `name`, when it was ever written.
-    pub fn gauge_last(&self, name: &str) -> Option<f64> {
+    pub(crate) fn gauge_last(&self, name: &str) -> Option<f64> {
         self.gauges
             .lock()
             .expect("telemetry gauges lock")
@@ -372,7 +372,7 @@ impl Telemetry {
     ///
     /// Panics when `name` was previously registered with different
     /// `bounds`.
-    pub fn observe_n(&self, name: &str, bounds: &[f64], value: f64, n: u64) {
+    pub(crate) fn observe_n(&self, name: &str, bounds: &[f64], value: f64, n: u64) {
         let mut hists = self.histograms.lock().expect("telemetry histograms lock");
         let agg = slot(&mut hists, name, || HistAgg {
             bounds: bounds.to_vec(),
@@ -513,11 +513,6 @@ impl TelemetryReport {
             .iter()
             .filter(|c| c.name.starts_with(prefix))
             .collect()
-    }
-
-    /// The gauge named `name`, when present.
-    pub fn gauge(&self, name: &str) -> Option<&GaugeStat> {
-        self.gauges.iter().find(|g| g.name == name)
     }
 
     /// The span aggregate for `path`, when present.
@@ -737,7 +732,11 @@ mod tests {
         tele.event("visit", &[("phase", 1.0), ("roi", 2.5)]);
         let report = tele.report();
         assert_eq!(report.counter("hits"), 3);
-        let g = report.gauge("depth").expect("gauge recorded");
+        let g = report
+            .gauges
+            .iter()
+            .find(|g| g.name == "depth")
+            .expect("gauge recorded");
         assert_eq!((g.last, g.max), (2.0, 4.0));
         assert_eq!(report.events_named("visit")[0].field("roi"), Some(2.5));
         let back = TelemetryReport::from_json(&report.to_json()).expect("round trips");

@@ -21,8 +21,8 @@ use crate::matrix::Matrix;
 ///
 /// let a = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]).unwrap();
 /// let l = cholesky_decompose(&a).unwrap();
-/// let recon = l.matmul(&l.transpose()).unwrap();
-/// assert!((recon.get(0, 1) - 2.0).abs() < 1e-12);
+/// // (L Lᵀ)₀₁ = l₀₀ · l₁₀ reproduces a₀₁.
+/// assert!((l.get(0, 0) * l.get(1, 0) - 2.0).abs() < 1e-12);
 /// ```
 pub fn cholesky_decompose(a: &Matrix) -> Result<Matrix, LinalgError> {
     let n = a.rows();
@@ -79,7 +79,8 @@ pub fn cholesky_solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
 /// `L` (two triangular solves, no factorization). `b.len()` must equal
 /// `l.rows()`; this is the caller's responsibility.
 ///
-/// This is the scalar reference for [`cholesky_solve_factored_many`].
+/// This is the scalar reference for the crate's batched solve behind
+/// [`RidgeFactor::solve_holdouts`](crate::gram::RidgeFactor::solve_holdouts).
 pub fn cholesky_solve_factored(l: &Matrix, b: &[f64]) -> Vec<f64> {
     let n = l.rows();
     let ld = l.as_slice();
@@ -173,6 +174,14 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    fn identity(n: usize) -> Matrix {
+        let mut m = Matrix::zeros(n, n);
+        for i in 0..n {
+            m.set(i, i, 1.0);
+        }
+        m
+    }
+
     #[test]
     fn decompose_known_matrix() {
         // A = [[4, 12, -16], [12, 37, -43], [-16, -43, 98]] has the classic
@@ -197,9 +206,8 @@ mod tests {
         let a = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]).unwrap();
         let x = cholesky_solve(&a, &[10.0, 8.0]).unwrap();
         // Verify A x = b.
-        let b = a.matvec(&x).unwrap();
-        assert!((b[0] - 10.0).abs() < 1e-10);
-        assert!((b[1] - 8.0).abs() < 1e-10);
+        assert!((4.0 * x[0] + 2.0 * x[1] - 10.0).abs() < 1e-10);
+        assert!((2.0 * x[0] + 3.0 * x[1] - 8.0).abs() < 1e-10);
     }
 
     #[test]
@@ -219,7 +227,7 @@ mod tests {
 
     #[test]
     fn rhs_length_checked() {
-        let a = Matrix::identity(3);
+        let a = identity(3);
         assert!(cholesky_solve(&a, &[1.0]).is_err());
     }
 
@@ -328,7 +336,7 @@ mod tests {
 
     #[test]
     fn identity_solve_is_identity() {
-        let a = Matrix::identity(4);
+        let a = identity(4);
         let b = [1.0, -2.0, 3.5, 0.25];
         let x = cholesky_solve(&a, &b).unwrap();
         assert_eq!(x, b.to_vec());

@@ -62,13 +62,13 @@ impl GramSystem {
     }
 
     /// Number of unknowns (columns of the originating design matrix).
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.rhs.len()
     }
 
     /// Solves `(G + λ·s·I) β = b` where `s` scales the ridge term by the
-    /// largest Gram diagonal (floored at 1). This is the solve behind
-    /// [`crate::lstsq::ridge_least_squares`].
+    /// largest Gram diagonal (floored at 1), so the regularization
+    /// strength is unit free.
     ///
     /// # Errors
     ///
@@ -150,7 +150,7 @@ pub struct RidgeFactor {
 
 impl RidgeFactor {
     /// Number of unknowns.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.rhs.len()
     }
 
@@ -287,7 +287,6 @@ fn woodbury_correct(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lstsq::ridge_least_squares;
 
     fn design() -> (Matrix, Vec<f64>) {
         let rows: Vec<Vec<f64>> = (0..12)
@@ -331,7 +330,10 @@ mod tests {
         let rows: Vec<&[f64]> = kept.iter().map(|&i| a.row(i)).collect();
         let sub_a = Matrix::from_rows(&rows).unwrap();
         let sub_y: Vec<f64> = kept.iter().map(|&i| y[i]).collect();
-        let direct = ridge_least_squares(&sub_a, &sub_y, 1e-8).unwrap();
+        let direct = GramSystem::from_design(&sub_a, &sub_y)
+            .unwrap()
+            .solve_ridge(1e-8)
+            .unwrap();
         for (b1, b2) in beta.iter().zip(direct.iter()) {
             assert!((b1 - b2).abs() < 1e-8, "{b1} vs {b2}");
         }
@@ -350,6 +352,30 @@ mod tests {
         let full = GramSystem::from_design(&a, &y).unwrap();
         assert!(full.solve_ridge(-1.0).is_err());
         assert!(full.factor_ridge(-1.0).is_err());
+    }
+
+    #[test]
+    fn ridge_shrinks_towards_zero_with_huge_lambda() {
+        let a = Matrix::from_rows(&[&[1.0], &[1.0]]).unwrap();
+        let system = GramSystem::from_design(&a, &[2.0, 2.0]).unwrap();
+        assert!(system.solve_ridge(1e-9).unwrap()[0] > 1.9);
+        assert!(system.solve_ridge(1e6).unwrap()[0].abs() < 0.1);
+    }
+
+    #[test]
+    fn collinear_design_still_fits_with_a_tiny_ridge() {
+        // The columns are collinear, so AᵀA is singular; the ridge term
+        // keeps the solve well posed and any solution must predict y.
+        let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0], &[3.0, 6.0]]).unwrap();
+        let y = [1.0, 2.0, 3.0];
+        let x = GramSystem::from_design(&a, &y)
+            .unwrap()
+            .solve_ridge(1e-8)
+            .unwrap();
+        for (r, t) in y.iter().enumerate() {
+            let p: f64 = a.row(r).iter().zip(&x).map(|(a, b)| a * b).sum();
+            assert!((p - t).abs() < 1e-3, "{p} vs {t}");
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
 /// assert_eq!(m.get(1, 0), 3.0);
-/// assert_eq!(m.transpose().get(0, 1), 3.0);
+/// assert_eq!(m.row(1), &[3.0, 4.0]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
@@ -33,15 +33,6 @@ impl Matrix {
             cols,
             data: vec![0.0; rows * cols],
         }
-    }
-
-    /// Creates the `n × n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m.set(i, i, 1.0);
-        }
-        m
     }
 
     /// Creates a matrix from a flat row-major buffer.
@@ -141,83 +132,9 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Returns column `c` as a freshly allocated vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c >= cols`.
-    pub fn col(&self, c: usize) -> Vec<f64> {
-        assert!(c < self.cols, "column {c} out of bounds");
-        (0..self.rows).map(|r| self.get(r, c)).collect()
-    }
-
     /// Returns the underlying row-major buffer.
-    pub fn as_slice(&self) -> &[f64] {
+    pub(crate) fn as_slice(&self) -> &[f64] {
         &self.data
-    }
-
-    /// Returns the transpose of the matrix.
-    pub fn transpose(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                t.set(c, r, self.get(r, c));
-            }
-        }
-        t
-    }
-
-    /// Matrix–matrix product `self * other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if the inner dimensions
-    /// disagree.
-    pub fn matmul(&self, other: &Matrix) -> Result<Matrix, LinalgError> {
-        if self.cols != other.rows {
-            return Err(LinalgError::DimensionMismatch(format!(
-                "{}x{} * {}x{}",
-                self.rows, self.cols, other.rows, other.cols
-            )));
-        }
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let aik = self.get(i, k);
-                if aik == 0.0 {
-                    continue;
-                }
-                for j in 0..other.cols {
-                    out.data[i * other.cols + j] += aik * other.get(k, j);
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Matrix–vector product `self * x`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `x.len() != cols`.
-    pub fn matvec(&self, x: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        if x.len() != self.cols {
-            return Err(LinalgError::DimensionMismatch(format!(
-                "{}x{} matrix times vector of length {}",
-                self.rows,
-                self.cols,
-                x.len()
-            )));
-        }
-        Ok((0..self.rows)
-            .map(|r| {
-                self.row(r)
-                    .iter()
-                    .zip(x.iter())
-                    .map(|(a, b)| a * b)
-                    .sum::<f64>()
-            })
-            .collect())
     }
 
     /// Computes `Aᵀ A` (the Gram matrix), which is symmetric positive
@@ -227,7 +144,7 @@ impl Matrix {
     /// of the upper triangle, so every entry sums its products in row
     /// order starting from `0.0`, exactly like a per-entry dot product
     /// down two columns. The lower triangle is mirrored at the end.
-    pub fn gram(&self) -> Matrix {
+    pub(crate) fn gram(&self) -> Matrix {
         let p = self.cols;
         let mut out = Matrix::zeros(p, p);
         for r in 0..self.rows {
@@ -252,7 +169,7 @@ impl Matrix {
     /// # Errors
     ///
     /// Returns [`LinalgError::DimensionMismatch`] if `y.len() != rows`.
-    pub fn t_matvec(&self, y: &[f64]) -> Result<Vec<f64>, LinalgError> {
+    pub(crate) fn t_matvec(&self, y: &[f64]) -> Result<Vec<f64>, LinalgError> {
         if y.len() != self.rows {
             return Err(LinalgError::DimensionMismatch(format!(
                 "transpose of {}x{} matrix times vector of length {}",
@@ -268,30 +185,6 @@ impl Matrix {
             }
         }
         Ok(out)
-    }
-
-    /// Frobenius norm of the matrix.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
-    /// Appends a row to the bottom of the matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if the row length does
-    /// not match the column count.
-    pub fn push_row(&mut self, row: &[f64]) -> Result<(), LinalgError> {
-        if row.len() != self.cols {
-            return Err(LinalgError::DimensionMismatch(format!(
-                "row of length {} pushed onto matrix with {} columns",
-                row.len(),
-                self.cols
-            )));
-        }
-        self.data.extend_from_slice(row);
-        self.rows += 1;
-        Ok(())
     }
 
     /// Builds a matrix by stacking owned rows; convenience over
@@ -315,14 +208,11 @@ mod tests {
     }
 
     #[test]
-    fn zeros_and_identity() {
+    fn zeros_has_shape_and_no_entries() {
         let z = Matrix::zeros(2, 3);
         assert_eq!(z.rows(), 2);
         assert_eq!(z.cols(), 3);
         assert!(z.as_slice().iter().all(|&v| v == 0.0));
-        let i = Matrix::identity(3);
-        assert_eq!(i.get(0, 0), 1.0);
-        assert_eq!(i.get(1, 2), 0.0);
     }
 
     #[test]
@@ -338,54 +228,26 @@ mod tests {
     }
 
     #[test]
-    fn get_set_row_col() {
+    fn get_set_row() {
         let mut m = m22();
         assert_eq!(m.row(1), &[3.0, 4.0]);
-        assert_eq!(m.col(0), vec![1.0, 3.0]);
         m.set(0, 1, 9.0);
         assert_eq!(m.get(0, 1), 9.0);
     }
 
     #[test]
-    fn transpose_round_trips() {
-        let m = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]).unwrap();
-        let t = m.transpose();
-        assert_eq!(t.rows(), 3);
-        assert_eq!(t.get(2, 1), 6.0);
-        assert_eq!(t.transpose(), m);
-    }
-
-    #[test]
-    fn matmul_against_hand_computation() {
+    fn t_matvec_against_hand_computation() {
         let a = m22();
-        let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]).unwrap();
-        let c = a.matmul(&b).unwrap();
-        assert_eq!(c.row(0), &[19.0, 22.0]);
-        assert_eq!(c.row(1), &[43.0, 50.0]);
-    }
-
-    #[test]
-    fn matmul_dimension_mismatch() {
-        let a = m22();
-        let b = Matrix::zeros(3, 2);
-        assert!(a.matmul(&b).is_err());
-    }
-
-    #[test]
-    fn matvec_and_t_matvec() {
-        let a = m22();
-        assert_eq!(a.matvec(&[1.0, 1.0]).unwrap(), vec![3.0, 7.0]);
         assert_eq!(a.t_matvec(&[1.0, 1.0]).unwrap(), vec![4.0, 6.0]);
-        assert!(a.matvec(&[1.0]).is_err());
         assert!(a.t_matvec(&[1.0, 2.0, 3.0]).is_err());
     }
 
     #[test]
     fn gram_is_ata() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]).unwrap();
-        let g = a.gram();
-        let expect = a.transpose().matmul(&a).unwrap();
-        assert_eq!(g, expect);
+        // AᵀA by hand: [[1+9+25, 2+12+30], [2+12+30, 4+16+36]].
+        let expect = Matrix::from_rows(&[&[35.0, 44.0], &[44.0, 56.0]]).unwrap();
+        assert_eq!(a.gram(), expect);
     }
 
     #[test]
@@ -420,22 +282,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn push_row_grows_matrix() {
-        let mut m = m22();
-        m.push_row(&[5.0, 6.0]).unwrap();
-        assert_eq!(m.rows(), 3);
-        assert_eq!(m.row(2), &[5.0, 6.0]);
-        assert!(m.push_row(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn frobenius_norm_matches_hand_value() {
-        let m = m22();
-        let expect = (1.0f64 + 4.0 + 9.0 + 16.0).sqrt();
-        assert!((m.frobenius_norm() - expect).abs() < 1e-12);
     }
 
     #[test]

@@ -16,7 +16,7 @@ pub fn mean(xs: &[f64]) -> f64 {
 
 /// Population variance of a slice. Returns `0.0` for slices with fewer than
 /// two elements.
-pub fn variance(xs: &[f64]) -> f64 {
+pub(crate) fn variance(xs: &[f64]) -> f64 {
     if xs.len() < 2 {
         return 0.0;
     }
@@ -56,31 +56,6 @@ pub fn quantile(xs: &[f64], q: f64) -> Option<f64> {
     Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
 }
 
-/// Pearson correlation coefficient between two equally long slices.
-///
-/// Returns `0.0` when either input has zero variance or the slices are
-/// shorter than two elements.
-pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
-    assert_eq!(xs.len(), ys.len(), "pearson inputs must have equal length");
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let mx = mean(xs);
-    let my = mean(ys);
-    let mut cov = 0.0;
-    let mut vx = 0.0;
-    let mut vy = 0.0;
-    for (x, y) in xs.iter().zip(ys.iter()) {
-        cov += (x - mx) * (y - my);
-        vx += (x - mx) * (x - mx);
-        vy += (y - my) * (y - my);
-    }
-    if vx == 0.0 || vy == 0.0 {
-        return 0.0;
-    }
-    cov / (vx.sqrt() * vy.sqrt())
-}
-
 /// Coefficient of determination R² of predictions against truth.
 ///
 /// `R² = 1 − SS_res / SS_tot`. When the truth has zero variance, returns
@@ -105,28 +80,6 @@ pub fn r2_score(truth: &[f64], pred: &[f64]) -> f64 {
         return if ss_res == 0.0 { 1.0 } else { 0.0 };
     }
     1.0 - ss_res / ss_tot
-}
-
-/// Root-mean-square error between truth and predictions.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn rmse(truth: &[f64], pred: &[f64]) -> f64 {
-    assert_eq!(
-        truth.len(),
-        pred.len(),
-        "rmse inputs must have equal length"
-    );
-    if truth.is_empty() {
-        return 0.0;
-    }
-    let ss: f64 = truth
-        .iter()
-        .zip(pred.iter())
-        .map(|(t, p)| (t - p) * (t - p))
-        .sum();
-    (ss / truth.len() as f64).sqrt()
 }
 
 #[cfg(test)]
@@ -161,20 +114,6 @@ mod tests {
     }
 
     #[test]
-    fn pearson_perfect_and_anti_correlation() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        let ys: Vec<f64> = xs.iter().map(|x| 3.0 * x + 1.0).collect();
-        assert!((pearson(&xs, &ys) - 1.0).abs() < 1e-12);
-        let zs: Vec<f64> = xs.iter().map(|x| -2.0 * x).collect();
-        assert!((pearson(&xs, &zs) + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pearson_constant_input_is_zero() {
-        assert_eq!(pearson(&[1.0, 1.0, 1.0], &[1.0, 2.0, 3.0]), 0.0);
-    }
-
-    #[test]
     fn r2_perfect_prediction_is_one() {
         let t = [1.0, 2.0, 3.0];
         assert_eq!(r2_score(&t, &t), 1.0);
@@ -191,12 +130,5 @@ mod tests {
     fn r2_constant_truth_cases() {
         assert_eq!(r2_score(&[2.0, 2.0], &[2.0, 2.0]), 1.0);
         assert_eq!(r2_score(&[2.0, 2.0], &[2.0, 3.0]), 0.0);
-    }
-
-    #[test]
-    fn rmse_hand_value() {
-        let t = [0.0, 0.0];
-        let p = [3.0, 4.0];
-        assert!((rmse(&t, &p) - (12.5f64).sqrt()).abs() < 1e-12);
     }
 }

@@ -1,7 +1,6 @@
 //! Property-based tests for the linear-algebra substrate.
 
-use opprox_linalg::lstsq::{ridge_least_squares, solve_least_squares};
-use opprox_linalg::qr::qr_decompose;
+use opprox_linalg::gram::GramSystem;
 use opprox_linalg::stats::{mean, quantile, r2_score};
 use opprox_linalg::Matrix;
 use proptest::prelude::*;
@@ -23,50 +22,6 @@ fn matrix_strategy(max_rows: usize, max_cols: usize) -> impl Strategy<Value = Ma
 
 proptest! {
     #[test]
-    fn qr_reconstructs_input(a in matrix_strategy(6, 4)) {
-        let qr = qr_decompose(&a).unwrap();
-        let recon = qr.q.matmul(&qr.r).unwrap();
-        let scale = a.frobenius_norm().max(1.0);
-        for i in 0..a.rows() {
-            for j in 0..a.cols() {
-                prop_assert!((recon.get(i, j) - a.get(i, j)).abs() < 1e-8 * scale);
-            }
-        }
-    }
-
-    #[test]
-    fn qr_q_is_orthogonal(a in matrix_strategy(6, 4)) {
-        let qr = qr_decompose(&a).unwrap();
-        let qtq = qr.q.transpose().matmul(&qr.q).unwrap();
-        for i in 0..qtq.rows() {
-            for j in 0..qtq.cols() {
-                let expect = if i == j { 1.0 } else { 0.0 };
-                prop_assert!((qtq.get(i, j) - expect).abs() < 1e-8);
-            }
-        }
-    }
-
-    #[test]
-    fn least_squares_never_beats_truth_residual(
-        rows in 3usize..8,
-        beta0 in finite_f64(),
-        beta1 in finite_f64(),
-    ) {
-        // Build an exact linear system; the solver must recover near-zero
-        // residual.
-        let xs: Vec<f64> = (0..rows).map(|i| i as f64).collect();
-        let design: Vec<Vec<f64>> = xs.iter().map(|&x| vec![1.0, x]).collect();
-        let a = Matrix::from_row_vecs(&design).unwrap();
-        let y: Vec<f64> = xs.iter().map(|&x| beta0 + beta1 * x).collect();
-        let sol = solve_least_squares(&a, &y).unwrap();
-        let pred = a.matvec(&sol).unwrap();
-        let scale = y.iter().fold(1.0f64, |m, v| m.max(v.abs()));
-        for (p, t) in pred.iter().zip(y.iter()) {
-            prop_assert!((p - t).abs() < 1e-6 * scale);
-        }
-    }
-
-    #[test]
     fn ridge_residual_is_bounded_by_zero_vector_residual(
         a in matrix_strategy(6, 3),
         seed in 0u64..1000,
@@ -74,17 +29,16 @@ proptest! {
         // The ridge solution must fit at least as well as predicting from
         // the zero coefficient vector once lambda is tiny.
         let y: Vec<f64> = (0..a.rows()).map(|i| ((i as u64 + seed) % 7) as f64 - 3.0).collect();
-        if let Ok(x) = ridge_least_squares(&a, &y, 1e-8) {
-            let pred = a.matvec(&x).unwrap();
-            let resid: f64 = pred.iter().zip(&y).map(|(p, t)| (p - t) * (p - t)).sum();
+        if let Ok(x) = GramSystem::from_design(&a, &y).and_then(|g| g.solve_ridge(1e-8)) {
+            let resid: f64 = (0..a.rows())
+                .map(|r| {
+                    let p: f64 = a.row(r).iter().zip(&x).map(|(a, b)| a * b).sum();
+                    (p - y[r]) * (p - y[r])
+                })
+                .sum();
             let zero_resid: f64 = y.iter().map(|t| t * t).sum();
             prop_assert!(resid <= zero_resid + 1e-6 * zero_resid.max(1.0));
         }
-    }
-
-    #[test]
-    fn transpose_is_involutive(a in matrix_strategy(5, 5)) {
-        prop_assert_eq!(a.transpose().transpose(), a);
     }
 
     #[test]

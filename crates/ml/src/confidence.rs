@@ -27,7 +27,7 @@ impl ConfidenceBand {
     ///
     /// * [`MlError::InvalidTrainingData`] if `residuals` is empty.
     /// * [`MlError::InvalidHyperparameter`] if `p` is outside `(0, 1]`.
-    pub fn from_residuals(residuals: &[f64], p: f64) -> Result<Self, MlError> {
+    pub(crate) fn from_residuals(residuals: &[f64], p: f64) -> Result<Self, MlError> {
         if residuals.is_empty() {
             return Err(MlError::InvalidTrainingData(
                 "cannot build a confidence band from zero residuals".into(),

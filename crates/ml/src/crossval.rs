@@ -10,7 +10,7 @@
 //! The naive protocol rebuilds the standardize → polynomial-expand → solve
 //! pipeline once per fold, which for 10-fold CV costs ten full fits on 90%
 //! of the data each. This module instead prepares each row subset once
-//! ([`CvData`]: its seeded folds and its standardizer, shared by every
+//! (`CvData`: its seeded folds and its standardizer, shared by every
 //! degree tried) and then, per degree, expands the design matrix *once*
 //! straight from the subset's rows, accumulates the full Gram system
 //! `(AᵀA, Aᵀy)`, and factors the ridge-regularized system once. Each
@@ -56,7 +56,7 @@ pub(crate) struct DegreeCv {
 impl DegreeCv {
     /// Mean R² over folds with a finite score; `0.0` if no fold scored
     /// finite.
-    pub fn mean_r2(&self) -> f64 {
+    pub(crate) fn mean_r2(&self) -> f64 {
         finite_mean(&self.fold_r2)
     }
 }

@@ -86,17 +86,17 @@ impl Dataset {
     }
 
     /// The feature names, in column order.
-    pub fn feature_names(&self) -> &[String] {
+    pub(crate) fn feature_names(&self) -> &[String] {
         &self.feature_names
     }
 
     /// All feature rows.
-    pub fn rows(&self) -> &[Vec<f64>] {
+    pub(crate) fn rows(&self) -> &[Vec<f64>] {
         &self.rows
     }
 
     /// All targets.
-    pub fn targets(&self) -> &[f64] {
+    pub(crate) fn targets(&self) -> &[f64] {
         &self.targets
     }
 
@@ -116,7 +116,7 @@ impl Dataset {
     /// # Panics
     ///
     /// Panics if any index is out of range.
-    pub fn select_features(&self, keep: &[usize]) -> Dataset {
+    pub(crate) fn select_features(&self, keep: &[usize]) -> Dataset {
         let feature_names = keep
             .iter()
             .map(|&c| self.feature_names[c].clone())
@@ -133,22 +133,6 @@ impl Dataset {
         }
     }
 
-    /// Splits into (train, test) by index parity of a deterministic
-    /// interleave: even positions go to train, odd to test. Produces the
-    /// paper's "randomly partitioned data into two equal-sized
-    /// non-overlapping parts" evaluation split in a reproducible way when
-    /// the row order is already randomized.
-    pub fn split_half(&self) -> (Dataset, Dataset) {
-        let mut train = Dataset::new(self.feature_names.clone());
-        let mut test = Dataset::new(self.feature_names.clone());
-        for (i, (row, &t)) in self.rows.iter().zip(self.targets.iter()).enumerate() {
-            let dst = if i % 2 == 0 { &mut train } else { &mut test };
-            dst.rows.push(row.clone());
-            dst.targets.push(t);
-        }
-        (train, test)
-    }
-
     /// Indices, ascending, of the rows whose column `c` value lies in
     /// `[lo, hi)` — the sub-ranges of sub-model splitting (paper
     /// Sec. 3.7).
@@ -156,7 +140,7 @@ impl Dataset {
     /// # Panics
     ///
     /// Panics if `c` is out of range.
-    pub fn rows_in_range(&self, c: usize, lo: f64, hi: f64) -> Vec<usize> {
+    pub(crate) fn rows_in_range(&self, c: usize, lo: f64, hi: f64) -> Vec<usize> {
         assert!(c < self.feature_names.len(), "column {c} out of range");
         (0..self.rows.len())
             .filter(|&i| self.rows[i][c] >= lo && self.rows[i][c] < hi)
@@ -214,16 +198,6 @@ mod tests {
         assert_eq!(proj.feature_names(), &["b".to_string()]);
         assert_eq!(proj.rows()[2], vec![4.0]);
         assert_eq!(proj.targets(), ds.targets());
-    }
-
-    #[test]
-    fn split_half_partitions_rows() {
-        let ds = sample();
-        let (train, test) = ds.split_half();
-        assert_eq!(train.len(), 3);
-        assert_eq!(test.len(), 3);
-        assert_eq!(train.rows()[0], ds.rows()[0]);
-        assert_eq!(test.rows()[0], ds.rows()[1]);
     }
 
     #[test]

@@ -94,27 +94,6 @@ impl DecisionTree {
         })
     }
 
-    /// Number of input features the tree was trained on.
-    pub fn num_features(&self) -> usize {
-        self.num_features
-    }
-
-    /// Number of distinct classes (max label + 1) seen during training.
-    pub fn num_classes(&self) -> usize {
-        self.num_classes
-    }
-
-    /// Depth of the fitted tree (a lone leaf has depth 0).
-    pub fn depth(&self) -> usize {
-        fn rec(n: &Node) -> usize {
-            match n {
-                Node::Leaf { .. } => 0,
-                Node::Split { left, right, .. } => 1 + rec(left).max(rec(right)),
-            }
-        }
-        rec(&self.root)
-    }
-
     /// The sorted, de-duplicated set of class labels that appear on some
     /// leaf — i.e. the classes this tree can actually predict. A label in
     /// `0..num_classes` that is absent here is unreachable control flow
@@ -173,7 +152,7 @@ impl DecisionTree {
     /// # Errors
     ///
     /// Returns [`MlError::FeatureMismatch`] on the first malformed row.
-    pub fn predict(&self, xs: &[Vec<f64>]) -> Result<Vec<usize>, MlError> {
+    pub(crate) fn predict(&self, xs: &[Vec<f64>]) -> Result<Vec<usize>, MlError> {
         xs.iter().map(|x| self.predict_one(x)).collect()
     }
 
@@ -329,6 +308,17 @@ fn build_node(
 mod tests {
     use super::*;
 
+    /// Depth of a fitted tree (a lone leaf has depth 0).
+    fn depth(t: &DecisionTree) -> usize {
+        fn rec(n: &Node) -> usize {
+            match n {
+                Node::Leaf { .. } => 0,
+                Node::Split { left, right, .. } => 1 + rec(left).max(rec(right)),
+            }
+        }
+        rec(&t.root)
+    }
+
     fn xor_data() -> (Vec<Vec<f64>>, Vec<usize>) {
         let mut xs = Vec::new();
         let mut ys = Vec::new();
@@ -349,7 +339,7 @@ mod tests {
         let ys: Vec<usize> = (0..20).map(|i| usize::from(i >= 10)).collect();
         let t = DecisionTree::fit(&xs, &ys, TreeParams::default()).unwrap();
         assert_eq!(t.accuracy(&xs, &ys).unwrap(), 1.0);
-        assert_eq!(t.depth(), 1);
+        assert_eq!(depth(&t), 1);
     }
 
     #[test]
@@ -357,7 +347,7 @@ mod tests {
         let (xs, ys) = xor_data();
         let t = DecisionTree::fit(&xs, &ys, TreeParams::default()).unwrap();
         assert_eq!(t.accuracy(&xs, &ys).unwrap(), 1.0);
-        assert_eq!(t.depth(), 2);
+        assert_eq!(depth(&t), 2);
     }
 
     #[test]
@@ -372,7 +362,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(t.depth() <= 1);
+        assert!(depth(&t) <= 1);
         // Depth-1 cannot separate XOR perfectly.
         assert!(t.accuracy(&xs, &ys).unwrap() < 1.0);
     }
@@ -382,7 +372,7 @@ mod tests {
         let xs: Vec<Vec<f64>> = (0..30).map(|i| vec![i as f64]).collect();
         let ys: Vec<usize> = (0..30).map(|i| i / 10).collect();
         let t = DecisionTree::fit(&xs, &ys, TreeParams::default()).unwrap();
-        assert_eq!(t.num_classes(), 3);
+        assert_eq!(t.num_classes, 3);
         assert_eq!(t.predict_one(&[5.0]).unwrap(), 0);
         assert_eq!(t.predict_one(&[15.0]).unwrap(), 1);
         assert_eq!(t.predict_one(&[25.0]).unwrap(), 2);
@@ -393,7 +383,7 @@ mod tests {
         let xs = vec![vec![1.0], vec![2.0], vec![3.0]];
         let ys = vec![4, 4, 4];
         let t = DecisionTree::fit(&xs, &ys, TreeParams::default()).unwrap();
-        assert_eq!(t.depth(), 0);
+        assert_eq!(depth(&t), 0);
         assert_eq!(t.predict_one(&[100.0]).unwrap(), 4);
     }
 
@@ -427,7 +417,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(stump.num_classes(), 3);
+        assert_eq!(stump.num_classes, 3);
         assert_eq!(stump.leaf_labels().len(), 1);
     }
 

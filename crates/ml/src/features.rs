@@ -46,13 +46,8 @@ impl PolynomialFeatures {
     }
 
     /// Number of raw input variables.
-    pub fn num_inputs(&self) -> usize {
+    pub(crate) fn num_inputs(&self) -> usize {
         self.num_inputs
-    }
-
-    /// Polynomial degree of the expansion.
-    pub fn degree(&self) -> usize {
-        self.degree
     }
 
     /// Number of output features, including the constant term.
@@ -94,7 +89,7 @@ impl PolynomialFeatures {
     /// # Errors
     ///
     /// Returns [`MlError::FeatureMismatch`] if `x.len() != num_inputs`.
-    pub fn transform_into(&self, x: &[f64], out: &mut Vec<f64>) -> Result<(), MlError> {
+    pub(crate) fn transform_into(&self, x: &[f64], out: &mut Vec<f64>) -> Result<(), MlError> {
         if x.len() != self.num_inputs {
             return Err(MlError::FeatureMismatch {
                 expected: self.num_inputs,
@@ -113,15 +108,6 @@ impl PolynomialFeatures {
             out.push(v);
         }
         Ok(())
-    }
-
-    /// Expands a batch of raw feature vectors.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::FeatureMismatch`] on the first malformed row.
-    pub fn transform(&self, xs: &[Vec<f64>]) -> Result<Vec<Vec<f64>>, MlError> {
-        xs.iter().map(|x| self.transform_one(x)).collect()
     }
 
     /// Exponent vectors of the non-constant output features, in output
@@ -228,7 +214,7 @@ impl Standardizer {
     /// # Errors
     ///
     /// Returns [`MlError::FeatureMismatch`] on a wrong-length row.
-    pub fn transform_one(&self, x: &[f64]) -> Result<Vec<f64>, MlError> {
+    pub(crate) fn transform_one(&self, x: &[f64]) -> Result<Vec<f64>, MlError> {
         if x.len() != self.means.len() {
             return Err(MlError::FeatureMismatch {
                 expected: self.means.len(),
@@ -248,7 +234,7 @@ impl Standardizer {
     /// # Errors
     ///
     /// Returns [`MlError::FeatureMismatch`] on a wrong-length row.
-    pub fn transform_into(&self, x: &[f64], out: &mut Vec<f64>) -> Result<(), MlError> {
+    pub(crate) fn transform_into(&self, x: &[f64], out: &mut Vec<f64>) -> Result<(), MlError> {
         if x.len() != self.means.len() {
             return Err(MlError::FeatureMismatch {
                 expected: self.means.len(),
@@ -284,7 +270,7 @@ impl Standardizer {
     ///
     /// Returns [`MlError::FeatureMismatch`] if `rows.len()` is not a
     /// multiple of the fitted column count.
-    pub fn transform_flat_transposed(
+    pub(crate) fn transform_flat_transposed(
         &self,
         rows: &[f64],
         out: &mut Vec<f64>,

@@ -31,31 +31,31 @@ impl FitCounters {
     }
 
     /// Records one attempted `TargetModel` fit.
-    pub fn record_fit(&self) {
+    pub(crate) fn record_fit(&self) {
         self.fits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records `n` cross-validation linear-system solves.
-    pub fn record_cv_solves(&self, n: u64) {
+    pub(crate) fn record_cv_solves(&self, n: u64) {
         self.cv_solves.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Records `n` cross-validation solves attributed to a specific
     /// polynomial degree (also counted in the [`FitCounters::cv_solves`]
     /// total). Degrees above [`MAX_TRACKED_DEGREE`] share the last bucket.
-    pub fn record_cv_solves_at(&self, degree: usize, n: u64) {
+    pub(crate) fn record_cv_solves_at(&self, degree: usize, n: u64) {
         self.record_cv_solves(n);
         self.cv_solves_per_degree[degree.min(MAX_TRACKED_DEGREE)].fetch_add(n, Ordering::Relaxed);
     }
 
     /// Records one polynomial degree evaluated during escalation.
-    pub fn record_degree_tried(&self) {
+    pub(crate) fn record_degree_tried(&self) {
         self.degrees_tried.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one cross-validation whose requested fold count was
     /// clamped to what its rows support.
-    pub fn record_folds_clamped(&self) {
+    pub(crate) fn record_folds_clamped(&self) {
         self.folds_clamped.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -81,8 +81,7 @@ impl FitCounters {
 
     /// Cross-validation solves per polynomial degree
     /// (`0..=MAX_TRACKED_DEGREE`; the last entry also holds any higher
-    /// degrees). Only solves recorded via
-    /// [`FitCounters::record_cv_solves_at`] are attributed.
+    /// degrees). Only solves recorded with their degree are attributed.
     pub fn cv_solves_by_degree(&self) -> Vec<u64> {
         self.cv_solves_per_degree
             .iter()

@@ -14,7 +14,7 @@
 //! mean when the leaf is too small to support one).
 
 use crate::error::MlError;
-use opprox_linalg::lstsq::ridge_least_squares;
+use opprox_linalg::gram::GramSystem;
 use opprox_linalg::stats::{mean, std_dev};
 use opprox_linalg::Matrix;
 use serde::{Deserialize, Serialize};
@@ -108,11 +108,6 @@ impl ModelTree {
         })
     }
 
-    /// Number of features the tree was trained on.
-    pub fn num_features(&self) -> usize {
-        self.num_features
-    }
-
     /// Number of leaves in the fitted tree.
     pub fn num_leaves(&self) -> usize {
         fn rec(n: &Node) -> usize {
@@ -194,7 +189,7 @@ fn leaf(xs: &[Vec<f64>], ys: &[f64], idx: &[usize]) -> Result<Node, MlError> {
         })
         .collect();
     let design = Matrix::from_row_vecs(&rows).map_err(MlError::from)?;
-    match ridge_least_squares(&design, &targets, 1e-6) {
+    match GramSystem::from_design(&design, &targets).and_then(|g| g.solve_ridge(1e-6)) {
         Ok(coeffs) => Ok(Node::Leaf {
             coeffs: Some(coeffs),
             mean: leaf_mean,

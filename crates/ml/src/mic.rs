@@ -22,7 +22,7 @@ use crate::error::MlError;
 
 /// Default grid-size exponent `α` from Reshef et al.: grids are limited to
 /// `a · b ≤ n^α`.
-pub const DEFAULT_ALPHA: f64 = 0.6;
+pub(crate) const DEFAULT_ALPHA: f64 = 0.6;
 
 /// Computes the Maximal Information Coefficient between `xs` and `ys`.
 ///
@@ -52,7 +52,7 @@ pub fn mic(xs: &[f64], ys: &[f64]) -> Result<f64, MlError> {
 ///
 /// Same as [`mic`], plus [`MlError::InvalidHyperparameter`] for
 /// non-positive `alpha`.
-pub fn mic_with_alpha(xs: &[f64], ys: &[f64], alpha: f64) -> Result<f64, MlError> {
+pub(crate) fn mic_with_alpha(xs: &[f64], ys: &[f64], alpha: f64) -> Result<f64, MlError> {
     let budget = grid_budget(xs, ys, alpha)?;
     Ok(mic_of_bins(
         &equal_frequency_bins(xs, budget),
@@ -169,7 +169,7 @@ fn mutual_information(xb: &[usize], a: usize, yb: &[usize], b: usize) -> f64 {
 /// # Errors
 ///
 /// Propagates [`mic`] errors; rows must be non-ragged.
-pub fn filter_features_by_mic(
+pub(crate) fn filter_features_by_mic(
     xs: &[Vec<f64>],
     ys: &[f64],
     threshold: f64,

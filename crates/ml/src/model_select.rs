@@ -74,18 +74,13 @@ impl SingleModel {
     /// # Errors
     ///
     /// Returns [`MlError::FeatureMismatch`] on a wrong-length row.
-    pub fn predict(&self, row: &[f64]) -> Result<f64, MlError> {
+    pub(crate) fn predict(&self, row: &[f64]) -> Result<f64, MlError> {
         self.regression.predict_one(row)
     }
 
     /// The model's confidence band.
     pub fn band(&self) -> &ConfidenceBand {
         &self.band
-    }
-
-    /// Cross-validated R² achieved during fitting.
-    pub fn cv_r2(&self) -> f64 {
-        self.cv_r2
     }
 
     /// Degree of the underlying polynomial.
@@ -132,8 +127,8 @@ pub struct TargetModel {
 impl TargetModel {
     /// Fits a model per the paper's recipe (see module docs). Never fails
     /// on merely noisy data: when the target R² is unreachable, the best
-    /// model found is returned with [`TargetModel::reached_target`] set to
-    /// `false`.
+    /// model found is returned with its serialized `reached_target` flag
+    /// set to `false`.
     ///
     /// # Errors
     ///
@@ -255,21 +250,6 @@ impl TargetModel {
     /// The cross-validated R² of the final structure.
     pub fn cv_r2(&self) -> f64 {
         self.overall_cv_r2
-    }
-
-    /// Whether the configured target R² was reached.
-    pub fn reached_target(&self) -> bool {
-        self.reached_target
-    }
-
-    /// Indices of the original feature columns the model uses.
-    pub fn kept_features(&self) -> &[usize] {
-        &self.kept_features
-    }
-
-    /// Names of the kept features.
-    pub fn feature_names(&self) -> &[String] {
-        &self.feature_names
     }
 
     /// Whether the fitted structure uses range-split sub-models.
@@ -569,7 +549,7 @@ mod tests {
     fn fits_quadratic_and_reaches_target() {
         let ds = quadratic_dataset(80);
         let model = TargetModel::fit(&ds, &AutoFitConfig::default()).unwrap();
-        assert!(model.reached_target());
+        assert!(model.reached_target);
         assert!(model.cv_r2() > 0.9);
         let p = model.predict(&[3.0, 0.5]).unwrap();
         let truth = 1.0 + 6.0 + 4.5;
@@ -580,8 +560,8 @@ mod tests {
     fn mic_filter_drops_noise_feature() {
         let ds = quadratic_dataset(80);
         let model = TargetModel::fit(&ds, &AutoFitConfig::default()).unwrap();
-        assert_eq!(model.kept_features(), &[0]);
-        assert_eq!(model.feature_names(), &["x".to_string()]);
+        assert_eq!(model.kept_features, [0]);
+        assert_eq!(model.feature_names, ["x".to_string()]);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 
 /// The default ridge strength used by [`PolynomialRegression::fit`] and
 /// the cross-validation engine.
-pub const DEFAULT_RIDGE: f64 = 1e-8;
+pub(crate) const DEFAULT_RIDGE: f64 = 1e-8;
 
 /// Reusable scratch buffers for batched, allocation-free prediction.
 ///
@@ -68,27 +68,12 @@ impl PolynomialRegression {
     ///
     /// # Errors
     ///
-    /// See [`PolynomialRegression::fit_with_ridge`].
-    pub fn fit(xs: &[Vec<f64>], ys: &[f64], degree: usize) -> Result<Self, MlError> {
-        Self::fit_with_ridge(xs, ys, degree, DEFAULT_RIDGE)
-    }
-
-    /// Fits a polynomial of the given total degree with an explicit ridge
-    /// strength.
-    ///
-    /// # Errors
-    ///
     /// * [`MlError::InvalidTrainingData`] if `xs` is empty, ragged, or its
     ///   length differs from `ys`.
     /// * [`MlError::InvalidHyperparameter`] if `degree == 0` and there is
-    ///   nothing to fit, or `lambda < 0`.
+    ///   nothing to fit.
     /// * [`MlError::Numeric`] if the normal equations cannot be solved.
-    pub fn fit_with_ridge(
-        xs: &[Vec<f64>],
-        ys: &[f64],
-        degree: usize,
-        lambda: f64,
-    ) -> Result<Self, MlError> {
+    pub fn fit(xs: &[Vec<f64>], ys: &[f64], degree: usize) -> Result<Self, MlError> {
         if xs.is_empty() {
             return Err(MlError::InvalidTrainingData("no rows".into()));
         }
@@ -99,15 +84,10 @@ impl PolynomialRegression {
                 ys.len()
             )));
         }
-        if lambda < 0.0 {
-            return Err(MlError::InvalidHyperparameter(format!(
-                "ridge strength must be non-negative, got {lambda}"
-            )));
-        }
         let standardizer = Standardizer::fit(xs)?;
         let features = PolynomialFeatures::new(xs[0].len(), degree);
         let design = expand_design(&standardizer, &features, xs)?;
-        let coefficients = GramSystem::from_design(&design, ys)?.solve_ridge(lambda)?;
+        let coefficients = GramSystem::from_design(&design, ys)?.solve_ridge(DEFAULT_RIDGE)?;
         Ok(PolynomialRegression {
             standardizer,
             features,
@@ -134,17 +114,17 @@ impl PolynomialRegression {
     }
 
     /// The total polynomial degree of the fitted model.
-    pub fn degree(&self) -> usize {
+    pub(crate) fn degree(&self) -> usize {
         self.degree
     }
 
     /// Number of raw input features the model expects.
-    pub fn num_inputs(&self) -> usize {
+    pub(crate) fn num_inputs(&self) -> usize {
         self.features.num_inputs()
     }
 
     /// The fitted coefficient vector (constant term first).
-    pub fn coefficients(&self) -> &[f64] {
+    pub(crate) fn coefficients(&self) -> &[f64] {
         &self.coefficients
     }
 
@@ -161,15 +141,6 @@ impl PolynomialRegression {
             .zip(self.coefficients.iter())
             .map(|(f, c)| f * c)
             .sum())
-    }
-
-    /// Predicts targets for a batch of raw feature vectors.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::FeatureMismatch`] on the first malformed row.
-    pub fn predict(&self, xs: &[Vec<f64>]) -> Result<Vec<f64>, MlError> {
-        xs.iter().map(|x| self.predict_one(x)).collect()
     }
 
     /// Batched, allocation-free prediction over a flat row-major buffer of
@@ -195,7 +166,7 @@ impl PolynomialRegression {
     ///   of `row_len`.
     ///
     /// [`predict_one`]: PolynomialRegression::predict_one
-    pub fn predict_flat_into(
+    pub(crate) fn predict_flat_into(
         &self,
         rows: &[f64],
         row_len: usize,
@@ -281,6 +252,10 @@ mod tests {
     use super::*;
     use opprox_linalg::stats::r2_score;
 
+    fn predict_all(m: &PolynomialRegression, xs: &[Vec<f64>]) -> Vec<f64> {
+        xs.iter().map(|x| m.predict_one(x).unwrap()).collect()
+    }
+
     fn grid2(n: usize) -> Vec<Vec<f64>> {
         let mut out = Vec::new();
         for i in 0..n {
@@ -309,7 +284,7 @@ mod tests {
             .map(|r| 1.0 + r[0] * r[1] + 0.5 * r[1] * r[1])
             .collect();
         let m = PolynomialRegression::fit(&xs, &ys, 2).unwrap();
-        let preds = m.predict(&xs).unwrap();
+        let preds = predict_all(&m, &xs);
         assert!(r2_score(&ys, &preds) > 0.999999);
     }
 
@@ -319,8 +294,8 @@ mod tests {
         let ys: Vec<f64> = xs.iter().map(|r| r[0].powi(3) - 2.0 * r[0]).collect();
         let m2 = PolynomialRegression::fit(&xs, &ys, 2).unwrap();
         let m3 = PolynomialRegression::fit(&xs, &ys, 3).unwrap();
-        let r2_2 = r2_score(&ys, &m2.predict(&xs).unwrap());
-        let r2_3 = r2_score(&ys, &m3.predict(&xs).unwrap());
+        let r2_2 = r2_score(&ys, &predict_all(&m2, &xs));
+        let r2_3 = r2_score(&ys, &predict_all(&m3, &xs));
         assert!(r2_3 > r2_2);
         assert!(r2_3 > 0.999999);
     }

@@ -11,8 +11,8 @@
 //!
 //! The module also carries the fixture apps chaos suites need ([`SlowApp`]
 //! stalls every run to trip real wall-clock budgets) and the panic-noise
-//! filter ([`silence_injected_panics`]) that keeps intentionally injected
-//! worker panics out of the test log.
+//! filter that [`ChaosScenario::engine`] installs to keep intentionally
+//! injected worker panics out of the test log.
 
 use opprox_approx_rt::app::AppMeta;
 use opprox_approx_rt::{ApproxApp, InputParams, PhaseSchedule, RunResult, RuntimeError};
@@ -25,7 +25,7 @@ use opprox_core::{FaultPlan, RecoveryPolicy};
 ///
 /// Idempotent; [`ChaosScenario::engine`] calls it automatically, so
 /// suites only need it directly when they inject panics by hand.
-pub fn silence_injected_panics() {
+pub(crate) fn silence_injected_panics() {
     use std::sync::Once;
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
@@ -62,7 +62,7 @@ pub enum FaultClass {
 
 impl FaultClass {
     /// Every fault class, for matrix-style suites.
-    pub const ALL: [FaultClass; 4] = [
+    pub(crate) const ALL: [FaultClass; 4] = [
         FaultClass::Panic,
         FaultClass::Timeout,
         FaultClass::NonFiniteQos,
@@ -141,26 +141,10 @@ impl ChaosScenario {
         self
     }
 
-    /// Real wall-clock budget per evaluation, in milliseconds.
-    pub fn eval_timeout_ms(mut self, ms: u64) -> Self {
-        self.policy.eval_timeout_ms = Some(ms);
-        self
-    }
-
     /// Worker thread count for the engine.
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n;
         self
-    }
-
-    /// The scenario's fault plan.
-    pub fn plan(&self) -> FaultPlan {
-        self.plan
-    }
-
-    /// The scenario's recovery policy.
-    pub fn policy(&self) -> RecoveryPolicy {
-        self.policy
     }
 
     /// Builds the evaluation engine for this scenario (and installs the
@@ -235,12 +219,10 @@ mod tests {
             .inject(FaultClass::Panic, 0.5)
             .inject(FaultClass::PoisonedCache, 0.25)
             .max_retries(5)
-            .eval_timeout_ms(100)
             .threads(3);
-        assert!(s.plan().is_active());
-        assert_eq!(s.plan().seed(), 7);
-        assert_eq!(s.policy().max_retries, 5);
-        assert_eq!(s.policy().eval_timeout_ms, Some(100));
+        assert!(s.plan.is_active());
+        assert_eq!(s.plan.seed(), 7);
+        assert_eq!(s.policy.max_retries, 5);
         let engine = s.engine();
         assert!(engine.fault_injection_enabled());
         assert_eq!(engine.threads(), 3);
@@ -250,12 +232,12 @@ mod tests {
     fn matrix_covers_every_class_with_distinct_seeds() {
         let matrix = ChaosScenario::matrix(0xC0FFEE, 0.3);
         assert_eq!(matrix.len(), FaultClass::ALL.len());
-        let mut seeds: Vec<u64> = matrix.iter().map(|(_, s)| s.plan().seed()).collect();
+        let mut seeds: Vec<u64> = matrix.iter().map(|(_, s)| s.plan.seed()).collect();
         seeds.sort_unstable();
         seeds.dedup();
         assert_eq!(seeds.len(), matrix.len(), "per-class seeds must differ");
         for (class, scenario) in &matrix {
-            assert!(scenario.plan().is_active(), "{} inactive", class.label());
+            assert!(scenario.plan.is_active(), "{} inactive", class.label());
         }
     }
 

@@ -15,10 +15,10 @@
 //! # Example
 //!
 //! ```
-//! use opprox_testutil::conformance::assert_full_conformance;
+//! use opprox_testutil::conformance::assert_level_zero_reproduces_golden;
 //!
 //! let app = opprox_apps::registry::by_name("pso").unwrap();
-//! assert_full_conformance(app.as_ref());
+//! assert_level_zero_reproduces_golden(app.as_ref());
 //! ```
 
 use opprox_approx_rt::block::TechniqueKind;
@@ -289,16 +289,6 @@ pub fn assert_resume_matches_scratch(app: &dyn ApproxApp) {
     }
 }
 
-/// Runs the full contract suite against one application.
-pub fn assert_full_conformance(app: &dyn ApproxApp) {
-    assert_level_zero_reproduces_golden(app);
-    assert_qos_finite_and_nonnegative(app);
-    assert_block_work_monotone(app);
-    assert_thread_count_invariance(app);
-    assert_declared_blocks_execute(app);
-    assert_resume_matches_scratch(app);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -444,7 +434,12 @@ mod tests {
     #[test]
     fn conformant_app_passes_every_check() {
         let app = opprox_apps::Pso::new();
-        assert_full_conformance(&app);
+        assert_level_zero_reproduces_golden(&app);
+        assert_qos_finite_and_nonnegative(&app);
+        assert_block_work_monotone(&app);
+        assert_thread_count_invariance(&app);
+        assert_declared_blocks_execute(&app);
+        assert_resume_matches_scratch(&app);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! every suite that needs a trained model or its training data.
 
 use opprox_approx_rt::block::{BlockDescriptor, TechniqueKind};
-use opprox_approx_rt::{ApproxApp, InputParams, LevelConfig, PhaseSchedule};
+use opprox_approx_rt::{ApproxApp, InputParams};
 use opprox_apps::{Pso, StreamAgg};
 use opprox_core::modeling::ModelingOptions;
 use opprox_core::pipeline::{Opprox, TrainedOpprox, TrainingOptions};
@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// The sampling seed the end-to-end suites train with.
-pub const E2E_SEED: u64 = 0xE2E;
+pub(crate) const E2E_SEED: u64 = 0xE2E;
 
 /// A small sampling plan that keeps suites fast: 10 sparse samples, no
 /// whole-run samples.
@@ -31,7 +31,7 @@ pub fn fast_sampling_plan(num_phases: usize, seed: u64) -> SamplingPlan {
 }
 
 /// Training options for end-to-end tests: a fixed phase count and the
-/// fast sampling plan under [`E2E_SEED`].
+/// fast sampling plan under the fixed seed `E2E_SEED`.
 pub fn fast_training_options(num_phases: usize) -> TrainingOptions {
     TrainingOptions {
         num_phases: Some(num_phases),
@@ -59,14 +59,6 @@ pub fn prod_input(name: &str) -> InputParams {
     })
 }
 
-/// `n` loop-perforation blocks named `b0..b{n-1}`, all with the same
-/// `max_level`.
-pub fn blocks(n: usize, max_level: u8) -> Vec<BlockDescriptor> {
-    (0..n)
-        .map(|i| BlockDescriptor::new(format!("b{i}"), TechniqueKind::LoopPerforation, max_level))
-        .collect()
-}
-
 /// One loop-perforation block per entry of `max_levels`, named
 /// `b0..b{n-1}`, each with its own maximum level.
 pub fn blocks_with_levels(max_levels: &[u8]) -> Vec<BlockDescriptor> {
@@ -80,22 +72,6 @@ pub fn blocks_with_levels(max_levels: &[u8]) -> Vec<BlockDescriptor> {
 /// PSO's real block descriptors (the fixture apps' most common shape).
 pub fn pso_blocks() -> Vec<BlockDescriptor> {
     Pso::new().meta().blocks.clone()
-}
-
-/// A schedule assigning the same `level` to every block in every phase.
-///
-/// # Panics
-///
-/// Panics when the schedule constructor rejects the shape (e.g. zero
-/// phases) — fixtures are for tests, so fail loudly.
-pub fn uniform_schedule(
-    num_phases: usize,
-    num_blocks: usize,
-    level: u8,
-    expected_iters: u64,
-) -> PhaseSchedule {
-    let configs = vec![LevelConfig::new(vec![level; num_blocks]); num_phases];
-    PhaseSchedule::new(configs, expected_iters).expect("uniform fixture schedule is well-formed")
 }
 
 /// One real trained PSO system plus its training data, shared by every
@@ -123,7 +99,7 @@ pub fn trained_pso() -> &'static (TrainedOpprox, TrainingData) {
 /// can exercise genuinely heterogeneous multi-app traffic: StreamAgg has
 /// a different block count, techniques (task skipping, precision
 /// scaling, memoization), and input arity than PSO.
-pub fn trained_streamagg() -> &'static TrainedOpprox {
+pub(crate) fn trained_streamagg() -> &'static TrainedOpprox {
     static CELL: OnceLock<TrainedOpprox> = OnceLock::new();
     CELL.get_or_init(|| {
         let app = StreamAgg::new();
@@ -158,15 +134,13 @@ mod tests {
 
     #[test]
     fn builders_produce_consistent_shapes() {
-        let bs = blocks(3, 4);
+        let bs = blocks_with_levels(&[4, 2, 7]);
         assert_eq!(bs.len(), 3);
-        assert!(bs.iter().all(|b| b.max_level == 4));
-        let schedule = uniform_schedule(2, 3, 1, 100);
-        assert_eq!(schedule.num_phases(), 2);
-        assert!(schedule
-            .configs()
-            .iter()
-            .all(|c| c.levels() == vec![1u8, 1, 1]));
+        assert_eq!(bs[2].name, "b2");
+        assert_eq!(
+            bs.iter().map(|b| b.max_level).collect::<Vec<_>>(),
+            [4, 2, 7]
+        );
     }
 
     #[test]
