@@ -39,7 +39,7 @@ pub struct WorkPool {
 
 impl WorkPool {
     /// Creates a pool bound to at most `threads` workers (floored at 1).
-    pub(crate) fn new(threads: usize) -> Self {
+    pub fn new(threads: usize) -> Self {
         WorkPool {
             threads: threads.max(1),
         }
@@ -57,7 +57,7 @@ impl WorkPool {
     /// # Panics
     ///
     /// Propagates a panic from any job.
-    pub(crate) fn run<T, F>(&self, n: usize, job: F) -> Vec<T>
+    pub fn run<T, F>(&self, n: usize, job: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,

@@ -50,11 +50,11 @@ use opprox_approx_rt::{ApproxApp, InputParams, LevelConfig, PhaseSchedule};
 use serde::Serialize as _;
 use std::collections::{BTreeMap, HashMap};
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, SystemTime};
+use std::time::{Duration, Instant, SystemTime};
 
 /// Configuration of a serving instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -944,15 +944,10 @@ impl Server {
                     let state = Arc::clone(&state);
                     let handle = std::thread::spawn(move || handle_connection(&state, stream));
                     let mut live = connections.lock().expect("connection list lock");
-                    // Reap the threads of closed connections, so the list
+                    // Drop the handles of closed connections, so the list
                     // holds the live connections, not every one ever made.
-                    let (done, running) = live.drain(..).partition(|h| h.is_finished());
-                    *live = running;
+                    live.retain(|h| !h.is_finished());
                     live.push(handle);
-                    drop(live);
-                    for h in done {
-                        let _ = h.join();
-                    }
                 }
             })
         };
@@ -1011,8 +1006,9 @@ impl Drop for Server {
 
 /// One connection: line in, line out, until EOF or shutdown. Reads use
 /// a short timeout so the thread notices a shutdown even while idle. A
-/// frame longer than [`MAX_FRAME_BYTES`] is refused with `bad_request`
-/// and ends the connection.
+/// frame that is not UTF-8 is answered with `bad_request`; one longer
+/// than [`MAX_FRAME_BYTES`] is refused with `bad_request` and ends the
+/// connection.
 fn handle_connection(state: &ServeState, stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
     // Frames are tiny; without TCP_NODELAY, Nagle + delayed ACKs add
@@ -1023,43 +1019,42 @@ fn handle_connection(state: &ServeState, stream: TcpStream) {
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
-    let mut line = String::new();
+    // Raw bytes, so a read that stops inside a multi-byte character (at
+    // the cap or at a timeout) loses nothing.
+    let mut frame = Vec::new();
     loop {
         // A partial frame from a timed-out read counts against the cap.
-        let room = (MAX_FRAME_BYTES - line.len()) as u64;
-        match (&mut reader).take(room).read_line(&mut line) {
+        let room = (MAX_FRAME_BYTES - frame.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut frame) {
             Ok(0) => break,
-            Ok(_) if line.len() >= MAX_FRAME_BYTES && !line.ends_with('\n') => {
-                state.tele.incr("serve.errors");
-                let refusal = OpproxError::BadRequest(format!(
-                    "frame exceeds {MAX_FRAME_BYTES} bytes without a newline"
-                ));
-                let reply = ApiResponse::from_error(&refusal).to_wire();
-                let _ = writer.write_all(reply.as_bytes());
-                let _ = writer.write_all(b"\n");
-                let _ = writer.flush();
+            Ok(_) if frame.len() >= MAX_FRAME_BYTES && !frame.ends_with(b"\n") => {
+                refuse_oversized_frame(state, &mut reader, &mut writer);
                 break;
             }
             Ok(_) => {
-                if line.trim().is_empty() {
-                    line.clear();
-                    continue;
-                }
-                let reply = state.serve_line(&line);
+                let reply = match std::str::from_utf8(&frame) {
+                    Ok(line) if line.trim().is_empty() => {
+                        frame.clear();
+                        continue;
+                    }
+                    Ok(line) => state.serve_line(line),
+                    Err(_) => {
+                        state.tele.incr("serve.errors");
+                        let err = OpproxError::BadRequest("frame is not valid UTF-8".into());
+                        ApiResponse::from_error(&err).to_wire()
+                    }
+                };
                 if writer.write_all(reply.as_bytes()).is_err()
                     || writer.write_all(b"\n").is_err()
                     || writer.flush().is_err()
                 {
                     break;
                 }
-                line.clear();
+                frame.clear();
             }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                // A partial line (no newline yet) stays in `line` and the
-                // next read keeps appending to it.
+            Err(e) if is_timeout(&e) => {
+                // A partial frame (no newline yet) stays in `frame` and
+                // the next read keeps appending to it.
                 if state.is_shutdown() {
                     break;
                 }
@@ -1067,6 +1062,49 @@ fn handle_connection(state: &ServeState, stream: TcpStream) {
             Err(_) => break,
         }
     }
+}
+
+/// How long the server keeps discarding input after refusing an
+/// oversized frame, before it closes the connection.
+const REFUSAL_DRAIN: Duration = Duration::from_secs(1);
+
+/// Answers an oversized frame with one `bad_request`, closes the write
+/// half, and then discards what the peer still sends, until EOF or for
+/// at most [`REFUSAL_DRAIN`]. A socket closed with unread input sends a
+/// reset, which can fail the peer's write and destroy the reply before
+/// the peer reads it.
+fn refuse_oversized_frame(
+    state: &ServeState,
+    reader: &mut BufReader<TcpStream>,
+    writer: &mut TcpStream,
+) {
+    state.tele.incr("serve.errors");
+    let refusal = OpproxError::BadRequest(format!(
+        "frame exceeds {MAX_FRAME_BYTES} bytes without a newline"
+    ));
+    let reply = ApiResponse::from_error(&refusal).to_wire();
+    let _ = writer.write_all(reply.as_bytes());
+    let _ = writer.write_all(b"\n");
+    let _ = writer.flush();
+    let _ = writer.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + REFUSAL_DRAIN;
+    let mut sink = [0u8; 8192];
+    while Instant::now() < deadline && !state.is_shutdown() {
+        match reader.read(&mut sink) {
+            Ok(0) => break,
+            Ok(_) => {}
+            Err(e) if is_timeout(&e) => {}
+            Err(_) => break,
+        }
+    }
+}
+
+/// Whether a read failed only because the socket's read timeout expired.
+fn is_timeout(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+    )
 }
 
 #[cfg(test)]
@@ -1181,7 +1219,7 @@ mod tests {
     }
 
     #[test]
-    fn oversized_frame_is_refused_over_tcp_and_closes_the_connection() {
+    fn oversized_frames_are_refused_over_tcp_and_close_the_connection() {
         let (state, mut server) = bare_server();
 
         // A frame of exactly the cap, newline included, is still served.
@@ -1208,12 +1246,33 @@ mod tests {
             "{reply}"
         );
 
-        // The cap's worth of bytes with no newline is one `bad_request`,
-        // then the server closes the connection.
+        drop(reader);
+        drop(stream);
+
+        // The cap's worth of bytes with no newline, a 2 MiB line, and a
+        // cap that falls inside a two-byte character are each refused.
+        let mut split = vec![b'x'; MAX_FRAME_BYTES - 1];
+        split.extend_from_slice("é".as_bytes());
+        let mut long_line = vec![b'x'; 2 * MAX_FRAME_BYTES];
+        long_line.push(b'\n');
+        for frame in [vec![b'x'; MAX_FRAME_BYTES], long_line, split] {
+            assert_refused(server.addr(), &frame);
+        }
+        assert_eq!(state.telemetry().counter_value("serve.errors"), 3);
+        server.stop();
+    }
+
+    /// Sends `frame` on a new connection and expects one `bad_request`,
+    /// then EOF. The whole frame must be accepted first: the server
+    /// reads what follows the cap instead of resetting the connection.
+    fn assert_refused(addr: SocketAddr, frame: &[u8]) {
+        let mut stream = TcpStream::connect(addr).expect("connect");
         stream
-            .write_all(&vec![b'x'; MAX_FRAME_BYTES])
-            .expect("send oversized frame");
-        reply.clear();
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        stream.write_all(frame).expect("send oversized frame");
+        let mut reader = BufReader::new(stream);
+        let mut reply = String::new();
         reader.read_line(&mut reply).expect("refusal");
         let Ok(ApiResponse::Error { code, .. }) = ApiResponse::parse(reply.trim_end()) else {
             panic!("expected an error frame, got {reply}");
@@ -1221,6 +1280,30 @@ mod tests {
         assert_eq!(code, crate::api::WireCode::BadRequest);
         reply.clear();
         assert_eq!(reader.read_line(&mut reply).expect("eof"), 0, "{reply}");
+    }
+
+    #[test]
+    fn non_utf8_frame_is_a_bad_request_and_keeps_the_connection() {
+        let (state, mut server) = bare_server();
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        stream
+            .write_all(b"{\"op\":\"\xff\"}\n")
+            .expect("send frame");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("reply");
+        let Ok(ApiResponse::Error { code, .. }) = ApiResponse::parse(reply.trim_end()) else {
+            panic!("expected an error frame, got {reply}");
+        };
+        assert_eq!(code, crate::api::WireCode::BadRequest);
+        let health = format!("{}\n", ApiRequest::Health.to_wire());
+        stream.write_all(health.as_bytes()).expect("send health");
+        reply.clear();
+        reader.read_line(&mut reply).expect("health reply");
+        assert!(reply.contains("health"), "{reply}");
         assert_eq!(state.telemetry().counter_value("serve.errors"), 1);
         server.stop();
     }
