@@ -50,7 +50,7 @@ fn run_session(threads: usize) -> SessionFixture {
     let plan = fast_sampling_plan(2, 5);
     let data = collect_training_data_with(&engine, &app, &app.representative_inputs(), &plan)
         .expect("fixture profiling succeeds");
-    let trained = Opprox::train_from_data(&app, &data, 2, &ModelingOptions::default())
+    let trained = Opprox::train_from_data_traced(&app, &data, 2, &ModelingOptions::default(), None)
         .expect("fixture training succeeds");
     let opt = optimize_traced(
         trained.models(),

@@ -53,7 +53,6 @@ pub use comd::CoMd;
 pub use lulesh::Lulesh;
 pub use pagerank::PageRank;
 pub use pso::Pso;
-pub use registry::{AppRegistry, RegistryError};
 pub use stencil::Stencil;
 pub use stream::StreamAgg;
 pub use video::VideoPipeline;

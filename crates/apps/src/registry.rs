@@ -1,136 +1,27 @@
-//! A registry of the benchmark applications, used by the experiment
+//! The built-in benchmark applications by name, used by the experiment
 //! harness, the serve layer, examples, and integration tests.
 //!
-//! The registry is *registration-based*: [`AppRegistry::register`]
-//! refuses a second application with the same (case-insensitive) name
-//! with a typed [`RegistryError`] instead of silently overwriting — a
-//! silent overwrite would let one mis-named port shadow another and every
-//! downstream artifact (models, traces, serve stores) would attribute its
-//! results to the wrong application. The free functions [`all_apps`] and
-//! [`by_name`] expose the built-in registry the way earlier revisions
-//! did.
+//! The table is fixed at compile time: the paper's Table 1 order,
+//! followed by the survey-workload ports. Names compare
+//! case-insensitively, and a lookup builds only the application it
+//! names.
 
 use crate::{Bodytrack, CoMd, Lulesh, PageRank, Pso, Stencil, StreamAgg, VideoPipeline};
 use opprox_approx_rt::ApproxApp;
 
-/// Errors produced by application registration.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RegistryError {
-    /// An application with this (case-insensitive) name is already
-    /// registered; registration never overwrites.
-    DuplicateApp {
-        /// The name that collided.
-        name: String,
-    },
-}
+type Build = fn() -> Box<dyn ApproxApp>;
 
-impl std::fmt::Display for RegistryError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RegistryError::DuplicateApp { name } => {
-                write!(f, "an app named `{name}` is already registered")
-            }
-        }
-    }
-}
-
-impl std::error::Error for RegistryError {}
-
-/// An ordered collection of registered applications with unique,
-/// case-insensitively compared names.
-///
-/// # Example
-///
-/// ```
-/// use opprox_apps::{AppRegistry, Pso};
-///
-/// let mut registry = AppRegistry::empty();
-/// registry.register(Box::new(Pso::new())).unwrap();
-/// assert!(registry.register(Box::new(Pso::new())).is_err()); // duplicate
-/// assert_eq!(registry.names(), ["PSO"]);
-/// ```
-#[derive(Default)]
-pub struct AppRegistry {
-    apps: Vec<Box<dyn ApproxApp>>,
-}
-
-impl AppRegistry {
-    /// Creates an empty registry.
-    pub fn empty() -> Self {
-        AppRegistry { apps: Vec::new() }
-    }
-
-    /// Creates a registry holding every built-in benchmark application:
-    /// the paper's Table 1 order, followed by the survey-workload ports.
-    pub(crate) fn with_builtin() -> Self {
-        let mut registry = AppRegistry::empty();
-        let builtin: Vec<Box<dyn ApproxApp>> = vec![
-            Box::new(Lulesh::new()),
-            Box::new(VideoPipeline::new()),
-            Box::new(Bodytrack::new()),
-            Box::new(Pso::new()),
-            Box::new(CoMd::new()),
-            Box::new(PageRank::new()),
-            Box::new(StreamAgg::new()),
-            Box::new(Stencil::new()),
-        ];
-        for app in builtin {
-            registry
-                .register(app)
-                .expect("built-in application names are unique");
-        }
-        registry
-    }
-
-    /// Registers an application, keeping registration order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RegistryError::DuplicateApp`] when an app with the same
-    /// case-insensitive name is already present; the registry is left
-    /// unchanged.
-    pub fn register(&mut self, app: Box<dyn ApproxApp>) -> Result<(), RegistryError> {
-        let name = app.meta().name.clone();
-        if self.by_name(&name).is_some() {
-            return Err(RegistryError::DuplicateApp { name });
-        }
-        self.apps.push(app);
-        Ok(())
-    }
-
-    /// The registered applications, in registration order.
-    pub fn apps(&self) -> &[Box<dyn ApproxApp>] {
-        &self.apps
-    }
-
-    /// Consumes the registry, yielding the applications in order.
-    pub(crate) fn into_apps(self) -> Vec<Box<dyn ApproxApp>> {
-        self.apps
-    }
-
-    /// Looks an application up by its (case-insensitive) name.
-    pub fn by_name(&self, name: &str) -> Option<&dyn ApproxApp> {
-        self.apps
-            .iter()
-            .find(|a| a.meta().name.eq_ignore_ascii_case(name))
-            .map(|a| a.as_ref())
-    }
-
-    /// The registered application names, in registration order.
-    pub fn names(&self) -> Vec<String> {
-        self.apps.iter().map(|a| a.meta().name.clone()).collect()
-    }
-
-    /// Number of registered applications.
-    pub fn len(&self) -> usize {
-        self.apps.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.apps.is_empty()
-    }
-}
+/// Each built-in application's name (its `meta().name`) and constructor.
+const BUILTIN: [(&str, Build); 8] = [
+    ("LULESH", || Box::new(Lulesh::new())),
+    ("FFmpeg", || Box::new(VideoPipeline::new())),
+    ("Bodytrack", || Box::new(Bodytrack::new())),
+    ("PSO", || Box::new(Pso::new())),
+    ("CoMD", || Box::new(CoMd::new())),
+    ("PageRank", || Box::new(PageRank::new())),
+    ("StreamAgg", || Box::new(StreamAgg::new())),
+    ("Stencil", || Box::new(Stencil::new())),
+];
 
 /// Instantiates every built-in benchmark application, in the paper's
 /// Table 1 order followed by the survey-workload ports.
@@ -146,10 +37,10 @@ impl AppRegistry {
 /// );
 /// ```
 pub fn all_apps() -> Vec<Box<dyn ApproxApp>> {
-    AppRegistry::with_builtin().into_apps()
+    BUILTIN.iter().map(|(_, build)| build()).collect()
 }
 
-/// Looks a built-in application up by its (case-insensitive) name.
+/// Builds the built-in application with this (case-insensitive) name.
 ///
 /// # Example
 ///
@@ -159,9 +50,10 @@ pub fn all_apps() -> Vec<Box<dyn ApproxApp>> {
 /// assert!(opprox_apps::registry::by_name("nosuch").is_none());
 /// ```
 pub fn by_name(name: &str) -> Option<Box<dyn ApproxApp>> {
-    all_apps()
-        .into_iter()
-        .find(|a| a.meta().name.eq_ignore_ascii_case(name))
+    BUILTIN
+        .iter()
+        .find(|(known, _)| known.eq_ignore_ascii_case(name))
+        .map(|(_, build)| build())
 }
 
 #[cfg(test)]
@@ -197,68 +89,21 @@ mod tests {
         }
     }
 
+    /// The table's names are the apps' own: every name resolves in any
+    /// case to the app that declares it, no two names collide
+    /// case-insensitively, and an unknown name resolves to nothing.
     #[test]
-    fn lookup_is_case_insensitive() {
-        assert!(by_name("FFMPEG").is_some());
-        assert!(by_name("CoMD").is_some());
-        assert!(by_name("pagerank").is_some());
-        assert!(by_name("STREAMAGG").is_some());
-        assert!(by_name("stencil").is_some());
-        assert!(by_name("unknown").is_none());
-    }
-
-    #[test]
-    fn duplicate_registration_is_refused_and_leaves_registry_intact() {
-        let mut registry = AppRegistry::with_builtin();
-        let before = registry.names();
-        let err = registry
-            .register(Box::new(Pso::new()))
-            .expect_err("duplicate must be refused");
-        assert_eq!(err, RegistryError::DuplicateApp { name: "PSO".into() });
-        assert!(err.to_string().contains("PSO"));
-        assert_eq!(registry.names(), before, "failed registration mutated");
-    }
-
-    /// The duplicate check is case-insensitive, matching `by_name` — a
-    /// `pso`/`PSO` pair would be distinct keys to a naive map but the
-    /// same app to every lookup path.
-    #[test]
-    fn duplicate_check_is_case_insensitive() {
-        struct Renamed(opprox_approx_rt::app::AppMeta);
-        impl ApproxApp for Renamed {
-            fn meta(&self) -> &opprox_approx_rt::app::AppMeta {
-                &self.0
+    fn by_name_resolves_every_builtin_name_in_any_case() {
+        for (i, (name, _)) in BUILTIN.iter().enumerate() {
+            for spelling in [name.to_string(), name.to_lowercase(), name.to_uppercase()] {
+                let app = by_name(&spelling).unwrap_or_else(|| panic!("`{spelling}` unresolved"));
+                assert_eq!(app.meta().name, *name);
             }
-            fn run(
-                &self,
-                _: &opprox_approx_rt::InputParams,
-                _: &opprox_approx_rt::PhaseSchedule,
-            ) -> Result<opprox_approx_rt::RunResult, opprox_approx_rt::RuntimeError> {
-                unreachable!("registration never runs the app")
-            }
-            fn representative_inputs(&self) -> Vec<opprox_approx_rt::InputParams> {
-                Vec::new()
+            for (other, _) in &BUILTIN[i + 1..] {
+                assert!(!name.eq_ignore_ascii_case(other), "{name} vs {other}");
             }
         }
-        let mut meta = Pso::new().meta().clone();
-        meta.name = "pso".into();
-        let mut registry = AppRegistry::with_builtin();
-        assert!(matches!(
-            registry.register(Box::new(Renamed(meta))),
-            Err(RegistryError::DuplicateApp { .. })
-        ));
-    }
-
-    #[test]
-    fn empty_registry_accepts_then_refuses() {
-        let mut registry = AppRegistry::empty();
-        assert!(registry.is_empty());
-        registry
-            .register(Box::new(Stencil::new()))
-            .expect("first registration succeeds");
-        assert_eq!(registry.len(), 1);
-        assert!(registry.by_name("stencil").is_some());
-        assert!(registry.register(Box::new(Stencil::new())).is_err());
-        assert_eq!(registry.len(), 1);
+        assert!(by_name("unknown").is_none());
+        assert!(by_name("").is_none());
     }
 }

@@ -57,7 +57,6 @@ fn main() {
             sampling: SamplingPlan {
                 num_phases: 4,
                 sparse_samples: 30,
-                whole_run_samples: 0,
                 seed: 0xAB3,
             },
             ..TrainingOptions::default()

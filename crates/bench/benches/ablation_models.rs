@@ -10,7 +10,7 @@ use opprox_apps::registry::all_apps;
 use opprox_bench::TextTable;
 use opprox_core::sampling::{collect_training_data, SamplingPlan};
 use opprox_linalg::stats::r2_score;
-use opprox_ml::m5::{ModelTree, ModelTreeParams};
+use opprox_ml::m5::ModelTree;
 use opprox_ml::model_select::{AutoFitConfig, TargetModel};
 use opprox_ml::Dataset;
 
@@ -29,7 +29,6 @@ fn main() {
         let plan = SamplingPlan {
             num_phases: 4,
             sparse_samples: 30,
-            whole_run_samples: 0,
             seed: 0xAB1,
         };
         let data = collect_training_data(app.as_ref(), &app.representative_inputs(), &plan)
@@ -76,7 +75,7 @@ fn main() {
             .collect();
 
         // M5 model tree.
-        let m5 = ModelTree::fit(&train_x, &train_y, ModelTreeParams::default()).expect("m5 fit");
+        let m5 = ModelTree::fit(&train_x, &train_y).expect("m5 fit");
         let m5_preds = m5.predict(&test_x).expect("m5 predict");
 
         table.add_row(vec![

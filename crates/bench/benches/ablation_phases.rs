@@ -53,7 +53,6 @@ fn main() {
                 sampling: SamplingPlan {
                     num_phases: phases,
                     sparse_samples: 30,
-                    whole_run_samples: 0,
                     seed: 0xAB2,
                 },
                 ..TrainingOptions::default()

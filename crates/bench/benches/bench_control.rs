@@ -30,7 +30,6 @@ fn train_pso() -> TrainedOpprox {
         sampling: SamplingPlan {
             num_phases: 2,
             sparse_samples: 8,
-            whole_run_samples: 0,
             seed: 5,
         },
         ..TrainingOptions::default()

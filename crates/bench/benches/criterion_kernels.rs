@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use opprox_approx_rt::{InputParams, PhaseSchedule};
-use opprox_ml::dtree::{DecisionTree, TreeParams};
+use opprox_ml::dtree::DecisionTree;
 use opprox_ml::mic::mic;
 use opprox_ml::model_select::{AutoFitConfig, TargetModel};
 use opprox_ml::polyreg::PolynomialRegression;
@@ -65,7 +65,7 @@ fn bench_ml(c: &mut Criterion) {
     c.bench_function("dtree_fit_200x3", |b| {
         b.iter_batched(
             || (xs.clone(), labels.clone()),
-            |(x, y)| DecisionTree::fit(&x, &y, TreeParams::default()).unwrap(),
+            |(x, y)| DecisionTree::fit(&x, &y).unwrap(),
             BatchSize::SmallInput,
         )
     });

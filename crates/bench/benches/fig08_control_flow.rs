@@ -16,7 +16,6 @@ fn main() {
     let plan = SamplingPlan {
         num_phases: 2,
         sparse_samples: 2,
-        whole_run_samples: 0,
         seed: 0xF08,
     };
     let data =

@@ -32,7 +32,6 @@ fn main() {
         let plan = SamplingPlan {
             num_phases: 4,
             sparse_samples: 36,
-            whole_run_samples: 0,
             seed: 0xF12,
         };
         let data = collect_training_data(app.as_ref(), &app.representative_inputs(), &plan)

@@ -58,7 +58,6 @@ fn main() {
                 sampling: SamplingPlan {
                     num_phases: phases,
                     sparse_samples: 24,
-                    whole_run_samples: 0,
                     seed: 0x7AB2,
                 },
                 ..TrainingOptions::default()

@@ -1,7 +1,7 @@
 //! Shared experiment drivers used by the per-figure bench targets.
 
 use opprox_approx_rt::config::sample_configs;
-use opprox_approx_rt::{run_with_timeout, ApproxApp, InputParams, LevelConfig, PhaseSchedule};
+use opprox_approx_rt::{ApproxApp, InputParams, LevelConfig, PhaseSchedule};
 use opprox_core::error::OpproxError;
 
 /// One point of a phase-probe series: a configuration applied to a single
@@ -33,39 +33,13 @@ pub fn phase_probe_series(
     num_phases: usize,
     probes: &[LevelConfig],
 ) -> Result<Vec<PhasePoint>, OpproxError> {
-    phase_probe_series_with(app, input, num_phases, probes, None)
-}
-
-/// [`phase_probe_series`] with an optional per-execution wall-clock
-/// budget. A probe series runs `num_phases × probes + probes + 1`
-/// application executions back to back; without a budget a single
-/// misbehaving execution used to stall the whole bench run. With
-/// `timeout_ms` set, every execution — the golden included — goes through
-/// [`run_with_timeout`] and a slow one surfaces as a typed
-/// [`RuntimeError::Timeout`](opprox_approx_rt::RuntimeError::Timeout)
-/// instead.
-///
-/// # Errors
-///
-/// Propagates application runtime errors, including timeouts.
-pub(crate) fn phase_probe_series_with(
-    app: &dyn ApproxApp,
-    input: &InputParams,
-    num_phases: usize,
-    probes: &[LevelConfig],
-    timeout_ms: Option<u64>,
-) -> Result<Vec<PhasePoint>, OpproxError> {
-    let execute = |schedule: &PhaseSchedule| match timeout_ms {
-        Some(budget) => run_with_timeout(budget, || app.run(input, schedule)),
-        None => app.run(input, schedule),
-    };
-    let golden = execute(&PhaseSchedule::accurate(app.meta().num_blocks()))?;
+    let golden = app.run(input, &PhaseSchedule::accurate(app.meta().num_blocks()))?;
     let mut out = Vec::new();
     for phase in 0..num_phases {
         for config in probes {
             let schedule =
                 PhaseSchedule::single_phase(config.clone(), phase, num_phases, golden.outer_iters)?;
-            let result = execute(&schedule)?;
+            let result = app.run(input, &schedule)?;
             out.push(PhasePoint {
                 phase: Some(phase),
                 config: config.clone(),
@@ -76,7 +50,7 @@ pub(crate) fn phase_probe_series_with(
         }
     }
     for config in probes {
-        let result = execute(&PhaseSchedule::constant(config.clone()))?;
+        let result = app.run(input, &PhaseSchedule::constant(config.clone()))?;
         out.push(PhasePoint {
             phase: None,
             config: config.clone(),
@@ -153,32 +127,6 @@ mod tests {
         assert!(s0.max_qos >= s0.mean_qos);
         // Early phase should degrade QoS more on average.
         assert!(s0.mean_qos >= s1.mean_qos);
-    }
-
-    /// Regression: the probe runner used to drive `app.run` directly with
-    /// no time budget, so one stalled execution hung the entire bench
-    /// target. A slow fixture app must now be cut off with a typed
-    /// timeout, and the same series must pass under a generous budget.
-    #[test]
-    fn probe_runner_cuts_off_slow_apps() {
-        use opprox_approx_rt::RuntimeError;
-        use opprox_testutil::chaos::SlowApp;
-
-        let app = SlowApp::new(Pso::new(), 25);
-        let input = InputParams::new(vec![10.0, 2.0]);
-        let probes = default_probes(&app, 1, 9);
-        let err = phase_probe_series_with(&app, &input, 2, &probes, Some(1)).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                OpproxError::Runtime(RuntimeError::Timeout { budget_ms: 1, .. })
-            ),
-            "expected a typed timeout, got {err}"
-        );
-
-        let pts = phase_probe_series_with(&app, &input, 2, &probes, Some(60_000))
-            .expect("generous budget passes");
-        assert_eq!(pts.len(), 2 + 1, "two phase points plus the All column");
     }
 
     #[test]

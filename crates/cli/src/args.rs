@@ -817,7 +817,7 @@ impl RawArgs {
     }
 
     /// `--phases N --sparse K --seed S` as training options (defaults 4,
-    /// 36, 11, no whole-run samples); `--threads` also bounds the
+    /// 36, 11); `--threads` also bounds the
     /// model-fitting pool.
     fn training(&self) -> Result<TrainingOptions, ArgError> {
         let phases = self.int_or("phases", 4)?;
@@ -826,7 +826,6 @@ impl RawArgs {
             sampling: SamplingPlan {
                 num_phases: phases,
                 sparse_samples: self.int_or("sparse", 36)?,
-                whole_run_samples: 0,
                 seed: self.int_or("seed", 11)?,
             },
             ..TrainingOptions::default()
@@ -1020,7 +1019,6 @@ mod tests {
                     sampling: SamplingPlan {
                         num_phases: 4,
                         sparse_samples: 36,
-                        whole_run_samples: 0,
                         seed: 11,
                     },
                     ..TrainingOptions::default()

@@ -594,8 +594,8 @@ fn cmd_compare(args: &CompareArgs, out: &mut dyn std::io::Write) -> CmdResult {
     let input = InputParams::new(args.input.clone());
     let spec = AccuracySpec::try_new(args.budget)?;
     writeln!(out, "training OPPROX on {} …", app.meta().name)?;
-    // One engine end to end: the oracle sweep reuses any whole-run
-    // configurations the training or validation phases already executed.
+    // One engine end to end: the oracle sweep reuses any execution the
+    // training or validation phases already made.
     let engine = args.engine.engine();
     let trained = Opprox::train_with(&engine, app.as_ref(), &args.options)?;
     let outcome = OptimizeRequest::new(input.clone(), spec)

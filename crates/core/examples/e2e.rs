@@ -23,7 +23,6 @@ fn main() {
             sampling: SamplingPlan {
                 num_phases: 4,
                 sparse_samples: 36,
-                whole_run_samples: 0,
                 seed: 11,
             },
             ..TrainingOptions::default()

@@ -35,8 +35,6 @@ pub enum WireCode {
     InsufficientData,
     /// [`OpproxError::InvalidSpec`].
     InvalidSpec,
-    /// [`OpproxError::NoFeasibleConfig`].
-    NoFeasibleConfig,
     /// [`OpproxError::Serialization`].
     SerializationError,
     /// [`OpproxError::InvalidModel`].
@@ -57,8 +55,6 @@ pub enum WireCode {
     Unavailable,
     /// [`OpproxError::NonFiniteMeasurement`].
     NonFiniteMeasurement,
-    /// [`OpproxError::DuplicateRegistration`].
-    DuplicateRegistration,
 }
 
 impl WireCode {
@@ -69,7 +65,6 @@ impl WireCode {
             WireCode::ModelError => "model_error",
             WireCode::InsufficientData => "insufficient_data",
             WireCode::InvalidSpec => "invalid_spec",
-            WireCode::NoFeasibleConfig => "no_feasible_config",
             WireCode::SerializationError => "serialization_error",
             WireCode::InvalidModel => "invalid_model",
             WireCode::EvaluationFailed => "evaluation_failed",
@@ -80,7 +75,6 @@ impl WireCode {
             WireCode::Overloaded => "overloaded",
             WireCode::Unavailable => "unavailable",
             WireCode::NonFiniteMeasurement => "non_finite_measurement",
-            WireCode::DuplicateRegistration => "duplicate_registration",
         }
     }
 
@@ -105,7 +99,6 @@ impl WireCode {
             OpproxError::Model(_) => WireCode::ModelError,
             OpproxError::InsufficientData(_) => WireCode::InsufficientData,
             OpproxError::InvalidSpec(_) => WireCode::InvalidSpec,
-            OpproxError::NoFeasibleConfig { .. } => WireCode::NoFeasibleConfig,
             OpproxError::Serialization(_) => WireCode::SerializationError,
             OpproxError::InvalidModel(_) => WireCode::InvalidModel,
             OpproxError::EvaluationFailed { .. } => WireCode::EvaluationFailed,
@@ -116,7 +109,6 @@ impl WireCode {
             OpproxError::Overloaded { .. } => WireCode::Overloaded,
             OpproxError::Unavailable(_) => WireCode::Unavailable,
             OpproxError::NonFiniteMeasurement(_) => WireCode::NonFiniteMeasurement,
-            OpproxError::DuplicateRegistration { .. } => WireCode::DuplicateRegistration,
         }
     }
 }
@@ -128,7 +120,6 @@ pub const ALL_CODES: &[WireCode] = &[
     WireCode::ModelError,
     WireCode::InsufficientData,
     WireCode::InvalidSpec,
-    WireCode::NoFeasibleConfig,
     WireCode::SerializationError,
     WireCode::InvalidModel,
     WireCode::EvaluationFailed,
@@ -139,7 +130,6 @@ pub const ALL_CODES: &[WireCode] = &[
     WireCode::Overloaded,
     WireCode::Unavailable,
     WireCode::NonFiniteMeasurement,
-    WireCode::DuplicateRegistration,
 ];
 
 /// Parameters of an `optimize` request frame.

@@ -10,7 +10,7 @@
 use crate::error::OpproxError;
 use crate::sampling::TrainingData;
 use opprox_approx_rt::InputParams;
-use opprox_ml::dtree::{DecisionTree, TreeParams};
+use opprox_ml::dtree::DecisionTree;
 use serde::{Deserialize, Serialize};
 
 /// A trained mapping from input parameters to control-flow class.
@@ -53,7 +53,7 @@ impl ControlFlowModel {
             xs.push(g.input.values().to_vec());
             ys.push(class);
         }
-        let tree = DecisionTree::fit(&xs, &ys, TreeParams::default())?;
+        let tree = DecisionTree::fit(&xs, &ys)?;
         Ok(ControlFlowModel {
             classes,
             tree: Some(tree),
@@ -114,7 +114,6 @@ mod tests {
         SamplingPlan {
             num_phases: 2,
             sparse_samples: 2,
-            whole_run_samples: 0,
             seed: 3,
         }
     }

@@ -16,12 +16,6 @@ pub enum OpproxError {
     InsufficientData(String),
     /// The accuracy specification was malformed.
     InvalidSpec(String),
-    /// No approximation configuration satisfied the budget; the accurate
-    /// configuration is the only feasible plan.
-    NoFeasibleConfig {
-        /// The budget that could not be met.
-        budget: f64,
-    },
     /// Serialization of a trained system failed.
     Serialization(String),
     /// A trained model set failed its integrity check (non-finite
@@ -78,14 +72,6 @@ pub enum OpproxError {
     /// `non_finite_measurement`). Replaces the old panic paths in the
     /// validated-optimization sort.
     NonFiniteMeasurement(String),
-    /// Registering an application collided with one already present
-    /// (wire code `duplicate_registration`); converted from
-    /// [`opprox_apps::RegistryError`] so registry construction errors
-    /// flow through the same reporting paths as every other failure.
-    DuplicateRegistration {
-        /// The application name that collided.
-        name: String,
-    },
 }
 
 impl fmt::Display for OpproxError {
@@ -95,9 +81,6 @@ impl fmt::Display for OpproxError {
             OpproxError::Model(e) => write!(f, "modeling error: {e}"),
             OpproxError::InsufficientData(msg) => write!(f, "insufficient training data: {msg}"),
             OpproxError::InvalidSpec(msg) => write!(f, "invalid accuracy specification: {msg}"),
-            OpproxError::NoFeasibleConfig { budget } => {
-                write!(f, "no approximation fits the QoS budget {budget}")
-            }
             OpproxError::Serialization(msg) => write!(f, "serialization error: {msg}"),
             OpproxError::InvalidModel(msg) => write!(f, "invalid trained model set: {msg}"),
             OpproxError::EvaluationFailed {
@@ -132,12 +115,6 @@ impl fmt::Display for OpproxError {
             OpproxError::NonFiniteMeasurement(msg) => {
                 write!(f, "non-finite measurement: {msg}")
             }
-            OpproxError::DuplicateRegistration { name } => {
-                write!(
-                    f,
-                    "duplicate app registration: `{name}` is already registered"
-                )
-            }
         }
     }
 }
@@ -164,16 +141,6 @@ impl From<MlError> for OpproxError {
     }
 }
 
-impl From<opprox_apps::RegistryError> for OpproxError {
-    fn from(e: opprox_apps::RegistryError) -> Self {
-        match e {
-            opprox_apps::RegistryError::DuplicateApp { name } => {
-                OpproxError::DuplicateRegistration { name }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,12 +151,6 @@ mod tests {
         assert!(e.to_string().contains("application runtime error"));
         let e: OpproxError = MlError::InvalidTrainingData("y".into()).into();
         assert!(e.to_string().contains("modeling error"));
-        let e: OpproxError = opprox_apps::RegistryError::DuplicateApp { name: "PSO".into() }.into();
-        assert!(e.to_string().contains("duplicate app registration"));
-        assert!(e.to_string().contains("PSO"));
-        assert!(OpproxError::NoFeasibleConfig { budget: 5.0 }
-            .to_string()
-            .contains('5'));
     }
 
     #[test]

@@ -336,8 +336,8 @@ pub struct FaultEvent {
 /// One training sample dropped by degraded-mode collection.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DroppedSample {
-    /// Phase index for per-phase sweep samples; `None` for whole-run
-    /// samples and goldens.
+    /// Phase index of a dropped sweep or sparse sample; `None` for a
+    /// golden.
     pub phase: Option<usize>,
     /// The approximation levels of the dropped configuration.
     pub levels: Vec<u8>,

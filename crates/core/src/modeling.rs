@@ -342,7 +342,7 @@ impl Deserialize for AppModels {
 }
 
 /// Options for model fitting.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelingOptions {
     /// Auto-fit configuration shared by all models.
     pub autofit: AutoFitConfig,
@@ -350,21 +350,6 @@ pub struct ModelingOptions {
     /// machine's available parallelism. The fitted models are identical
     /// for every thread count.
     pub threads: Option<usize>,
-}
-
-// Hand-written so option files saved before `threads` existed still
-// deserialize (the vendored serde derive has no `#[serde(default)]`).
-impl Deserialize for ModelingOptions {
-    fn from_value(v: &serde::value::Value) -> Result<Self, serde::DeError> {
-        let entries = serde::__private::as_object(v, "ModelingOptions")?;
-        Ok(ModelingOptions {
-            autofit: serde::__private::field(entries, "autofit", "ModelingOptions")?,
-            threads: match entries.iter().find(|(k, _)| k == "threads") {
-                Some((_, tv)) => Deserialize::from_value(tv)?,
-                None => None,
-            },
-        })
-    }
 }
 
 impl Default for ModelingOptions {
@@ -1171,7 +1156,6 @@ mod tests {
         let plan = SamplingPlan {
             num_phases: 2,
             sparse_samples: 10,
-            whole_run_samples: 0,
             seed: 5,
         };
         let data = collect_training_data(&app, &inputs, &plan).unwrap();
@@ -1335,7 +1319,6 @@ mod tests {
         let plan = SamplingPlan {
             num_phases: 2,
             sparse_samples: 10,
-            whole_run_samples: 0,
             seed: 5,
         };
         let data = collect_training_data(&app, &inputs, &plan).unwrap();

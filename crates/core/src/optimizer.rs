@@ -417,7 +417,6 @@ mod tests {
         let plan = SamplingPlan {
             num_phases: 2,
             sparse_samples: 10,
-            whole_run_samples: 0,
             seed: 5,
         };
         let data = collect_training_data(&app, &inputs, &plan).unwrap();

@@ -12,10 +12,9 @@ use crate::error::OpproxError;
 use crate::evaluator::EvalEngine;
 use opprox_approx_rt::config::sample_configs;
 use opprox_approx_rt::{ApproxApp, InputParams, PhaseSchedule};
-use serde::{Deserialize, Serialize};
 
 /// Options for [`find_phase_granularity`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseSearchOptions {
     /// Sensitivity threshold on the change of the max consecutive-phase
     /// QoS difference (same unit as the QoS metric).

@@ -18,7 +18,7 @@ use opprox_approx_rt::{ApproxApp, InputParams, LevelConfig, PhaseSchedule};
 use serde::{Deserialize, Serialize};
 
 /// Options controlling offline training.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainingOptions {
     /// Fixed phase count; `None` runs Algorithm 1 to find it.
     pub num_phases: Option<usize>,
@@ -148,23 +148,9 @@ impl Opprox {
         Ok(trained)
     }
 
-    /// Trains from already-collected data (used by the experiment harness
-    /// to reuse one profiling pass across analyses).
-    ///
-    /// # Errors
-    ///
-    /// Propagates fitting errors.
-    pub fn train_from_data(
-        app: &dyn ApproxApp,
-        data: &TrainingData,
-        num_phases: usize,
-        modeling: &ModelingOptions,
-    ) -> Result<TrainedOpprox, OpproxError> {
-        Self::train_from_data_traced(app, data, num_phases, modeling, None)
-    }
-
-    /// [`Opprox::train_from_data`] with an optional telemetry registry
-    /// threaded through to the model fit.
+    /// Trains from already-collected data, so one profiling pass can
+    /// serve several fits. `telemetry`, when given, receives the model
+    /// fit's counters and spans.
     ///
     /// # Errors
     ///
@@ -507,7 +493,6 @@ mod tests {
             sampling: SamplingPlan {
                 num_phases: 2,
                 sparse_samples: 10,
-                whole_run_samples: 0,
                 seed: 5,
             },
             ..TrainingOptions::default()

@@ -547,7 +547,6 @@ mod tests {
             sampling: SamplingPlan {
                 num_phases: 2,
                 sparse_samples: 10,
-                whole_run_samples: 0,
                 seed: 5,
             },
             ..TrainingOptions::default()

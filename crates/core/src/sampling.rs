@@ -9,6 +9,9 @@
 //! * **random sparse samples** — level combinations drawn over all blocks
 //!   simultaneously, capturing interactions.
 //!
+//! Every sample approximates exactly one phase. The whole-run ("All")
+//! probes of Figs. 9/10 are measured by the bench harness, not here.
+//!
 //! Every run is reduced to a [`SampleRecord`] holding the configuration,
 //! the phase it was applied in, and the measured speedup, QoS
 //! degradation, and outer-loop iteration count.
@@ -25,8 +28,9 @@ use serde::{Deserialize, Serialize};
 pub struct SampleRecord {
     /// The input parameters of the run.
     pub input: InputParams,
-    /// The phase the approximation was applied to (`None` for a
-    /// whole-run, phase-agnostic sample).
+    /// The phase the approximation was applied to. Collection always
+    /// sets it; `None` (a whole-run sample) is only ever read back from
+    /// older training-data files.
     pub phase: Option<usize>,
     /// Number of phases the execution was divided into.
     pub num_phases: usize,
@@ -82,16 +86,15 @@ impl TrainingData {
     }
 }
 
-/// How much training data to collect.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// How much training data to collect: for every input and each of
+/// `num_phases` phases, the local sweeps plus `sparse_samples` sparse
+/// samples.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SamplingPlan {
     /// Number of execution phases.
     pub num_phases: usize,
     /// Random sparse multi-block samples per (input, phase).
     pub sparse_samples: usize,
-    /// Whether to also collect whole-run (phase-agnostic) samples, used
-    /// by Fig. 9/10's "All" column and by baseline comparisons.
-    pub whole_run_samples: usize,
     /// RNG seed for the sparse sampling.
     pub seed: u64,
 }
@@ -101,7 +104,6 @@ impl Default for SamplingPlan {
         SamplingPlan {
             num_phases: 4,
             sparse_samples: 36,
-            whole_run_samples: 0,
             seed: 0xC60,
         }
     }
@@ -123,8 +125,8 @@ pub fn collect_training_data(
 
 /// [`collect_training_data`] on a shared [`EvalEngine`].
 ///
-/// All profiling runs — goldens, per-phase sweeps, sparse samples, and
-/// whole-run samples — are submitted as engine batches and execute on the
+/// All profiling runs — goldens, per-phase sweeps and sparse samples —
+/// are submitted as engine batches and execute on the
 /// work-stealing pool (the analogue of the paper's cluster-parallel
 /// profiling jobs). Results are assembled in submission order, so the
 /// training data is **bit-identical** to a sequential collection for any
@@ -200,13 +202,12 @@ pub fn collect_training_data_with(
             configs.extend(local_sweep(blocks, b));
         }
         configs.extend(sample_configs(blocks, plan.sparse_samples, plan.seed));
-        let whole = sample_configs(blocks, plan.whole_run_samples, plan.seed ^ 0xA11);
 
-        // One flat batch covering every (input, phase, config) sample plus
-        // the whole-run samples, in the order the records are emitted.
+        // One flat batch covering every (input, phase, config) sample, in
+        // the order the records are emitted.
         let mut jobs: Vec<(InputParams, PhaseSchedule)> = Vec::new();
         // The sample each job produces: (live input index, phase, config).
-        let mut labels: Vec<(usize, Option<usize>, LevelConfig)> = Vec::new();
+        let mut labels: Vec<(usize, usize, LevelConfig)> = Vec::new();
         for (ii, input) in live_inputs.iter().enumerate() {
             let golden_iters = goldens[ii].outer_iters;
             for phase in 0..plan.num_phases {
@@ -226,12 +227,8 @@ pub fn collect_training_data_with(
                         golden_iters,
                     )?;
                     jobs.push(((*input).clone(), schedule));
-                    labels.push((ii, Some(phase), config.clone()));
+                    labels.push((ii, phase, config.clone()));
                 }
-            }
-            for config in &whole {
-                jobs.push(((*input).clone(), PhaseSchedule::constant(config.clone())));
-                labels.push((ii, None, config.clone()));
             }
         }
         engine
@@ -258,7 +255,7 @@ pub fn collect_training_data_with(
                     // Degraded mode: drop the row, keep collecting.
                     Some(kind) => {
                         engine.faults().record_drop(DroppedSample {
-                            phase,
+                            phase: Some(phase),
                             levels: config.levels().to_vec(),
                             golden: false,
                             kind,
@@ -270,8 +267,8 @@ pub fn collect_training_data_with(
             };
             data.records.push(SampleRecord {
                 input: live_inputs[ii].clone(),
-                phase,
-                num_phases: if phase.is_some() { plan.num_phases } else { 1 },
+                phase: Some(phase),
+                num_phases: plan.num_phases,
                 config,
                 speedup: golden.speedup_over(&result),
                 qos: app.qos_degradation(golden, &result),
@@ -312,25 +309,24 @@ mod tests {
         SamplingPlan {
             num_phases: 2,
             sparse_samples: 3,
-            whole_run_samples: 2,
             seed: 1,
         }
     }
 
     #[test]
-    fn collects_goldens_locals_sparse_and_whole_run() {
+    fn collects_goldens_locals_and_sparse_per_phase() {
         let app = Pso::new();
         let inputs = vec![InputParams::new(vec![16.0, 3.0])];
         let data = collect_training_data(&app, &inputs, &small_plan()).unwrap();
         assert_eq!(data.goldens.len(), 1);
         // PSO: 3 blocks × 5 nonzero levels = 15 locals + 3 sparse = 18 per
-        // phase, × 2 phases + 2 whole-run.
-        assert_eq!(data.records.len(), 18 * 2 + 2);
+        // phase, × 2 phases.
+        assert_eq!(data.records.len(), 18 * 2);
         for phase in 0..2 {
             let in_phase = data.records.iter().filter(|r| r.phase == Some(phase));
             assert_eq!(in_phase.count(), 18);
         }
-        assert_eq!(data.records.iter().filter(|r| r.phase.is_none()).count(), 2);
+        assert!(data.records.iter().all(|r| r.num_phases == 2));
     }
 
     #[test]

@@ -26,12 +26,10 @@
 //!    configurations and are answered by the batched predictor in one
 //!    flat model pass.
 //!
-//! Model-only optimize replies are memoized in a sharded plan cache
-//! keyed by `(app, control-flow class)` — the pair that selects which
-//! per-class, per-phase model set answers — so hot inputs skip the
-//! Algorithm-2 solve entirely. Reloads bump a generation counter that is
-//! part of the cache key, so a swap invalidates every stale plan at
-//! once.
+//! Model-only optimize replies are memoized in a plan cache keyed by
+//! `(app, generation, input, budget, conservatism)`, so hot inputs skip
+//! the Algorithm-2 solve entirely. Reloads bump the generation, so a swap
+//! invalidates every stale plan at once.
 
 use crate::api::{
     AdaptiveParams, AdaptiveReply, ApiRequest, ApiResponse, HealthReply, MeasuredReply,
@@ -85,9 +83,6 @@ impl Default for ServeOptions {
     }
 }
 
-/// Shards of the model-only plan cache.
-const CACHE_SHARDS: usize = 8;
-
 /// The longest request frame a connection may send, newline included.
 /// A longer frame is answered with one `bad_request` and the connection
 /// is closed, so a peer that never sends `\n` cannot grow memory without
@@ -116,14 +111,12 @@ pub struct ModelEntry {
 
 type ModelMap = BTreeMap<String, Arc<ModelEntry>>;
 
-/// Key of the sharded plan cache. The `(app, class)` pair picks the
-/// shard — it names the model set that answers — and the remaining
-/// fields (input bits, budget bits, conservatism, generation) make the
-/// entry exact. A reload bumps `generation`, invalidating stale plans.
+/// Key of the plan cache. The control-flow class that picks the model
+/// set is a function of `(app, generation, input)`, so the key is exact
+/// without it. A reload bumps `generation`, invalidating stale plans.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct PlanKey {
     app: String,
-    class: usize,
     generation: u64,
     input_bits: Vec<u64>,
     budget_bits: u64,
@@ -150,7 +143,7 @@ pub struct ServeState {
     /// The `serve.shed` total the admission ledger last recorded.
     ledger_shed: AtomicU64,
     shutdown: AtomicBool,
-    cache: Vec<Mutex<HashMap<PlanKey, OptimizeReply>>>,
+    cache: Mutex<HashMap<PlanKey, OptimizeReply>>,
     tele: Telemetry,
     start_micros: u64,
     /// (mtime, len) of each app's last refused reload candidate, so a
@@ -181,9 +174,7 @@ impl ServeState {
             slot_freed: Condvar::new(),
             ledger_shed: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
-            cache: (0..CACHE_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
+            cache: Mutex::new(HashMap::new()),
             tele,
             start_micros,
             rejected_files: Mutex::new(HashMap::new()),
@@ -344,18 +335,15 @@ impl ServeState {
         // selects must stay inside the candidate's trained level space,
         // or in-flight clients would hold schedules the new model never
         // covered.
-        for shard in &self.cache {
-            let shard = shard.lock().expect("plan cache lock");
-            for (key, reply) in shard.iter() {
-                if key.app != app || key.generation != entry.generation {
-                    continue;
-                }
-                for levels in &reply.levels {
-                    let config =
-                        LevelConfig::new(levels.iter().map(|&l| l.min(255) as u8).collect());
-                    if !config.violations(trained.blocks()).is_empty() {
-                        return Err(Some("X006"));
-                    }
+        let cache = self.cache.lock().expect("plan cache lock");
+        for (key, reply) in cache.iter() {
+            if key.app != app || key.generation != entry.generation {
+                continue;
+            }
+            for levels in &reply.levels {
+                let config = LevelConfig::new(levels.iter().map(|&l| l.min(255) as u8).collect());
+                if !config.violations(trained.blocks()).is_empty() {
+                    return Err(Some("X006"));
                 }
             }
         }
@@ -447,22 +435,23 @@ impl ServeState {
         let trained = &entry.trained;
         let input = InputParams::new(p.input.clone());
         let spec = AccuracySpec::try_new(p.budget)?;
-        let class = trained.models().control_flow().predict(&input)?;
 
         let cache_key = (!p.validate).then(|| PlanKey {
             app: p.app.to_ascii_lowercase(),
-            class,
             generation: entry.generation,
             input_bits: p.input.iter().map(|x| x.to_bits()).collect(),
             budget_bits: p.budget.to_bits(),
             point: p.point,
         });
-        if let Some(key) = &cache_key {
-            if let Some(mut hit) = self.cache_get(key) {
-                self.tele.incr("serve.cache.hit");
-                hit.cached = true;
-                return Ok(ApiResponse::Optimize(hit));
-            }
+        if let Some(mut hit) = cache_key.as_ref().and_then(|key| self.cache_get(key)) {
+            self.tele.incr("serve.cache.hit");
+            hit.cached = true;
+            return Ok(ApiResponse::Optimize(hit));
+        }
+        // Only inputs that classify are ever cached; an input that does
+        // not is refused here, before it counts as a miss.
+        trained.models().control_flow().predict(&input)?;
+        if cache_key.is_some() {
             self.tele.incr("serve.cache.miss");
         }
 
@@ -653,19 +642,8 @@ impl ServeState {
 
     // -- plan cache ---------------------------------------------------
 
-    /// Shard index from the cache-defining pair `(app, class)`: FNV-1a
-    /// over the app name folded with the class id.
-    fn shard_of(&self, app: &str, class: usize) -> usize {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in app.bytes().chain([class as u8]) {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        (h % self.cache.len() as u64) as usize
-    }
-
     fn cache_get(&self, key: &PlanKey) -> Option<OptimizeReply> {
-        self.cache[self.shard_of(&key.app, key.class)]
+        self.cache
             .lock()
             .expect("plan cache lock")
             .get(key)
@@ -673,8 +651,7 @@ impl ServeState {
     }
 
     fn cache_put(&self, key: PlanKey, reply: OptimizeReply) {
-        let shard = self.shard_of(&key.app, key.class);
-        self.cache[shard]
+        self.cache
             .lock()
             .expect("plan cache lock")
             .insert(key, reply);
@@ -1120,7 +1097,6 @@ mod tests {
             sampling: SamplingPlan {
                 num_phases: 2,
                 sparse_samples: 8,
-                whole_run_samples: 0,
                 seed: 5,
             },
             ..TrainingOptions::default()
@@ -1313,23 +1289,37 @@ mod tests {
         let (_state, mut server) = bare_server();
         let health = format!("{}\n", ApiRequest::Health.to_wire());
         for cycle in 0..200 {
+            // Wait for every earlier connection thread to return, so this
+            // accept must reap all of them whatever the scheduling.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !server
+                .connections
+                .lock()
+                .expect("connection list")
+                .iter()
+                .all(|h| h.is_finished())
+            {
+                assert!(
+                    Instant::now() < deadline,
+                    "cycle {cycle}: a thread never returned"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
             let mut stream = TcpStream::connect(server.addr()).expect("connect");
             stream.write_all(health.as_bytes()).expect("send health");
             let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
             let mut reply = String::new();
             reader.read_line(&mut reply).expect("health reply");
             assert!(reply.contains("health"), "{reply}");
-            // Close our half and wait for the server to close its own, so
-            // this connection's thread is returning before the next accept.
             stream
                 .shutdown(std::net::Shutdown::Write)
                 .expect("close write half");
             reply.clear();
             assert_eq!(reader.read_line(&mut reply).expect("eof"), 0);
-            // One live connection, plus at most one handle whose thread
-            // had not quite returned when this connection was accepted.
+            // This connection's handle, or, if the accept loop has not
+            // yet pushed it, the one finished handle it will reap.
             let tracked = server.connections.lock().expect("connection list").len();
-            assert!(tracked <= 2, "cycle {cycle}: {tracked} handles kept");
+            assert!(tracked <= 1, "cycle {cycle}: {tracked} handles kept");
         }
         server.stop();
     }

@@ -5,28 +5,13 @@
 //! input parameters, and then keeps separate speedup/QoS models per class.
 //!
 //! This is a CART-style binary tree over numeric features with Gini
-//! impurity, midpoint thresholds, and configurable depth/leaf-size limits.
+//! impurity, midpoint thresholds, and a depth limit.
 
 use crate::error::MlError;
 use serde::{Deserialize, Serialize};
 
-/// Hyperparameters for [`DecisionTree::fit`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TreeParams {
-    /// Maximum tree depth (root has depth 0).
-    pub max_depth: usize,
-    /// Minimum number of samples required to attempt a split.
-    pub min_samples_split: usize,
-}
-
-impl Default for TreeParams {
-    fn default() -> Self {
-        TreeParams {
-            max_depth: 12,
-            min_samples_split: 2,
-        }
-    }
-}
+/// Maximum depth of a fitted tree (the root has depth 0).
+const MAX_DEPTH: usize = 12;
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
 enum Node {
@@ -46,12 +31,12 @@ enum Node {
 /// # Example
 ///
 /// ```
-/// use opprox_ml::dtree::{DecisionTree, TreeParams};
+/// use opprox_ml::dtree::DecisionTree;
 ///
 /// // Class is 1 iff the first feature exceeds 5.
 /// let xs: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64]).collect();
 /// let ys: Vec<usize> = (0..10).map(|i| usize::from(i > 5)).collect();
-/// let tree = DecisionTree::fit(&xs, &ys, TreeParams::default()).unwrap();
+/// let tree = DecisionTree::fit(&xs, &ys).unwrap();
 /// assert_eq!(tree.predict_one(&[2.0]).unwrap(), 0);
 /// assert_eq!(tree.predict_one(&[9.0]).unwrap(), 1);
 /// ```
@@ -69,7 +54,7 @@ impl DecisionTree {
     ///
     /// Returns [`MlError::InvalidTrainingData`] for empty, ragged, or
     /// mismatched inputs.
-    pub fn fit(xs: &[Vec<f64>], ys: &[usize], params: TreeParams) -> Result<Self, MlError> {
+    pub fn fit(xs: &[Vec<f64>], ys: &[usize]) -> Result<Self, MlError> {
         if xs.is_empty() {
             return Err(MlError::InvalidTrainingData("no rows".into()));
         }
@@ -86,7 +71,7 @@ impl DecisionTree {
         }
         let num_classes = ys.iter().copied().max().unwrap_or(0) + 1;
         let idx: Vec<usize> = (0..xs.len()).collect();
-        let root = build_node(xs, ys, &idx, num_classes, params, 0);
+        let root = build_node(xs, ys, &idx, num_classes, MAX_DEPTH, 0);
         Ok(DecisionTree {
             root,
             num_features: dim,
@@ -211,7 +196,7 @@ fn build_node(
     ys: &[usize],
     idx: &[usize],
     num_classes: usize,
-    params: TreeParams,
+    max_depth: usize,
     depth: usize,
 ) -> Node {
     let mut counts = vec![0usize; num_classes];
@@ -219,7 +204,9 @@ fn build_node(
         counts[ys[i]] += 1;
     }
     let pure = counts.iter().filter(|&&c| c > 0).count() <= 1;
-    if pure || depth >= params.max_depth || idx.len() < params.min_samples_split {
+    // A node of one sample is pure, so purity and depth are the only
+    // stopping rules.
+    if pure || depth >= max_depth {
         return Node::Leaf {
             label: majority_label(ys, idx, num_classes),
         };
@@ -285,7 +272,7 @@ fn build_node(
                     ys,
                     &left_idx,
                     num_classes,
-                    params,
+                    max_depth,
                     depth + 1,
                 )),
                 right: Box::new(build_node(
@@ -293,7 +280,7 @@ fn build_node(
                     ys,
                     &right_idx,
                     num_classes,
-                    params,
+                    max_depth,
                     depth + 1,
                 )),
             }
@@ -319,6 +306,17 @@ mod tests {
         rec(&t.root)
     }
 
+    /// A tree fitted under a smaller depth limit than [`MAX_DEPTH`].
+    fn fit_to_depth(xs: &[Vec<f64>], ys: &[usize], max_depth: usize) -> DecisionTree {
+        let num_classes = ys.iter().copied().max().unwrap_or(0) + 1;
+        let idx: Vec<usize> = (0..xs.len()).collect();
+        DecisionTree {
+            root: build_node(xs, ys, &idx, num_classes, max_depth, 0),
+            num_features: xs[0].len(),
+            num_classes,
+        }
+    }
+
     fn xor_data() -> (Vec<Vec<f64>>, Vec<usize>) {
         let mut xs = Vec::new();
         let mut ys = Vec::new();
@@ -337,7 +335,7 @@ mod tests {
     fn fits_axis_aligned_boundary() {
         let xs: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64, 0.0]).collect();
         let ys: Vec<usize> = (0..20).map(|i| usize::from(i >= 10)).collect();
-        let t = DecisionTree::fit(&xs, &ys, TreeParams::default()).unwrap();
+        let t = DecisionTree::fit(&xs, &ys).unwrap();
         assert_eq!(t.accuracy(&xs, &ys).unwrap(), 1.0);
         assert_eq!(depth(&t), 1);
     }
@@ -345,7 +343,7 @@ mod tests {
     #[test]
     fn fits_xor_with_depth_two() {
         let (xs, ys) = xor_data();
-        let t = DecisionTree::fit(&xs, &ys, TreeParams::default()).unwrap();
+        let t = DecisionTree::fit(&xs, &ys).unwrap();
         assert_eq!(t.accuracy(&xs, &ys).unwrap(), 1.0);
         assert_eq!(depth(&t), 2);
     }
@@ -353,15 +351,7 @@ mod tests {
     #[test]
     fn depth_limit_is_respected() {
         let (xs, ys) = xor_data();
-        let t = DecisionTree::fit(
-            &xs,
-            &ys,
-            TreeParams {
-                max_depth: 1,
-                min_samples_split: 2,
-            },
-        )
-        .unwrap();
+        let t = fit_to_depth(&xs, &ys, 1);
         assert!(depth(&t) <= 1);
         // Depth-1 cannot separate XOR perfectly.
         assert!(t.accuracy(&xs, &ys).unwrap() < 1.0);
@@ -371,7 +361,7 @@ mod tests {
     fn multiclass_labels_work() {
         let xs: Vec<Vec<f64>> = (0..30).map(|i| vec![i as f64]).collect();
         let ys: Vec<usize> = (0..30).map(|i| i / 10).collect();
-        let t = DecisionTree::fit(&xs, &ys, TreeParams::default()).unwrap();
+        let t = DecisionTree::fit(&xs, &ys).unwrap();
         assert_eq!(t.num_classes, 3);
         assert_eq!(t.predict_one(&[5.0]).unwrap(), 0);
         assert_eq!(t.predict_one(&[15.0]).unwrap(), 1);
@@ -382,20 +372,17 @@ mod tests {
     fn pure_input_yields_single_leaf() {
         let xs = vec![vec![1.0], vec![2.0], vec![3.0]];
         let ys = vec![4, 4, 4];
-        let t = DecisionTree::fit(&xs, &ys, TreeParams::default()).unwrap();
+        let t = DecisionTree::fit(&xs, &ys).unwrap();
         assert_eq!(depth(&t), 0);
         assert_eq!(t.predict_one(&[100.0]).unwrap(), 4);
     }
 
     #[test]
     fn rejects_bad_input() {
-        assert!(DecisionTree::fit(&[], &[], TreeParams::default()).is_err());
-        assert!(DecisionTree::fit(&[vec![1.0]], &[0, 1], TreeParams::default()).is_err());
-        assert!(
-            DecisionTree::fit(&[vec![1.0], vec![1.0, 2.0]], &[0, 1], TreeParams::default())
-                .is_err()
-        );
-        let t = DecisionTree::fit(&[vec![1.0], vec![2.0]], &[0, 1], TreeParams::default()).unwrap();
+        assert!(DecisionTree::fit(&[], &[]).is_err());
+        assert!(DecisionTree::fit(&[vec![1.0]], &[0, 1]).is_err());
+        assert!(DecisionTree::fit(&[vec![1.0], vec![1.0, 2.0]], &[0, 1]).is_err());
+        let t = DecisionTree::fit(&[vec![1.0], vec![2.0]], &[0, 1]).unwrap();
         assert!(t.predict_one(&[1.0, 2.0]).is_err());
     }
 
@@ -403,20 +390,12 @@ mod tests {
     fn leaf_labels_cover_reachable_classes_only() {
         let xs: Vec<Vec<f64>> = (0..30).map(|i| vec![i as f64]).collect();
         let ys: Vec<usize> = (0..30).map(|i| i / 10).collect();
-        let t = DecisionTree::fit(&xs, &ys, TreeParams::default()).unwrap();
+        let t = DecisionTree::fit(&xs, &ys).unwrap();
         assert_eq!(t.leaf_labels(), vec![0, 1, 2]);
 
         // A depth-0 tree over multi-label data reaches only the majority
         // label; the other classes are unreachable.
-        let stump = DecisionTree::fit(
-            &xs,
-            &ys,
-            TreeParams {
-                max_depth: 0,
-                min_samples_split: 2,
-            },
-        )
-        .unwrap();
+        let stump = fit_to_depth(&xs, &ys, 0);
         assert_eq!(stump.num_classes, 3);
         assert_eq!(stump.leaf_labels().len(), 1);
     }
@@ -424,7 +403,7 @@ mod tests {
     #[test]
     fn serde_round_trip_preserves_predictions() {
         let (xs, ys) = xor_data();
-        let t = DecisionTree::fit(&xs, &ys, TreeParams::default()).unwrap();
+        let t = DecisionTree::fit(&xs, &ys).unwrap();
         let json = serde_json::to_string(&t).unwrap();
         let back: DecisionTree = serde_json::from_str(&json).unwrap();
         for x in &xs {

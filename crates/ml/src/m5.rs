@@ -19,27 +19,13 @@ use opprox_linalg::stats::{mean, std_dev};
 use opprox_linalg::Matrix;
 use serde::{Deserialize, Serialize};
 
-/// Hyperparameters for [`ModelTree::fit`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ModelTreeParams {
-    /// Maximum tree depth (root = 0).
-    pub max_depth: usize,
-    /// Minimum samples required to attempt a split.
-    pub min_split: usize,
-    /// Stop splitting when a node's target standard deviation falls below
-    /// this fraction of the root's.
-    pub sd_fraction: f64,
-}
-
-impl Default for ModelTreeParams {
-    fn default() -> Self {
-        ModelTreeParams {
-            max_depth: 6,
-            min_split: 8,
-            sd_fraction: 0.05,
-        }
-    }
-}
+/// Maximum tree depth (root = 0).
+const MAX_DEPTH: usize = 6;
+/// Minimum samples required to attempt a split.
+const MIN_SPLIT: usize = 8;
+/// Stop splitting when a node's target standard deviation falls below
+/// this fraction of the root's.
+const SD_FRACTION: f64 = 0.05;
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
 enum Node {
@@ -62,12 +48,12 @@ enum Node {
 /// # Example
 ///
 /// ```
-/// use opprox_ml::m5::{ModelTree, ModelTreeParams};
+/// use opprox_ml::m5::ModelTree;
 ///
 /// // A piecewise-linear target: y = x for x < 5, y = 20 - x otherwise.
 /// let xs: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64 / 4.0]).collect();
 /// let ys: Vec<f64> = xs.iter().map(|r| if r[0] < 5.0 { r[0] } else { 20.0 - r[0] }).collect();
-/// let tree = ModelTree::fit(&xs, &ys, ModelTreeParams::default()).unwrap();
+/// let tree = ModelTree::fit(&xs, &ys).unwrap();
 /// assert!((tree.predict_one(&[2.0]).unwrap() - 2.0).abs() < 0.5);
 /// assert!((tree.predict_one(&[8.0]).unwrap() - 12.0).abs() < 0.5);
 /// ```
@@ -84,7 +70,7 @@ impl ModelTree {
     ///
     /// Returns [`MlError::InvalidTrainingData`] for empty, ragged, or
     /// mismatched inputs.
-    pub fn fit(xs: &[Vec<f64>], ys: &[f64], params: ModelTreeParams) -> Result<Self, MlError> {
+    pub fn fit(xs: &[Vec<f64>], ys: &[f64]) -> Result<Self, MlError> {
         if xs.is_empty() {
             return Err(MlError::InvalidTrainingData("no rows".into()));
         }
@@ -101,7 +87,7 @@ impl ModelTree {
         }
         let idx: Vec<usize> = (0..xs.len()).collect();
         let root_sd = std_dev(ys);
-        let root = build(xs, ys, &idx, &params, root_sd, 0)?;
+        let root = build(xs, ys, &idx, root_sd, 0)?;
         Ok(ModelTree {
             root,
             num_features: dim,
@@ -205,16 +191,12 @@ fn build(
     xs: &[Vec<f64>],
     ys: &[f64],
     idx: &[usize],
-    params: &ModelTreeParams,
     root_sd: f64,
     depth: usize,
 ) -> Result<Node, MlError> {
     let targets: Vec<f64> = idx.iter().map(|&i| ys[i]).collect();
     let sd = std_dev(&targets);
-    if depth >= params.max_depth
-        || idx.len() < params.min_split
-        || sd <= params.sd_fraction * root_sd
-    {
+    if depth >= MAX_DEPTH || idx.len() < MIN_SPLIT || sd <= SD_FRACTION * root_sd {
         return leaf(xs, ys, idx);
     }
 
@@ -267,8 +249,8 @@ fn build(
             Ok(Node::Split {
                 feature,
                 threshold,
-                left: Box::new(build(xs, ys, &left_idx, params, root_sd, depth + 1)?),
-                right: Box::new(build(xs, ys, &right_idx, params, root_sd, depth + 1)?),
+                left: Box::new(build(xs, ys, &left_idx, root_sd, depth + 1)?),
+                right: Box::new(build(xs, ys, &right_idx, root_sd, depth + 1)?),
             })
         }
         _ => leaf(xs, ys, idx),
@@ -284,7 +266,7 @@ mod tests {
     fn fits_linear_function_accurately() {
         let xs: Vec<Vec<f64>> = (0..30).map(|i| vec![i as f64, (i % 7) as f64]).collect();
         let ys: Vec<f64> = xs.iter().map(|r| 3.0 + r[0] - 0.5 * r[1]).collect();
-        let t = ModelTree::fit(&xs, &ys, ModelTreeParams::default()).unwrap();
+        let t = ModelTree::fit(&xs, &ys).unwrap();
         let preds = t.predict(&xs).unwrap();
         // The tree may still split (any split reduces SD on a sloped
         // target), but the leaf models must track the function closely.
@@ -302,7 +284,7 @@ mod tests {
             .iter()
             .map(|r| if r[0] < 5.0 { 1.0 } else { 100.0 })
             .collect();
-        let t = ModelTree::fit(&xs, &ys, ModelTreeParams::default()).unwrap();
+        let t = ModelTree::fit(&xs, &ys).unwrap();
         assert!(t.num_leaves() >= 2);
         assert!((t.predict_one(&[2.0]).unwrap() - 1.0).abs() < 1.0);
         assert!((t.predict_one(&[8.0]).unwrap() - 100.0).abs() < 1.0);
@@ -321,7 +303,7 @@ mod tests {
                 }
             })
             .collect();
-        let t = ModelTree::fit(&xs, &ys, ModelTreeParams::default()).unwrap();
+        let t = ModelTree::fit(&xs, &ys).unwrap();
         let preds = t.predict(&xs).unwrap();
         assert!(r2_score(&ys, &preds) > 0.95);
     }
@@ -330,29 +312,17 @@ mod tests {
     fn tiny_leaves_fall_back_to_means() {
         let xs = vec![vec![1.0], vec![2.0], vec![3.0]];
         let ys = vec![1.0, 2.0, 9.0];
-        let t = ModelTree::fit(
-            &xs,
-            &ys,
-            ModelTreeParams {
-                min_split: 100,
-                ..ModelTreeParams::default()
-            },
-        )
-        .unwrap();
+        // Three samples are fewer than `MIN_SPLIT`: the root is the leaf.
+        let t = ModelTree::fit(&xs, &ys).unwrap();
         assert_eq!(t.num_leaves(), 1);
         assert!((t.predict_one(&[2.0]).unwrap() - 4.0).abs() < 1e-12);
     }
 
     #[test]
     fn rejects_bad_input() {
-        assert!(ModelTree::fit(&[], &[], ModelTreeParams::default()).is_err());
-        assert!(ModelTree::fit(&[vec![1.0]], &[1.0, 2.0], ModelTreeParams::default()).is_err());
-        let t = ModelTree::fit(
-            &[vec![1.0], vec![2.0]],
-            &[1.0, 2.0],
-            ModelTreeParams::default(),
-        )
-        .unwrap();
+        assert!(ModelTree::fit(&[], &[]).is_err());
+        assert!(ModelTree::fit(&[vec![1.0]], &[1.0, 2.0]).is_err());
+        let t = ModelTree::fit(&[vec![1.0], vec![2.0]], &[1.0, 2.0]).unwrap();
         assert!(t.predict_one(&[1.0, 2.0]).is_err());
     }
 
@@ -360,7 +330,7 @@ mod tests {
     fn serde_round_trip() {
         let xs: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64]).collect();
         let ys: Vec<f64> = xs.iter().map(|r| r[0] * 2.0).collect();
-        let t = ModelTree::fit(&xs, &ys, ModelTreeParams::default()).unwrap();
+        let t = ModelTree::fit(&xs, &ys).unwrap();
         let json = serde_json::to_string(&t).unwrap();
         let back: ModelTree = serde_json::from_str(&json).unwrap();
         assert_eq!(

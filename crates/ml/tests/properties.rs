@@ -1,9 +1,9 @@
 //! Property-based tests for the ML substrate.
 
 use opprox_ml::crossval::kfold_indices;
-use opprox_ml::dtree::{DecisionTree, TreeParams};
+use opprox_ml::dtree::DecisionTree;
 use opprox_ml::features::{PolynomialFeatures, Standardizer};
-use opprox_ml::m5::{ModelTree, ModelTreeParams};
+use opprox_ml::m5::ModelTree;
 use opprox_ml::mic::mic;
 use opprox_ml::model_select::{AutoFitConfig, TargetModel};
 use opprox_ml::polyreg::{PolynomialRegression, PredictScratch};
@@ -108,7 +108,7 @@ proptest! {
     fn dtree_separates_threshold_labels(cut in 2usize..18) {
         let xs: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64]).collect();
         let ys: Vec<usize> = (0..20).map(|i| usize::from(i >= cut)).collect();
-        let t = DecisionTree::fit(&xs, &ys, TreeParams::default()).unwrap();
+        let t = DecisionTree::fit(&xs, &ys).unwrap();
         prop_assert_eq!(t.accuracy(&xs, &ys).unwrap(), 1.0);
     }
 
@@ -172,7 +172,7 @@ proptest! {
     fn model_tree_predictions_stay_near_target_range(slope in -5.0f64..5.0) {
         let xs: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64]).collect();
         let ys: Vec<f64> = xs.iter().map(|r| slope * r[0]).collect();
-        let t = ModelTree::fit(&xs, &ys, ModelTreeParams::default()).unwrap();
+        let t = ModelTree::fit(&xs, &ys).unwrap();
         let lo = ys.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = ys.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         let span = (hi - lo).max(1.0);

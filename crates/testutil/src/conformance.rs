@@ -1,6 +1,6 @@
 //! Registry-driven [`ApproxApp`] contract suite.
 //!
-//! Every application registered in [`opprox_apps::registry`] must hold
+//! Every application listed in [`opprox_apps::registry`] must hold
 //! the contracts the OPPROX pipeline silently assumes: a level-0
 //! schedule reproduces the golden run bitwise, QoS degradation is finite
 //! and non-negative everywhere, per-iteration block work never increases
@@ -9,7 +9,7 @@
 //! executes on the reference input, and a run resumed from a golden-run
 //! checkpoint equals the run from scratch. The checks take `&dyn ApproxApp`, so
 //! a test over `all_apps()` covers any future port for free — a new app
-//! is conformant the moment it registers, or the suite names the exact
+//! is conformant the moment it is listed, or the suite names the exact
 //! contract it breaks.
 //!
 //! # Example

@@ -19,13 +19,11 @@ use std::sync::OnceLock;
 /// The sampling seed the end-to-end suites train with.
 pub(crate) const E2E_SEED: u64 = 0xE2E;
 
-/// A small sampling plan that keeps suites fast: 10 sparse samples, no
-/// whole-run samples.
+/// A small sampling plan that keeps suites fast: 10 sparse samples.
 pub fn fast_sampling_plan(num_phases: usize, seed: u64) -> SamplingPlan {
     SamplingPlan {
         num_phases,
         sparse_samples: 10,
-        whole_run_samples: 0,
         seed,
     }
 }
@@ -88,8 +86,9 @@ pub fn trained_pso() -> &'static (TrainedOpprox, TrainingData) {
         let plan = fast_sampling_plan(2, 5);
         let data = collect_training_data(&app, &app.representative_inputs(), &plan)
             .expect("fixture training data collects");
-        let trained = Opprox::train_from_data(&app, &data, 2, &ModelingOptions::default())
-            .expect("fixture system trains");
+        let trained =
+            Opprox::train_from_data_traced(&app, &data, 2, &ModelingOptions::default(), None)
+                .expect("fixture system trains");
         (trained, data)
     })
 }
@@ -106,7 +105,7 @@ pub(crate) fn trained_streamagg() -> &'static TrainedOpprox {
         let plan = fast_sampling_plan(2, 5);
         let data = collect_training_data(&app, &app.representative_inputs(), &plan)
             .expect("fixture training data collects");
-        Opprox::train_from_data(&app, &data, 2, &ModelingOptions::default())
+        Opprox::train_from_data_traced(&app, &data, 2, &ModelingOptions::default(), None)
             .expect("fixture system trains")
     })
 }

@@ -112,7 +112,6 @@ fn main() {
         sampling: SamplingPlan {
             num_phases: 4,
             sparse_samples: 12,
-            whole_run_samples: 0,
             seed: 0xCAFE,
         },
         ..TrainingOptions::default()

@@ -24,7 +24,7 @@
 //! let app = Pso::new();
 //! let opts = TrainingOptions {
 //!     num_phases: Some(2),
-//!     sampling: SamplingPlan { num_phases: 2, sparse_samples: 8, whole_run_samples: 0, seed: 7 },
+//!     sampling: SamplingPlan { num_phases: 2, sparse_samples: 8, seed: 7 },
 //!     ..TrainingOptions::default()
 //! };
 //! let trained = Opprox::train(&app, &opts).unwrap();

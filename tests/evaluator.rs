@@ -28,7 +28,6 @@ proptest! {
         let plan = SamplingPlan {
             num_phases: 2,
             sparse_samples: 6,
-            whole_run_samples: 2,
             seed,
         };
         let sequential =
@@ -60,7 +59,6 @@ fn resumed_training_data_is_byte_identical_across_thread_counts() {
     let plan = SamplingPlan {
         num_phases: 4,
         sparse_samples: 5,
-        whole_run_samples: 1,
         seed: 0xE7,
     };
     let collect = |threads: usize| {

@@ -27,7 +27,6 @@ fn pso_models() -> &'static AppModels {
         let plan = SamplingPlan {
             num_phases: 2,
             sparse_samples: 10,
-            whole_run_samples: 0,
             seed: 5,
         };
         let data = collect_training_data(&app, &inputs, &plan).unwrap();
@@ -228,7 +227,6 @@ fn schedule_is_identical_across_engine_thread_counts() {
         sampling: SamplingPlan {
             num_phases: 2,
             sparse_samples: 8,
-            whole_run_samples: 0,
             seed: 7,
         },
         ..TrainingOptions::default()

@@ -16,7 +16,6 @@ fn trained() -> TrainedOpprox {
         sampling: SamplingPlan {
             num_phases: 2,
             sparse_samples: 10,
-            whole_run_samples: 0,
             seed: 0x5ED0,
         },
         ..TrainingOptions::default()

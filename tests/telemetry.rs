@@ -174,7 +174,6 @@ fn prefix_passes_are_not_executions() {
     let plan = SamplingPlan {
         num_phases: 4,
         sparse_samples: 6,
-        whole_run_samples: 2,
         seed: 0x9E,
     };
     let collect = |app: &dyn ApproxApp| {
