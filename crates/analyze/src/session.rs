@@ -259,7 +259,9 @@ pub struct PhaseStep {
     pub predicted_speedup: f64,
     /// Size of the enumerated configuration space, when stamped.
     pub space: Option<f64>,
-    /// Configurations the per-phase scan predicted, when stamped.
+    /// Configurations the phase's staircase is built from (the space
+    /// minus the accurate one, or 0 at a non-positive budget), when
+    /// stamped.
     pub evaluated: Option<f64>,
 }
 

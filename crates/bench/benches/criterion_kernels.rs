@@ -1,10 +1,15 @@
 //! Criterion micro-benchmarks of the core kernels: the ML substrate
-//! (polynomial regression, MIC, decision tree) and one simulation step of
-//! each benchmark application. These complement the figure/table benches
-//! by tracking the cost of OPPROX's own machinery.
+//! (polynomial regression, MIC, decision tree), one simulation step of
+//! each benchmark application, and the Algorithm-2 solve, cold and warm.
+//! These complement the figure/table benches by tracking the cost of
+//! OPPROX's own machinery.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use opprox_approx_rt::{InputParams, PhaseSchedule};
+use opprox_core::modeling::AppModels;
+use opprox_core::optimizer::{optimize_traced, Conservatism};
+use opprox_core::pipeline::{Opprox, TrainingOptions};
+use opprox_core::AccuracySpec;
 use opprox_ml::dtree::DecisionTree;
 use opprox_ml::mic::mic;
 use opprox_ml::model_select::{AutoFitConfig, TargetModel};
@@ -90,5 +95,46 @@ fn bench_apps(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_ml, bench_apps);
+/// One model-only solve (`optimize_traced`, Band, budget 10) timed two
+/// ways. `cold` solves on a fresh clone of the models, whose staircase
+/// memo is empty, so every phase is scanned: the cost of a request the
+/// first time an input is seen (the clone is set-up, not timed). `warm`
+/// solves on one model set that has already answered the input, so every
+/// phase is a staircase lookup. Only the cold figure is the cost of a
+/// request; the warm one is what a repeated input costs.
+fn bench_optimize(c: &mut Criterion) {
+    let mut group = c.benchmark_group("optimize_solve");
+    group.sample_size(20);
+    for (name, params) in [("LULESH", vec![64.0, 2.0]), ("PSO", vec![20.0, 4.0])] {
+        let app = opprox_apps::registry::by_name(name).unwrap();
+        let trained = Opprox::train(app.as_ref(), &TrainingOptions::default()).unwrap();
+        let input = InputParams::new(params);
+        let iters = trained.estimate_golden_iters(&input).unwrap();
+        let solve = |models: &AppModels| {
+            optimize_traced(
+                models,
+                trained.blocks(),
+                &input,
+                &AccuracySpec::new(10.0),
+                iters,
+                Conservatism::Band,
+                None,
+            )
+            .unwrap()
+        };
+        group.bench_function(&format!("{name}/cold"), |b| {
+            b.iter_batched(
+                || trained.models().clone(),
+                |models| solve(&models),
+                BatchSize::SmallInput,
+            )
+        });
+        group.bench_function(&format!("{name}/warm"), |b| {
+            b.iter(|| solve(trained.models()))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_ml, bench_apps, bench_optimize);
 criterion_main!(benches);

@@ -5,6 +5,13 @@
 //! optimization happens before scheduling each production job. Finer
 //! granularity costs more in both, which is the trade-off Algorithm 1
 //! balances.
+//!
+//! The optimization time is a cold request: the first `OptimizeRequest`
+//! on a freshly trained model, so every phase's level space is scanned.
+//! Later requests for the same input reuse the phase staircases the
+//! optimizer memoizes on the models and predict nothing, so timing a
+//! repeat would understate what a production job pays. Keep the timed
+//! request cold.
 
 use opprox_approx_rt::InputParams;
 use opprox_bench::TextTable;

@@ -8,10 +8,10 @@
 //! [`run_adaptive`] executes a [`PhaseSchedule`] phase-by-phase through
 //! the [`EvalEngine`], compares the realized per-phase work savings
 //! against the model's predicted confidence band after each phase, and
-//! when the observation leaves the tolerance-widened band it re-runs the
-//! per-phase scan over the *remaining* phases with the *remaining*
-//! budget — leftover-budget redistribution as feedback rather than a
-//! single rollover pass.
+//! when the observation leaves the tolerance-widened band it re-solves the
+//! *remaining* phases with the *remaining* budget, from the phase
+//! staircases the offline solve memoized on the models — leftover-budget
+//! redistribution as feedback rather than a single rollover pass.
 //!
 //! Re-segmentation runs before re-optimization: per-phase BBV-style
 //! signatures (normalized per-block work vectors from the execution's

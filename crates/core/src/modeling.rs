@@ -22,6 +22,7 @@
 
 use crate::control_flow::ControlFlowModel;
 use crate::error::OpproxError;
+use crate::optimizer::StaircaseMemo;
 use crate::pool::WorkPool;
 use crate::sampling::{GoldenRecord, SampleRecord, TrainingData};
 use crate::telemetry::Telemetry;
@@ -311,10 +312,14 @@ pub struct AppModels {
     /// below): serialized model sets stay bit-reproducible across machines
     /// and thread counts.
     metrics: ModelingMetrics,
+    /// The per-phase QoS staircases the optimizer has built from these
+    /// models. A cache, not part of the models: not serialized, and
+    /// empty in every clone.
+    staircases: StaircaseMemo,
 }
 
 // The vendored serde derive has no `#[serde(skip)]`, so these are the
-// derive expansion minus the `metrics` field.
+// derive expansion minus the `metrics` and `staircases` fields.
 impl Serialize for AppModels {
     fn to_value(&self) -> serde::value::Value {
         serde::value::Value::Object(vec![
@@ -337,6 +342,7 @@ impl Deserialize for AppModels {
             num_blocks: serde::__private::field(entries, "num_blocks", "AppModels")?,
             num_params: serde::__private::field(entries, "num_params", "AppModels")?,
             metrics: ModelingMetrics::default(),
+            staircases: StaircaseMemo::default(),
         })
     }
 }
@@ -690,12 +696,18 @@ impl AppModels {
             num_blocks,
             num_params,
             metrics: ModelingMetrics::default(),
+            staircases: StaircaseMemo::default(),
         })
     }
 
     /// Statistics of the training run that produced this model set.
     pub(crate) fn metrics(&self) -> &ModelingMetrics {
         &self.metrics
+    }
+
+    /// The optimizer's memo of per-phase QoS staircases for these models.
+    pub(crate) fn staircases(&self) -> &StaircaseMemo {
+        &self.staircases
     }
 
     /// Number of phases the models were trained for.

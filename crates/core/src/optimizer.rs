@@ -13,12 +13,17 @@
 //!    predictions, and
 //! 4. rolls any unused sub-budget over to the remaining phases.
 //!
-//! The per-phase problem is solved by [`optimize_phase`], a streamed scan
-//! of the whole level space: configurations are predicted in
-//! [`LEAF_BATCH`]-sized chunks through one fused batched model pass each,
-//! and the first feasible configuration with the greatest point speedup
-//! wins. Spaces above [`EXHAUSTIVE_LIMIT`] are refused with a typed error
-//! instead of being searched.
+//! The per-phase problem is solved by [`optimize_phase`]. The models
+//! predict from `(input, phase, configuration)` alone and the budget only
+//! gates the result, so the whole level space is scanned once per
+//! `(input, level space, phase, conservatism)`: configurations are
+//! predicted in [`LEAF_BATCH`]-sized chunks through one fused batched
+//! model pass each, and the scan is reduced to a short *QoS staircase*
+//! (candidates by falling point speedup, kept only where the constrained
+//! QoS strictly falls). The staircase is memoized on the [`AppModels`],
+//! and every budget is then answered by one binary search on it. Spaces
+//! above [`EXHAUSTIVE_LIMIT`] are refused with a typed error instead of
+//! being scanned.
 
 use crate::error::OpproxError;
 use crate::modeling::AppModels;
@@ -28,6 +33,9 @@ use opprox_approx_rt::block::BlockDescriptor;
 use opprox_approx_rt::config::{config_space_size, enumerate_configs};
 use opprox_approx_rt::{InputParams, LevelConfig, PhaseSchedule};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
+use std::fmt;
+use std::sync::{Arc, Mutex};
 
 /// The largest per-phase configuration space [`optimize_phase`] scans.
 /// Larger spaces are refused with [`OpproxError::InvalidModel`]: the
@@ -44,6 +52,12 @@ pub const WORTH_IT_SPEEDUP: f64 = 1.005;
 /// at a time, so its memory stays bounded whatever the space size.
 pub const LEAF_BATCH: usize = 512;
 
+/// The most QoS staircases one [`AppModels`] keeps. A staircase is a few
+/// dozen configurations at most, so a full memo is a few megabytes. When
+/// a new staircase would exceed the cap the memo is cleared: plans never
+/// depend on what the memo holds, only the cost of the next solves does.
+pub(crate) const STAIRCASE_MEMO_CAP: usize = 1024;
+
 /// The plan chosen for one phase.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PhasePlan {
@@ -53,11 +67,14 @@ pub struct PhasePlan {
     pub config: LevelConfig,
     /// The sub-budget that was allocated to the phase.
     pub allocated_budget: f64,
-    /// The (conservative) QoS degradation the chosen config is predicted
-    /// to consume.
+    /// The QoS degradation the chosen config is predicted to consume, as
+    /// constrained by the solve: the upper band edge under
+    /// [`Conservatism::Band`], the point estimate under
+    /// [`Conservatism::Point`].
     pub predicted_qos: f64,
-    /// The (conservative) whole-run speedup predicted for approximating
-    /// only this phase.
+    /// The point whole-run speedup predicted for approximating only this
+    /// phase (the band is not applied to the speedup; see
+    /// [`optimize_phase`]).
     pub predicted_speedup: f64,
 }
 
@@ -75,7 +92,7 @@ pub struct OptimizationPlan {
 }
 
 /// How the per-phase scan treats the models' uncertainty.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Conservatism {
     /// Constrain on the upper confidence band of the QoS prediction —
     /// the paper's default, which guarantees the *predicted* QoS stays
@@ -140,7 +157,8 @@ pub(crate) fn schedule_of(phases: &[PhasePlan], iters: u64) -> Result<PhaseSched
 /// One phase visit of [`divide_budget`]: the phase's ROI (Eq. 1), the
 /// unused budget rolled in from earlier visits and on to later ones, the
 /// chosen plan (whose `allocated_budget` is the visit's sub-budget), and
-/// how many configurations the phase's scan predicted.
+/// how many configurations the phase's staircase is built from (see
+/// [`optimize_phase`]).
 #[derive(Debug, Clone)]
 pub(crate) struct PhaseVisit {
     pub roi: f64,
@@ -228,10 +246,11 @@ pub(crate) fn divide_budget(
 /// production input's control-flow class). `conservatism` picks the QoS
 /// estimate the per-phase scans constrain on.
 ///
-/// With a telemetry registry, each phase scan runs under span
+/// With a telemetry registry, each phase solve runs under span
 /// `optimize/phase[p]`, every phase visit emits an `optimize.phase` event
 /// (solve id, visit step, ROI, allocated sub-budget, leftover roll-over,
-/// predicted QoS/speedup, space size and configurations predicted) and
+/// predicted QoS/speedup, space size and the configurations the phase's
+/// staircase is built from; see [`optimize_phase`]) and
 /// each solve closes with an
 /// `optimize.plan` event. Events are emitted in visit order — decreasing
 /// ROI — so traces make Algorithm 2's budget redistribution an assertable
@@ -324,25 +343,38 @@ pub fn optimize_traced(
 }
 
 /// Solves the per-phase constrained maximization (`optimizePhase` in
-/// Algorithm 2) by scanning the whole level space: configurations are
-/// enumerated in [`enumerate_configs`] order, [`LEAF_BATCH`] at a time,
-/// and each chunk is predicted in one fused `AppModels::predict_pair_batch`
-/// pass. A configuration is feasible when its constrained QoS (the
-/// upper-band estimate under [`Conservatism::Band`], the point estimate
-/// under [`Conservatism::Point`]) fits `budget` and its point speedup
-/// clears [`WORTH_IT_SPEEDUP`]; the feasible one with the strictly
-/// greatest point speedup wins, so ties go to the first in enumeration
-/// order. (The band is a per-phase constant in log space and would shift
-/// every candidate's speedup identically, so ranking uses the point.)
+/// Algorithm 2): among the non-accurate configurations whose constrained
+/// QoS (the upper-band estimate under [`Conservatism::Band`], the point
+/// estimate under [`Conservatism::Point`]) fits `budget` and whose point
+/// speedup clears [`WORTH_IT_SPEEDUP`], the one with the strictly
+/// greatest point speedup wins, so ties go to the first in
+/// [`enumerate_configs`] order. (The band is a per-phase constant in log
+/// space and would shift every candidate's speedup identically, so
+/// ranking uses the point.)
+///
+/// The answer is read off the phase's QoS staircase for `(input, level
+/// space, phase, conservatism)`: the candidates clearing the worth-it gate
+/// in (point speedup descending, enumeration order), keeping each one
+/// whose constrained QoS is strictly below that of every earlier one. The
+/// winner at any budget is the first kept candidate that fits it, found by
+/// binary search. The first solve of a key builds the staircase with one
+/// scan of the whole level space, [`LEAF_BATCH`] configurations per fused
+/// `AppModels::predict_pair_batch` pass, and memoizes it on `models`
+/// (at most 1024 staircases, `STAIRCASE_MEMO_CAP`); later solves of the key
+/// predict nothing. A non-positive budget answers `None` without building
+/// anything.
 ///
 /// Returns the winner (`None` when no non-accurate configuration fits)
-/// and the number of configurations predicted.
+/// and the number of configurations the staircase is built from: the
+/// space minus the accurate configuration, or 0 at a non-positive budget,
+/// whether or not this call built it.
 ///
 /// # Errors
 ///
 /// Returns [`OpproxError::InvalidModel`] naming the space size, before
 /// predicting anything, when `blocks` span more than [`EXHAUSTIVE_LIMIT`]
-/// configurations. Propagates model prediction errors.
+/// configurations. Propagates model prediction errors; a failed build is
+/// not memoized.
 pub fn optimize_phase(
     models: &AppModels,
     blocks: &[BlockDescriptor],
@@ -361,43 +393,148 @@ pub fn optimize_phase(
     if budget <= 0.0 {
         return Ok((None, 0));
     }
+    let key = StaircaseKey {
+        input: input.values().iter().map(|v| v.to_bits()).collect(),
+        max_levels: blocks.iter().map(|b| b.max_level).collect(),
+        phase,
+        conservatism,
+    };
+    let staircase = models.staircases().get_or_build(key, || {
+        build_staircase(models, blocks, input, phase, conservatism)
+    })?;
+    let best = staircase
+        .get(staircase.partition_point(|s| s.qos > budget))
+        .map(|s| PhasePlan {
+            phase,
+            config: s.config.clone(),
+            allocated_budget: budget,
+            predicted_qos: s.qos,
+            predicted_speedup: s.speedup,
+        });
+    // `config_space_size` is at least 1: the accurate configuration.
+    Ok((best, space - 1))
+}
+
+/// One step of a phase's QoS staircase: a candidate configuration with its
+/// constrained QoS and point speedup.
+struct Step {
+    config: LevelConfig,
+    qos: f64,
+    speedup: f64,
+}
+
+/// Scans the whole level space of `phase` once and reduces it to the
+/// staircase [`optimize_phase`] searches: worth-it candidates stably
+/// sorted by point speedup, highest first, then only those whose
+/// constrained QoS is strictly below every earlier kept one. The first
+/// candidate is always kept, so even an infinite QoS is answered at an
+/// infinite budget. Kept QoS values strictly fall, which is what makes
+/// `partition_point(|s| s.qos > budget)` find the first fitting step.
+fn build_staircase(
+    models: &AppModels,
+    blocks: &[BlockDescriptor],
+    input: &InputParams,
+    phase: usize,
+    conservatism: Conservatism,
+) -> Result<Vec<Step>, OpproxError> {
     // The first configuration enumerated is the accurate one: never a
     // candidate.
     let mut configs = enumerate_configs(blocks).skip(1);
     let mut chunk: Vec<LevelConfig> = Vec::with_capacity(LEAF_BATCH);
-    let mut evaluated = 0u64;
-    let mut best: Option<PhasePlan> = None;
+    let mut candidates: Vec<Step> = Vec::new();
     loop {
-        chunk.clear();
         chunk.extend(configs.by_ref().take(LEAF_BATCH));
         if chunk.is_empty() {
             break;
         }
         let pairs = models.predict_pair_batch(input, phase, &chunk)?;
-        evaluated += chunk.len() as u64;
-        for (config, (point, conservative)) in chunk.iter().zip(&pairs) {
-            let constrained_qos = match conservatism {
+        for (config, (point, conservative)) in chunk.drain(..).zip(pairs) {
+            if point.speedup <= WORTH_IT_SPEEDUP {
+                continue;
+            }
+            let qos = match conservatism {
                 Conservatism::Band => conservative.qos,
                 Conservatism::Point => point.qos,
             };
-            if constrained_qos > budget || point.speedup <= WORTH_IT_SPEEDUP {
-                continue;
-            }
-            if best
-                .as_ref()
-                .is_none_or(|b| point.speedup > b.predicted_speedup)
-            {
-                best = Some(PhasePlan {
-                    phase,
-                    config: config.clone(),
-                    allocated_budget: budget,
-                    predicted_qos: constrained_qos,
-                    predicted_speedup: point.speedup,
-                });
-            }
+            candidates.push(Step {
+                config,
+                qos,
+                speedup: point.speedup,
+            });
         }
     }
-    Ok((best, evaluated))
+    // Stable: equal speedups keep enumeration order, as the scan's
+    // strict `>` did.
+    candidates.sort_by(|a, b| b.speedup.total_cmp(&a.speedup));
+    let mut steps: Vec<Step> = Vec::new();
+    for c in candidates {
+        if steps.last().is_none_or(|s| c.qos < s.qos) {
+            steps.push(c);
+        }
+    }
+    Ok(steps)
+}
+
+/// What a staircase is a function of: the input (by bit pattern), the
+/// level space (each block's `max_level`), the phase and the mode. The
+/// control-flow class is a function of the input, so it needs no slot.
+#[derive(PartialEq, Eq, Hash)]
+struct StaircaseKey {
+    input: Vec<u64>,
+    max_levels: Vec<u8>,
+    phase: usize,
+    conservatism: Conservatism,
+}
+
+/// The staircases [`optimize_phase`] has built for one model set, at most
+/// [`STAIRCASE_MEMO_CAP`] of them. Not serialized, and a clone starts
+/// empty: the memo is a cache of the models, not part of them.
+#[derive(Default)]
+pub(crate) struct StaircaseMemo {
+    map: Mutex<HashMap<StaircaseKey, Arc<[Step]>>>,
+}
+
+impl StaircaseMemo {
+    /// The staircase of `key`, built by `build` outside the lock on a miss
+    /// and memoized unless `build` fails. Two threads missing the same key
+    /// both build it; the first insert wins and both get equal staircases.
+    fn get_or_build(
+        &self,
+        key: StaircaseKey,
+        build: impl FnOnce() -> Result<Vec<Step>, OpproxError>,
+    ) -> Result<Arc<[Step]>, OpproxError> {
+        if let Some(hit) = self.lock().get(&key) {
+            return Ok(Arc::clone(hit));
+        }
+        let built: Arc<[Step]> = build()?.into();
+        let mut map = self.lock();
+        if map.len() >= STAIRCASE_MEMO_CAP && !map.contains_key(&key) {
+            map.clear();
+        }
+        Ok(Arc::clone(map.entry(key).or_insert(built)))
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<StaircaseKey, Arc<[Step]>>> {
+        self.map.lock().expect("staircase memo lock")
+    }
+
+    /// How many staircases the memo holds.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.lock().len()
+    }
+}
+
+impl Clone for StaircaseMemo {
+    fn clone(&self) -> Self {
+        StaircaseMemo::default()
+    }
+}
+
+impl fmt::Debug for StaircaseMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("StaircaseMemo").finish_non_exhaustive()
+    }
 }
 
 #[cfg(test)]
@@ -548,6 +685,122 @@ mod tests {
         for p in &plan.phases {
             assert_eq!(plan.schedule.configs()[p.phase], p.config);
         }
+    }
+
+    /// The optimizer's events and counters for one request, from a
+    /// registry of its own.
+    fn traced_solve(models: &AppModels, blocks: &[BlockDescriptor], iters: u64) -> Telemetry {
+        let t = Telemetry::new();
+        optimize_traced(
+            models,
+            blocks,
+            &InputParams::new(vec![16.0, 3.0]),
+            &AccuracySpec::new(10.0),
+            iters,
+            Conservatism::Band,
+            Some(&t),
+        )
+        .unwrap();
+        t
+    }
+
+    #[test]
+    fn warm_solves_emit_the_cold_solves_events() {
+        let (app, models, iters) = setup();
+        let blocks = &app.meta().blocks;
+        assert_eq!(models.staircases().len(), 0);
+        let cold = traced_solve(&models, blocks, iters).report();
+        let built = models.staircases().len();
+        assert!(built > 0);
+        let warm = traced_solve(&models, blocks, iters).report();
+        assert_eq!(models.staircases().len(), built, "a warm solve built more");
+        assert_eq!(cold.events, warm.events);
+        assert_eq!(cold.counters, warm.counters);
+        for e in cold.events_named("optimize.phase") {
+            assert_eq!(e.field("evaluated"), e.field("space").map(|s| s - 1.0));
+        }
+    }
+
+    #[test]
+    fn memo_never_grows_past_its_cap() {
+        let (app, models, _) = setup();
+        // A four-configuration space keeps each of the many builds cheap.
+        let mut blocks = app.meta().blocks.clone();
+        for (b, m) in blocks.iter_mut().zip([1u8, 1, 0]) {
+            b.max_level = m;
+        }
+        for i in 0..STAIRCASE_MEMO_CAP + 3 {
+            let input = InputParams::new(vec![16.0 + i as f64 * 1e-3, 3.0]);
+            optimize_phase(&models, &blocks, &input, 1, 10.0, Conservatism::Band).unwrap();
+            assert!(models.staircases().len() <= STAIRCASE_MEMO_CAP);
+        }
+        assert!(models.staircases().len() > 0);
+    }
+
+    #[test]
+    fn concurrent_solves_of_one_input_agree() {
+        let (app, models, _) = setup();
+        let blocks = &app.meta().blocks;
+        let input = InputParams::new(vec![20.0, 4.0]);
+        let solve_all = |m: &AppModels| {
+            let mut out = Vec::new();
+            for phase in 0..2 {
+                for cons in [Conservatism::Band, Conservatism::Point] {
+                    for budget in [0.5, 5.0, 50.0] {
+                        out.push(optimize_phase(m, blocks, &input, phase, budget, cons).unwrap());
+                    }
+                }
+            }
+            out
+        };
+        let sequential = solve_all(&models.clone());
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| solve_all(&models));
+            let b = s.spawn(|| solve_all(&models));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(a, b);
+        assert_eq!(a, sequential);
+    }
+
+    #[test]
+    fn nan_refusals_are_repeated_not_memoized() {
+        let (app, models, _) = setup();
+        let blocks = &app.meta().blocks;
+        let input = InputParams::new(vec![1e200, 3.0]);
+        let refuse = || {
+            optimize_phase(&models, blocks, &input, 1, 10.0, Conservatism::Band)
+                .expect_err("a NaN prediction is refused")
+                .to_string()
+        };
+        let first = refuse();
+        assert_eq!(refuse(), first);
+        assert_eq!(models.staircases().len(), 0);
+    }
+
+    #[test]
+    fn non_positive_budgets_build_nothing() {
+        let (app, models, iters) = setup();
+        let blocks = &app.meta().blocks;
+        let input = InputParams::new(vec![16.0, 3.0]);
+        for budget in [0.0, -1.0, f64::NEG_INFINITY] {
+            for cons in [Conservatism::Band, Conservatism::Point] {
+                let solved = optimize_phase(&models, blocks, &input, 0, budget, cons).unwrap();
+                assert_eq!(solved, (None, 0));
+            }
+        }
+        let spec = AccuracySpec::new(0.0);
+        optimize_traced(
+            &models,
+            blocks,
+            &input,
+            &spec,
+            iters,
+            Conservatism::Band,
+            None,
+        )
+        .unwrap();
+        assert_eq!(models.staircases().len(), 0);
     }
 
     #[test]

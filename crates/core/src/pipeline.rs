@@ -16,6 +16,7 @@ use crate::sampling::{collect_training_data_with, SamplingPlan, TrainingData};
 use opprox_approx_rt::block::BlockDescriptor;
 use opprox_approx_rt::{ApproxApp, InputParams, LevelConfig, PhaseSchedule};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Options controlling offline training.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,7 +50,7 @@ pub struct Opprox;
 /// A trained OPPROX system for one application, ready to optimize any
 /// production input. Serializable — the paper stores the equivalent as
 /// pickled models loaded by the runtime scheduler script.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrainedOpprox {
     app_name: String,
     blocks: Vec<BlockDescriptor>,
@@ -58,6 +59,45 @@ pub struct TrainedOpprox {
     /// Mean relative error of the golden-iteration estimator over the
     /// training inputs, measured by the post-fit self-check.
     golden_iter_rel_error: f64,
+    /// The [`TrainedOpprox::validate_integrity`] verdict, computed on the
+    /// first call. Nothing mutates a trained system after construction,
+    /// so the verdict is a fixed fact of the instance. Not serialized.
+    integrity: OnceLock<Result<(), String>>,
+}
+
+// The vendored serde derive has no `#[serde(skip)]`, so these are the
+// derive expansion minus the `integrity` field.
+impl Serialize for TrainedOpprox {
+    fn to_value(&self) -> serde::value::Value {
+        serde::value::Value::Object(vec![
+            ("app_name".to_string(), self.app_name.to_value()),
+            ("blocks".to_string(), self.blocks.to_value()),
+            ("num_phases".to_string(), self.num_phases.to_value()),
+            ("models".to_string(), self.models.to_value()),
+            (
+                "golden_iter_rel_error".to_string(),
+                self.golden_iter_rel_error.to_value(),
+            ),
+        ])
+    }
+}
+
+impl Deserialize for TrainedOpprox {
+    fn from_value(v: &serde::value::Value) -> Result<Self, serde::DeError> {
+        let entries = serde::__private::as_object(v, "TrainedOpprox")?;
+        Ok(TrainedOpprox {
+            app_name: serde::__private::field(entries, "app_name", "TrainedOpprox")?,
+            blocks: serde::__private::field(entries, "blocks", "TrainedOpprox")?,
+            num_phases: serde::__private::field(entries, "num_phases", "TrainedOpprox")?,
+            models: serde::__private::field(entries, "models", "TrainedOpprox")?,
+            golden_iter_rel_error: serde::__private::field(
+                entries,
+                "golden_iter_rel_error",
+                "TrainedOpprox",
+            )?,
+            integrity: OnceLock::new(),
+        })
+    }
 }
 
 /// The measured outcome of running a plan for real.
@@ -169,6 +209,7 @@ impl Opprox {
             num_phases,
             models,
             golden_iter_rel_error: 0.0,
+            integrity: OnceLock::new(),
         };
         // Self-check against the recorded goldens (no extra executions):
         // how far off is the iteration estimator on the training inputs?
@@ -438,28 +479,35 @@ impl TrainedOpprox {
     /// Checks the trained system for corruption that would poison every
     /// downstream prediction: the Error-severity subset of the `opprox
     /// analyze` rules (A004 non-finite coefficients, A007 invalid
-    /// confidence bands, A012 shape mismatches).
+    /// confidence bands, A012 shape mismatches). The audit runs on the
+    /// first call; later calls return the same verdict without re-running
+    /// it.
     ///
     /// # Errors
     ///
     /// Returns [`OpproxError::InvalidModel`] naming the first defects.
     pub fn validate_integrity(&self) -> Result<(), OpproxError> {
-        let issues = self.integrity_issues();
-        if issues.is_empty() {
-            return Ok(());
-        }
-        let shown = issues
-            .iter()
-            .take(3)
-            .map(|i| format!("{}: {}", i.location, i.message))
-            .collect::<Vec<_>>()
-            .join("; ");
-        let suffix = if issues.len() > 3 {
-            format!(" (and {} more)", issues.len() - 3)
-        } else {
-            String::new()
-        };
-        Err(OpproxError::InvalidModel(format!("{shown}{suffix}")))
+        self.integrity
+            .get_or_init(|| {
+                let issues = self.integrity_issues();
+                if issues.is_empty() {
+                    return Ok(());
+                }
+                let shown = issues
+                    .iter()
+                    .take(3)
+                    .map(|i| format!("{}: {}", i.location, i.message))
+                    .collect::<Vec<_>>()
+                    .join("; ");
+                let suffix = if issues.len() > 3 {
+                    format!(" (and {} more)", issues.len() - 3)
+                } else {
+                    String::new()
+                };
+                Err(format!("{shown}{suffix}"))
+            })
+            .clone()
+            .map_err(OpproxError::InvalidModel)
     }
 
     /// Loads a trained system from a JSON file and rejects corrupt model
@@ -551,6 +599,26 @@ mod tests {
             trained.golden_iter_rel_error().to_bits(),
             back.golden_iter_rel_error().to_bits()
         );
+    }
+
+    #[test]
+    fn integrity_verdict_is_repeated_on_every_call() {
+        let trained = Opprox::train(&Pso::new(), &fast_options()).unwrap();
+        assert!(trained.validate_integrity().is_ok());
+        assert!(trained.validate_integrity().is_ok());
+        let json = trained.to_json().unwrap().replacen(
+            "\"num_phases\":2,\"num_blocks\"",
+            "\"num_phases\":9,\"num_blocks\"",
+            1,
+        );
+        let corrupt = TrainedOpprox::from_json(&json).unwrap();
+        let refuse = || match corrupt.validate_integrity() {
+            Err(OpproxError::InvalidModel(message)) => message,
+            other => panic!("expected an invalid_model refusal, got {other:?}"),
+        };
+        let first = refuse();
+        assert!(first.contains("phase model sets for 9 phases"), "{first}");
+        assert_eq!(refuse(), first);
     }
 
     #[test]

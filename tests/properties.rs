@@ -3,7 +3,6 @@
 use opprox::approx_rt::block::BlockDescriptor;
 use opprox::approx_rt::config::{config_space_size, enumerate_configs, sample_configs};
 use opprox::approx_rt::{ApproxApp, InputParams, LevelConfig, PhaseSchedule};
-use opprox::core::error::OpproxError;
 use opprox::core::modeling::{AppModels, ModelingOptions};
 use opprox::core::optimizer::{
     optimize_phase, Conservatism, PhasePlan, EXHAUSTIVE_LIMIT, LEAF_BATCH, WORTH_IT_SPEEDUP,
@@ -11,6 +10,7 @@ use opprox::core::optimizer::{
 use opprox::core::sampling::{collect_training_data, SamplingPlan};
 use opprox_apps::Pso;
 use opprox_testutil::fixtures::{blocks_with_levels, pso_blocks};
+use opprox_testutil::rng::SplitMix64;
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -105,11 +105,12 @@ proptest! {
         prop_assert_eq!(g.speedup_over(&g), 1.0);
     }
 
-    /// The streamed per-phase scan returns the *bitwise identical* plan
+    /// The memoized per-phase solve returns the *bitwise identical* plan
     /// to a per-row reference, in both conservatism modes, across
     /// randomized sub- and super-spaces of the trained block space (up to
     /// 1000 configurations, so some cross a `LEAF_BATCH` chunk boundary),
-    /// and predicts nothing at a non-positive budget.
+    /// cold on a fresh clone of the models and warm on a repeat call, and
+    /// predicts nothing at a non-positive budget.
     #[test]
     fn phase_scan_matches_per_row_reference(
         maxes in proptest::collection::vec(1u8..10, 3),
@@ -122,88 +123,182 @@ proptest! {
             b.max_level = m;
         }
         let input = InputParams::new(vec![swarm as f64, 3.0]);
+        let cold = pso_models().clone();
         for cons in [Conservatism::Band, Conservatism::Point] {
-            check_scan_against_reference(&blocks, &input, phase, budget, cons);
+            let reference = reference_predictions(&blocks, &input, phase, cons);
+            check_solve(&cold, &blocks, &input, phase, budget, cons, &reference);
+            check_solve(&cold, &blocks, &input, phase, budget, cons, &reference);
         }
     }
 }
 
-/// The per-phase solve written the plain way: predict every non-accurate
-/// configuration one row at a time with [`AppModels::predict_pair`], in
-/// enumeration order, and keep the first one with the greatest point
-/// speedup among those whose constrained QoS fits `budget` and whose
-/// point speedup clears the worth-it gate.
-fn per_row_reference(
+/// One configuration's constrained QoS and point speedup, as the
+/// reference sees them.
+type Predicted = (LevelConfig, f64, f64);
+
+/// Every non-accurate configuration of `blocks`, in enumeration order,
+/// predicted one row at a time with [`AppModels::predict_pair`]: the
+/// prediction half of the per-phase solve written the plain way.
+fn reference_predictions(
     blocks: &[BlockDescriptor],
     input: &InputParams,
     phase: usize,
-    budget: f64,
     cons: Conservatism,
-) -> Result<Option<PhasePlan>, OpproxError> {
+) -> Vec<Predicted> {
+    enumerate_configs(blocks)
+        .filter(|c| !c.is_accurate())
+        .map(|config| {
+            let (point, conservative) = pso_models()
+                .predict_pair(input, phase, &config)
+                .expect("reference predicts");
+            let qos = match cons {
+                Conservatism::Band => conservative.qos,
+                Conservatism::Point => point.qos,
+            };
+            (config, qos, point.speedup)
+        })
+        .collect()
+}
+
+/// The per-phase scan as it was before staircases: at a positive budget,
+/// keep the first configuration with the greatest point speedup among
+/// those whose constrained QoS fits `budget` and whose point speedup
+/// clears the worth-it gate.
+fn per_row_reference(predicted: &[Predicted], phase: usize, budget: f64) -> Option<PhasePlan> {
     if budget <= 0.0 {
-        return Ok(None);
+        return None;
     }
     let mut best: Option<PhasePlan> = None;
-    for config in enumerate_configs(blocks).filter(|c| !c.is_accurate()) {
-        let (point, conservative) = pso_models().predict_pair(input, phase, &config)?;
-        let qos = match cons {
-            Conservatism::Band => conservative.qos,
-            Conservatism::Point => point.qos,
-        };
-        if qos > budget || point.speedup <= WORTH_IT_SPEEDUP {
+    for (config, qos, speedup) in predicted {
+        if *qos > budget || *speedup <= WORTH_IT_SPEEDUP {
             continue;
         }
-        if best
-            .as_ref()
-            .is_none_or(|b| point.speedup > b.predicted_speedup)
-        {
+        if best.as_ref().is_none_or(|b| *speedup > b.predicted_speedup) {
             best = Some(PhasePlan {
                 phase,
-                config,
+                config: config.clone(),
                 allocated_budget: budget,
-                predicted_qos: qos,
-                predicted_speedup: point.speedup,
+                predicted_qos: *qos,
+                predicted_speedup: *speedup,
             });
         }
     }
-    Ok(best)
+    best
 }
 
-/// Asserts that [`optimize_phase`] agrees with [`per_row_reference`]:
-/// the same plan, and one prediction per non-accurate configuration
-/// (none at a non-positive budget).
-fn check_scan_against_reference(
+/// Asserts that [`optimize_phase`] on `models` agrees with
+/// [`per_row_reference`] bit for bit (config, predicted QoS and speedup),
+/// and reports the staircase as built from every non-accurate
+/// configuration (none at a non-positive budget).
+fn check_solve(
+    models: &AppModels,
     blocks: &[BlockDescriptor],
     input: &InputParams,
     phase: usize,
     budget: f64,
     cons: Conservatism,
+    reference: &[Predicted],
 ) {
     let space = config_space_size(blocks);
     assert!(space <= EXHAUSTIVE_LIMIT);
     let (plan, evaluated) =
-        optimize_phase(pso_models(), blocks, input, phase, budget, cons).expect("scan solves");
-    let expected = per_row_reference(blocks, input, phase, budget, cons).expect("reference solves");
+        optimize_phase(models, blocks, input, phase, budget, cons).expect("phase solves");
+    let expected = per_row_reference(reference, phase, budget);
+    let bits = |p: &Option<PhasePlan>| {
+        p.as_ref().map(|p| {
+            (
+                p.config.clone(),
+                p.predicted_qos.to_bits(),
+                p.predicted_speedup.to_bits(),
+            )
+        })
+    };
+    assert_eq!(bits(&plan), bits(&expected), "{cons:?} budget {budget}");
     assert_eq!(plan, expected, "{cons:?} budget {budget}");
     assert_eq!(evaluated, if budget > 0.0 { space - 1 } else { 0 });
     assert!(budget > 0.0 || plan.is_none());
 }
 
+/// About 200 budgets for one `(input, phase, mode)`: the edges (zero,
+/// negative, `f64::MAX`), the exact QoS of up to 40 reference candidates
+/// spread over their range and the float just below each (where
+/// `≤ budget` flips), and seeded log-uniform draws over [1e-3, 1e4].
+fn budgets(reference: &[Predicted], seed: u64) -> Vec<f64> {
+    let mut out = vec![0.0, -0.0, -1.0, -1e300, f64::MAX, f64::INFINITY];
+    let mut qos: Vec<f64> = reference
+        .iter()
+        .map(|r| r.1)
+        .filter(|q| q.is_finite())
+        .collect();
+    qos.sort_by(f64::total_cmp);
+    qos.dedup();
+    let stride = qos.len().div_ceil(40).max(1);
+    for &q in qos.iter().step_by(stride) {
+        out.extend([q, f64::from_bits(q.to_bits().saturating_sub(1))]);
+    }
+    let mut rng = SplitMix64::new(seed);
+    while out.len() < 200 {
+        out.push(10f64.powf(-3.0 + 7.0 * rng.next_f64()));
+    }
+    out
+}
+
+/// The staircase answers every budget exactly as the per-row reference
+/// scan does, for several inputs, both phases and both modes: the first
+/// solve of each key is cold (a fresh clone of the models has an empty
+/// memo), the rest are warm.
+#[test]
+fn staircase_answers_every_budget_like_the_reference() {
+    let blocks = pso_blocks();
+    let models = pso_models().clone();
+    let inputs = [[16.0, 3.0], [24.0, 4.0], [20.0, 4.0], [12.0, 2.0]];
+    for (i, values) in inputs.into_iter().enumerate() {
+        let input = InputParams::new(values.to_vec());
+        for phase in 0..2 {
+            for cons in [Conservatism::Band, Conservatism::Point] {
+                let reference = reference_predictions(&blocks, &input, phase, cons);
+                let seed = (i * 4 + phase * 2) as u64 + u64::from(cons == Conservatism::Point);
+                let budgets = budgets(&reference, seed);
+                for &budget in budgets.iter().chain(budgets.first()) {
+                    check_solve(&models, &blocks, &input, phase, budget, cons, &reference);
+                }
+            }
+        }
+    }
+}
+
 /// Spaces of two and three `LEAF_BATCH` chunks give the per-row
 /// reference's plan, at budgets from nothing-fits to everything-fits.
+/// They are solved on the shared models right after the trained space
+/// at the same input, so a memo keyed without the level space would
+/// answer them with the trained space's staircase.
 #[test]
 fn phase_scan_crosses_chunk_boundaries_like_the_reference() {
     let input = InputParams::new(vec![16.0, 3.0]);
+    let trained = pso_blocks();
+    let mut spaces = vec![trained.clone()];
     for maxes in [[7u8, 7, 8], [10, 10, 10]] {
-        let mut blocks = pso_blocks();
+        let mut blocks = trained.clone();
         for (b, m) in blocks.iter_mut().zip(maxes) {
             b.max_level = m;
         }
         assert!(config_space_size(&blocks) > LEAF_BATCH as u64 + 1);
-        for budget in [0.0, 0.5, 3.0, 12.0, 40.0] {
-            for phase in 0..2 {
-                for cons in [Conservatism::Band, Conservatism::Point] {
-                    check_scan_against_reference(&blocks, &input, phase, budget, cons);
+        spaces.push(blocks);
+    }
+    for blocks in &spaces {
+        for phase in 0..2 {
+            for cons in [Conservatism::Band, Conservatism::Point] {
+                let reference = reference_predictions(blocks, &input, phase, cons);
+                for budget in [0.0, 0.5, 3.0, 12.0, 40.0] {
+                    check_solve(
+                        pso_models(),
+                        blocks,
+                        &input,
+                        phase,
+                        budget,
+                        cons,
+                        &reference,
+                    );
                 }
             }
         }
