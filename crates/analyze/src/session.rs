@@ -85,7 +85,7 @@ impl SessionModel {
         let mut model = SessionModel::default();
 
         for event in &tele.events {
-            match event.name.as_str() {
+            match &*event.name {
                 "optimize.start" => {
                     let Some(solve) = event.field("solve") else {
                         continue;

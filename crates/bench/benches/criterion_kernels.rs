@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks of the core kernels: the ML substrate
 //! (polynomial regression, MIC, decision tree), one simulation step of
-//! each benchmark application, and the Algorithm-2 solve, cold and warm.
+//! each benchmark application, the Algorithm-2 solve, cold and warm, and
+//! a whole warm model-only request.
 //! These complement the figure/table benches by tracking the cost of
 //! OPPROX's own machinery.
 
@@ -9,6 +10,7 @@ use opprox_approx_rt::{InputParams, PhaseSchedule};
 use opprox_core::modeling::AppModels;
 use opprox_core::optimizer::{optimize_traced, Conservatism};
 use opprox_core::pipeline::{Opprox, TrainingOptions};
+use opprox_core::request::OptimizeRequest;
 use opprox_core::AccuracySpec;
 use opprox_ml::dtree::DecisionTree;
 use opprox_ml::mic::mic;
@@ -96,25 +98,36 @@ fn bench_apps(c: &mut Criterion) {
 }
 
 /// One model-only solve (`optimize_traced`, Band, budget 10) timed two
-/// ways. `cold` solves on a fresh clone of the models, whose staircase
+/// ways. `cold` solves on a fresh clone of the models, whose per-input
 /// memo is empty, so every phase is scanned: the cost of a request the
 /// first time an input is seen (the clone is set-up, not timed). `warm`
 /// solves on one model set that has already answered the input, so every
 /// phase is a staircase lookup. Only the cold figure is the cost of a
 /// request; the warm one is what a repeated input costs.
+///
+/// Group `optimize_request` times the whole warm model-only request a
+/// user makes, `OptimizeRequest::run`: the integrity verdict, the golden
+/// iteration estimate and the class from the input's memo entry, the
+/// solve, and the outcome with its telemetry report.
 fn bench_optimize(c: &mut Criterion) {
+    let apps: Vec<_> = [("LULESH", vec![64.0, 2.0]), ("PSO", vec![20.0, 4.0])]
+        .into_iter()
+        .map(|(name, params)| {
+            let app = opprox_apps::registry::by_name(name).unwrap();
+            let trained = Opprox::train(app.as_ref(), &TrainingOptions::default()).unwrap();
+            (name, trained, InputParams::new(params))
+        })
+        .collect();
+
     let mut group = c.benchmark_group("optimize_solve");
     group.sample_size(20);
-    for (name, params) in [("LULESH", vec![64.0, 2.0]), ("PSO", vec![20.0, 4.0])] {
-        let app = opprox_apps::registry::by_name(name).unwrap();
-        let trained = Opprox::train(app.as_ref(), &TrainingOptions::default()).unwrap();
-        let input = InputParams::new(params);
-        let iters = trained.estimate_golden_iters(&input).unwrap();
+    for (name, trained, input) in &apps {
+        let iters = trained.estimate_golden_iters(input).unwrap();
         let solve = |models: &AppModels| {
             optimize_traced(
                 models,
                 trained.blocks(),
-                &input,
+                input,
                 &AccuracySpec::new(10.0),
                 iters,
                 Conservatism::Band,
@@ -131,6 +144,16 @@ fn bench_optimize(c: &mut Criterion) {
         });
         group.bench_function(&format!("{name}/warm"), |b| {
             b.iter(|| solve(trained.models()))
+        });
+    }
+    group.finish();
+
+    let mut group = c.benchmark_group("optimize_request");
+    for (name, trained, input) in &apps {
+        let request = OptimizeRequest::new(input.clone(), AccuracySpec::new(10.0));
+        request.run(trained).unwrap();
+        group.bench_function(&format!("{name}/warm"), |b| {
+            b.iter(|| request.run(trained).unwrap())
         });
     }
     group.finish();

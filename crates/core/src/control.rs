@@ -38,7 +38,7 @@ use crate::error::OpproxError;
 use crate::evaluator::EvalEngine;
 use crate::fault::degradable_kind;
 use crate::optimizer::{
-    compose, divide_budget, optimize_traced, schedule_of, Conservatism, OptimizationPlan, PhasePlan,
+    compose, divide_budget, optimize_with, schedule_of, Conservatism, OptimizationPlan, PhasePlan,
 };
 use crate::pipeline::{MeasuredOutcome, TrainedOpprox};
 use crate::spec::AccuracySpec;
@@ -327,16 +327,17 @@ pub fn run_adaptive(
     let models = trained.models();
     let blocks = trained.blocks();
     let num_blocks = blocks.len();
-    let expected = trained.estimate_golden_iters(input)?;
+    let facts = models.facts(input)?;
+    let expected = models.golden_iters(&facts, num_blocks)?;
     let tele = engine.telemetry();
     let total_budget = spec.error_budget();
 
     // The offline pass: one complete Algorithm 2 solve, with its full
     // optimize.* ledger in the same trace as the control ledger.
-    let offline = optimize_traced(
+    let offline = optimize_with(
         models,
+        &facts,
         blocks,
-        input,
         spec,
         expected,
         Conservatism::Band,
@@ -471,8 +472,8 @@ pub fn run_adaptive(
                 // X002/X004).
                 let visits = divide_budget(
                     models,
+                    &facts,
                     blocks,
-                    input,
                     &remaining,
                     pool,
                     Conservatism::Band,

@@ -22,17 +22,20 @@
 
 use crate::control_flow::ControlFlowModel;
 use crate::error::OpproxError;
-use crate::optimizer::StaircaseMemo;
+use crate::optimizer::{Conservatism, Step};
 use crate::pool::WorkPool;
 use crate::sampling::{GoldenRecord, SampleRecord, TrainingData};
 use crate::telemetry::Telemetry;
+use opprox_approx_rt::block::BlockDescriptor;
 use opprox_approx_rt::{InputParams, LevelConfig};
 use opprox_ml::fitmetrics::{FitCounters, MAX_TRACKED_DEGREE};
 use opprox_ml::model_select::{AutoFitConfig, TargetModel};
 use opprox_ml::polyreg::PredictScratch;
 use opprox_ml::{Dataset, MlError};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Floor applied to QoS degradations when computing ROI ratios, so
 /// near-zero-error samples do not produce unbounded ROI.
@@ -312,14 +315,14 @@ pub struct AppModels {
     /// below): serialized model sets stay bit-reproducible across machines
     /// and thread counts.
     metrics: ModelingMetrics,
-    /// The per-phase QoS staircases the optimizer has built from these
-    /// models. A cache, not part of the models: not serialized, and
-    /// empty in every clone.
-    staircases: StaircaseMemo,
+    /// What these models have answered per input: its class, its golden
+    /// iteration estimate and its QoS staircases. A cache, not part of
+    /// the models: not serialized, and empty in every clone.
+    memo: InputMemo,
 }
 
 // The vendored serde derive has no `#[serde(skip)]`, so these are the
-// derive expansion minus the `metrics` and `staircases` fields.
+// derive expansion minus the `metrics` and `memo` fields.
 impl Serialize for AppModels {
     fn to_value(&self) -> serde::value::Value {
         serde::value::Value::Object(vec![
@@ -342,7 +345,7 @@ impl Deserialize for AppModels {
             num_blocks: serde::__private::field(entries, "num_blocks", "AppModels")?,
             num_params: serde::__private::field(entries, "num_params", "AppModels")?,
             metrics: ModelingMetrics::default(),
-            staircases: StaircaseMemo::default(),
+            memo: InputMemo::default(),
         })
     }
 }
@@ -696,7 +699,7 @@ impl AppModels {
             num_blocks,
             num_params,
             metrics: ModelingMetrics::default(),
-            staircases: StaircaseMemo::default(),
+            memo: InputMemo::default(),
         })
     }
 
@@ -705,9 +708,42 @@ impl AppModels {
         &self.metrics
     }
 
-    /// The optimizer's memo of per-phase QoS staircases for these models.
-    pub(crate) fn staircases(&self) -> &StaircaseMemo {
-        &self.staircases
+    /// What these models have answered per input.
+    pub(crate) fn memo(&self) -> &InputMemo {
+        &self.memo
+    }
+
+    /// The memo entry of `input`, classified on its first use.
+    ///
+    /// # Errors
+    ///
+    /// Propagates control-flow prediction errors; an input that does not
+    /// classify is not memoized, so it is refused again on every call.
+    pub(crate) fn facts(&self, input: &InputParams) -> Result<Arc<InputFacts>, OpproxError> {
+        self.memo.facts(input, || self.control_flow.predict(input))
+    }
+
+    /// The golden (accurate-run) iteration estimate of `facts`' input:
+    /// the phase-0 prediction for the accurate configuration of
+    /// `num_blocks` blocks, rounded and at least 1. Predicted on the
+    /// first call and memoized with the input.
+    ///
+    /// # Errors
+    ///
+    /// Propagates model prediction errors, which are not memoized.
+    pub(crate) fn golden_iters(
+        &self,
+        facts: &InputFacts,
+        num_blocks: usize,
+    ) -> Result<u64, OpproxError> {
+        if let Some(&iters) = facts.golden_iters.get() {
+            return Ok(iters);
+        }
+        let accurate = LevelConfig::accurate(num_blocks);
+        let (pred, _) = self.predict_pair_in(facts.class, &facts.input, 0, &accurate)?;
+        Ok(*facts
+            .golden_iters
+            .get_or_init(|| pred.iters.round().max(1.0) as u64))
     }
 
     /// Number of phases the models were trained for.
@@ -725,15 +761,14 @@ impl AppModels {
         &self.control_flow
     }
 
-    /// The per-phase ROI values for the class predicted for `input`.
+    /// The per-phase ROI values of control-flow class `class`.
     ///
     /// # Errors
     ///
-    /// Propagates control-flow prediction errors, and returns
-    /// [`OpproxError::InvalidModel`] naming the class and phase when an
-    /// ROI is not finite: Algorithm 2 can neither rank nor split on it.
-    pub(crate) fn rois(&self, input: &InputParams) -> Result<Vec<f64>, OpproxError> {
-        let class = self.control_flow.predict(input)?;
+    /// Returns [`OpproxError::InvalidModel`] naming the class and phase
+    /// when an ROI is not finite: Algorithm 2 can neither rank nor split
+    /// on it.
+    pub(crate) fn rois(&self, class: usize) -> Result<Vec<f64>, OpproxError> {
         let phases = &self.classes[class].phases;
         if let Some(p) = phases.iter().position(|p| !p.roi.is_finite()) {
             return Err(OpproxError::InvalidModel(format!(
@@ -760,7 +795,18 @@ impl AppModels {
         phase: usize,
         config: &LevelConfig,
     ) -> Result<(Prediction, Prediction), OpproxError> {
-        let models = self.phase_models(input, phase)?;
+        self.predict_pair_in(self.control_flow.predict(input)?, input, phase, config)
+    }
+
+    /// [`Self::predict_pair`] for an input already classified as `class`.
+    fn predict_pair_in(
+        &self,
+        class: usize,
+        input: &InputParams,
+        phase: usize,
+        config: &LevelConfig,
+    ) -> Result<(Prediction, Prediction), OpproxError> {
+        let models = self.phase_models(class, phase);
         let mut iters_row = input.values().to_vec();
         iters_row.extend(config.levels().iter().map(|&l| l as f64));
         let iters_ln = models.iters.predict(&iters_row)?;
@@ -770,7 +816,8 @@ impl AppModels {
     }
 
     /// Batched [`Self::predict_pair`] over many configurations of one
-    /// phase, bit-identical to it per configuration.
+    /// phase of an input classified as `class`, bit-identical to it per
+    /// configuration.
     ///
     /// One flat prediction pass per underlying model replaces the per-row
     /// scalar pipeline (standardize, expand, dot-product, band), with all
@@ -781,11 +828,12 @@ impl AppModels {
     /// Same as [`Self::predict_pair`].
     pub(crate) fn predict_pair_batch(
         &self,
+        class: usize,
         input: &InputParams,
         phase: usize,
         configs: &[LevelConfig],
     ) -> Result<Vec<(Prediction, Prediction)>, OpproxError> {
-        let models = self.phase_models(input, phase)?;
+        let models = self.phase_models(class, phase);
         let mut scratch = PredictScratch::default();
 
         let row_len = self.num_params + self.num_blocks;
@@ -810,11 +858,10 @@ impl AppModels {
             .collect()
     }
 
-    /// The models of `phase` for the control-flow class of `input`.
-    fn phase_models(&self, input: &InputParams, phase: usize) -> Result<&PhaseModels, OpproxError> {
+    /// The models of `phase` for control-flow class `class`.
+    fn phase_models(&self, class: usize, phase: usize) -> &PhaseModels {
         assert!(phase < self.num_phases, "phase {phase} out of range");
-        let class = self.control_flow.predict(input)?;
-        Ok(&self.classes[class].phases[phase])
+        &self.classes[class].phases[phase]
     }
 
     /// Summary of combined-model cross-validation scores, one `(phase,
@@ -974,6 +1021,181 @@ fn check_target_model(model: &TargetModel, location: &str, issues: &mut Vec<Inte
                 message: format!("confidence level {} outside (0, 1]", band.level()),
             });
         }
+    }
+}
+
+/// The most items one [`AppModels`]' memo holds, counting one per input
+/// and one per QoS staircase. A staircase is a few dozen configurations
+/// at most, so a full memo is a few megabytes. When an insert would
+/// exceed the cap the memo is cleared: answers never depend on what the
+/// memo holds, only the cost of the next requests does.
+pub(crate) const INPUT_MEMO_CAP: usize = 1024;
+
+/// What a model set has answered about one input, which the memo keys by
+/// the bit patterns of its parameters: its control-flow class (known from
+/// creation), its golden iteration estimate (once predicted), and the
+/// optimizer's QoS staircases per (level space, phase, conservatism).
+/// Only successful predictions are stored, so a failing one fails the
+/// same way on every call.
+pub(crate) struct InputFacts {
+    input: InputParams,
+    class: usize,
+    golden_iters: OnceLock<u64>,
+    staircases: Mutex<Vec<(StaircaseKey, Arc<[Step]>)>>,
+}
+
+impl InputFacts {
+    /// The input these facts are about.
+    pub(crate) fn input(&self) -> &InputParams {
+        &self.input
+    }
+
+    /// The input's control-flow class.
+    pub(crate) fn class(&self) -> usize {
+        self.class
+    }
+
+    fn staircases(&self) -> MutexGuard<'_, Vec<(StaircaseKey, Arc<[Step]>)>> {
+        self.staircases.lock().expect("input facts lock")
+    }
+}
+
+/// What a staircase is a function of besides the input: the level space
+/// (each block's `max_level`), the phase and the mode.
+struct StaircaseKey {
+    max_levels: Box<[u8]>,
+    phase: usize,
+    conservatism: Conservatism,
+}
+
+impl StaircaseKey {
+    fn matches(&self, blocks: &[BlockDescriptor], phase: usize, mode: Conservatism) -> bool {
+        self.phase == phase
+            && self.conservatism == mode
+            && self
+                .max_levels
+                .iter()
+                .eq(blocks.iter().map(|b| &b.max_level))
+    }
+}
+
+/// The per-input memo of one model set, at most [`INPUT_MEMO_CAP`]
+/// items. Not serialized, and a clone starts empty: the memo is a cache
+/// of the models, not part of them.
+#[derive(Default)]
+pub(crate) struct InputMemo {
+    held: Mutex<HeldFacts>,
+}
+
+#[derive(Default)]
+struct HeldFacts {
+    inputs: HashMap<Box<[u64]>, Arc<InputFacts>>,
+    /// Items inserted since the last clear; an item that lost an insert
+    /// race is counted too, so this never undercounts.
+    items: usize,
+}
+
+impl HeldFacts {
+    /// Counts one more item, first clearing the memo when it is full.
+    fn reserve(&mut self) {
+        if self.items >= INPUT_MEMO_CAP {
+            self.inputs.clear();
+            self.items = 0;
+        }
+        self.items += 1;
+    }
+}
+
+impl InputMemo {
+    fn lock(&self) -> MutexGuard<'_, HeldFacts> {
+        self.held.lock().expect("input memo lock")
+    }
+
+    /// The facts of `input`, created with the class `classify` returns
+    /// when the input is new, and memoized unless it fails. Two threads
+    /// creating the same input's facts both classify it; the first insert
+    /// wins.
+    fn facts(
+        &self,
+        input: &InputParams,
+        classify: impl FnOnce() -> Result<usize, OpproxError>,
+    ) -> Result<Arc<InputFacts>, OpproxError> {
+        let key: Box<[u64]> = input.values().iter().map(|v| v.to_bits()).collect();
+        if let Some(hit) = self.lock().inputs.get(&key) {
+            return Ok(Arc::clone(hit));
+        }
+        let facts = Arc::new(InputFacts {
+            input: input.clone(),
+            class: classify()?,
+            golden_iters: OnceLock::new(),
+            staircases: Mutex::default(),
+        });
+        let mut held = self.lock();
+        if let Some(hit) = held.inputs.get(&key) {
+            return Ok(Arc::clone(hit));
+        }
+        held.reserve();
+        held.inputs.insert(key, Arc::clone(&facts));
+        Ok(facts)
+    }
+
+    /// The staircase of `facts`' input for `(blocks' level space, phase,
+    /// mode)`, built by `build` outside every lock on a miss and memoized
+    /// unless `build` fails. Two threads missing the same staircase both
+    /// build it; the first insert wins and both get equal staircases.
+    pub(crate) fn staircase(
+        &self,
+        facts: &InputFacts,
+        blocks: &[BlockDescriptor],
+        phase: usize,
+        mode: Conservatism,
+        build: impl FnOnce() -> Result<Vec<Step>, OpproxError>,
+    ) -> Result<Arc<[Step]>, OpproxError> {
+        let find = |held: &[(StaircaseKey, Arc<[Step]>)]| {
+            held.iter()
+                .find(|(key, _)| key.matches(blocks, phase, mode))
+                .map(|(_, steps)| Arc::clone(steps))
+        };
+        if let Some(hit) = find(&facts.staircases()) {
+            return Ok(hit);
+        }
+        let built: Arc<[Step]> = build()?.into();
+        // Counted before the insert, so no lock is ever held while taking
+        // the other.
+        self.lock().reserve();
+        let mut held = facts.staircases();
+        if let Some(hit) = find(&held) {
+            return Ok(hit);
+        }
+        held.push((
+            StaircaseKey {
+                max_levels: blocks.iter().map(|b| b.max_level).collect(),
+                phase,
+                conservatism: mode,
+            },
+            Arc::clone(&built),
+        ));
+        Ok(built)
+    }
+
+    /// How many inputs and staircases the memo holds.
+    #[cfg(test)]
+    pub(crate) fn sizes(&self) -> (usize, usize) {
+        let inputs: Vec<Arc<InputFacts>> = self.lock().inputs.values().cloned().collect();
+        let staircases = inputs.iter().map(|f| f.staircases().len()).sum();
+        (inputs.len(), staircases)
+    }
+}
+
+impl Clone for InputMemo {
+    fn clone(&self) -> Self {
+        InputMemo::default()
+    }
+}
+
+impl fmt::Debug for InputMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("InputMemo").finish_non_exhaustive()
     }
 }
 
@@ -1157,6 +1379,7 @@ fn target_range(
 mod tests {
     use super::*;
     use crate::sampling::{collect_training_data, SamplingPlan};
+    use opprox_approx_rt::ApproxApp;
     use opprox_apps::Pso;
 
     fn trained() -> (Pso, AppModels, TrainingData) {
@@ -1222,7 +1445,11 @@ mod tests {
         // critical iterations); the invariant is that every phase has a
         // positive, finite ROI so the budget split is well defined.
         let (_, models, _) = trained();
-        let rois = models.rois(&InputParams::new(vec![16.0, 3.0])).unwrap();
+        let class = models
+            .facts(&InputParams::new(vec![16.0, 3.0]))
+            .unwrap()
+            .class();
+        let rois = models.rois(class).unwrap();
         assert_eq!(rois.len(), 2);
         for r in &rois {
             assert!(r.is_finite() && *r > 0.0, "bad ROI set {rois:?}");
@@ -1276,6 +1503,7 @@ mod tests {
     fn predict_pair_batch_is_bit_identical_to_predict_pair() {
         let (_, models, _) = trained();
         let input = InputParams::new(vec![20.0, 3.0]);
+        let class = models.control_flow().predict(&input).unwrap();
         // An enumeration-style sweep: every configuration over a level
         // grid, covering all-accurate, single-block, and multi-block rows.
         let mut configs = Vec::new();
@@ -1288,7 +1516,9 @@ mod tests {
         }
         let bits = |p: &Prediction| [p.speedup.to_bits(), p.qos.to_bits(), p.iters.to_bits()];
         for phase in 0..2 {
-            let batch = models.predict_pair_batch(&input, phase, &configs).unwrap();
+            let batch = models
+                .predict_pair_batch(class, &input, phase, &configs)
+                .unwrap();
             assert_eq!(batch.len(), configs.len());
             for (cfg, (point, cons)) in configs.iter().zip(&batch) {
                 let (want_point, want_cons) = models.predict_pair(&input, phase, cfg).unwrap();
@@ -1297,7 +1527,7 @@ mod tests {
             }
         }
         assert!(models
-            .predict_pair_batch(&input, 0, &[])
+            .predict_pair_batch(class, &input, 0, &[])
             .unwrap()
             .is_empty());
     }
@@ -1314,7 +1544,8 @@ mod tests {
             _ => false,
         };
         assert!(refused(models.predict_pair(&input, 1, &cfg).map(|_| ())));
-        let batch = models.predict_pair_batch(&input, 1, std::slice::from_ref(&cfg));
+        let class = models.control_flow().predict(&input).unwrap();
+        let batch = models.predict_pair_batch(class, &input, 1, std::slice::from_ref(&cfg));
         assert!(refused(batch.map(|_| ())));
         // An input inside the range still predicts.
         let inside = InputParams::new(vec![20.0, 3.0]);
@@ -1386,5 +1617,105 @@ mod tests {
         let clamped = tele.counter_value("ml.folds_clamped");
         assert!(clamped > 0 && clamped.is_multiple_of(2), "{clamped} clamps");
         assert!(b.total_wall_ms + 1e-9 >= b.base_fit_wall_ms + b.combined_fit_wall_ms);
+    }
+
+    #[test]
+    fn facts_classify_once_and_failures_are_not_memoized() {
+        let memo = InputMemo::default();
+        let input = InputParams::new(vec![16.0, 3.0]);
+        let refuse = || {
+            memo.facts(&input, || {
+                Err(OpproxError::InvalidSpec("unclassifiable".into()))
+            })
+            .map(|_| ())
+            .expect_err("classification fails")
+            .to_string()
+        };
+        let first = refuse();
+        assert_eq!(refuse(), first);
+        assert_eq!(memo.sizes(), (0, 0));
+        let calls = std::cell::Cell::new(0);
+        let classify = || {
+            calls.set(calls.get() + 1);
+            Ok(1)
+        };
+        assert_eq!(memo.facts(&input, classify).unwrap().class(), 1);
+        assert_eq!(memo.facts(&input, classify).unwrap().class(), 1);
+        assert_eq!(calls.get(), 1, "a memoized input is not classified again");
+        // Keys are bit patterns: -0.0 is another input than 0.0.
+        memo.facts(&InputParams::new(vec![0.0]), || Ok(0)).unwrap();
+        memo.facts(&InputParams::new(vec![-0.0]), || Ok(0)).unwrap();
+        assert_eq!(memo.sizes(), (3, 0));
+    }
+
+    #[test]
+    fn memo_of_inputs_never_grows_past_its_cap() {
+        let memo = InputMemo::default();
+        for i in 0..INPUT_MEMO_CAP + 3 {
+            memo.facts(&InputParams::new(vec![i as f64]), || Ok(0))
+                .unwrap();
+            assert!(memo.sizes().0 <= INPUT_MEMO_CAP);
+        }
+        assert_eq!(memo.sizes(), (3, 0), "the full memo was cleared once");
+    }
+
+    #[test]
+    fn golden_iters_are_memoized_but_nan_refusals_repeat() {
+        let (_, models, _) = trained();
+        let input = InputParams::new(vec![16.0, 3.0]);
+        let facts = models.facts(&input).unwrap();
+        let iters = models.golden_iters(&facts, 3).unwrap();
+        let accurate = LevelConfig::accurate(3);
+        let (want, _) = models.predict_pair(&input, 0, &accurate).unwrap();
+        assert_eq!(iters, want.iters.round().max(1.0) as u64);
+        assert_eq!(facts.golden_iters.get(), Some(&iters));
+        assert_eq!(
+            models.golden_iters(&models.facts(&input).unwrap(), 3),
+            Ok(iters)
+        );
+
+        let far = models.facts(&InputParams::new(vec![1e200, 3.0])).unwrap();
+        let refuse = || {
+            models
+                .golden_iters(&far, 3)
+                .expect_err("a NaN prediction is refused")
+                .to_string()
+        };
+        let first = refuse();
+        assert_eq!(refuse(), first);
+        assert_eq!(far.golden_iters.get(), None);
+    }
+
+    #[test]
+    fn golden_iters_do_not_need_finite_rois() {
+        let (_, mut models, _) = trained();
+        models.classes[0].phases[1].roi = f64::NAN;
+        let facts = models.facts(&InputParams::new(vec![16.0, 3.0])).unwrap();
+        assert!(models.golden_iters(&facts, 3).is_ok());
+        assert!(matches!(
+            models.rois(facts.class()),
+            Err(OpproxError::InvalidModel(_))
+        ));
+    }
+
+    #[test]
+    fn the_memo_is_neither_serialized_nor_cloned() {
+        let (app, models, _) = trained();
+        let json = serde_json::to_string(&models).unwrap();
+        let input = InputParams::new(vec![16.0, 3.0]);
+        let facts = models.facts(&input).unwrap();
+        models.golden_iters(&facts, 3).unwrap();
+        crate::optimizer::optimize_phase(
+            &models,
+            &app.meta().blocks,
+            &input,
+            1,
+            10.0,
+            Conservatism::Band,
+        )
+        .unwrap();
+        assert_eq!(models.memo().sizes(), (1, 1));
+        assert_eq!(serde_json::to_string(&models).unwrap(), json);
+        assert_eq!(models.clone().memo().sizes(), (0, 0));
     }
 }

@@ -26,16 +26,14 @@
 //! being scanned.
 
 use crate::error::OpproxError;
-use crate::modeling::AppModels;
+use crate::modeling::{AppModels, InputFacts};
 use crate::spec::AccuracySpec;
 use crate::telemetry::Telemetry;
 use opprox_approx_rt::block::BlockDescriptor;
 use opprox_approx_rt::config::{config_space_size, enumerate_configs};
 use opprox_approx_rt::{InputParams, LevelConfig, PhaseSchedule};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::borrow::Borrow;
 
 /// The largest per-phase configuration space [`optimize_phase`] scans.
 /// Larger spaces are refused with [`OpproxError::InvalidModel`]: the
@@ -51,12 +49,6 @@ pub const WORTH_IT_SPEEDUP: f64 = 1.005;
 /// [`optimize_phase`] predicts the level space this many configurations
 /// at a time, so its memory stays bounded whatever the space size.
 pub const LEAF_BATCH: usize = 512;
-
-/// The most QoS staircases one [`AppModels`] keeps. A staircase is a few
-/// dozen configurations at most, so a full memo is a few megabytes. When
-/// a new staircase would exceed the cap the memo is cleared: plans never
-/// depend on what the memo holds, only the cost of the next solves does.
-pub(crate) const STAIRCASE_MEMO_CAP: usize = 1024;
 
 /// The plan chosen for one phase.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -168,11 +160,11 @@ pub(crate) struct PhaseVisit {
     pub evaluated: u64,
 }
 
-/// Algorithm 2's budget division over `phases`: splits `budget` in
-/// proportion to the phases' ROIs (evenly when they sum to zero), visits
-/// them in decreasing-ROI order (ties by phase index), solves each with
-/// its share plus the leftover rolled over from earlier visits, and
-/// falls back to the accurate plan when nothing fits. Returns one record
+/// Algorithm 2's budget division over `phases` of `facts`' input: splits
+/// `budget` in proportion to the phases' ROIs (evenly when they sum to
+/// zero), visits them in decreasing-ROI order (ties by phase index),
+/// solves each with its share plus the leftover rolled over from earlier
+/// visits, and falls back to the accurate plan when nothing fits. Returns one record
 /// per visit, in visit order. With `trace = Some((t, prefix))` each
 /// phase scan runs under span `{prefix}[{phase}]` in `t`.
 ///
@@ -182,14 +174,14 @@ pub(crate) struct PhaseVisit {
 /// refusal of an oversized level space.
 pub(crate) fn divide_budget(
     models: &AppModels,
+    facts: &InputFacts,
     blocks: &[BlockDescriptor],
-    input: &InputParams,
     phases: &[usize],
     budget: f64,
     conservatism: Conservatism,
     trace: Option<(&Telemetry, &str)>,
 ) -> Result<Vec<PhaseVisit>, OpproxError> {
-    let rois = models.rois(input)?;
+    let rois = models.rois(facts.class())?;
     let roi_sum: f64 = phases.iter().map(|&p| rois[p]).sum();
     let mut order = phases.to_vec();
     order.sort_by(|&a, &b| {
@@ -209,7 +201,7 @@ pub(crate) fn divide_budget(
         };
         let leftover_in = leftover;
         let allocated = budget * share + leftover_in;
-        let scan = || optimize_phase(models, blocks, input, phase, allocated, conservatism);
+        let scan = || solve_phase(models, blocks, phase, allocated, conservatism, || Ok(facts));
         let (best, evaluated) = match trace {
             Some((t, prefix)) => t.span(&format!("{prefix}[{phase}]"), scan),
             None => scan(),
@@ -271,13 +263,35 @@ pub fn optimize_traced(
     conservatism: Conservatism,
     telemetry: Option<&Telemetry>,
 ) -> Result<OptimizationPlan, OpproxError> {
+    let facts = models.facts(input)?;
+    optimize_with(
+        models,
+        &facts,
+        blocks,
+        spec,
+        expected_iters,
+        conservatism,
+        telemetry,
+    )
+}
+
+/// [`optimize_traced`] for an input whose memo entry the caller holds.
+pub(crate) fn optimize_with(
+    models: &AppModels,
+    facts: &InputFacts,
+    blocks: &[BlockDescriptor],
+    spec: &AccuracySpec,
+    expected_iters: u64,
+    conservatism: Conservatism,
+    telemetry: Option<&Telemetry>,
+) -> Result<OptimizationPlan, OpproxError> {
     let num_phases = models.num_phases();
     let all: Vec<usize> = (0..num_phases).collect();
     let total_budget = spec.error_budget();
     let visits = divide_budget(
         models,
+        facts,
         blocks,
-        input,
         &all,
         total_budget,
         conservatism,
@@ -359,10 +373,10 @@ pub fn optimize_traced(
 /// winner at any budget is the first kept candidate that fits it, found by
 /// binary search. The first solve of a key builds the staircase with one
 /// scan of the whole level space, [`LEAF_BATCH`] configurations per fused
-/// `AppModels::predict_pair_batch` pass, and memoizes it on `models`
-/// (at most 1024 staircases, `STAIRCASE_MEMO_CAP`); later solves of the key
-/// predict nothing. A non-positive budget answers `None` without building
-/// anything.
+/// `AppModels::predict_pair_batch` pass, and memoizes it with the input on
+/// `models` (see `AppModels::facts`); later solves of the key predict
+/// nothing. A non-positive budget answers `None` without classifying or
+/// building anything.
 ///
 /// Returns the winner (`None` when no non-accurate configuration fits)
 /// and the number of configurations the staircase is built from: the
@@ -383,6 +397,21 @@ pub fn optimize_phase(
     budget: f64,
     conservatism: Conservatism,
 ) -> Result<(Option<PhasePlan>, u64), OpproxError> {
+    solve_phase(models, blocks, phase, budget, conservatism, || {
+        models.facts(input)
+    })
+}
+
+/// [`optimize_phase`] for the input of the memo entry `facts` yields,
+/// asked for only once the space is admitted and the budget positive.
+fn solve_phase<F: Borrow<InputFacts>>(
+    models: &AppModels,
+    blocks: &[BlockDescriptor],
+    phase: usize,
+    budget: f64,
+    conservatism: Conservatism,
+    facts: impl FnOnce() -> Result<F, OpproxError>,
+) -> Result<(Option<PhasePlan>, u64), OpproxError> {
     let space = config_space_size(blocks);
     if space > EXHAUSTIVE_LIMIT {
         return Err(OpproxError::InvalidModel(format!(
@@ -393,15 +422,13 @@ pub fn optimize_phase(
     if budget <= 0.0 {
         return Ok((None, 0));
     }
-    let key = StaircaseKey {
-        input: input.values().iter().map(|v| v.to_bits()).collect(),
-        max_levels: blocks.iter().map(|b| b.max_level).collect(),
-        phase,
-        conservatism,
-    };
-    let staircase = models.staircases().get_or_build(key, || {
-        build_staircase(models, blocks, input, phase, conservatism)
-    })?;
+    let facts = facts()?;
+    let facts = facts.borrow();
+    let staircase = models
+        .memo()
+        .staircase(facts, blocks, phase, conservatism, || {
+            build_staircase(models, blocks, facts, phase, conservatism)
+        })?;
     let best = staircase
         .get(staircase.partition_point(|s| s.qos > budget))
         .map(|s| PhasePlan {
@@ -417,7 +444,7 @@ pub fn optimize_phase(
 
 /// One step of a phase's QoS staircase: a candidate configuration with its
 /// constrained QoS and point speedup.
-struct Step {
+pub(crate) struct Step {
     config: LevelConfig,
     qos: f64,
     speedup: f64,
@@ -433,7 +460,7 @@ struct Step {
 fn build_staircase(
     models: &AppModels,
     blocks: &[BlockDescriptor],
-    input: &InputParams,
+    facts: &InputFacts,
     phase: usize,
     conservatism: Conservatism,
 ) -> Result<Vec<Step>, OpproxError> {
@@ -447,7 +474,7 @@ fn build_staircase(
         if chunk.is_empty() {
             break;
         }
-        let pairs = models.predict_pair_batch(input, phase, &chunk)?;
+        let pairs = models.predict_pair_batch(facts.class(), facts.input(), phase, &chunk)?;
         for (config, (point, conservative)) in chunk.drain(..).zip(pairs) {
             if point.speedup <= WORTH_IT_SPEEDUP {
                 continue;
@@ -475,72 +502,10 @@ fn build_staircase(
     Ok(steps)
 }
 
-/// What a staircase is a function of: the input (by bit pattern), the
-/// level space (each block's `max_level`), the phase and the mode. The
-/// control-flow class is a function of the input, so it needs no slot.
-#[derive(PartialEq, Eq, Hash)]
-struct StaircaseKey {
-    input: Vec<u64>,
-    max_levels: Vec<u8>,
-    phase: usize,
-    conservatism: Conservatism,
-}
-
-/// The staircases [`optimize_phase`] has built for one model set, at most
-/// [`STAIRCASE_MEMO_CAP`] of them. Not serialized, and a clone starts
-/// empty: the memo is a cache of the models, not part of them.
-#[derive(Default)]
-pub(crate) struct StaircaseMemo {
-    map: Mutex<HashMap<StaircaseKey, Arc<[Step]>>>,
-}
-
-impl StaircaseMemo {
-    /// The staircase of `key`, built by `build` outside the lock on a miss
-    /// and memoized unless `build` fails. Two threads missing the same key
-    /// both build it; the first insert wins and both get equal staircases.
-    fn get_or_build(
-        &self,
-        key: StaircaseKey,
-        build: impl FnOnce() -> Result<Vec<Step>, OpproxError>,
-    ) -> Result<Arc<[Step]>, OpproxError> {
-        if let Some(hit) = self.lock().get(&key) {
-            return Ok(Arc::clone(hit));
-        }
-        let built: Arc<[Step]> = build()?.into();
-        let mut map = self.lock();
-        if map.len() >= STAIRCASE_MEMO_CAP && !map.contains_key(&key) {
-            map.clear();
-        }
-        Ok(Arc::clone(map.entry(key).or_insert(built)))
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<StaircaseKey, Arc<[Step]>>> {
-        self.map.lock().expect("staircase memo lock")
-    }
-
-    /// How many staircases the memo holds.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.lock().len()
-    }
-}
-
-impl Clone for StaircaseMemo {
-    fn clone(&self) -> Self {
-        StaircaseMemo::default()
-    }
-}
-
-impl fmt::Debug for StaircaseMemo {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("StaircaseMemo").finish_non_exhaustive()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::modeling::ModelingOptions;
+    use crate::modeling::{ModelingOptions, INPUT_MEMO_CAP};
     use crate::sampling::{collect_training_data, SamplingPlan};
     use opprox_approx_rt::ApproxApp;
     use opprox_apps::Pso;
@@ -708,12 +673,13 @@ mod tests {
     fn warm_solves_emit_the_cold_solves_events() {
         let (app, models, iters) = setup();
         let blocks = &app.meta().blocks;
-        assert_eq!(models.staircases().len(), 0);
+        let built = || models.memo().sizes().1;
+        assert_eq!(built(), 0);
         let cold = traced_solve(&models, blocks, iters).report();
-        let built = models.staircases().len();
-        assert!(built > 0);
+        let cold_built = built();
+        assert!(cold_built > 0);
         let warm = traced_solve(&models, blocks, iters).report();
-        assert_eq!(models.staircases().len(), built, "a warm solve built more");
+        assert_eq!(built(), cold_built, "a warm solve built more");
         assert_eq!(cold.events, warm.events);
         assert_eq!(cold.counters, warm.counters);
         for e in cold.events_named("optimize.phase") {
@@ -729,12 +695,16 @@ mod tests {
         for (b, m) in blocks.iter_mut().zip([1u8, 1, 0]) {
             b.max_level = m;
         }
-        for i in 0..STAIRCASE_MEMO_CAP + 3 {
+        let held = || {
+            let (inputs, staircases) = models.memo().sizes();
+            inputs + staircases
+        };
+        for i in 0..INPUT_MEMO_CAP + 3 {
             let input = InputParams::new(vec![16.0 + i as f64 * 1e-3, 3.0]);
             optimize_phase(&models, &blocks, &input, 1, 10.0, Conservatism::Band).unwrap();
-            assert!(models.staircases().len() <= STAIRCASE_MEMO_CAP);
+            assert!(held() <= INPUT_MEMO_CAP);
         }
-        assert!(models.staircases().len() > 0);
+        assert!(held() > 0);
     }
 
     #[test]
@@ -775,7 +745,8 @@ mod tests {
         };
         let first = refuse();
         assert_eq!(refuse(), first);
-        assert_eq!(models.staircases().len(), 0);
+        // The input classified, so its entry stays; the failed scan does not.
+        assert_eq!(models.memo().sizes(), (1, 0));
     }
 
     #[test]
@@ -789,6 +760,7 @@ mod tests {
                 assert_eq!(solved, (None, 0));
             }
         }
+        assert_eq!(models.memo().sizes(), (0, 0), "nothing was classified");
         let spec = AccuracySpec::new(0.0);
         optimize_traced(
             &models,
@@ -800,7 +772,7 @@ mod tests {
             None,
         )
         .unwrap();
-        assert_eq!(models.staircases().len(), 0);
+        assert_eq!(models.memo().sizes(), (1, 0));
     }
 
     #[test]

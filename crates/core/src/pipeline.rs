@@ -262,15 +262,17 @@ impl TrainedOpprox {
     }
 
     /// Estimates the accurate-run outer-loop iteration count for an input
-    /// (the control-flow model family of the paper's Fig. 6).
+    /// (the control-flow model family of the paper's Fig. 6). Predicted on
+    /// the input's first call and then read from the models' per-input
+    /// memo.
     ///
     /// # Errors
     ///
-    /// Propagates model prediction errors.
+    /// Propagates control-flow and model prediction errors; neither is
+    /// memoized, so a refused input is refused again on every call.
     pub fn estimate_golden_iters(&self, input: &InputParams) -> Result<u64, OpproxError> {
-        let accurate = LevelConfig::accurate(self.blocks.len());
-        let (pred, _) = self.models.predict_pair(input, 0, &accurate)?;
-        Ok(pred.iters.round().max(1.0) as u64)
+        let facts = self.models.facts(input)?;
+        self.models.golden_iters(&facts, self.blocks.len())
     }
 
     /// Heuristic phase-structured candidates: uniform levels confined to

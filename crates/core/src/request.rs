@@ -47,7 +47,7 @@ use crate::control::{self, ControlOptions, ControlSummary};
 use crate::error::OpproxError;
 use crate::evaluator::EvalEngine;
 use crate::fault::{degradable_kind, RobustnessReport};
-use crate::optimizer::{optimize_traced, Conservatism, OptimizationPlan};
+use crate::optimizer::{optimize_traced, optimize_with, Conservatism, OptimizationPlan};
 use crate::pipeline::{MeasuredOutcome, TrainedOpprox};
 use crate::spec::AccuracySpec;
 use crate::telemetry::{Telemetry, TelemetryReport};
@@ -219,31 +219,39 @@ impl<'a> OptimizeRequest<'a> {
                     "adaptive mode executes the application: call validate_on(app) as well".into(),
                 ));
             }
-            let expected = trained.estimate_golden_iters(&self.input)?;
-            // A model-only solve still traces its budget division: use the
-            // shared engine's registry when one was attached, otherwise a
-            // private registry local to this request.
-            let local = Telemetry::new();
-            let telemetry = match self.engine {
-                Some(e) => e.telemetry(),
-                None => &local,
+            // The input's memo entry answers the iteration estimate and
+            // every phase's staircase, so a repeated input predicts nothing.
+            let models = trained.models();
+            let facts = models.facts(&self.input)?;
+            let expected = models.golden_iters(&facts, trained.blocks().len())?;
+            let solve = |telemetry: &Telemetry| {
+                optimize_with(
+                    models,
+                    &facts,
+                    trained.blocks(),
+                    &self.spec,
+                    expected,
+                    self.conservatism,
+                    Some(telemetry),
+                )
             };
-            let plan = optimize_traced(
-                trained.models(),
-                trained.blocks(),
-                &self.input,
-                &self.spec,
-                expected,
-                self.conservatism,
-                Some(telemetry),
-            )?;
+            // A model-only solve still traces its budget division: into the
+            // shared engine's registry when one was attached, otherwise into
+            // a private registry that becomes the outcome's report.
+            let (plan, telemetry) = match self.engine {
+                Some(e) => (solve(e.telemetry())?, e.telemetry_report()),
+                None => {
+                    let local = Telemetry::new();
+                    (solve(&local)?, local.into_report())
+                }
+            };
             return Ok(OptimizeOutcome {
                 plan,
                 path: OptimizePath::ModelOnly,
                 measured: None,
                 candidates_tried: 0,
                 robustness: None,
-                telemetry: telemetry.report(),
+                telemetry,
                 control: None,
             });
         };

@@ -29,7 +29,8 @@
 //! Model-only optimize replies are memoized in a plan cache keyed by
 //! `(app, generation, input, budget, conservatism)`, so hot inputs skip
 //! the Algorithm-2 solve entirely. Reloads bump the generation, so a swap
-//! invalidates every stale plan at once.
+//! invalidates every stale plan at once; the cache holds at most
+//! `PLAN_CACHE_CAP` replies and is cleared when full.
 
 use crate::api::{
     AdaptiveParams, AdaptiveReply, ApiRequest, ApiResponse, HealthReply, MeasuredReply,
@@ -110,6 +111,13 @@ pub struct ModelEntry {
 }
 
 type ModelMap = BTreeMap<String, Arc<ModelEntry>>;
+
+/// The most replies the plan cache holds. A reply is a few hundred bytes,
+/// so a full cache is a few megabytes. When a new reply would exceed the
+/// cap the cache is cleared: replies never depend on what it holds. A
+/// client that only repeats a hot set of keys never fills it; one that
+/// varies its budget fills it once per this many distinct keys.
+pub(crate) const PLAN_CACHE_CAP: usize = 16_384;
 
 /// Key of the plan cache. The control-flow class that picks the model
 /// set is a function of `(app, generation, input)`, so the key is exact
@@ -449,8 +457,9 @@ impl ServeState {
             return Ok(ApiResponse::Optimize(hit));
         }
         // Only inputs that classify are ever cached; an input that does
-        // not is refused here, before it counts as a miss.
-        trained.models().control_flow().predict(&input)?;
+        // not is refused here, before it counts as a miss. The class is
+        // memoized with the input, so the request below reads it.
+        trained.models().facts(&input)?;
         if cache_key.is_some() {
             self.tele.incr("serve.cache.miss");
         }
@@ -603,7 +612,7 @@ impl ServeState {
         // frame; the reply carries the conservative half of each pair.
         let predictions = trained
             .models()
-            .predict_pair_batch(&input, phase, &configs)?;
+            .predict_pair_batch(class, &input, phase, &configs)?;
         Ok(ApiResponse::Predict(PredictReply {
             app: p.app.clone(),
             generation: entry.generation,
@@ -651,10 +660,11 @@ impl ServeState {
     }
 
     fn cache_put(&self, key: PlanKey, reply: OptimizeReply) {
-        self.cache
-            .lock()
-            .expect("plan cache lock")
-            .insert(key, reply);
+        let mut cache = self.cache.lock().expect("plan cache lock");
+        if cache.len() >= PLAN_CACHE_CAP && !cache.contains_key(&key) {
+            cache.clear();
+        }
+        cache.insert(key, reply);
     }
 
     // -- admission ---------------------------------------------------
@@ -1157,6 +1167,55 @@ mod tests {
         };
         assert!(!c.cached);
         assert_eq!(c.generation, 2);
+    }
+
+    #[test]
+    fn plan_cache_stays_within_its_cap_under_distinct_budgets() {
+        let state = state_with_pso();
+        let trained = Arc::clone(&state.snapshot()["pso"].trained);
+        let input = vec![16.0, 3.0];
+        let ask = |budget: f64| {
+            let req = ApiRequest::Optimize(OptimizeParams::new("pso", input.clone(), budget));
+            let ApiResponse::Optimize(reply) = state.handle(&req) else {
+                panic!("expected an optimize reply");
+            };
+            let direct =
+                OptimizeRequest::new(InputParams::new(input.clone()), AccuracySpec::new(budget))
+                    .run(&trained)
+                    .unwrap();
+            assert_eq!(reply.path, "model_only");
+            assert_eq!(
+                reply.levels,
+                level_rows(&direct.plan.schedule),
+                "budget {budget}"
+            );
+            assert_eq!(
+                (
+                    reply.predicted_speedup.to_bits(),
+                    reply.predicted_qos.to_bits()
+                ),
+                (
+                    direct.plan.predicted_speedup.to_bits(),
+                    direct.plan.predicted_qos.to_bits()
+                ),
+                "budget {budget}"
+            );
+            reply.cached
+        };
+        let budget = |i: usize| 0.5 + i as f64 * 1e-3;
+        let sent = PLAN_CACHE_CAP + 8;
+        for i in 0..sent {
+            assert!(!ask(budget(i)), "budget {} is new", budget(i));
+            assert!(state.cache.lock().unwrap().len() <= PLAN_CACHE_CAP);
+        }
+        // The cache was cleared once, when it was full, and holds what
+        // came after.
+        assert_eq!(state.cache.lock().unwrap().len(), sent - PLAN_CACHE_CAP);
+        assert!(ask(budget(sent - 1)), "a recent budget is cached");
+        assert!(!ask(budget(0)), "an evicted budget is solved again");
+        let tele = state.telemetry();
+        assert_eq!(tele.counter_value("serve.cache.hit"), 1);
+        assert_eq!(tele.counter_value("serve.cache.miss"), sent as u64 + 1);
     }
 
     #[test]

@@ -32,6 +32,7 @@
 use crate::sync::Mutex;
 use serde::value::{Number, Value};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::ops::Bound;
@@ -168,8 +169,9 @@ pub struct HistogramStat {
 /// One key/value pair attached to a [`TelemetryEvent`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EventField {
-    /// Field name, e.g. `roi`.
-    pub key: String,
+    /// Field name, e.g. `roi`: borrowed from the emitting call site,
+    /// owned when parsed back from JSON.
+    pub key: Cow<'static, str>,
     /// Field value; all event payloads are numeric.
     pub value: f64,
 }
@@ -179,8 +181,9 @@ pub struct EventField {
 pub struct TelemetryEvent {
     /// Zero-based emission order.
     pub seq: u64,
-    /// Event name, e.g. `optimize.phase`.
-    pub name: String,
+    /// Event name, e.g. `optimize.phase`: borrowed from the emitting
+    /// call site, owned when parsed back from JSON.
+    pub name: Cow<'static, str>,
     /// Numeric payload fields, in emission order.
     pub fields: Vec<EventField>,
 }
@@ -387,17 +390,18 @@ impl Telemetry {
     }
 
     /// Emits a structured event. Call only from the orchestrating thread.
-    pub fn event(&self, name: &str, fields: &[(&str, f64)]) {
+    /// Names and keys are static, so recording one copies no string.
+    pub fn event(&self, name: &'static str, fields: &[(&'static str, f64)]) {
         let mut events = self.events.lock().expect("telemetry events lock");
         let seq = events.len() as u64;
         events.push(TelemetryEvent {
             seq,
-            name: name.to_string(),
+            name: Cow::Borrowed(name),
             fields: fields
                 .iter()
-                .map(|(k, v)| EventField {
-                    key: (*k).to_string(),
-                    value: *v,
+                .map(|&(key, value)| EventField {
+                    key: Cow::Borrowed(key),
+                    value,
                 })
                 .collect(),
         });
@@ -405,62 +409,95 @@ impl Telemetry {
 
     /// Snapshots the registry into a canonical, serializable report.
     pub fn report(&self) -> TelemetryReport {
-        let spans = self
-            .spans
-            .lock()
-            .expect("telemetry spans lock")
-            .iter()
-            .map(|(path, agg)| SpanStat {
-                path: path.clone(),
-                count: agg.count,
-                total_micros: agg.total_micros,
-            })
-            .collect();
-        let timeline = self
-            .timeline
-            .lock()
-            .expect("telemetry timeline lock")
-            .clone();
-        let counters = self
-            .counters
-            .lock()
-            .expect("telemetry counters lock")
-            .iter()
-            .map(|(name, value)| CounterStat {
-                name: name.clone(),
-                value: *value,
-            })
-            .collect();
-        let gauges = self
-            .gauges
-            .lock()
-            .expect("telemetry gauges lock")
-            .iter()
-            .map(|(name, agg)| GaugeStat {
-                name: name.clone(),
-                last: agg.last,
-                max: agg.max,
-            })
-            .collect();
-        let histograms = self
-            .histograms
-            .lock()
-            .expect("telemetry histograms lock")
-            .iter()
-            .map(|(name, agg)| HistogramStat {
-                name: name.clone(),
-                bounds: agg.bounds.clone(),
-                counts: agg.counts.clone(),
-            })
-            .collect();
-        let events = self.events.lock().expect("telemetry events lock").clone();
+        Ledger {
+            spans: self.spans.lock().expect("telemetry spans lock").clone(),
+            timeline: self
+                .timeline
+                .lock()
+                .expect("telemetry timeline lock")
+                .clone(),
+            counters: self
+                .counters
+                .lock()
+                .expect("telemetry counters lock")
+                .clone(),
+            gauges: self.gauges.lock().expect("telemetry gauges lock").clone(),
+            histograms: self
+                .histograms
+                .lock()
+                .expect("telemetry histograms lock")
+                .clone(),
+            events: self.events.lock().expect("telemetry events lock").clone(),
+        }
+        .into_report()
+    }
+
+    /// The report of a registry nothing else records into any more,
+    /// built by moving its contents instead of copying them. Equal to
+    /// [`Telemetry::report`].
+    pub fn into_report(self) -> TelemetryReport {
+        Ledger {
+            spans: self.spans.into_inner().expect("telemetry spans lock"),
+            timeline: self.timeline.into_inner().expect("telemetry timeline lock"),
+            counters: self.counters.into_inner().expect("telemetry counters lock"),
+            gauges: self.gauges.into_inner().expect("telemetry gauges lock"),
+            histograms: self
+                .histograms
+                .into_inner()
+                .expect("telemetry histograms lock"),
+            events: self.events.into_inner().expect("telemetry events lock"),
+        }
+        .into_report()
+    }
+}
+
+/// The contents of a [`Telemetry`] registry, out of its locks.
+struct Ledger {
+    spans: BTreeMap<String, SpanAgg>,
+    timeline: Vec<SpanRecord>,
+    counters: BTreeMap<String, u64>,
+    gauges: BTreeMap<String, GaugeAgg>,
+    histograms: BTreeMap<String, HistAgg>,
+    events: Vec<TelemetryEvent>,
+}
+
+impl Ledger {
+    fn into_report(self) -> TelemetryReport {
         TelemetryReport {
-            spans,
-            timeline,
-            counters,
-            gauges,
-            histograms,
-            events,
+            spans: self
+                .spans
+                .into_iter()
+                .map(|(path, agg)| SpanStat {
+                    path,
+                    count: agg.count,
+                    total_micros: agg.total_micros,
+                })
+                .collect(),
+            timeline: self.timeline,
+            counters: self
+                .counters
+                .into_iter()
+                .map(|(name, value)| CounterStat { name, value })
+                .collect(),
+            gauges: self
+                .gauges
+                .into_iter()
+                .map(|(name, agg)| GaugeStat {
+                    name,
+                    last: agg.last,
+                    max: agg.max,
+                })
+                .collect(),
+            histograms: self
+                .histograms
+                .into_iter()
+                .map(|(name, agg)| HistogramStat {
+                    name,
+                    bounds: agg.bounds,
+                    counts: agg.counts,
+                })
+                .collect(),
+            events: self.events,
         }
     }
 }
@@ -741,6 +778,42 @@ mod tests {
         assert_eq!(report.events_named("visit")[0].field("roi"), Some(2.5));
         let back = TelemetryReport::from_json(&report.to_json()).expect("round trips");
         assert_eq!(back, report);
+    }
+
+    #[test]
+    fn static_event_names_serialize_like_owned_strings() {
+        let tele = Telemetry::with_clock(Arc::new(ManualClock::new()));
+        tele.event("optimize.phase", &[("solve", 0.0), ("roi", 2.5)]);
+        tele.event("optimize.plan", &[("predicted_qos", -0.0)]);
+        let report = tele.report();
+        assert!(matches!(report.events[0].name, Cow::Borrowed(_)));
+        let mut owned = report.clone();
+        for e in &mut owned.events {
+            e.name = Cow::Owned(e.name.to_string());
+            for f in &mut e.fields {
+                f.key = Cow::Owned(f.key.to_string());
+            }
+        }
+        let json = report.to_json();
+        assert_eq!(owned.to_json(), json);
+        let back = TelemetryReport::from_json(&json).expect("round trips");
+        assert!(matches!(back.events[1].fields[0].key, Cow::Owned(_)));
+        assert_eq!(back, report);
+        assert_eq!(back.to_json(), json);
+    }
+
+    #[test]
+    fn into_report_moves_what_report_copies() {
+        let clock = Arc::new(ManualClock::new());
+        let tele = Telemetry::with_clock(clock.clone());
+        tele.span("solve/phase[0]", || clock.advance_micros(3));
+        tele.incr("optimize.solves");
+        tele.set_gauge("depth", 2.0);
+        tele.observe("h", &[1.0], 0.5);
+        tele.event("optimize.start", &[("solve", 0.0)]);
+        let copied = tele.report();
+        assert!(!copied.is_empty());
+        assert_eq!(tele.into_report(), copied);
     }
 
     #[test]

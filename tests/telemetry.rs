@@ -8,6 +8,7 @@
 //! value:
 //!
 //! * golden runs execute exactly once per input;
+//! * a repeated model-only request reports what the first one did;
 //! * Algorithm 2 visits phases in decreasing-ROI order and rolls
 //!   leftover budget forward without losing any;
 //! * quarantined cache keys are never re-executed;
@@ -27,7 +28,7 @@ use opprox::core::sampling::{collect_training_data_with, SamplingPlan};
 use opprox::core::{AccuracySpec, Telemetry, TelemetryReport};
 use opprox_apps::{CoMd, Pso};
 use opprox_testutil::chaos::{ChaosScenario, SlowApp};
-use opprox_testutil::fixtures::{fast_training_options, prod_input};
+use opprox_testutil::fixtures::{fast_training_options, prod_input, trained_pso};
 use opprox_testutil::rng::SplitMix64;
 use opprox_testutil::trace::{optimize_solves, per_key_counters, TraceCapture};
 use proptest::prelude::*;
@@ -98,6 +99,34 @@ fn leftover_redistribution_visits_phases_in_decreasing_roi_order() {
                     "solve {s} step {i}: leftover budget leaked between steps"
                 );
             }
+        }
+    }
+}
+
+/// A repeated model-only request answers from its input's memo entry,
+/// predicting nothing; its outcome still carries the plan, events,
+/// counters, and span paths and counts of the first request on a fresh
+/// copy of the models, whose memo starts empty.
+#[test]
+fn warm_model_only_requests_report_what_cold_ones_do() {
+    let (trained, _) = trained_pso();
+    let shape = |r: &TelemetryReport| {
+        let spans: Vec<(String, u64)> = r.spans.iter().map(|s| (s.path.clone(), s.count)).collect();
+        let timeline: Vec<String> = r.timeline.iter().map(|s| s.path.clone()).collect();
+        (spans, timeline)
+    };
+    for input in [prod_input("PSO"), InputParams::new(vec![12.0, 3.0])] {
+        for budget in [0.0, 1.0, 10.0, 40.0] {
+            let fresh = trained.clone();
+            let request = OptimizeRequest::new(input.clone(), AccuracySpec::new(budget));
+            let cold = request.run(&fresh).expect("cold request");
+            let warm = request.run(&fresh).expect("warm request");
+            assert_eq!(warm.plan, cold.plan, "{input:?} at {budget}");
+            assert_eq!(warm.path, cold.path);
+            assert_eq!(warm.telemetry.events, cold.telemetry.events);
+            assert_eq!(warm.telemetry.counters, cold.telemetry.counters);
+            assert_eq!(shape(&warm.telemetry), shape(&cold.telemetry));
+            assert!(!cold.telemetry.events_named("optimize.phase").is_empty());
         }
     }
 }
