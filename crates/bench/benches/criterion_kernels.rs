@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks of the core kernels: the ML substrate
-//! (polynomial regression, MIC, decision tree), one simulation step of
-//! each benchmark application, the Algorithm-2 solve, cold and warm, and
+//! (polynomial regression, model fitting, MIC, decision tree), one
+//! simulation step of each benchmark application, the Algorithm-2 solve, cold and warm, and
 //! a whole warm model-only request.
 //! These complement the figure/table benches by tracking the cost of
 //! OPPROX's own machinery.
@@ -44,6 +44,24 @@ fn fit_shape_dataset() -> Dataset {
     ds
 }
 
+/// 160 rows over three features with a jump in the first one that no
+/// single polynomial explains to R² 0.9, so every fit runs the sub-model
+/// split search over all three features.
+fn split_shape_dataset() -> Dataset {
+    let mut ds = Dataset::new(vec!["a".into(), "b".into(), "c".into()]);
+    for i in 0..160usize {
+        let row = vec![(i % 20) as f64, (i / 20 % 4) as f64, (i % 7) as f64];
+        let wiggle = ((i * 2654435761) % 97) as f64 / 97.0;
+        let y = if row[0] < 10.0 {
+            row[1] + row[2]
+        } else {
+            25.0 + row[1] * row[2]
+        };
+        ds.push(row, y + 2.0 * wiggle).unwrap();
+    }
+    ds
+}
+
 fn bench_ml(c: &mut Criterion) {
     let (xs, ys) = regression_data(200);
     c.bench_function("polyreg_fit_degree3_200x3", |b| {
@@ -62,6 +80,17 @@ fn bench_ml(c: &mut Criterion) {
     };
     c.bench_function("target_model_fit_48x3_deg4", |b| {
         b.iter(|| TargetModel::fit(&fit_shape, &fit_config).unwrap())
+    });
+
+    let split_shape = split_shape_dataset();
+    assert!(
+        TargetModel::fit(&split_shape, &fit_config)
+            .unwrap()
+            .is_split(),
+        "the split bench needs a target the single model misses"
+    );
+    c.bench_function("target_model_fit_split", |b| {
+        b.iter(|| TargetModel::fit(&split_shape, &fit_config).unwrap())
     });
 
     let a: Vec<f64> = (0..256).map(|i| i as f64).collect();

@@ -391,6 +391,11 @@ pub struct ModelingMetrics {
     pub cv_solves: u64,
     /// Polynomial degrees evaluated during escalation.
     pub degrees_tried: u64,
+    /// (feature, k) candidates the sub-model split search considered.
+    pub split_candidates: u64,
+    /// Split candidates dropped before all their sub-models were fitted:
+    /// infeasible, or bounded out by the best score so far.
+    pub split_pruned: u64,
     /// Worker threads used for the fit fan-out.
     pub threads: usize,
     /// Wall time of the iteration-estimator and local-model stage.
@@ -405,11 +410,13 @@ impl ModelingMetrics {
     /// The registry readings a view is computed from: the `ml.*`
     /// counters, then the `fit/base`, `fit/combined` and `fit` span
     /// totals in microseconds.
-    fn ledger(tele: &Telemetry) -> [u64; 6] {
+    fn ledger(tele: &Telemetry) -> [u64; 8] {
         [
             tele.counter_value("ml.fits_attempted"),
             tele.counter_value("ml.cv_solves"),
             tele.counter_value("ml.degrees_tried"),
+            tele.counter_value("ml.split.candidates"),
+            tele.counter_value("ml.split.pruned"),
             tele.span_micros("fit/base"),
             tele.span_micros("fit/combined"),
             tele.span_micros("fit"),
@@ -418,7 +425,7 @@ impl ModelingMetrics {
 
     /// The view of one fit: the change in the ledger since `before`,
     /// plus the `ml.threads` gauge.
-    fn since(tele: &Telemetry, before: [u64; 6]) -> Self {
+    fn since(tele: &Telemetry, before: [u64; 8]) -> Self {
         let after = Self::ledger(tele);
         let delta = |i: usize| after[i] - before[i];
         let ms = |i: usize| delta(i) as f64 / 1e3;
@@ -426,10 +433,12 @@ impl ModelingMetrics {
             fits_attempted: delta(0),
             cv_solves: delta(1),
             degrees_tried: delta(2),
+            split_candidates: delta(3),
+            split_pruned: delta(4),
             threads: tele.gauge_last("ml.threads").map_or(0, |t| t as usize),
-            base_fit_wall_ms: ms(3),
-            combined_fit_wall_ms: ms(4),
-            total_wall_ms: ms(5),
+            base_fit_wall_ms: ms(5),
+            combined_fit_wall_ms: ms(6),
+            total_wall_ms: ms(7),
         }
     }
 }
@@ -438,8 +447,14 @@ impl fmt::Display for ModelingMetrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "modeling: {} fits, {} CV solves, {} degrees tried, {} threads",
-            self.fits_attempted, self.cv_solves, self.degrees_tried, self.threads
+            "modeling: {} fits, {} CV solves, {} degrees tried, \
+             {} split candidates ({} pruned), {} threads",
+            self.fits_attempted,
+            self.cv_solves,
+            self.degrees_tried,
+            self.split_candidates,
+            self.split_pruned,
+            self.threads
         )?;
         writeln!(
             f,
@@ -474,7 +489,8 @@ impl AppModels {
     /// one when `telemetry` is `None`): the whole fit and its two fan-out
     /// stages become spans (`fit`, `fit/base`, `fit/combined`), the fit
     /// counters land in `ml.fits_attempted`, `ml.cv_solves`,
-    /// `ml.degrees_tried` and `ml.folds_clamped`, the pool width in the `ml.threads` gauge, and
+    /// `ml.degrees_tried`, `ml.folds_clamped`, `ml.split.candidates` and
+    /// `ml.split.pruned`, the pool width in the `ml.threads` gauge, and
     /// the per-degree CV-solve counts feed the fixed-bucket
     /// `ml.cv_solves_per_degree` histogram. [`AppModels::metrics`] is
     /// read back from the registry as the change over this fit.
@@ -684,6 +700,8 @@ impl AppModels {
         tele.add("ml.cv_solves", counters.cv_solves());
         tele.add("ml.degrees_tried", counters.degrees_tried());
         tele.add("ml.folds_clamped", counters.folds_clamped());
+        tele.add("ml.split.candidates", counters.split_candidates());
+        tele.add("ml.split.pruned", counters.split_pruned());
         tele.set_gauge("ml.threads", pool.threads() as f64);
         let bounds: Vec<f64> = (0..=MAX_TRACKED_DEGREE).map(|d| d as f64 + 0.5).collect();
         for (degree, &n) in counters.cv_solves_by_degree().iter().enumerate() {
@@ -1576,6 +1594,23 @@ mod tests {
         let sequential = fit_with(1);
         let parallel = fit_with(4);
         assert_eq!(sequential, parallel);
+    }
+
+    #[test]
+    fn split_search_counts_do_not_depend_on_the_thread_count() {
+        let (_, _, data) = trained();
+        let counts = |threads: usize| {
+            let options = ModelingOptions {
+                threads: Some(threads),
+                ..ModelingOptions::default()
+            };
+            let m = *AppModels::fit(&data, 2, &options).unwrap().metrics();
+            (m.split_candidates, m.split_pruned, m.cv_solves)
+        };
+        let sequential = counts(1);
+        assert_eq!(sequential, counts(3));
+        let (candidates, pruned, _) = sequential;
+        assert!(pruned > 0 && pruned <= candidates, "{sequential:?}");
     }
 
     #[test]

@@ -37,40 +37,53 @@ impl Dataset {
     ///
     /// # Errors
     ///
-    /// Returns [`MlError::FeatureMismatch`] if the row length differs from
-    /// the number of feature names.
+    /// * [`MlError::FeatureMismatch`] if the row length differs from the
+    ///   number of feature names.
+    /// * [`MlError::InvalidTrainingData`] if a feature value or the target
+    ///   is NaN or infinite.
     pub fn push(&mut self, row: Vec<f64>, target: f64) -> Result<(), MlError> {
-        if row.len() != self.feature_names.len() {
-            return Err(MlError::FeatureMismatch {
-                expected: self.feature_names.len(),
-                actual: row.len(),
-            });
-        }
+        self.check_row(&row, target)?;
         self.rows.push(row);
         self.targets.push(target);
         Ok(())
     }
 
-    /// Bulk-appends observations. Every row's arity is validated before
-    /// any mutation, so a failed call leaves the dataset unchanged.
+    /// Bulk-appends observations. Every row is validated before any
+    /// mutation, so a failed call leaves the dataset unchanged.
     ///
     /// # Errors
     ///
-    /// Returns [`MlError::FeatureMismatch`] if any row length differs from
-    /// the number of feature names.
+    /// Same as [`Dataset::push`], for the first bad row.
     pub fn extend_rows(&mut self, rows: Vec<(Vec<f64>, f64)>) -> Result<(), MlError> {
-        let width = self.feature_names.len();
-        if let Some((bad, _)) = rows.iter().find(|(r, _)| r.len() != width) {
-            return Err(MlError::FeatureMismatch {
-                expected: width,
-                actual: bad.len(),
-            });
+        for (row, target) in &rows {
+            self.check_row(row, *target)?;
         }
         self.rows.reserve(rows.len());
         self.targets.reserve(rows.len());
         for (row, target) in rows {
             self.rows.push(row);
             self.targets.push(target);
+        }
+        Ok(())
+    }
+
+    /// Refuses a row of the wrong arity, and any non-finite value: the
+    /// fitting pipeline sorts and takes quantiles of these numbers.
+    fn check_row(&self, row: &[f64], target: f64) -> Result<(), MlError> {
+        if row.len() != self.feature_names.len() {
+            return Err(MlError::FeatureMismatch {
+                expected: self.feature_names.len(),
+                actual: row.len(),
+            });
+        }
+        if let Some(c) = row.iter().position(|v| !v.is_finite()) {
+            return Err(MlError::InvalidTrainingData(format!(
+                "feature {} is {}",
+                self.feature_names[c], row[c]
+            )));
+        }
+        if !target.is_finite() {
+            return Err(MlError::InvalidTrainingData(format!("target is {target}")));
         }
         Ok(())
     }
@@ -182,6 +195,37 @@ mod tests {
         assert!(ds
             .extend_rows(vec![(vec![8.0, 16.0], 80.0), (vec![9.0], 90.0)])
             .is_err());
+        assert_eq!(ds, before);
+    }
+
+    #[test]
+    fn push_refuses_non_finite_features_and_targets() {
+        let mut ds = sample();
+        let before = ds.clone();
+        for (row, target) in [
+            (vec![f64::NAN, 1.0], 1.0),
+            (vec![1.0, f64::NEG_INFINITY], 1.0),
+            (vec![1.0, 2.0], f64::INFINITY),
+            (vec![1.0, 2.0], f64::NAN),
+        ] {
+            let err = ds.push(row, target).unwrap_err();
+            assert!(matches!(err, MlError::InvalidTrainingData(_)), "{err}");
+        }
+        assert_eq!(ds, before);
+    }
+
+    #[test]
+    fn extend_rows_refuses_non_finite_values_without_mutation() {
+        let mut ds = sample();
+        let before = ds.clone();
+        let err = ds
+            .extend_rows(vec![(vec![6.0, 12.0], 60.0), (vec![7.0, f64::NAN], 70.0)])
+            .unwrap_err();
+        assert!(matches!(err, MlError::InvalidTrainingData(_)), "{err}");
+        let err = ds
+            .extend_rows(vec![(vec![6.0, 12.0], f64::INFINITY)])
+            .unwrap_err();
+        assert!(matches!(err, MlError::InvalidTrainingData(_)), "{err}");
         assert_eq!(ds, before);
     }
 

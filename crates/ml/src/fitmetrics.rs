@@ -21,6 +21,8 @@ pub struct FitCounters {
     cv_solves: AtomicU64,
     degrees_tried: AtomicU64,
     folds_clamped: AtomicU64,
+    split_candidates: AtomicU64,
+    split_pruned: AtomicU64,
     cv_solves_per_degree: [AtomicU64; MAX_TRACKED_DEGREE + 1],
 }
 
@@ -59,6 +61,17 @@ impl FitCounters {
         self.folds_clamped.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Records one (feature, k) candidate of the sub-model split search.
+    pub(crate) fn record_split_candidate(&self) {
+        self.split_candidates.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records one split candidate dropped before all its sub-models were
+    /// fitted: infeasible, or bounded out by the best score so far.
+    pub(crate) fn record_split_pruned(&self) {
+        self.split_pruned.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Total attempted `TargetModel` fits.
     pub fn fits(&self) -> u64 {
         self.fits.load(Ordering::Relaxed)
@@ -77,6 +90,18 @@ impl FitCounters {
     /// Total cross-validations run with a clamped fold count.
     pub fn folds_clamped(&self) -> u64 {
         self.folds_clamped.load(Ordering::Relaxed)
+    }
+
+    /// Total (feature, k) candidates the split search considered.
+    pub fn split_candidates(&self) -> u64 {
+        self.split_candidates.load(Ordering::Relaxed)
+    }
+
+    /// Total split candidates pruned: infeasible (a subset under 4 rows,
+    /// found before any fit) or bounded out before their last sub-model
+    /// was fitted.
+    pub fn split_pruned(&self) -> u64 {
+        self.split_pruned.load(Ordering::Relaxed)
     }
 
     /// Cross-validation solves per polynomial degree
@@ -102,10 +127,14 @@ mod tests {
         c.record_cv_solves(11);
         c.record_degree_tried();
         c.record_folds_clamped();
+        c.record_split_candidate();
+        c.record_split_candidate();
+        c.record_split_pruned();
         assert_eq!(c.fits(), 2);
         assert_eq!(c.cv_solves(), 11);
         assert_eq!(c.degrees_tried(), 1);
         assert_eq!(c.folds_clamped(), 1);
+        assert_eq!((c.split_candidates(), c.split_pruned()), (2, 1));
     }
 
     #[test]

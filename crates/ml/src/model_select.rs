@@ -9,7 +9,12 @@
 //!    degrees 2–6 sufficient across its applications).
 //! 3. If no single model reaches the target, split the value range of a
 //!    feature into `k` magnitude-ordered subsets and learn one sub-model
-//!    per subset.
+//!    per subset. Every (feature, k) candidate is tried in order, and the
+//!    first with the highest row-weighted CV R² wins if it beats the
+//!    single model. The search is an exact branch and bound: a candidate
+//!    is dropped as soon as an upper bound on its score (its sub-models
+//!    not yet fitted counted at R² = 1) cannot beat the best so far, so
+//!    it returns the model the full search would.
 //! 4. Wrap the final model in an empirical confidence band (p = 0.99) so
 //!    the optimizer can use conservative bounds.
 
@@ -149,6 +154,18 @@ impl TargetModel {
         config: &AutoFitConfig,
         counters: &FitCounters,
     ) -> Result<Self, MlError> {
+        Self::fit_searching(dataset, config, counters, try_split)
+    }
+
+    /// The body of [`TargetModel::fit_with_counters`], with the split
+    /// search passed in so tests can run the unpruned oracle through the
+    /// same recipe.
+    fn fit_searching(
+        dataset: &Dataset,
+        config: &AutoFitConfig,
+        counters: &FitCounters,
+        split_search: SplitSearch,
+    ) -> Result<Self, MlError> {
         if dataset.len() < 4 {
             return Err(MlError::InvalidTrainingData(format!(
                 "need at least 4 rows to fit a model, got {}",
@@ -194,8 +211,9 @@ impl TargetModel {
             });
         }
 
-        // Step 3: sub-model splitting, trying every feature.
-        if let Some((structure, split_r2)) = try_split(selected, config, counters)? {
+        // Step 3: sub-model splitting, trying every feature; only a split
+        // that beats the single model can win.
+        if let Some((structure, split_r2)) = split_search(selected, config, best_r2, counters)? {
             if split_r2 > best_r2 {
                 return Ok(TargetModel {
                     kept_features: kept,
@@ -457,64 +475,107 @@ fn fit_best_degree(
     best.ok_or_else(|| MlError::InvalidTrainingData("no degree could be fitted".into()))
 }
 
-/// Attempts range-splitting each feature into 2..=max_submodels subsets
-/// and returns the best split structure with its weighted CV R². Each
-/// subset is passed to the CV engine as row indices, not copied.
-fn try_split(
-    dataset: &Dataset,
-    config: &AutoFitConfig,
-    counters: &FitCounters,
-) -> Result<Option<(Structure, f64)>, MlError> {
-    let dim = dataset.feature_names().len();
-    let mut best: Option<(Structure, f64)> = None;
-    for feature in 0..dim {
+/// A split search: given the selected dataset, the configuration and the
+/// single model's CV R² as a floor, the best split structure that beats
+/// the floor, with its weighted CV R².
+type SplitSearch =
+    fn(&Dataset, &AutoFitConfig, f64, &FitCounters) -> Result<Option<(Structure, f64)>, MlError>;
+
+/// The `k` row subsets of splitting `feature` at `boundaries` (ascending,
+/// `k - 1` of them), each as ascending row indices.
+fn split_subsets(dataset: &Dataset, feature: usize, boundaries: &[f64]) -> Vec<Vec<usize>> {
+    let k = boundaries.len() + 1;
+    (0..k)
+        .map(|sub| {
+            let lo = if sub == 0 {
+                f64::NEG_INFINITY
+            } else {
+                boundaries[sub - 1]
+            };
+            let hi = if sub == k - 1 {
+                f64::INFINITY
+            } else {
+                boundaries[sub]
+            };
+            dataset.rows_in_range(feature, lo, hi)
+        })
+        .collect()
+}
+
+/// The (feature, k) split candidates in search order, each with its
+/// magnitude-ordered equal-count boundaries over the feature's distinct
+/// values.
+fn split_candidates(dataset: &Dataset, max_submodels: usize) -> Vec<(usize, Vec<f64>)> {
+    let mut candidates = Vec::new();
+    for feature in 0..dataset.feature_names().len() {
         let mut vals = dataset.column(feature);
         vals.sort_by(|a, b| a.partial_cmp(b).expect("NaN feature"));
         vals.dedup();
-        if vals.len() < 2 {
-            continue;
-        }
-        for k in 2..=config.max_submodels {
-            if vals.len() < k {
-                break;
-            }
-            // Magnitude-ordered equal-count boundaries over distinct values.
-            let boundaries: Vec<f64> = (1..k)
+        for k in 2..=max_submodels.min(vals.len()) {
+            let boundaries = (1..k)
                 .map(|i| {
                     let pos = i * vals.len() / k;
                     vals[pos.min(vals.len() - 1)]
                 })
                 .collect();
-            let mut models = Vec::with_capacity(k);
-            let mut weighted_r2 = 0.0;
-            let mut total = 0usize;
-            let mut feasible = true;
-            for sub in 0..k {
-                let lo = if sub == 0 {
-                    f64::NEG_INFINITY
-                } else {
-                    boundaries[sub - 1]
-                };
-                let hi = if sub == k - 1 {
-                    f64::INFINITY
-                } else {
-                    boundaries[sub]
-                };
-                let rows = dataset.rows_in_range(feature, lo, hi);
-                if rows.len() < 4 {
-                    feasible = false;
-                    break;
-                }
-                let (m, r2) = fit_best_degree(dataset, &rows, config, counters)?;
-                weighted_r2 += r2 * rows.len() as f64;
-                total += rows.len();
-                models.push(m);
+            candidates.push((feature, boundaries));
+        }
+    }
+    candidates
+}
+
+/// Range-splits each feature into 2..=max_submodels subsets and returns
+/// the first split, in candidate order, whose weighted CV R² is the
+/// highest and beats `floor`. Each subset is passed to the CV engine as
+/// row indices, not copied.
+///
+/// The search is an exact branch and bound. A candidate with a subset
+/// under 4 rows is skipped before any fit. Otherwise, before each sub-fit
+/// and after the last, the candidate's score is bounded from above by
+/// counting every sub not yet fitted at R² = 1: every sub R² is at most
+/// 1, and the bound is summed in the score's own order, so rounding keeps
+/// it at or above the score. A candidate whose bound is no higher than
+/// the best of `floor` and the scores so far cannot win and is dropped.
+/// The first candidate that strictly beats them all is never dropped, so
+/// the result is the unpruned search's.
+fn try_split(
+    dataset: &Dataset,
+    config: &AutoFitConfig,
+    floor: f64,
+    counters: &FitCounters,
+) -> Result<Option<(Structure, f64)>, MlError> {
+    let mut best: Option<(Structure, f64)> = None;
+    for (feature, boundaries) in split_candidates(dataset, config.max_submodels) {
+        counters.record_split_candidate();
+        let subsets = split_subsets(dataset, feature, &boundaries);
+        if subsets.iter().any(|rows| rows.len() < 4) {
+            counters.record_split_pruned();
+            continue;
+        }
+        let total = subsets.iter().map(Vec::len).sum::<usize>() as f64;
+        // A kept score beat the bar of its time, so it is above `floor`.
+        let bar = best.as_ref().map_or(floor, |(_, r)| *r);
+        let mut models = Vec::with_capacity(subsets.len());
+        let mut weighted_r2 = 0.0;
+        let score = loop {
+            let fitted = models.len();
+            let bound = subsets[fitted..]
+                .iter()
+                .fold(weighted_r2, |acc, rows| acc + rows.len() as f64)
+                / total;
+            if bound <= bar {
+                break None;
             }
-            if !feasible || total == 0 {
-                continue;
-            }
-            let score = weighted_r2 / total as f64;
-            if best.as_ref().is_none_or(|(_, r)| score > *r) {
+            // Every sub fitted: the bound is the score.
+            let Some(rows) = subsets.get(fitted) else {
+                break Some(bound);
+            };
+            let (m, r2) = fit_best_degree(dataset, rows, config, counters)?;
+            weighted_r2 += r2 * rows.len() as f64;
+            models.push(m);
+        };
+        match score {
+            Some(score) => {
                 best = Some((
                     Structure::Split {
                         feature,
@@ -522,8 +583,12 @@ fn try_split(
                         models,
                     },
                     score,
-                ));
+                ))
             }
+            // Bounded out before its last sub-model was fitted.
+            None if models.len() < subsets.len() => counters.record_split_pruned(),
+            // Fully fitted, and no better than the best so far.
+            None => {}
         }
     }
     Ok(best)
@@ -532,6 +597,108 @@ fn try_split(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The split search without bounds: every feasible candidate's
+    /// sub-models are all fitted, and the first candidate with the highest
+    /// score is returned whatever the floor. [`try_split`] must return
+    /// what this returns whenever it beats the floor.
+    fn try_split_unpruned(
+        dataset: &Dataset,
+        config: &AutoFitConfig,
+        _floor: f64,
+        counters: &FitCounters,
+    ) -> Result<Option<(Structure, f64)>, MlError> {
+        let dim = dataset.feature_names().len();
+        let mut best: Option<(Structure, f64)> = None;
+        for feature in 0..dim {
+            let mut vals = dataset.column(feature);
+            vals.sort_by(|a, b| a.partial_cmp(b).expect("NaN feature"));
+            vals.dedup();
+            if vals.len() < 2 {
+                continue;
+            }
+            for k in 2..=config.max_submodels {
+                if vals.len() < k {
+                    break;
+                }
+                let boundaries: Vec<f64> = (1..k)
+                    .map(|i| {
+                        let pos = i * vals.len() / k;
+                        vals[pos.min(vals.len() - 1)]
+                    })
+                    .collect();
+                let mut models = Vec::with_capacity(k);
+                let mut weighted_r2 = 0.0;
+                let mut total = 0usize;
+                let mut feasible = true;
+                for sub in 0..k {
+                    let lo = if sub == 0 {
+                        f64::NEG_INFINITY
+                    } else {
+                        boundaries[sub - 1]
+                    };
+                    let hi = if sub == k - 1 {
+                        f64::INFINITY
+                    } else {
+                        boundaries[sub]
+                    };
+                    let rows = dataset.rows_in_range(feature, lo, hi);
+                    if rows.len() < 4 {
+                        feasible = false;
+                        break;
+                    }
+                    let (m, r2) = fit_best_degree(dataset, &rows, config, counters)?;
+                    weighted_r2 += r2 * rows.len() as f64;
+                    total += rows.len();
+                    models.push(m);
+                }
+                if !feasible || total == 0 {
+                    continue;
+                }
+                let score = weighted_r2 / total as f64;
+                if best.as_ref().is_none_or(|(_, r)| score > *r) {
+                    best = Some((
+                        Structure::Split {
+                            feature,
+                            boundaries,
+                            models,
+                        },
+                        score,
+                    ));
+                }
+            }
+        }
+        Ok(best)
+    }
+
+    /// [`TargetModel::fit_with_counters`] through the unpruned oracle.
+    fn fit_unpruned(
+        dataset: &Dataset,
+        config: &AutoFitConfig,
+        counters: &FitCounters,
+    ) -> Result<TargetModel, MlError> {
+        TargetModel::fit_searching(dataset, config, counters, try_split_unpruned)
+    }
+
+    /// Fits `dataset` with the pruned search and the oracle, asserts the
+    /// serialized models are byte-identical and returns the counters of
+    /// both, pruned first.
+    fn fit_both(
+        dataset: &Dataset,
+        config: &AutoFitConfig,
+    ) -> (TargetModel, FitCounters, FitCounters) {
+        let (pruned, oracle) = (FitCounters::new(), FitCounters::new());
+        let model = TargetModel::fit_with_counters(dataset, config, &pruned).unwrap();
+        let reference = fit_unpruned(dataset, config, &oracle).unwrap();
+        assert_eq!(
+            serde_json::to_string(&model).unwrap(),
+            serde_json::to_string(&reference).unwrap()
+        );
+        (model, pruned, oracle)
+    }
 
     fn quadratic_dataset(n: usize) -> Dataset {
         let mut ds = Dataset::new(vec!["x".into(), "noise".into()]);
@@ -751,5 +918,142 @@ mod tests {
         let back: TargetModel = serde_json::from_str(&json).unwrap();
         let row = [1.5, 0.3];
         assert_eq!(model.predict(&row).unwrap(), back.predict(&row).unwrap());
+    }
+
+    #[test]
+    fn tied_candidates_keep_the_earlier_one() {
+        // Two identical columns: each k scores the same on both, so the
+        // first feature must keep every tie.
+        let mut ds = Dataset::new(vec!["x".into(), "twin".into()]);
+        for i in 0..120 {
+            let x = i as f64 * 0.1;
+            let y = if x < 6.0 { x } else { 1000.0 + x * x };
+            ds.push(vec![x, x], y).unwrap();
+        }
+        let cfg = AutoFitConfig {
+            max_degree: 2,
+            mic_threshold: None,
+            ..AutoFitConfig::default()
+        };
+        let (model, pruned, _) = fit_both(&ds, &cfg);
+        match &model.structure {
+            Structure::Split { feature, .. } => assert_eq!(*feature, 0),
+            Structure::Single(_) => panic!("the jump needs a split"),
+        }
+        assert_eq!(pruned.split_candidates(), 6);
+    }
+
+    #[test]
+    fn candidates_bounded_below_the_single_model_return_it() {
+        // A smooth trend under small wiggles: the single model explains
+        // most of it, and any sub-range has less trend to explain, so
+        // every split's bound falls under the single model's score.
+        let mut ds = Dataset::new(vec!["x".into()]);
+        for i in 0..80 {
+            let x = i as f64 * 0.25;
+            let wiggle = ((i * 2654435761usize) % 97) as f64 / 97.0;
+            ds.push(vec![x], 2.0 * x + 3.0 * wiggle).unwrap();
+        }
+        let cfg = AutoFitConfig {
+            max_degree: 2,
+            target_r2: 0.999,
+            mic_threshold: None,
+            ..AutoFitConfig::default()
+        };
+        let (model, pruned, oracle) = fit_both(&ds, &cfg);
+        assert!(!model.is_split());
+        assert!(!model.reached_target);
+        assert_eq!(pruned.split_candidates(), 3);
+        assert_eq!(pruned.split_pruned(), pruned.split_candidates());
+        assert!(pruned.cv_solves() < oracle.cv_solves());
+    }
+
+    #[test]
+    fn infeasible_candidates_fit_no_sub_model() {
+        // Distinct values 0..=3 split at 2 into subsets of 5 and 2 rows:
+        // the second is too small, which the search sees before it fits
+        // the first.
+        let mut ds = Dataset::new(vec!["x".into()]);
+        for (i, x) in [0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0].into_iter().enumerate() {
+            ds.push(vec![x], x + (i % 2) as f64).unwrap();
+        }
+        let cfg = AutoFitConfig {
+            min_degree: 1,
+            max_degree: 2,
+            target_r2: 2.0,
+            max_submodels: 2,
+            mic_threshold: None,
+            ..AutoFitConfig::default()
+        };
+        let (model, pruned, oracle) = fit_both(&ds, &cfg);
+        assert!(!model.is_split());
+        assert_eq!((pruned.split_candidates(), pruned.split_pruned()), (1, 1));
+        // Only the single model's two degrees were tried; the oracle also
+        // fitted the feasible first subset.
+        assert_eq!(pruned.degrees_tried(), 2);
+        assert_eq!(oracle.degrees_tried(), 4);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// On step, two-step and sawtooth targets over 1–3 features,
+        /// some with only 2–6 distinct values, the pruned search returns
+        /// the oracle's model byte for byte, with no more CV solves.
+        #[test]
+        fn pruned_split_search_returns_the_unpruned_model(
+            rows in 12usize..72,
+            dims in 1usize..=3,
+            max_submodels in 2usize..=4,
+            max_degree in 1usize..=3,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let shape = rng.gen_range(0..3usize);
+            let mic = rng.gen_range(0..2usize);
+            // 0 and 1 draw a continuous column, 2..=6 that many values.
+            let levels: Vec<usize> = (0..dims).map(|_| rng.gen_range(0..7usize)).collect();
+            let names = (0..dims).map(|c| format!("f{c}")).collect();
+            let mut ds = Dataset::new(names);
+            for _ in 0..rows {
+                let row: Vec<f64> = levels
+                    .iter()
+                    .map(|&l| {
+                        if l < 2 {
+                            rng.gen::<f64>() * 10.0
+                        } else {
+                            rng.gen_range(0..l) as f64 * 2.5
+                        }
+                    })
+                    .collect();
+                let x = row[0];
+                let y = match shape {
+                    0 => if x < 5.0 { 1.0 } else { 40.0 },
+                    1 => if x < 3.0 { 0.0 } else if x < 7.0 { 25.0 } else { -10.0 },
+                    _ => (x * 1.7).fract() * 30.0,
+                } + row.iter().skip(1).sum::<f64>() * 0.5
+                    + rng.gen::<f64>();
+                ds.push(row, y).unwrap();
+            }
+            let cfg = AutoFitConfig {
+                min_degree: 1,
+                max_degree,
+                max_submodels,
+                mic_threshold: if mic == 0 { None } else { Some(0.15) },
+                ..AutoFitConfig::default()
+            };
+            let (pruned, oracle) = (FitCounters::new(), FitCounters::new());
+            let reference = fit_unpruned(&ds, &cfg, &oracle);
+            let model = TargetModel::fit_with_counters(&ds, &cfg, &pruned);
+            // A fit the oracle finishes, the pruned search finishes the
+            // same; the pruned search runs a subset of its sub-fits.
+            if let Ok(reference) = reference {
+                prop_assert_eq!(
+                    serde_json::to_string(&model.unwrap()).unwrap(),
+                    serde_json::to_string(&reference).unwrap()
+                );
+                prop_assert!(pruned.cv_solves() <= oracle.cv_solves());
+            }
+        }
     }
 }
