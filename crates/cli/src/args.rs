@@ -13,6 +13,7 @@
 //! everywhere else a positional is an error.
 
 use opprox_core::api::{AdaptiveParams, ApiRequest, OptimizeParams, PredictParams};
+use opprox_core::error::KnobError;
 use opprox_core::evaluator::EvalEngine;
 use opprox_core::phases::PhaseSearchOptions;
 use opprox_core::pipeline::TrainingOptions;
@@ -590,7 +591,11 @@ impl RawArgs {
                 budget: self.require_f64("budget")?,
                 canary: self.optional("canary", Self::require_input)?,
                 validations: self.int_or("validations", 32)?,
-                adaptive: self.control_options()?,
+                // The controller flags are checked even without
+                // `--adaptive true`.
+                adaptive: self
+                    .bool_or("adaptive", false)?
+                    .then_some(self.control_options()?),
                 engine: self.engine_args()?,
                 trace: self.trace_spec()?,
             }),
@@ -723,6 +728,9 @@ impl RawArgs {
     /// malformed value never passes unnoticed.
     fn api_request(&self) -> Result<ApiRequest, ArgError> {
         let op = self.require("op")?;
+        // Checked for every op, like the flags below.
+        self.recovery()?;
+        let control = self.control_options()?;
         let optimize = OptimizeParams {
             point: self.bool_or("point", false)?,
             validate: self.bool_or("validate", false)?,
@@ -732,10 +740,10 @@ impl RawArgs {
             eval_timeout_ms: self.opt_u64("eval-timeout-ms")?,
             ..OptimizeParams::new(String::new(), Vec::new(), 0.0)
         };
-        let inject = self.inject_drift()?;
+        let inject = control.inject;
         let adaptive = AdaptiveParams {
-            tolerance: self.non_negative("drift-tolerance")?,
-            resegment: self.bool_or("resegment", true)?,
+            tolerance: self.optional("drift-tolerance", Self::require_f64)?,
+            resegment: control.resegment,
             drift_phase: inject.map(|d| d.phase as u64),
             drift_factor: inject.map(|d| d.factor),
             drift_block: inject.and_then(|d| d.block).map(|b| b as u64),
@@ -802,18 +810,15 @@ impl RawArgs {
             .collect()
     }
 
-    /// `--adaptive true` and the controller's flags. The controller
-    /// flags are validated even when `--adaptive` is absent.
-    fn control_options(&self) -> Result<Option<ControlOptions>, ArgError> {
-        let mut options = ControlOptions {
-            resegment: self.bool_or("resegment", true)?,
-            inject: self.inject_drift()?,
-            ..ControlOptions::default()
-        };
-        if let Some(t) = self.non_negative("drift-tolerance")? {
-            options.drift_tolerance = t;
-        }
-        Ok(self.bool_or("adaptive", false)?.then_some(options))
+    /// `--drift-tolerance`, `--resegment` and `--inject-drift`, checked
+    /// by [`ControlOptions::try_new`].
+    fn control_options(&self) -> Result<ControlOptions, ArgError> {
+        ControlOptions::try_new(
+            self.optional("drift-tolerance", Self::require_f64)?,
+            self.bool_or("resegment", true)?,
+            self.inject_drift()?,
+        )
+        .map_err(|e| self.knob_error("drift-tolerance", e))
     }
 
     /// `--phases N --sparse K --seed S` as training options (defaults 4,
@@ -935,15 +940,21 @@ impl RawArgs {
             .transpose()
     }
 
-    /// `--max-retries N` and `--eval-timeout-ms MS` over the default
-    /// [`RecoveryPolicy`].
+    /// `--max-retries N`, `--backoff-ms MS` and `--eval-timeout-ms MS`
+    /// (each only where the command's flag table admits it) over the
+    /// default [`RecoveryPolicy`], checked by [`RecoveryPolicy::try_new`].
     fn recovery(&self) -> Result<RecoveryPolicy, ArgError> {
-        let mut policy = RecoveryPolicy::default();
-        policy.max_retries = self.int_or("max-retries", policy.max_retries)?;
-        if let Some(ms) = self.positive("eval-timeout-ms", "a positive integer of milliseconds")? {
-            policy.eval_timeout_ms = Some(ms);
-        }
-        Ok(policy)
+        RecoveryPolicy::try_new(
+            self.opt_u64("max-retries")?,
+            self.opt_u64("backoff-ms")?,
+            self.opt_u64("eval-timeout-ms")?,
+        )
+        .map_err(|e| self.knob_error(&e.knob.replace('_', "-"), e))
+    }
+
+    /// A knob the core refused, as a bad value of `flag`, which set it.
+    fn knob_error(&self, flag: &str, e: KnobError) -> ArgError {
+        bad_value(flag, self.get(flag).unwrap_or_default(), e.expected)
     }
 
     /// Parses a required comma-separated flag (e.g. `--input 64,2`).
@@ -1656,6 +1667,32 @@ mod tests {
             .unwrap_err(),
             ArgError::BadValue { .. }
         ));
+        // The core's knob ranges hold on `run` and `client` alike, so the
+        // client refuses before it connects what the server would refuse.
+        let run = ["run", "--model", "m", "--input", "1", "--budget", "5"];
+        let client = [
+            "client", "--op", "optimize", "--app", "pso", "--input", "1", "--budget", "5",
+        ];
+        for (base, flag, value) in [
+            (&run[..], "max-retries", "17"),
+            (&client[..], "max-retries", "17"),
+            (&client[..], "eval-timeout-ms", "0"),
+            (&client[..], "drift-tolerance", "-1"),
+            (&client[..], "drift-tolerance", "NaN"),
+            (&client[..], "inject-drift", "phase=0,factor=0"),
+        ] {
+            let flag_arg = format!("--{flag}");
+            let mut args = base.to_vec();
+            args.extend([flag_arg.as_str(), value]);
+            let err = parse(&args).unwrap_err();
+            assert!(
+                matches!(&err, ArgError::BadValue { flag: f, value: v, .. } if f == flag && v == value),
+                "{args:?}: {err}"
+            );
+        }
+        let mut at_cap = run.to_vec();
+        at_cap.extend(["--max-retries", "16"]);
+        assert!(parse(&at_cap).is_ok());
         // `optimize` is model-only: no engine, no fault flags.
         assert!(matches!(
             parse(&[

@@ -289,7 +289,7 @@ pub struct OptimizeReply {
     pub predicted_qos: f64,
     /// Candidate plans empirically validated (0 on the model-only path).
     pub candidates_tried: u64,
-    /// `true` when the reply came from the server's plan cache.
+    /// Always `false`; kept for v1, whose parsers require the key.
     pub cached: bool,
     /// The measured outcome, on the validated path.
     pub measured: Option<MeasuredReply>,

@@ -34,7 +34,7 @@ use opprox_approx_rt::{ApproxApp, InputParams, PhaseSchedule, RunResult};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-use crate::error::OpproxError;
+use crate::error::{KnobError, OpproxError};
 use crate::evaluator::EvalEngine;
 use crate::fault::degradable_kind;
 use crate::optimizer::{
@@ -69,56 +69,52 @@ pub struct DriftInjection {
 }
 
 impl DriftInjection {
+    /// An injection scaling `phase`'s observed work (only `block`'s, when
+    /// given) by `factor`.
+    ///
+    /// # Errors
+    ///
+    /// A [`KnobError`] unless `factor` is finite and positive.
+    pub fn try_new(phase: usize, factor: f64, block: Option<usize>) -> Result<Self, KnobError> {
+        if !factor.is_finite() || factor <= 0.0 {
+            return Err(KnobError::new("drift_factor", "a finite positive number"));
+        }
+        Ok(Self {
+            phase,
+            factor,
+            block,
+        })
+    }
+
     /// Parses a `key=value` spec like `phase=1,factor=4.0` or
     /// `phase=0,factor=3.0,block=2` (same shape as `--fault-plan`).
     ///
     /// # Errors
     ///
     /// Returns a human-readable message on unknown keys, missing
-    /// `phase`/`factor`, or unparsable values.
+    /// `phase`/`factor`, unparsable values, or a factor
+    /// [`DriftInjection::try_new`] refuses.
     pub fn parse(spec: &str) -> Result<Self, String> {
-        let mut phase: Option<usize> = None;
-        let mut factor: Option<f64> = None;
-        let mut block: Option<usize> = None;
-        for part in spec.split(',').filter(|p| !p.trim().is_empty()) {
+        let (mut phase, mut factor, mut block) = (None, None, None);
+        for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
             let (key, value) = part
                 .split_once('=')
                 .ok_or_else(|| format!("expected key=value, got `{part}`"))?;
-            match key.trim() {
-                "phase" => {
-                    phase = Some(
-                        value
-                            .trim()
-                            .parse()
-                            .map_err(|_| format!("invalid phase `{value}`"))?,
-                    );
-                }
-                "factor" => {
-                    let f: f64 = value
-                        .trim()
-                        .parse()
-                        .map_err(|_| format!("invalid factor `{value}`"))?;
-                    if !f.is_finite() || f <= 0.0 {
-                        return Err(format!("factor must be finite and positive, got `{value}`"));
-                    }
-                    factor = Some(f);
-                }
-                "block" => {
-                    block = Some(
-                        value
-                            .trim()
-                            .parse()
-                            .map_err(|_| format!("invalid block `{value}`"))?,
-                    );
-                }
+            let (key, value) = (key.trim(), value.trim());
+            let bad = || format!("invalid {key} `{value}`");
+            match key {
+                "phase" => phase = Some(value.parse().map_err(|_| bad())?),
+                "factor" => factor = Some(value.parse().map_err(|_| bad())?),
+                "block" => block = Some(value.parse().map_err(|_| bad())?),
                 other => return Err(format!("unknown drift key `{other}`")),
             }
         }
-        Ok(Self {
-            phase: phase.ok_or("drift spec needs phase=N")?,
-            factor: factor.ok_or("drift spec needs factor=F")?,
+        Self::try_new(
+            phase.ok_or("drift spec needs phase=N")?,
+            factor.ok_or("drift spec needs factor=F")?,
             block,
-        })
+        )
+        .map_err(|e| format!("factor must be {}", e.expected))
     }
 }
 
@@ -133,6 +129,30 @@ pub struct ControlOptions {
     pub resegment: bool,
     /// Optional deterministic drift injection.
     pub inject: Option<DriftInjection>,
+}
+
+impl ControlOptions {
+    /// The controller's options from per-request knobs; `tolerance`
+    /// replaces [`DEFAULT_DRIFT_TOLERANCE`] when given.
+    ///
+    /// # Errors
+    ///
+    /// A [`KnobError`] unless `tolerance` is finite and non-negative.
+    pub fn try_new(
+        tolerance: Option<f64>,
+        resegment: bool,
+        inject: Option<DriftInjection>,
+    ) -> Result<Self, KnobError> {
+        let drift_tolerance = tolerance.unwrap_or(DEFAULT_DRIFT_TOLERANCE);
+        if !drift_tolerance.is_finite() || drift_tolerance < 0.0 {
+            return Err(KnobError::new("tolerance", "a finite non-negative number"));
+        }
+        Ok(Self {
+            drift_tolerance,
+            resegment,
+            inject,
+        })
+    }
 }
 
 impl Default for ControlOptions {

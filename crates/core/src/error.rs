@@ -119,6 +119,28 @@ impl fmt::Display for OpproxError {
     }
 }
 
+/// A per-request knob out of range, refused before anything runs. The
+/// wire answers it with `bad_request`; the CLI names the flag that set it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KnobError {
+    /// The knob's wire key, e.g. `eval_timeout_ms`.
+    pub knob: &'static str,
+    /// What the knob must be.
+    pub expected: &'static str,
+}
+
+impl KnobError {
+    pub(crate) const fn new(knob: &'static str, expected: &'static str) -> Self {
+        KnobError { knob, expected }
+    }
+}
+
+impl From<KnobError> for OpproxError {
+    fn from(e: KnobError) -> Self {
+        OpproxError::BadRequest(format!("`{}` must be {}", e.knob, e.expected))
+    }
+}
+
 impl std::error::Error for OpproxError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {

@@ -26,6 +26,7 @@
 //! see `EvalEngine` for the enforcement and `tests/loom.rs` (rule `C005`)
 //! for the model-checked interleavings.
 
+use crate::error::KnobError;
 use crate::sync::Mutex;
 use crate::telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
@@ -306,7 +307,44 @@ impl Default for RecoveryPolicy {
     }
 }
 
+/// The most retries [`RecoveryPolicy::try_new`] accepts: each retry
+/// re-executes on the caller's thread, which in `opprox serve` holds a
+/// handling slot the whole time.
+pub const MAX_RETRIES: u32 = 16;
+
 impl RecoveryPolicy {
+    /// The default policy with each given knob in place of its default:
+    /// the one check of the knobs the CLI and the wire carry.
+    ///
+    /// # Errors
+    ///
+    /// A [`KnobError`] when `max_retries` exceeds [`MAX_RETRIES`], or when
+    /// `eval_timeout_ms` is 0: the timeout is checked after a run
+    /// finishes, so 0 ms would fail every run.
+    pub fn try_new(
+        max_retries: Option<u64>,
+        backoff_ms: Option<u64>,
+        eval_timeout_ms: Option<u64>,
+    ) -> Result<Self, KnobError> {
+        let default = RecoveryPolicy::default();
+        let max_retries = match max_retries.map(u32::try_from) {
+            None => default.max_retries,
+            Some(Ok(r)) if r <= MAX_RETRIES => r,
+            Some(_) => return Err(KnobError::new("max_retries", "an integer from 0 to 16")),
+        };
+        if eval_timeout_ms == Some(0) {
+            return Err(KnobError::new(
+                "eval_timeout_ms",
+                "a positive integer of milliseconds",
+            ));
+        }
+        Ok(RecoveryPolicy {
+            max_retries,
+            backoff_base_ms: backoff_ms.unwrap_or(default.backoff_base_ms),
+            eval_timeout_ms,
+        })
+    }
+
     /// Total attempts allowed per evaluation (`1 + max_retries`).
     pub(crate) fn max_attempts(&self) -> u32 {
         self.max_retries.saturating_add(1)

@@ -147,17 +147,14 @@ pub(crate) fn schedule_of(phases: &[PhasePlan], iters: u64) -> Result<PhaseSched
 }
 
 /// One phase visit of [`divide_budget`]: the phase's ROI (Eq. 1), the
-/// unused budget rolled in from earlier visits and on to later ones, the
-/// chosen plan (whose `allocated_budget` is the visit's sub-budget), and
-/// how many configurations the phase's staircase is built from (see
-/// [`optimize_phase`]).
+/// unused budget rolled in from earlier visits and on to later ones, and
+/// the chosen plan (whose `allocated_budget` is the visit's sub-budget).
 #[derive(Debug, Clone)]
 pub(crate) struct PhaseVisit {
     pub roi: f64,
     pub leftover_in: f64,
     pub leftover_out: f64,
     pub plan: PhasePlan,
-    pub evaluated: u64,
 }
 
 /// Algorithm 2's budget division over `phases` of `facts`' input: splits
@@ -202,7 +199,7 @@ pub(crate) fn divide_budget(
         let leftover_in = leftover;
         let allocated = budget * share + leftover_in;
         let scan = || solve_phase(models, blocks, phase, allocated, conservatism, || Ok(facts));
-        let (best, evaluated) = match trace {
+        let best = match trace {
             Some((t, prefix)) => t.span(&format!("{prefix}[{phase}]"), scan),
             None => scan(),
         }?;
@@ -225,7 +222,6 @@ pub(crate) fn divide_budget(
             leftover_in,
             leftover_out: leftover,
             plan,
-            evaluated,
         });
     }
     Ok(visits)
@@ -241,9 +237,10 @@ pub(crate) fn divide_budget(
 /// With a telemetry registry, each phase solve runs under span
 /// `optimize/phase[p]`, every phase visit emits an `optimize.phase` event
 /// (solve id, visit step, ROI, allocated sub-budget, leftover roll-over,
-/// predicted QoS/speedup, space size and the configurations the phase's
-/// staircase is built from; see [`optimize_phase`]) and
-/// each solve closes with an
+/// predicted QoS/speedup, space size, and the configurations the phase's
+/// staircase is built from: the space minus the accurate configuration,
+/// or 0 at a non-positive sub-budget; see [`optimize_phase`]) and each
+/// solve closes with an
 /// `optimize.plan` event. Events are emitted in visit order — decreasing
 /// ROI — so traces make Algorithm 2's budget redistribution an assertable
 /// fact.
@@ -298,20 +295,17 @@ pub(crate) fn optimize_with(
         telemetry.map(|t| (t, "optimize/phase")),
     )?;
 
-    let mut phases: Vec<PhasePlan> = visits.iter().map(|v| v.plan.clone()).collect();
-    phases.sort_by_key(|p| p.phase);
-    let (predicted_speedup, predicted_qos) = compose(&phases);
-    let schedule = schedule_of(&phases, expected_iters.max(1))?;
-
-    if let Some(t) = telemetry {
+    // Events first, from the visits, so the plans can then be moved out.
+    let traced = telemetry.map(|t| {
         // A per-registry solve id keeps events from the many candidate
         // solves a validated request performs distinguishable in one
-        // trace. The root `optimize.start` event carries the total
-        // budget, so the per-phase allocations in the `optimize.phase`
-        // ledger telescope to an amount a cross-artifact audit can check
-        // (rule X002).
+        // trace.
         t.incr("optimize.solves");
         let solve = (t.counter_value("optimize.solves") - 1) as f64;
+        // The root `optimize.start` event carries the total budget, so
+        // the per-phase allocations in the `optimize.phase` ledger
+        // telescope to an amount a cross-artifact audit can check (rule
+        // X002).
         t.event(
             "optimize.start",
             &[
@@ -320,7 +314,15 @@ pub(crate) fn optimize_with(
                 ("phases", num_phases as f64),
             ],
         );
+        let space = config_space_size(blocks);
         for (step, v) in visits.iter().enumerate() {
+            // What `optimize_phase` scans: never the accurate
+            // configuration, and nothing at a non-positive budget.
+            let evaluated = if v.plan.allocated_budget <= 0.0 {
+                0
+            } else {
+                space - 1
+            };
             t.event(
                 "optimize.phase",
                 &[
@@ -333,11 +335,19 @@ pub(crate) fn optimize_with(
                     ("leftover_out", v.leftover_out),
                     ("predicted_qos", v.plan.predicted_qos),
                     ("predicted_speedup", v.plan.predicted_speedup),
-                    ("space", config_space_size(blocks) as f64),
-                    ("evaluated", v.evaluated as f64),
+                    ("space", space as f64),
+                    ("evaluated", evaluated as f64),
                 ],
             );
         }
+        (t, solve)
+    });
+
+    let mut phases: Vec<PhasePlan> = visits.into_iter().map(|v| v.plan).collect();
+    phases.sort_by_key(|p| p.phase);
+    let (predicted_speedup, predicted_qos) = compose(&phases);
+    let schedule = schedule_of(&phases, expected_iters.max(1))?;
+    if let Some((t, solve)) = traced {
         t.event(
             "optimize.plan",
             &[
@@ -378,10 +388,7 @@ pub(crate) fn optimize_with(
 /// nothing. A non-positive budget answers `None` without classifying or
 /// building anything.
 ///
-/// Returns the winner (`None` when no non-accurate configuration fits)
-/// and the number of configurations the staircase is built from: the
-/// space minus the accurate configuration, or 0 at a non-positive budget,
-/// whether or not this call built it.
+/// Returns the winner, `None` when no non-accurate configuration fits.
 ///
 /// # Errors
 ///
@@ -396,7 +403,7 @@ pub fn optimize_phase(
     phase: usize,
     budget: f64,
     conservatism: Conservatism,
-) -> Result<(Option<PhasePlan>, u64), OpproxError> {
+) -> Result<Option<PhasePlan>, OpproxError> {
     solve_phase(models, blocks, phase, budget, conservatism, || {
         models.facts(input)
     })
@@ -411,7 +418,7 @@ fn solve_phase<F: Borrow<InputFacts>>(
     budget: f64,
     conservatism: Conservatism,
     facts: impl FnOnce() -> Result<F, OpproxError>,
-) -> Result<(Option<PhasePlan>, u64), OpproxError> {
+) -> Result<Option<PhasePlan>, OpproxError> {
     let space = config_space_size(blocks);
     if space > EXHAUSTIVE_LIMIT {
         return Err(OpproxError::InvalidModel(format!(
@@ -420,7 +427,7 @@ fn solve_phase<F: Borrow<InputFacts>>(
         )));
     }
     if budget <= 0.0 {
-        return Ok((None, 0));
+        return Ok(None);
     }
     let facts = facts()?;
     let facts = facts.borrow();
@@ -429,7 +436,7 @@ fn solve_phase<F: Borrow<InputFacts>>(
         .staircase(facts, blocks, phase, conservatism, || {
             build_staircase(models, blocks, facts, phase, conservatism)
         })?;
-    let best = staircase
+    Ok(staircase
         .get(staircase.partition_point(|s| s.qos > budget))
         .map(|s| PhasePlan {
             phase,
@@ -437,9 +444,7 @@ fn solve_phase<F: Borrow<InputFacts>>(
             allocated_budget: budget,
             predicted_qos: s.qos,
             predicted_speedup: s.speedup,
-        });
-    // `config_space_size` is at least 1: the accurate configuration.
-    Ok((best, space - 1))
+        }))
 }
 
 /// One step of a phase's QoS staircase: a candidate configuration with its
@@ -757,11 +762,12 @@ mod tests {
         for budget in [0.0, -1.0, f64::NEG_INFINITY] {
             for cons in [Conservatism::Band, Conservatism::Point] {
                 let solved = optimize_phase(&models, blocks, &input, 0, budget, cons).unwrap();
-                assert_eq!(solved, (None, 0));
+                assert_eq!(solved, None);
             }
         }
         assert_eq!(models.memo().sizes(), (0, 0), "nothing was classified");
         let spec = AccuracySpec::new(0.0);
+        let t = Telemetry::new();
         optimize_traced(
             &models,
             blocks,
@@ -769,10 +775,16 @@ mod tests {
             &spec,
             iters,
             Conservatism::Band,
-            None,
+            Some(&t),
         )
         .unwrap();
         assert_eq!(models.memo().sizes(), (1, 0));
+        let report = t.report();
+        let visits = report.events_named("optimize.phase");
+        assert_eq!(visits.len(), 2);
+        for e in visits {
+            assert_eq!(e.field("evaluated"), Some(0.0), "nothing is scanned");
+        }
     }
 
     #[test]

@@ -26,11 +26,11 @@
 //!    configurations and are answered by the batched predictor in one
 //!    flat model pass.
 //!
-//! Model-only optimize replies are memoized in a plan cache keyed by
-//! `(app, generation, input, budget, conservatism)`, so hot inputs skip
-//! the Algorithm-2 solve entirely. Reloads bump the generation, so a swap
-//! invalidates every stale plan at once; the cache holds at most
-//! `PLAN_CACHE_CAP` replies and is cleared when full.
+//! Serve keeps no reply cache. Every optimize frame runs
+//! [`OptimizeRequest::run`], and a repeated input is answered from the
+//! models' per-input memo (DESIGN §13) without a prediction. A reload
+//! installs a fresh model set, whose memo starts empty, and may widen the
+//! level space but never narrow it (see `audit_candidate`).
 
 use crate::api::{
     AdaptiveParams, AdaptiveReply, ApiRequest, ApiResponse, HealthReply, MeasuredReply,
@@ -112,25 +112,6 @@ pub struct ModelEntry {
 
 type ModelMap = BTreeMap<String, Arc<ModelEntry>>;
 
-/// The most replies the plan cache holds. A reply is a few hundred bytes,
-/// so a full cache is a few megabytes. When a new reply would exceed the
-/// cap the cache is cleared: replies never depend on what it holds. A
-/// client that only repeats a hot set of keys never fills it; one that
-/// varies its budget fills it once per this many distinct keys.
-pub(crate) const PLAN_CACHE_CAP: usize = 16_384;
-
-/// Key of the plan cache. The control-flow class that picks the model
-/// set is a function of `(app, generation, input)`, so the key is exact
-/// without it. A reload bumps `generation`, invalidating stale plans.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct PlanKey {
-    app: String,
-    generation: u64,
-    input_bits: Vec<u64>,
-    budget_bits: u64,
-    point: bool,
-}
-
 /// Occupancy of the handling gate: admitted frames still waiting for a
 /// slot, and slots in use.
 #[derive(Debug, Default)]
@@ -140,7 +121,7 @@ struct Slots {
 }
 
 /// The shared state of a serving instance: model store, handling gate,
-/// plan cache, and telemetry registry. [`Server`] wraps it with the TCP
+/// and telemetry registry. [`Server`] wraps it with the TCP
 /// accept/connection/reload threads; tests drive it in-process.
 pub struct ServeState {
     options: ServeOptions,
@@ -151,7 +132,6 @@ pub struct ServeState {
     /// The `serve.shed` total the admission ledger last recorded.
     ledger_shed: AtomicU64,
     shutdown: AtomicBool,
-    cache: Mutex<HashMap<PlanKey, OptimizeReply>>,
     tele: Telemetry,
     start_micros: u64,
     /// (mtime, len) of each app's last refused reload candidate, so a
@@ -182,7 +162,6 @@ impl ServeState {
             slot_freed: Condvar::new(),
             ledger_shed: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
-            cache: Mutex::new(HashMap::new()),
             tele,
             start_micros,
             rejected_files: Mutex::new(HashMap::new()),
@@ -281,7 +260,7 @@ impl ServeState {
             if id == entry.file_id || seen {
                 continue;
             }
-            match self.audit_candidate(app, entry, path) {
+            match Self::audit_candidate(entry, path) {
                 Ok(trained) => {
                     self.install(trained, Some(path.to_path_buf()));
                     self.tele.incr("serve.reload");
@@ -320,17 +299,17 @@ impl ServeState {
     }
 
     /// The reload audit: loads the candidate artifact leniently, runs the
-    /// Error-severity integrity rules (A004/A007/A012), and checks every
-    /// plan the schedule cache is serving for this app's current
-    /// generation against the candidate's blocks with
-    /// [`LevelConfig::violations`] (rule X006). Returns the audited system
-    /// or the first rejecting rule code, `None` when the file never
-    /// deserialized far enough to audit. The code lands in the
-    /// `serve.reload.reject[..]` counter name and, numerically encoded,
-    /// in the `serve.reload` event.
+    /// Error-severity integrity rules (A004/A007/A012), and refuses with
+    /// rule X006 a candidate whose blocks do not cover the serving
+    /// generation's level space: its top corner, every block at its
+    /// `max_level`, must pass [`LevelConfig::violations`] against the
+    /// candidate's blocks. Every plan a generation returns lies inside
+    /// its level space, so a reload may widen that space but never narrow
+    /// it. Returns the audited system or the first rejecting rule code,
+    /// `None` when the file never deserialized far enough to audit. The
+    /// code lands in the `serve.reload.reject[..]` counter name and,
+    /// numerically encoded, in the `serve.reload` event.
     fn audit_candidate(
-        &self,
-        app: &str,
         entry: &ModelEntry,
         path: &Path,
     ) -> Result<TrainedOpprox, Option<&'static str>> {
@@ -339,21 +318,9 @@ impl ServeState {
         if let Some(issue) = trained.integrity_issues().into_iter().next() {
             return Err(Some(issue.kind.rule_code()));
         }
-        // Every (block, level) a cached plan of the serving generation
-        // selects must stay inside the candidate's trained level space,
-        // or in-flight clients would hold schedules the new model never
-        // covered.
-        let cache = self.cache.lock().expect("plan cache lock");
-        for (key, reply) in cache.iter() {
-            if key.app != app || key.generation != entry.generation {
-                continue;
-            }
-            for levels in &reply.levels {
-                let config = LevelConfig::new(levels.iter().map(|&l| l.min(255) as u8).collect());
-                if !config.violations(trained.blocks()).is_empty() {
-                    return Err(Some("X006"));
-                }
-            }
+        let top = LevelConfig::new(entry.trained.blocks().iter().map(|b| b.max_level).collect());
+        if !top.violations(trained.blocks()).is_empty() {
+            return Err(Some("X006"));
         }
         Ok(trained)
     }
@@ -443,26 +410,7 @@ impl ServeState {
         let trained = &entry.trained;
         let input = InputParams::new(p.input.clone());
         let spec = AccuracySpec::try_new(p.budget)?;
-
-        let cache_key = (!p.validate).then(|| PlanKey {
-            app: p.app.to_ascii_lowercase(),
-            generation: entry.generation,
-            input_bits: p.input.iter().map(|x| x.to_bits()).collect(),
-            budget_bits: p.budget.to_bits(),
-            point: p.point,
-        });
-        if let Some(mut hit) = cache_key.as_ref().and_then(|key| self.cache_get(key)) {
-            self.tele.incr("serve.cache.hit");
-            hit.cached = true;
-            return Ok(ApiResponse::Optimize(hit));
-        }
-        // Only inputs that classify are ever cached; an input that does
-        // not is refused here, before it counts as a miss. The class is
-        // memoized with the input, so the request below reads it.
-        trained.models().facts(&input)?;
-        if cache_key.is_some() {
-            self.tele.incr("serve.cache.miss");
-        }
+        let policy = RecoveryPolicy::try_new(p.max_retries, p.backoff_ms, p.eval_timeout_ms)?;
 
         let conservatism = if p.point {
             Conservatism::Point
@@ -472,7 +420,9 @@ impl ServeState {
         let outcome = if p.validate {
             // Validation executes the application for real.
             let app = executable_app(&p.app)?;
-            let engine = request_engine(p.max_retries, p.backoff_ms, p.eval_timeout_ms);
+            // Single-threaded: the concurrency budget belongs to the
+            // handling gate.
+            let engine = EvalEngine::with_recovery(1, policy);
             let mut req = OptimizeRequest::new(input, spec)
                 .conservatism(conservatism)
                 .validate_on(app.as_ref())
@@ -487,7 +437,7 @@ impl ServeState {
                 .run(trained)?
         };
 
-        let reply = OptimizeReply {
+        Ok(ApiResponse::Optimize(OptimizeReply {
             app: p.app.clone(),
             generation: entry.generation,
             path: match outcome.path {
@@ -503,11 +453,7 @@ impl ServeState {
             candidates_tried: outcome.candidates_tried as u64,
             cached: false,
             measured: outcome.measured.map(MeasuredReply::from),
-        };
-        if let Some(key) = cache_key {
-            self.cache_put(key, reply.clone());
-        }
-        Ok(ApiResponse::Optimize(reply))
+        }))
     }
 
     fn handle_adaptive(
@@ -519,28 +465,22 @@ impl ServeState {
         let trained = &entry.trained;
         let input = InputParams::new(p.input.clone());
         let spec = AccuracySpec::try_new(p.budget)?;
+        let policy = RecoveryPolicy::try_new(p.max_retries, p.backoff_ms, p.eval_timeout_ms)?;
+        let index = |i: u64| usize::try_from(i).unwrap_or(usize::MAX);
+        let inject = match (p.drift_phase, p.drift_factor) {
+            (Some(phase), Some(factor)) => Some(DriftInjection::try_new(
+                index(phase),
+                factor,
+                p.drift_block.map(index),
+            )?),
+            _ => None,
+        };
+        let options = ControlOptions::try_new(p.tolerance, p.resegment, inject)?;
 
         // The controller executes the application for real, like the
         // validated optimize path.
         let app = executable_app(&p.app)?;
-        let engine = request_engine(p.max_retries, p.backoff_ms, p.eval_timeout_ms);
-
-        let mut options = ControlOptions {
-            resegment: p.resegment,
-            ..ControlOptions::default()
-        };
-        if let Some(t) = p.tolerance {
-            options.drift_tolerance = t;
-        }
-        if let (Some(phase), Some(factor)) = (p.drift_phase, p.drift_factor) {
-            options.inject = Some(DriftInjection {
-                phase: usize::try_from(phase).unwrap_or(usize::MAX),
-                factor,
-                block: p
-                    .drift_block
-                    .map(|b| usize::try_from(b).unwrap_or(usize::MAX)),
-            });
-        }
+        let engine = EvalEngine::with_recovery(1, policy);
 
         let outcome = OptimizeRequest::new(input, spec)
             .validate_on(app.as_ref())
@@ -647,24 +587,6 @@ impl ServeState {
         ApiResponse::Metrics(MetricsReply {
             report: self.tele.report().to_value(),
         })
-    }
-
-    // -- plan cache ---------------------------------------------------
-
-    fn cache_get(&self, key: &PlanKey) -> Option<OptimizeReply> {
-        self.cache
-            .lock()
-            .expect("plan cache lock")
-            .get(key)
-            .cloned()
-    }
-
-    fn cache_put(&self, key: PlanKey, reply: OptimizeReply) {
-        let mut cache = self.cache.lock().expect("plan cache lock");
-        if cache.len() >= PLAN_CACHE_CAP && !cache.contains_key(&key) {
-            cache.clear();
-        }
-        cache.insert(key, reply);
     }
 
     // -- admission ---------------------------------------------------
@@ -813,26 +735,6 @@ fn executable_app(app: &str) -> Result<Box<dyn ApproxApp>, OpproxError> {
             "app `{app}` has a trained artifact but no executable implementation"
         ))
     })
-}
-
-/// A private single-threaded engine carrying a request's own recovery
-/// knobs (the concurrency budget belongs to the handling gate).
-fn request_engine(
-    max_retries: Option<u64>,
-    backoff_ms: Option<u64>,
-    eval_timeout_ms: Option<u64>,
-) -> EvalEngine {
-    let mut policy = RecoveryPolicy::default();
-    if let Some(r) = max_retries {
-        policy.max_retries = u32::try_from(r).unwrap_or(u32::MAX);
-    }
-    if let Some(b) = backoff_ms {
-        policy.backoff_base_ms = b;
-    }
-    if let Some(t) = eval_timeout_ms {
-        policy.eval_timeout_ms = Some(t);
-    }
-    EvalEngine::with_recovery(1, policy)
 }
 
 /// The per-phase level rows of a schedule, as the wire carries them.
@@ -1148,29 +1050,30 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_hits_on_repeat_and_misses_after_reload() {
+    fn repeated_frames_answer_from_the_memo_and_reloads_bump_the_generation() {
         let state = state_with_pso();
-        let req = ApiRequest::Optimize(OptimizeParams::new("pso", vec![16.0, 3.0], 10.0));
-        let first = state.handle(&req);
-        let second = state.handle(&req);
-        let (ApiResponse::Optimize(a), ApiResponse::Optimize(b)) = (first, second) else {
-            panic!("expected optimize replies");
-        };
-        assert!(!a.cached);
-        assert!(b.cached);
-        assert_eq!(a.levels, b.levels);
-        assert_eq!(state.telemetry().counter_value("serve.cache.hit"), 1);
-        // A reload bumps the generation, invalidating the cached plan.
+        let memo_sizes =
+            |state: &ServeState| state.snapshot()["pso"].trained.models().memo().sizes();
+        let line =
+            ApiRequest::Optimize(OptimizeParams::new("pso", vec![16.0, 3.0], 10.0)).to_wire();
+        let first = state.serve_line(&line);
+        let warm = memo_sizes(&state);
+        assert!(warm.1 > 0, "the first frame builds the input's staircases");
+        let second = state.serve_line(&line);
+        assert_eq!(first, second);
+        assert!(first.contains(r#""cached":false"#), "{first}");
+        assert_eq!(memo_sizes(&state), warm, "a repeated frame builds nothing");
+        // A reload installs a new generation with a memo of its own.
         state.install(trained(), None);
-        let ApiResponse::Optimize(c) = state.handle(&req) else {
+        let Ok(ApiResponse::Optimize(reply)) = ApiResponse::parse(&state.serve_line(&line)) else {
             panic!("expected an optimize reply");
         };
-        assert!(!c.cached);
-        assert_eq!(c.generation, 2);
+        assert_eq!(reply.generation, 2);
+        assert!(!reply.cached);
     }
 
     #[test]
-    fn plan_cache_stays_within_its_cap_under_distinct_budgets() {
+    fn distinct_budgets_grow_nothing_but_the_inputs_memo_entry() {
         let state = state_with_pso();
         let trained = Arc::clone(&state.snapshot()["pso"].trained);
         let input = vec![16.0, 3.0];
@@ -1184,6 +1087,7 @@ mod tests {
                     .run(&trained)
                     .unwrap();
             assert_eq!(reply.path, "model_only");
+            assert!(!reply.cached);
             assert_eq!(
                 reply.levels,
                 level_rows(&direct.plan.schedule),
@@ -1200,22 +1104,34 @@ mod tests {
                 ),
                 "budget {budget}"
             );
-            reply.cached
         };
         let budget = |i: usize| 0.5 + i as f64 * 1e-3;
-        let sent = PLAN_CACHE_CAP + 8;
-        for i in 0..sent {
-            assert!(!ask(budget(i)), "budget {} is new", budget(i));
-            assert!(state.cache.lock().unwrap().len() <= PLAN_CACHE_CAP);
+        // Training's self-check leaves its own inputs in the memo.
+        let memo = || trained.models().memo().sizes();
+        let (inputs, staircases) = memo();
+        ask(budget(0));
+        let warm = memo();
+        assert!(warm.0 <= inputs + 1, "{warm:?}");
+        assert_eq!(warm.1, staircases + trained.num_phases());
+        // What serve's registry holds once every metric has a value.
+        let shape = |r: &crate::telemetry::TelemetryReport| {
+            (
+                r.counters.len(),
+                r.histograms.len(),
+                r.timeline.len(),
+                r.events.len(),
+            )
+        };
+        let held = shape(&state.telemetry().report());
+        // The removed reply cache held 16 384 replies; send 8 more
+        // distinct budgets than that.
+        for i in 1..16_392 {
+            ask(budget(i));
         }
-        // The cache was cleared once, when it was full, and holds what
-        // came after.
-        assert_eq!(state.cache.lock().unwrap().len(), sent - PLAN_CACHE_CAP);
-        assert!(ask(budget(sent - 1)), "a recent budget is cached");
-        assert!(!ask(budget(0)), "an evicted budget is solved again");
-        let tele = state.telemetry();
-        assert_eq!(tele.counter_value("serve.cache.hit"), 1);
-        assert_eq!(tele.counter_value("serve.cache.miss"), sent as u64 + 1);
+        assert_eq!(memo(), warm, "the memo still holds one input's staircases");
+        let report = state.telemetry().report();
+        assert_eq!(shape(&report), held, "serve keeps nothing per request");
+        assert_eq!(report.counter("serve.optimize"), 16_392);
     }
 
     #[test]
@@ -1383,32 +1299,64 @@ mod tests {
         server.stop();
     }
 
-    /// Rewrites every value stored under `key`, anywhere in the tree
-    /// (local copy of the testutil mutator — core cannot depend on
-    /// opprox-testutil without a dev-dependency cycle).
-    fn rewrite_key(value: &mut serde::value::Value, key: &str, to: &serde::value::Value) {
+    /// Applies `edit` to the first `limit` values stored under `key`, in
+    /// tree order (local copy of the testutil mutators — core cannot
+    /// depend on opprox-testutil without a dev-dependency cycle).
+    fn edit_key(
+        value: &mut serde::value::Value,
+        key: &str,
+        limit: &mut usize,
+        edit: &impl Fn(&mut serde::value::Value),
+    ) {
         use serde::value::Value;
         match value {
             Value::Object(entries) => {
                 for (k, v) in entries.iter_mut() {
+                    if *limit == 0 {
+                        return;
+                    }
                     if k == key {
-                        *v = to.clone();
+                        edit(v);
+                        *limit -= 1;
                     } else {
-                        rewrite_key(v, key, to);
+                        edit_key(v, key, limit, edit);
                     }
                 }
             }
             Value::Array(items) => {
                 for item in items.iter_mut() {
-                    rewrite_key(item, key, to);
+                    edit_key(item, key, limit, edit);
                 }
             }
             _ => {}
         }
     }
 
+    /// `healthy`'s JSON with `edit` applied to the first `limit` values
+    /// under `key`.
+    fn edited(
+        healthy: &TrainedOpprox,
+        key: &str,
+        mut limit: usize,
+        edit: impl Fn(&mut serde::value::Value),
+    ) -> String {
+        let mut v = serde_json::parse_value(&healthy.to_json().unwrap()).unwrap();
+        edit_key(&mut v, key, &mut limit, &edit);
+        assert_eq!(limit, 0, "the fixture has too few `{key}` values");
+        v.render_compact()
+    }
+
+    /// A `max_level` value moved by `by`.
+    fn shift_level(by: i64) -> impl Fn(&mut serde::value::Value) {
+        use serde::value::{Number, Value};
+        move |v| {
+            let level = v.as_u64().expect("max_level is an integer") as i64 + by;
+            *v = Value::Number(Number::U64(level as u64));
+        }
+    }
+
     #[test]
-    fn reload_audit_rejects_corrupt_and_uncovering_candidates() {
+    fn reload_audit_rejects_corrupt_and_narrowing_candidates() {
         use crate::telemetry::ManualClock;
         use serde::value::{Number, Value};
 
@@ -1428,113 +1376,82 @@ mod tests {
         );
         state.load_artifact(&path).unwrap();
         assert_eq!(state.generation(), 1);
+        let poll = |candidate: &str| {
+            std::fs::write(&path, candidate).unwrap();
+            clock.advance_micros(10);
+            state.poll_reload()
+        };
+        let rejected = |code: &str| {
+            state
+                .telemetry()
+                .counter_value(&format!("serve.reload.reject[{code}]"))
+        };
 
-        // Populate the plan cache so the X006 cross-check has a served
-        // schedule to pair with reload candidates.
-        let req = ApiRequest::Optimize(OptimizeParams::new("pso", vec![16.0, 3.0], 10.0));
-        let ApiResponse::Optimize(reply) = state.handle(&req) else {
+        // 1. Coverage rejection (X006) with no frame ever served: one
+        //    block loses its top level, so the candidate narrows the
+        //    serving generation's level space.
+        assert_eq!(poll(&edited(&healthy, "max_level", 1, shift_level(-1))), 0);
+        assert_eq!(rejected("X006"), 1);
+
+        // 2. Integrity rejection (A007): a negative band half-width
+        //    survives the JSON text round-trip, so it can reach disk.
+        let poisoned = edited(&healthy, "half_width", 1, |v| {
+            *v = Value::Number(Number::F64(-2.5));
+        });
+        assert_eq!(poll(&poisoned), 0, "the corrupt candidate must not swap");
+        assert_eq!(state.generation(), 1, "the old artifact stays installed");
+        assert_eq!(rejected("A007"), 1);
+
+        // 3. Coverage rejection after only a validated frame, whose plan
+        //    serve never recorded: every block drops to level 0.
+        let mut params = OptimizeParams::new("pso", vec![16.0, 3.0], 10.0);
+        params.validate = true;
+        params.validation_budget = Some(4);
+        let ApiResponse::Optimize(reply) = state.handle(&ApiRequest::Optimize(params)) else {
             panic!("expected an optimize reply");
         };
-        assert!(
-            reply.levels.iter().flatten().any(|&l| l > 0),
-            "the cached plan must approximate something: {:?}",
-            reply.levels
-        );
-
-        // 1. Integrity rejection (A007): a negative band half-width
-        //    survives the JSON text round-trip, so it can reach disk.
-        let mut v = serde_json::parse_value(&healthy.to_json().unwrap()).unwrap();
-        let mut poisoned = false;
-        rewrite_first(&mut v, "half_width", &mut poisoned);
-        assert!(poisoned, "fixture must carry a confidence band");
-        std::fs::write(&path, v.render_compact()).unwrap();
-        clock.advance_micros(10);
+        assert_ne!(reply.path, "model_only");
+        let blocks = healthy.blocks().len();
         assert_eq!(
-            state.poll_reload(),
-            0,
-            "the corrupt candidate must not swap"
+            poll(&edited(&healthy, "max_level", blocks, |v| {
+                *v = Value::Number(Number::U64(0));
+            })),
+            0
         );
-        assert_eq!(state.generation(), 1, "the old artifact stays installed");
-        assert_eq!(
-            state.telemetry().counter_value("serve.reload.reject[A007]"),
-            1
-        );
-
-        // 2. Coverage rejection (X006): a structurally clean candidate
-        //    whose level space no longer covers the cached plan.
-        let mut v = serde_json::parse_value(&healthy.to_json().unwrap()).unwrap();
-        rewrite_key(&mut v, "max_level", &Value::Number(Number::U64(0)));
-        std::fs::write(&path, v.render_compact()).unwrap();
-        clock.advance_micros(10);
-        assert_eq!(state.poll_reload(), 0);
-        assert_eq!(
-            state.telemetry().counter_value("serve.reload.reject[X006]"),
-            1
-        );
+        assert_eq!(rejected("X006"), 2);
 
         // A refused file is audited once per change, not on every poll.
         for _ in 0..2 {
             clock.advance_micros(10);
             assert_eq!(state.poll_reload(), 0);
         }
+        assert_eq!(rejected("X006"), 2);
+        let report = state.telemetry().report();
+        assert_eq!(report.events_named("serve.reload").len(), 3);
+
+        // 4. The same artifact rewritten passes the audit and swaps.
+        assert_eq!(poll(&healthy.to_json().unwrap()), 1);
+        assert_eq!(state.generation(), 2);
+
+        // 5. A candidate that widens every block's level space swaps too.
         assert_eq!(
-            state.telemetry().counter_value("serve.reload.reject[X006]"),
+            poll(&edited(&healthy, "max_level", blocks, shift_level(1))),
             1
         );
-        let report = state.telemetry().report();
-        assert_eq!(report.events_named("serve.reload").len(), 2);
+        assert_eq!(state.generation(), 3);
 
-        // 3. A healthy rewrite passes the audit, swaps, and closes the
-        //    ledger with an acceptance event.
-        std::fs::write(&path, healthy.to_json().unwrap()).unwrap();
-        clock.advance_micros(10);
-        assert_eq!(state.poll_reload(), 1);
-        assert_eq!(state.generation(), 2);
         let report = state.telemetry().report();
         let events = report.events_named("serve.reload");
-        assert_eq!(events.len(), 3, "one ledger event per poll outcome");
-        assert_eq!(events[0].field("accepted"), Some(0.0));
+        assert_eq!(events.len(), 5, "one ledger event per poll outcome");
+        let rules: Vec<_> = events.iter().map(|e| e.field("rule")).collect();
+        let x006 = Some(3006.0);
         assert_eq!(
-            events[0].field("rule"),
-            Some(1007.0),
-            "A007 encodes as 1007"
+            rules,
+            [x006, Some(1007.0), x006, Some(0.0), Some(0.0)],
+            "X006 encodes as 3006, A007 as 1007, an acceptance as 0"
         );
-        assert_eq!(
-            events[1].field("rule"),
-            Some(3006.0),
-            "X006 encodes as 3006"
-        );
-        assert_eq!(events[2].field("accepted"), Some(1.0));
-        assert_eq!(events[2].field("rule"), Some(0.0));
+        let accepted: Vec<_> = events.iter().map(|e| e.field("accepted")).collect();
+        assert_eq!(accepted, [0.0, 0.0, 0.0, 1.0, 1.0].map(Some));
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// Sets the first `half_width` in the tree to `-2.5` (tree order).
-    fn rewrite_first(value: &mut serde::value::Value, key: &str, done: &mut bool) {
-        use serde::value::{Number, Value};
-        match value {
-            Value::Object(entries) => {
-                for (k, v) in entries.iter_mut() {
-                    if *done {
-                        return;
-                    }
-                    if k == key {
-                        *v = Value::Number(Number::F64(-2.5));
-                        *done = true;
-                        return;
-                    }
-                    rewrite_first(v, key, done);
-                }
-            }
-            Value::Array(items) => {
-                for item in items.iter_mut() {
-                    if *done {
-                        return;
-                    }
-                    rewrite_first(item, key, done);
-                }
-            }
-            _ => {}
-        }
     }
 }

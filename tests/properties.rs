@@ -187,9 +187,7 @@ fn per_row_reference(predicted: &[Predicted], phase: usize, budget: f64) -> Opti
 }
 
 /// Asserts that [`optimize_phase`] on `models` agrees with
-/// [`per_row_reference`] bit for bit (config, predicted QoS and speedup),
-/// and reports the staircase as built from every non-accurate
-/// configuration (none at a non-positive budget).
+/// [`per_row_reference`] bit for bit (config, predicted QoS and speedup).
 fn check_solve(
     models: &AppModels,
     blocks: &[BlockDescriptor],
@@ -201,8 +199,7 @@ fn check_solve(
 ) {
     let space = config_space_size(blocks);
     assert!(space <= EXHAUSTIVE_LIMIT);
-    let (plan, evaluated) =
-        optimize_phase(models, blocks, input, phase, budget, cons).expect("phase solves");
+    let plan = optimize_phase(models, blocks, input, phase, budget, cons).expect("phase solves");
     let expected = per_row_reference(reference, phase, budget);
     let bits = |p: &Option<PhasePlan>| {
         p.as_ref().map(|p| {
@@ -215,7 +212,6 @@ fn check_solve(
     };
     assert_eq!(bits(&plan), bits(&expected), "{cons:?} budget {budget}");
     assert_eq!(plan, expected, "{cons:?} budget {budget}");
-    assert_eq!(evaluated, if budget > 0.0 { space - 1 } else { 0 });
     assert!(budget > 0.0 || plan.is_none());
 }
 

@@ -7,6 +7,7 @@ use opprox::core::api::{
     AdaptiveParams, ApiRequest, ApiResponse, OptimizeParams, PredictParams, WireCode,
 };
 use opprox::core::error::OpproxError;
+use opprox::core::fault::MAX_RETRIES;
 use opprox::core::optimizer::EXHAUSTIVE_LIMIT;
 use opprox::core::pipeline::TrainedOpprox;
 use opprox::core::request::OptimizeRequest;
@@ -547,4 +548,105 @@ fn tcp_adaptive_op_round_trips_and_unknown_op_is_refused() {
         ApiResponse::Shutdown
     );
     server.stop();
+}
+
+/// A validated optimize frame (which executes the app), with `set`
+/// applied.
+fn validated_req(set: impl FnOnce(&mut OptimizeParams)) -> ApiRequest {
+    let mut p = OptimizeParams::new("pso", vec![16.0, 3.0], 10.0);
+    p.validate = true;
+    p.validation_budget = Some(4);
+    set(&mut p);
+    ApiRequest::Optimize(p)
+}
+
+/// An adaptive frame (which executes the app), with `set` applied.
+fn adaptive_req(set: impl FnOnce(&mut AdaptiveParams)) -> ApiRequest {
+    let mut p = AdaptiveParams::new("pso", vec![16.0, 3.0], 10.0);
+    set(&mut p);
+    ApiRequest::Adaptive(p)
+}
+
+/// Sends each of `frames` over the wire and expects a `bad_request`
+/// naming `knob`: the knob is checked before the request runs, so the
+/// reply is an error frame with no plan and no measurement, where an
+/// in-range frame executes the app.
+fn assert_knob_refused(knob: &str, frames: &[ApiRequest]) {
+    let state = ServeState::new(ServeOptions {
+        threads: 1,
+        ..ServeOptions::default()
+    });
+    state
+        .load_artifact(temp_artifact(&format!("knob_{knob}.json")))
+        .expect("load artifact");
+    for req in frames {
+        let reply = state.serve_line(&req.to_wire());
+        let Ok(ApiResponse::Error { code, message }) = ApiResponse::parse(&reply) else {
+            panic!("{knob}: expected an error frame, got {reply}");
+        };
+        assert_eq!(code, WireCode::BadRequest, "{knob}: {message}");
+        assert!(message.contains(knob), "{knob}: {message}");
+    }
+    assert_eq!(
+        state.telemetry().counter_value("serve.errors"),
+        frames.len() as u64
+    );
+}
+
+/// A 0 ms evaluation budget would fail every run as a retryable timeout.
+#[test]
+fn zero_eval_timeout_is_a_bad_request() {
+    assert_knob_refused(
+        "eval_timeout_ms",
+        &[
+            validated_req(|p| p.eval_timeout_ms = Some(0)),
+            adaptive_req(|p| p.eval_timeout_ms = Some(0)),
+        ],
+    );
+}
+
+/// Every retry re-executes while the frame holds a handling slot, so the
+/// retries are capped; the cap itself is accepted.
+#[test]
+fn retries_past_the_cap_are_a_bad_request() {
+    assert_knob_refused(
+        "max_retries",
+        &[
+            validated_req(|p| p.max_retries = Some(u64::from(MAX_RETRIES) + 1)),
+            adaptive_req(|p| p.max_retries = Some(u64::MAX)),
+        ],
+    );
+    let state = ServeState::new(ServeOptions {
+        threads: 1,
+        ..ServeOptions::default()
+    });
+    state
+        .load_artifact(temp_artifact("knob_retry_cap.json"))
+        .expect("load artifact");
+    let req = validated_req(|p| p.max_retries = Some(u64::from(MAX_RETRIES)));
+    let reply = state.serve_line(&req.to_wire());
+    let Ok(ApiResponse::Optimize(reply)) = ApiResponse::parse(&reply) else {
+        panic!("expected an optimize reply, got {reply}");
+    };
+    assert!(reply.measured.is_some());
+}
+
+/// A drift injection must scale the observed work by a positive factor.
+#[test]
+fn non_positive_drift_factor_is_a_bad_request() {
+    assert_knob_refused(
+        "drift_factor",
+        &[0.0, -6.0].map(|factor| {
+            adaptive_req(|p| {
+                p.drift_phase = Some(0);
+                p.drift_factor = Some(factor);
+            })
+        }),
+    );
+}
+
+/// The drift band can only be widened.
+#[test]
+fn negative_drift_tolerance_is_a_bad_request() {
+    assert_knob_refused("tolerance", &[adaptive_req(|p| p.tolerance = Some(-0.5))]);
 }
