@@ -125,6 +125,10 @@ fn complete<L: OuterLoop>(
     schedule: &PhaseSchedule,
 ) -> RunResult {
     advance(app, setup, &mut at, schedule, u64::MAX);
+    // The log grew by doubling (or was cloned at exact length from a
+    // checkpoint and then grew); a finished run's log may be cached for
+    // the rest of training, so it keeps no slack.
+    at.log.shrink_to_fit();
     RunResult {
         output: app.finish(setup, at.state, at.iter),
         work: at.work,

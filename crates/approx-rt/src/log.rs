@@ -11,12 +11,17 @@
 use serde::{Deserialize, Serialize};
 
 /// One log record: a block executed during an outer-loop iteration.
+///
+/// A record is 16 bytes: the evaluator cache keeps one log per execution,
+/// so the log's width is a large share of training's memory. Iteration
+/// and block indices are stored as `u32`; [`CallContextLog::record`]
+/// refuses larger ones.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LogRecord {
     /// Outer-loop iteration index.
-    pub iteration: u64,
+    pub iteration: u32,
     /// Index of the block that executed.
-    pub block: usize,
+    pub block: u32,
     /// Work units the block performed in this call.
     pub work: u64,
 }
@@ -36,12 +41,23 @@ impl CallContextLog {
     }
 
     /// Records that `block` executed `work` units during `iteration`.
+    ///
+    /// # Panics
+    ///
+    /// If `iteration` or `block` exceeds `u32::MAX`, the largest index a
+    /// [`LogRecord`] stores.
     pub fn record(&mut self, iteration: u64, block: usize, work: u64) {
         self.records.push(LogRecord {
-            iteration,
-            block,
+            iteration: u32::try_from(iteration)
+                .expect("call-context log: iteration index exceeds u32::MAX"),
+            block: u32::try_from(block).expect("call-context log: block index exceeds u32::MAX"),
             work,
         });
+    }
+
+    /// Releases the slack capacity a growing log leaves behind.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.records.shrink_to_fit();
     }
 
     /// All raw records in execution order.
@@ -60,7 +76,7 @@ impl CallContextLog {
         self.records
             .iter()
             .take_while(|r| r.iteration == first_iter)
-            .map(|r| r.block)
+            .map(|r| r.block as usize)
             .collect()
     }
 
@@ -82,7 +98,7 @@ impl CallContextLog {
     pub fn work_of_block(&self, block: usize) -> u64 {
         self.records
             .iter()
-            .filter(|r| r.block == block)
+            .filter(|r| r.block as usize == block)
             .map(|r| r.work)
             .sum()
     }
@@ -146,5 +162,50 @@ mod tests {
     fn every_call_is_one_record() {
         assert!(CallContextLog::new().records().is_empty());
         assert_eq!(sample_log().records().len(), 9);
+    }
+
+    #[test]
+    fn a_record_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<LogRecord>(), 16);
+    }
+
+    #[test]
+    fn largest_indices_are_stored_exactly() {
+        let mut log = CallContextLog::new();
+        log.record(u64::from(u32::MAX), 0, 1);
+        log.record(0, u32::MAX as usize, u64::MAX);
+        assert_eq!(log.records()[0].iteration, u32::MAX);
+        assert_eq!(log.records()[1].block, u32::MAX);
+        assert_eq!(log.records()[1].work, u64::MAX);
+        assert_eq!(log.work_of_block(u32::MAX as usize), u64::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "call-context log: iteration index exceeds u32::MAX")]
+    fn an_iteration_past_the_limit_panics() {
+        CallContextLog::new().record(u64::from(u32::MAX) + 1, 0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "call-context log: block index exceeds u32::MAX")]
+    fn a_block_past_the_limit_panics() {
+        CallContextLog::new().record(0, u32::MAX as usize + 1, 1);
+    }
+
+    /// The serialized form is the one the 24-byte record had: the same
+    /// field names and numbers.
+    #[test]
+    fn serde_form_is_unchanged() {
+        let mut log = CallContextLog::new();
+        log.record(3, 1, 20);
+        log.record(u64::from(u32::MAX), u32::MAX as usize, u64::MAX);
+        let json = serde_json::to_string(&log).unwrap();
+        assert_eq!(
+            json,
+            r#"{"records":[{"iteration":3,"block":1,"work":20},{"iteration":4294967295,"block":4294967295,"work":18446744073709551615}]}"#
+        );
+        let back: CallContextLog = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, log);
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
     }
 }

@@ -102,12 +102,29 @@ fn true_pose(t: usize) -> [f64; POSE_DIM] {
     ]
 }
 
+/// A deterministic, well-conditioned mixing matrix: row `feature` holds
+/// the weights of the pose components in that feature. Computed at
+/// compile time by the same expression, so every weight has the same
+/// bits as one computed at run time.
+const MIXING: [[f64; POSE_DIM]; NUM_FEATURES] = {
+    let mut m = [[0.0; POSE_DIM]; NUM_FEATURES];
+    let mut feature = 0;
+    while feature < NUM_FEATURES {
+        let mut k = 0;
+        while k < POSE_DIM {
+            m[feature][k] = ((feature * 7 + k * 3 + 1) % 11) as f64 / 11.0 + 0.2;
+            k += 1;
+        }
+        feature += 1;
+    }
+    m
+};
+
 /// Fixed linear observation model: features are projections of the pose.
+/// The sum runs from `0.0` over the components in order.
 fn project(pose: &[f64; POSE_DIM], feature: usize) -> f64 {
     let mut v = 0.0;
-    for (k, &p) in pose.iter().enumerate() {
-        // A deterministic, well-conditioned mixing matrix.
-        let w = ((feature * 7 + k * 3 + 1) % 11) as f64 / 11.0 + 0.2;
+    for (&w, &p) in MIXING[feature].iter().zip(pose) {
         v += w * p;
     }
     v

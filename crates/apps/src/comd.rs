@@ -95,6 +95,47 @@ fn lj(r2: f64) -> (f64, f64) {
     (u, f_over_r)
 }
 
+/// Computes the Lennard-Jones force and potential energy of the `L`
+/// atoms `atoms` in one sweep over their partners, stores them, and
+/// returns the work.
+///
+/// Each atom keeps its own accumulators and visits the partners `j` in
+/// ascending order, skipping itself, exactly as a loop over that atom
+/// alone would: the lanes only interleave independent chains of adds, so
+/// every sum, clamp and work count has the same bits for any `L`.
+fn lj_force<const L: usize>(s: &mut State, atoms: [usize; L]) -> u64 {
+    const CUTOFF2: f64 = CUTOFF * CUTOFF;
+    let pos = &s.pos;
+    let at = atoms.map(|i| pos[i]);
+    let mut force = [[0.0f64; 3]; L];
+    let mut pe = [0.0f64; L];
+    let mut hits: u64 = 0;
+    for (j, pj) in pos.iter().enumerate() {
+        for (lane, (&i, pi)) in atoms.iter().zip(&at).enumerate() {
+            let dr = [pi[0] - pj[0], pi[1] - pj[1], pi[2] - pj[2]];
+            let r2 = dr[0] * dr[0] + dr[1] * dr[1] + dr[2] * dr[2];
+            // An atom is at distance 0 from itself, inside the cutoff, so
+            // one test both skips it and applies the cutoff.
+            if r2 < CUTOFF2 && i != j {
+                let (u, f_over_r) = lj(r2.max(0.64));
+                pe[lane] += 0.5 * u;
+                force[lane][0] += f_over_r * dr[0];
+                force[lane][1] += f_over_r * dr[1];
+                force[lane][2] += f_over_r * dr[2];
+                hits += 1;
+            }
+        }
+    }
+    for ((&i, f), u) in atoms.iter().zip(force).zip(pe) {
+        for (fc, f) in s.force[i].iter_mut().zip(f) {
+            *fc = f.clamp(-FORCE_CAP, FORCE_CAP);
+        }
+        s.pe[i] = u;
+    }
+    // Each partner costs 3 units, and each one inside the cutoff 6 more.
+    (3 * L * (pos.len() - 1)) as u64 + 6 * hits
+}
+
 /// Input-derived constants of one CoMD run.
 pub struct Setup {
     /// Atoms per lattice edge.
@@ -205,40 +246,19 @@ impl OuterLoop for CoMd {
         log: &mut CallContextLog,
     ) -> u64 {
         let n = s.pos.len();
-        let cutoff2 = CUTOFF * CUTOFF;
         let mut work: u64 = 0;
 
         // --- Block 0: lj_force (perforation over atoms) -----------------
+        // The perforated atoms go two at a time through one sweep over
+        // their partners, and an odd last one alone.
         let lvl_f = cfg.level(BLOCK_FORCE);
         let mut w: u64 = 0;
-        let pos = &s.pos;
-        for i in perforated_indices(n, lvl_f) {
-            let mut f = [0.0f64; 3];
-            let mut u_i = 0.0;
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                let dr = [
-                    pos[i][0] - pos[j][0],
-                    pos[i][1] - pos[j][1],
-                    pos[i][2] - pos[j][2],
-                ];
-                let r2 = dr[0] * dr[0] + dr[1] * dr[1] + dr[2] * dr[2];
-                if r2 < cutoff2 {
-                    let (u, f_over_r) = lj(r2.max(0.64));
-                    u_i += 0.5 * u;
-                    f[0] += f_over_r * dr[0];
-                    f[1] += f_over_r * dr[1];
-                    f[2] += f_over_r * dr[2];
-                    w += 6;
-                }
-                w += 3;
-            }
-            for (fc, f) in s.force[i].iter_mut().zip(f) {
-                *fc = f.clamp(-FORCE_CAP, FORCE_CAP);
-            }
-            s.pe[i] = u_i;
+        let mut atoms = perforated_indices(n, lvl_f);
+        while let Some(a) = atoms.next() {
+            w += match atoms.next() {
+                Some(b) => lj_force(s, [a, b]),
+                None => lj_force(s, [a]),
+            };
         }
         work += w;
         log.record(iter, BLOCK_FORCE, w);

@@ -279,8 +279,9 @@ fn phase_window(schedule: &PhaseSchedule, phase: usize) -> (u64, u64) {
 fn block_work_in_window(log: &CallContextLog, lo: u64, hi: u64, num_blocks: usize) -> Vec<f64> {
     let mut work = vec![0.0; num_blocks];
     for r in log.records() {
-        if r.iteration >= lo && r.iteration < hi && r.block < num_blocks {
-            work[r.block] += r.work as f64;
+        let (iteration, block) = (u64::from(r.iteration), r.block as usize);
+        if iteration >= lo && iteration < hi && block < num_blocks {
+            work[block] += r.work as f64;
         }
     }
     work
