@@ -233,8 +233,10 @@ fn cmd_client(addr: &str, request: &ApiRequest, out: &mut dyn std::io::Write) ->
     let mut writer = stream
         .try_clone()
         .map_err(|e| format!("cloning socket: {e}"))?;
-    writer.write_all(request.to_wire().as_bytes())?;
-    writer.write_all(b"\n")?;
+    // The frame and its newline go out as one write.
+    let mut frame = request.to_wire();
+    frame.push('\n');
+    writer.write_all(frame.as_bytes())?;
     writer.flush()?;
     let mut line = String::new();
     BufReader::new(stream)

@@ -19,7 +19,7 @@
 //! exit messages come from one enum.
 
 use crate::error::OpproxError;
-use serde::value::{Number, Value};
+use serde::value::{render_json_string, Number, Value};
 
 /// The protocol version this build speaks (the `"v"` field).
 pub const API_VERSION: u64 = 1;
@@ -416,54 +416,110 @@ impl ApiResponse {
 }
 
 // ---------------------------------------------------------------------
-// Canonical rendering.
+// Canonical rendering: fields are written straight into the caller's
+// buffer in their fixed order, with no value tree. Keys are plain ASCII
+// and written verbatim; strings and numbers go through the same
+// renderers as `Value::render_compact`, so the bytes match it exactly.
 
-fn key(k: &str, v: Value) -> (String, Value) {
-    (k.to_string(), v)
-}
+/// One JSON object being written into a buffer.
+struct Obj<'o>(&'o mut String);
 
-fn str_v(s: &str) -> Value {
-    Value::String(s.to_string())
-}
+/// An [`Obj`] field writer, as [`Obj::opt`] takes it.
+type Put<'o, T> = for<'s> fn(&'s mut Obj<'o>, &str, T) -> &'s mut Obj<'o>;
 
-fn u64_v(n: u64) -> Value {
-    Value::Number(Number::U64(n))
-}
-
-fn f64_v(x: f64) -> Value {
-    Value::Number(Number::F64(x))
-}
-
-fn f64_array(xs: &[f64]) -> Value {
-    Value::Array(xs.iter().copied().map(f64_v).collect())
-}
-
-fn levels_array(levels: &[Vec<u64>]) -> Value {
-    Value::Array(
-        levels
-            .iter()
-            .map(|row| Value::Array(row.iter().copied().map(u64_v).collect()))
-            .collect(),
-    )
-}
-
-fn frame_head(kind: &str) -> Vec<(String, Value)> {
-    vec![key("v", u64_v(API_VERSION)), key("kind", str_v(kind))]
-}
-
-/// Appends the `measured` object of an optimize or adaptive reply, when
-/// there is one.
-fn push_measured(e: &mut Vec<(String, Value)>, measured: Option<&MeasuredReply>) {
-    if let Some(m) = measured {
-        e.push(key(
-            "measured",
-            Value::Object(vec![
-                key("speedup", f64_v(m.speedup)),
-                key("qos", f64_v(m.qos)),
-                key("outer_iters", u64_v(m.outer_iters)),
-            ]),
-        ));
+impl<'o> Obj<'o> {
+    fn new(out: &'o mut String) -> Self {
+        out.push('{');
+        Obj(out)
     }
+
+    /// A frame object: the version and kind keys every frame opens with.
+    fn frame(out: &'o mut String, kind: &str) -> Self {
+        let mut obj = Obj::new(out);
+        obj.u64("v", API_VERSION).str("kind", kind);
+        obj
+    }
+
+    /// Writes `"name":`, after a comma unless it is the first key (no
+    /// value ends in `{`), and returns the buffer for the value.
+    fn key(&mut self, name: &str) -> &mut String {
+        if !self.0.ends_with('{') {
+            self.0.push(',');
+        }
+        self.0.push('"');
+        self.0.push_str(name);
+        self.0.push_str("\":");
+        self.0
+    }
+
+    fn str(&mut self, name: &str, v: &str) -> &mut Self {
+        render_json_string(v, self.key(name));
+        self
+    }
+
+    fn u64(&mut self, name: &str, n: u64) -> &mut Self {
+        Number::U64(n).render_into(self.key(name));
+        self
+    }
+
+    fn f64(&mut self, name: &str, x: f64) -> &mut Self {
+        Number::F64(x).render_into(self.key(name));
+        self
+    }
+
+    fn bool(&mut self, name: &str, b: bool) -> &mut Self {
+        self.key(name).push_str(if b { "true" } else { "false" });
+        self
+    }
+
+    /// An optional field, written by `put` when set and omitted when not.
+    fn opt<T>(&mut self, name: &str, v: Option<T>, put: Put<'o, T>) -> &mut Self {
+        if let Some(v) = v {
+            put(self, name, v);
+        }
+        self
+    }
+
+    fn array<T>(&mut self, name: &str, items: &[T], item: impl Fn(&mut String, &T)) -> &mut Self {
+        list(self.key(name), items, item);
+        self
+    }
+
+    fn f64s(&mut self, name: &str, xs: &[f64]) -> &mut Self {
+        self.array(name, xs, |out, &x| Number::F64(x).render_into(out))
+    }
+
+    fn levels(&mut self, name: &str, rows: &[Vec<u64>]) -> &mut Self {
+        self.array(name, rows, |out, row| {
+            list(out, row, |out, &n| Number::U64(n).render_into(out));
+        })
+    }
+
+    /// The `measured` object of an optimize or adaptive reply.
+    fn measured(&mut self, name: &str, m: &MeasuredReply) -> &mut Self {
+        Obj::new(self.key(name))
+            .f64("speedup", m.speedup)
+            .f64("qos", m.qos)
+            .u64("outer_iters", m.outer_iters)
+            .close();
+        self
+    }
+
+    fn close(&mut self) {
+        self.0.push('}');
+    }
+}
+
+/// Writes `items` as a JSON array, each one by `item`.
+fn list<T>(out: &mut String, items: &[T], item: impl Fn(&mut String, &T)) {
+    out.push('[');
+    for (i, x) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item(out, x);
+    }
+    out.push(']');
 }
 
 impl ApiRequest {
@@ -471,73 +527,54 @@ impl ApiRequest {
     /// newline). Field order is fixed; optional knobs are omitted when
     /// unset, so the encoding of a given DTO is unique.
     pub fn to_wire(&self) -> String {
-        let entries = match self {
+        let mut out = String::new();
+        self.to_wire_into(&mut out);
+        out
+    }
+
+    /// Appends [`ApiRequest::to_wire`]'s line to `out`.
+    pub(crate) fn to_wire_into(&self, out: &mut String) {
+        match self {
             ApiRequest::Optimize(p) => {
-                let mut e = frame_head("optimize");
-                e.push(key("app", str_v(&p.app)));
-                e.push(key("input", f64_array(&p.input)));
-                e.push(key("budget", f64_v(p.budget)));
-                e.push(key(
-                    "conservatism",
-                    str_v(if p.point { "point" } else { "band" }),
-                ));
-                e.push(key("validate", Value::Bool(p.validate)));
-                if let Some(n) = p.validation_budget {
-                    e.push(key("validation_budget", u64_v(n)));
-                }
-                if let Some(n) = p.max_retries {
-                    e.push(key("max_retries", u64_v(n)));
-                }
-                if let Some(n) = p.backoff_ms {
-                    e.push(key("backoff_ms", u64_v(n)));
-                }
-                if let Some(n) = p.eval_timeout_ms {
-                    e.push(key("eval_timeout_ms", u64_v(n)));
-                }
-                e
+                Obj::frame(out, "optimize")
+                    .str("app", &p.app)
+                    .f64s("input", &p.input)
+                    .f64("budget", p.budget)
+                    .str("conservatism", if p.point { "point" } else { "band" })
+                    .bool("validate", p.validate)
+                    .opt("validation_budget", p.validation_budget, Obj::u64)
+                    .opt("max_retries", p.max_retries, Obj::u64)
+                    .opt("backoff_ms", p.backoff_ms, Obj::u64)
+                    .opt("eval_timeout_ms", p.eval_timeout_ms, Obj::u64)
+                    .close();
             }
             ApiRequest::Adaptive(p) => {
-                let mut e = frame_head("adaptive");
-                e.push(key("app", str_v(&p.app)));
-                e.push(key("input", f64_array(&p.input)));
-                e.push(key("budget", f64_v(p.budget)));
-                e.push(key("resegment", Value::Bool(p.resegment)));
-                if let Some(t) = p.tolerance {
-                    e.push(key("tolerance", f64_v(t)));
-                }
-                if let Some(n) = p.drift_phase {
-                    e.push(key("drift_phase", u64_v(n)));
-                }
-                if let Some(f) = p.drift_factor {
-                    e.push(key("drift_factor", f64_v(f)));
-                }
-                if let Some(n) = p.drift_block {
-                    e.push(key("drift_block", u64_v(n)));
-                }
-                if let Some(n) = p.max_retries {
-                    e.push(key("max_retries", u64_v(n)));
-                }
-                if let Some(n) = p.backoff_ms {
-                    e.push(key("backoff_ms", u64_v(n)));
-                }
-                if let Some(n) = p.eval_timeout_ms {
-                    e.push(key("eval_timeout_ms", u64_v(n)));
-                }
-                e
+                Obj::frame(out, "adaptive")
+                    .str("app", &p.app)
+                    .f64s("input", &p.input)
+                    .f64("budget", p.budget)
+                    .bool("resegment", p.resegment)
+                    .opt("tolerance", p.tolerance, Obj::f64)
+                    .opt("drift_phase", p.drift_phase, Obj::u64)
+                    .opt("drift_factor", p.drift_factor, Obj::f64)
+                    .opt("drift_block", p.drift_block, Obj::u64)
+                    .opt("max_retries", p.max_retries, Obj::u64)
+                    .opt("backoff_ms", p.backoff_ms, Obj::u64)
+                    .opt("eval_timeout_ms", p.eval_timeout_ms, Obj::u64)
+                    .close();
             }
             ApiRequest::Predict(p) => {
-                let mut e = frame_head("predict");
-                e.push(key("app", str_v(&p.app)));
-                e.push(key("input", f64_array(&p.input)));
-                e.push(key("phase", u64_v(p.phase)));
-                e.push(key("configs", levels_array(&p.configs)));
-                e
+                Obj::frame(out, "predict")
+                    .str("app", &p.app)
+                    .f64s("input", &p.input)
+                    .u64("phase", p.phase)
+                    .levels("configs", &p.configs)
+                    .close();
             }
-            ApiRequest::Health => frame_head("health"),
-            ApiRequest::Metrics => frame_head("metrics"),
-            ApiRequest::Shutdown => frame_head("shutdown"),
-        };
-        Value::Object(entries).render_compact()
+            ApiRequest::Health => Obj::frame(out, "health").close(),
+            ApiRequest::Metrics => Obj::frame(out, "metrics").close(),
+            ApiRequest::Shutdown => Obj::frame(out, "shutdown").close(),
+        }
     }
 
     /// Parses one wire line into a request.
@@ -565,24 +602,24 @@ impl ApiRequest {
                     }
                 },
                 validate: need_bool(&obj, "validate")?,
-                validation_budget: opt_u64(&obj, "validation_budget")?,
-                max_retries: opt_u64(&obj, "max_retries")?,
-                backoff_ms: opt_u64(&obj, "backoff_ms")?,
-                eval_timeout_ms: opt_u64(&obj, "eval_timeout_ms")?,
+                validation_budget: opt(&obj, "validation_budget", need_u64)?,
+                max_retries: opt(&obj, "max_retries", need_u64)?,
+                backoff_ms: opt(&obj, "backoff_ms", need_u64)?,
+                eval_timeout_ms: opt(&obj, "eval_timeout_ms", need_u64)?,
             })),
             "adaptive" => {
                 let params = AdaptiveParams {
                     app: need_str(&obj, "app")?.to_string(),
                     input: need_f64_array(&obj, "input")?,
                     budget: need_f64(&obj, "budget")?,
-                    tolerance: opt_f64(&obj, "tolerance")?,
+                    tolerance: opt(&obj, "tolerance", need_f64)?,
                     resegment: need_bool(&obj, "resegment")?,
-                    drift_phase: opt_u64(&obj, "drift_phase")?,
-                    drift_factor: opt_f64(&obj, "drift_factor")?,
-                    drift_block: opt_u64(&obj, "drift_block")?,
-                    max_retries: opt_u64(&obj, "max_retries")?,
-                    backoff_ms: opt_u64(&obj, "backoff_ms")?,
-                    eval_timeout_ms: opt_u64(&obj, "eval_timeout_ms")?,
+                    drift_phase: opt(&obj, "drift_phase", need_u64)?,
+                    drift_factor: opt(&obj, "drift_factor", need_f64)?,
+                    drift_block: opt(&obj, "drift_block", need_u64)?,
+                    max_retries: opt(&obj, "max_retries", need_u64)?,
+                    backoff_ms: opt(&obj, "backoff_ms", need_u64)?,
+                    eval_timeout_ms: opt(&obj, "eval_timeout_ms", need_u64)?,
                 };
                 if params.drift_phase.is_some() != params.drift_factor.is_some() {
                     return Err(OpproxError::BadRequest(
@@ -616,95 +653,85 @@ impl ApiResponse {
     /// Renders the response as one canonical wire line (no trailing
     /// newline).
     pub fn to_wire(&self) -> String {
-        let entries = match self {
+        let mut out = String::new();
+        self.to_wire_into(&mut out);
+        out
+    }
+
+    /// Appends [`ApiResponse::to_wire`]'s line to `out`.
+    pub(crate) fn to_wire_into(&self, out: &mut String) {
+        match self {
             ApiResponse::Optimize(r) => {
-                let mut e = frame_head("optimize");
-                e.push(key("status", str_v("ok")));
-                e.push(key("app", str_v(&r.app)));
-                e.push(key("generation", u64_v(r.generation)));
-                e.push(key("path", str_v(&r.path)));
-                e.push(key("levels", levels_array(&r.levels)));
-                e.push(key("predicted_speedup", f64_v(r.predicted_speedup)));
-                e.push(key("predicted_qos", f64_v(r.predicted_qos)));
-                e.push(key("candidates_tried", u64_v(r.candidates_tried)));
-                e.push(key("cached", Value::Bool(r.cached)));
-                push_measured(&mut e, r.measured.as_ref());
-                e
+                Obj::frame(out, "optimize")
+                    .str("status", "ok")
+                    .str("app", &r.app)
+                    .u64("generation", r.generation)
+                    .str("path", &r.path)
+                    .levels("levels", &r.levels)
+                    .f64("predicted_speedup", r.predicted_speedup)
+                    .f64("predicted_qos", r.predicted_qos)
+                    .u64("candidates_tried", r.candidates_tried)
+                    .bool("cached", r.cached)
+                    .opt("measured", r.measured.as_ref(), Obj::measured)
+                    .close();
             }
             ApiResponse::Adaptive(r) => {
-                let mut e = frame_head("adaptive");
-                e.push(key("status", str_v("ok")));
-                e.push(key("app", str_v(&r.app)));
-                e.push(key("generation", u64_v(r.generation)));
-                e.push(key("levels", levels_array(&r.levels)));
-                e.push(key("predicted_speedup", f64_v(r.predicted_speedup)));
-                e.push(key("predicted_qos", f64_v(r.predicted_qos)));
-                e.push(key("steps", u64_v(r.steps)));
-                e.push(key("replans", u64_v(r.replans)));
-                e.push(key("resegmented", Value::Bool(r.resegmented)));
-                e.push(key("degraded", Value::Bool(r.degraded)));
-                e.push(key("budget_reclaimed", f64_v(r.budget_reclaimed)));
-                e.push(key("budget_redistributed", f64_v(r.budget_redistributed)));
-                push_measured(&mut e, r.measured.as_ref());
-                e
+                Obj::frame(out, "adaptive")
+                    .str("status", "ok")
+                    .str("app", &r.app)
+                    .u64("generation", r.generation)
+                    .levels("levels", &r.levels)
+                    .f64("predicted_speedup", r.predicted_speedup)
+                    .f64("predicted_qos", r.predicted_qos)
+                    .u64("steps", r.steps)
+                    .u64("replans", r.replans)
+                    .bool("resegmented", r.resegmented)
+                    .bool("degraded", r.degraded)
+                    .f64("budget_reclaimed", r.budget_reclaimed)
+                    .f64("budget_redistributed", r.budget_redistributed)
+                    .opt("measured", r.measured.as_ref(), Obj::measured)
+                    .close();
             }
             ApiResponse::Predict(r) => {
-                let mut e = frame_head("predict");
-                e.push(key("status", str_v("ok")));
-                e.push(key("app", str_v(&r.app)));
-                e.push(key("generation", u64_v(r.generation)));
-                e.push(key("class", u64_v(r.class)));
-                e.push(key(
-                    "predictions",
-                    Value::Array(
-                        r.predictions
-                            .iter()
-                            .map(|p| {
-                                Value::Object(vec![
-                                    key("speedup", f64_v(p.speedup)),
-                                    key("qos", f64_v(p.qos)),
-                                    key("iters", f64_v(p.iters)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ));
-                e
+                Obj::frame(out, "predict")
+                    .str("status", "ok")
+                    .str("app", &r.app)
+                    .u64("generation", r.generation)
+                    .u64("class", r.class)
+                    .array("predictions", &r.predictions, |out, p| {
+                        Obj::new(out)
+                            .f64("speedup", p.speedup)
+                            .f64("qos", p.qos)
+                            .f64("iters", p.iters)
+                            .close();
+                    })
+                    .close();
             }
             ApiResponse::Health(r) => {
-                let mut e = frame_head("health");
-                e.push(key("status", str_v("ok")));
-                e.push(key(
-                    "apps",
-                    Value::Array(r.apps.iter().map(|a| str_v(a)).collect()),
-                ));
-                e.push(key("generation", u64_v(r.generation)));
-                e.push(key("queue_depth", u64_v(r.queue_depth)));
-                e.push(key("queue_limit", u64_v(r.queue_limit)));
-                e.push(key("threads", u64_v(r.threads)));
-                e.push(key("uptime_micros", u64_v(r.uptime_micros)));
-                e
+                Obj::frame(out, "health")
+                    .str("status", "ok")
+                    .array("apps", &r.apps, |out, a| render_json_string(a, out))
+                    .u64("generation", r.generation)
+                    .u64("queue_depth", r.queue_depth)
+                    .u64("queue_limit", r.queue_limit)
+                    .u64("threads", r.threads)
+                    .u64("uptime_micros", r.uptime_micros)
+                    .close();
             }
             ApiResponse::Metrics(r) => {
-                let mut e = frame_head("metrics");
-                e.push(key("status", str_v("ok")));
-                e.push(key("report", r.report.clone()));
-                e
+                let mut obj = Obj::frame(out, "metrics");
+                r.report.render_into(obj.str("status", "ok").key("report"));
+                obj.close();
             }
-            ApiResponse::Shutdown => {
-                let mut e = frame_head("shutdown");
-                e.push(key("status", str_v("ok")));
-                e
-            }
+            ApiResponse::Shutdown => Obj::frame(out, "shutdown").str("status", "ok").close(),
             ApiResponse::Error { code, message } => {
-                let mut e = frame_head("error");
-                e.push(key("status", str_v("error")));
-                e.push(key("code", str_v(code.as_str())));
-                e.push(key("message", str_v(message)));
-                e
+                Obj::frame(out, "error")
+                    .str("status", "error")
+                    .str("code", code.as_str())
+                    .str("message", message)
+                    .close();
             }
-        };
-        Value::Object(entries).render_compact()
+        }
     }
 
     /// Parses one wire line into a response.
@@ -726,7 +753,7 @@ impl ApiResponse {
                 predicted_qos: need_f64(&obj, "predicted_qos")?,
                 candidates_tried: need_u64(&obj, "candidates_tried")?,
                 cached: need_bool(&obj, "cached")?,
-                measured: opt_measured(&obj)?,
+                measured: opt(&obj, "measured", need_measured)?,
             })),
             "adaptive" => Ok(ApiResponse::Adaptive(AdaptiveReply {
                 app: need_str(&obj, "app")?.to_string(),
@@ -740,31 +767,19 @@ impl ApiResponse {
                 degraded: need_bool(&obj, "degraded")?,
                 budget_reclaimed: need_f64(&obj, "budget_reclaimed")?,
                 budget_redistributed: need_f64(&obj, "budget_redistributed")?,
-                measured: opt_measured(&obj)?,
+                measured: opt(&obj, "measured", need_measured)?,
             })),
             "predict" => {
-                let preds = need(&obj, "predictions")?;
-                let Value::Array(items) = preds else {
-                    return Err(OpproxError::BadRequest(format!(
-                        "field `predictions` must be an array, got {}",
-                        preds.kind()
-                    )));
-                };
-                let predictions = items
-                    .iter()
-                    .map(|item| {
-                        let m = item.as_object().ok_or_else(|| {
-                            OpproxError::BadRequest(
-                                "predictions entries must be objects".to_string(),
-                            )
-                        })?;
-                        Ok(PredictionReply {
-                            speedup: need_f64(m, "speedup")?,
-                            qos: need_f64(m, "qos")?,
-                            iters: need_f64(m, "iters")?,
-                        })
+                let predictions = need_list(&obj, "predictions", |item| {
+                    let m = item.as_object().ok_or_else(|| {
+                        OpproxError::BadRequest("predictions entries must be objects".to_string())
+                    })?;
+                    Ok(PredictionReply {
+                        speedup: need_f64(m, "speedup")?,
+                        qos: need_f64(m, "qos")?,
+                        iters: need_f64(m, "iters")?,
                     })
-                    .collect::<Result<Vec<_>, OpproxError>>()?;
+                })?;
                 Ok(ApiResponse::Predict(PredictReply {
                     app: need_str(&obj, "app")?.to_string(),
                     generation: need_u64(&obj, "generation")?,
@@ -772,31 +787,18 @@ impl ApiResponse {
                     predictions,
                 }))
             }
-            "health" => {
-                let apps_v = need(&obj, "apps")?;
-                let Value::Array(items) = apps_v else {
-                    return Err(OpproxError::BadRequest(format!(
-                        "field `apps` must be an array, got {}",
-                        apps_v.kind()
-                    )));
-                };
-                let apps = items
-                    .iter()
-                    .map(|v| {
-                        v.as_str().map(str::to_string).ok_or_else(|| {
-                            OpproxError::BadRequest("apps entries must be strings".to_string())
-                        })
+            "health" => Ok(ApiResponse::Health(HealthReply {
+                apps: need_list(&obj, "apps", |v| {
+                    v.as_str().map(str::to_string).ok_or_else(|| {
+                        OpproxError::BadRequest("apps entries must be strings".to_string())
                     })
-                    .collect::<Result<Vec<_>, OpproxError>>()?;
-                Ok(ApiResponse::Health(HealthReply {
-                    apps,
-                    generation: need_u64(&obj, "generation")?,
-                    queue_depth: need_u64(&obj, "queue_depth")?,
-                    queue_limit: need_u64(&obj, "queue_limit")?,
-                    threads: need_u64(&obj, "threads")?,
-                    uptime_micros: need_u64(&obj, "uptime_micros")?,
-                }))
-            }
+                })?,
+                generation: need_u64(&obj, "generation")?,
+                queue_depth: need_u64(&obj, "queue_depth")?,
+                queue_limit: need_u64(&obj, "queue_limit")?,
+                threads: need_u64(&obj, "threads")?,
+                uptime_micros: need_u64(&obj, "uptime_micros")?,
+            })),
             "metrics" => Ok(ApiResponse::Metrics(MetricsReply {
                 report: need(&obj, "report")?.clone(),
             })),
@@ -816,6 +818,9 @@ impl ApiResponse {
 // Parsing helpers. Every failure is a `BadRequest` with the offending
 // field named, except the version check which gets its own variant.
 
+/// A parsed frame's fields, in wire order.
+type Fields = [(String, Value)];
+
 fn parse_frame(line: &str) -> Result<Vec<(String, Value)>, OpproxError> {
     let value = serde_json::parse_value(line.trim_end_matches(['\r', '\n']))
         .map_err(|e| OpproxError::BadRequest(format!("malformed frame: {e}")))?;
@@ -832,84 +837,71 @@ fn parse_frame(line: &str) -> Result<Vec<(String, Value)>, OpproxError> {
     Ok(entries)
 }
 
-fn get<'v>(obj: &'v [(String, Value)], name: &str) -> Option<&'v Value> {
+fn get<'v>(obj: &'v Fields, name: &str) -> Option<&'v Value> {
     obj.iter().find(|(k, _)| k == name).map(|(_, v)| v)
 }
 
-fn need<'v>(obj: &'v [(String, Value)], name: &str) -> Result<&'v Value, OpproxError> {
+fn need<'v>(obj: &'v Fields, name: &str) -> Result<&'v Value, OpproxError> {
     get(obj, name).ok_or_else(|| OpproxError::BadRequest(format!("missing field `{name}`")))
 }
 
-fn need_str<'v>(obj: &'v [(String, Value)], name: &str) -> Result<&'v str, OpproxError> {
+/// Field `name` read by `read`, which fails unless it is `what`.
+fn need_as<'v, T>(
+    obj: &'v Fields,
+    name: &str,
+    what: &str,
+    read: impl Fn(&'v Value) -> Option<T>,
+) -> Result<T, OpproxError> {
     let v = need(obj, name)?;
-    v.as_str().ok_or_else(|| {
-        OpproxError::BadRequest(format!("field `{name}` must be a string, got {}", v.kind()))
+    read(v).ok_or_else(|| {
+        OpproxError::BadRequest(format!("field `{name}` must be {what}, got {}", v.kind()))
     })
 }
 
-fn need_u64(obj: &[(String, Value)], name: &str) -> Result<u64, OpproxError> {
-    let v = need(obj, name)?;
-    v.as_u64().ok_or_else(|| {
-        OpproxError::BadRequest(format!(
-            "field `{name}` must be a non-negative integer, got {}",
-            v.kind()
-        ))
-    })
+fn need_str<'v>(obj: &'v Fields, name: &str) -> Result<&'v str, OpproxError> {
+    need_as(obj, name, "a string", Value::as_str)
 }
 
-fn opt_u64(obj: &[(String, Value)], name: &str) -> Result<Option<u64>, OpproxError> {
-    match get(obj, name) {
-        None => Ok(None),
-        Some(_) => need_u64(obj, name).map(Some),
-    }
+fn need_u64(obj: &Fields, name: &str) -> Result<u64, OpproxError> {
+    need_as(obj, name, "a non-negative integer", Value::as_u64)
 }
 
-fn opt_f64(obj: &[(String, Value)], name: &str) -> Result<Option<f64>, OpproxError> {
-    match get(obj, name) {
-        None => Ok(None),
-        Some(_) => need_f64(obj, name).map(Some),
-    }
+/// An optional field, read by `need` when present.
+fn opt<T>(
+    obj: &Fields,
+    name: &str,
+    need: fn(&Fields, &str) -> Result<T, OpproxError>,
+) -> Result<Option<T>, OpproxError> {
+    get(obj, name).map(|_| need(obj, name)).transpose()
 }
 
-/// The optional `measured` object of an optimize or adaptive reply.
-fn opt_measured(obj: &[(String, Value)]) -> Result<Option<MeasuredReply>, OpproxError> {
-    let Some(v) = get(obj, "measured") else {
-        return Ok(None);
-    };
-    let m = v.as_object().ok_or_else(|| {
-        OpproxError::BadRequest(format!(
-            "field `measured` must be an object, got {}",
-            v.kind()
-        ))
-    })?;
-    Ok(Some(MeasuredReply {
+/// The `measured` object of an optimize or adaptive reply.
+fn need_measured(obj: &Fields, name: &str) -> Result<MeasuredReply, OpproxError> {
+    let m = need_as(obj, name, "an object", Value::as_object)?;
+    Ok(MeasuredReply {
         speedup: need_f64(m, "speedup")?,
         qos: need_f64(m, "qos")?,
         outer_iters: need_u64(m, "outer_iters")?,
-    }))
-}
-
-fn need_f64(obj: &[(String, Value)], name: &str) -> Result<f64, OpproxError> {
-    let v = need(obj, name)?;
-    v.as_f64().ok_or_else(|| {
-        OpproxError::BadRequest(format!(
-            "field `{name}` must be a finite number, got {}",
-            v.kind()
-        ))
     })
 }
 
-fn need_bool(obj: &[(String, Value)], name: &str) -> Result<bool, OpproxError> {
-    match need(obj, name)? {
-        Value::Bool(b) => Ok(*b),
-        v => Err(OpproxError::BadRequest(format!(
-            "field `{name}` must be a boolean, got {}",
-            v.kind()
-        ))),
-    }
+fn need_f64(obj: &Fields, name: &str) -> Result<f64, OpproxError> {
+    need_as(obj, name, "a finite number", Value::as_f64)
 }
 
-fn need_f64_array(obj: &[(String, Value)], name: &str) -> Result<Vec<f64>, OpproxError> {
+fn need_bool(obj: &Fields, name: &str) -> Result<bool, OpproxError> {
+    need_as(obj, name, "a boolean", |v| match v {
+        Value::Bool(b) => Some(*b),
+        _ => None,
+    })
+}
+
+/// The items of array field `name`, each read by `item`.
+fn need_list<'v, T>(
+    obj: &'v Fields,
+    name: &str,
+    item: impl Fn(&'v Value) -> Result<T, OpproxError>,
+) -> Result<Vec<T>, OpproxError> {
     let v = need(obj, name)?;
     let Value::Array(items) = v else {
         return Err(OpproxError::BadRequest(format!(
@@ -917,17 +909,18 @@ fn need_f64_array(obj: &[(String, Value)], name: &str) -> Result<Vec<f64>, Oppro
             v.kind()
         )));
     };
-    items
-        .iter()
-        .map(|item| {
-            item.as_f64().ok_or_else(|| {
-                OpproxError::BadRequest(format!("field `{name}` must hold finite numbers"))
-            })
-        })
-        .collect()
+    items.iter().map(item).collect()
 }
 
-fn need_levels(obj: &[(String, Value)], name: &str) -> Result<Vec<Vec<u64>>, OpproxError> {
+fn need_f64_array(obj: &Fields, name: &str) -> Result<Vec<f64>, OpproxError> {
+    need_list(obj, name, |item| {
+        item.as_f64().ok_or_else(|| {
+            OpproxError::BadRequest(format!("field `{name}` must hold finite numbers"))
+        })
+    })
+}
+
+fn need_levels(obj: &Fields, name: &str) -> Result<Vec<Vec<u64>>, OpproxError> {
     let v = need(obj, name)?;
     let Value::Array(rows) = v else {
         return Err(OpproxError::BadRequest(format!(
@@ -1005,9 +998,7 @@ mod tests {
 
     #[test]
     fn unknown_version_is_rejected_with_its_own_code() {
-        let mut p = OptimizeParams::new("pso", vec![1.0], 5.0);
-        p.validate = false;
-        let wire = ApiRequest::Optimize(p)
+        let wire = ApiRequest::Optimize(OptimizeParams::new("pso", vec![1.0], 5.0))
             .to_wire()
             .replace("\"v\":1", "\"v\":2");
         let err = ApiRequest::parse(&wire).unwrap_err();

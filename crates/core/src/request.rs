@@ -102,6 +102,21 @@ pub struct OptimizeOutcome {
     pub control: Option<ControlSummary>,
 }
 
+impl OptimizeOutcome {
+    /// The outcome of a model-only solve: no executions, no measurement.
+    fn model_only(plan: OptimizationPlan, telemetry: TelemetryReport) -> Self {
+        OptimizeOutcome {
+            plan,
+            path: OptimizePath::ModelOnly,
+            measured: None,
+            candidates_tried: 0,
+            robustness: None,
+            telemetry,
+            control: None,
+        }
+    }
+}
+
 /// Builder describing one optimization request against a trained system.
 ///
 /// Construct with [`OptimizeRequest::new`], chain the optional settings,
@@ -219,40 +234,19 @@ impl<'a> OptimizeRequest<'a> {
                     "adaptive mode executes the application: call validate_on(app) as well".into(),
                 ));
             }
-            // The input's memo entry answers the iteration estimate and
-            // every phase's staircase, so a repeated input predicts nothing.
-            let models = trained.models();
-            let facts = models.facts(&self.input)?;
-            let expected = models.golden_iters(&facts, trained.blocks().len())?;
-            let solve = |telemetry: &Telemetry| {
-                optimize_with(
-                    models,
-                    &facts,
-                    trained.blocks(),
-                    &self.spec,
-                    expected,
-                    self.conservatism,
-                    Some(telemetry),
-                )
-            };
             // A model-only solve still traces its budget division: into the
             // shared engine's registry when one was attached, otherwise into
             // a private registry that becomes the outcome's report.
-            let (plan, telemetry) = match self.engine {
-                Some(e) => (solve(e.telemetry())?, e.telemetry_report()),
+            return Ok(match self.engine {
+                Some(e) => {
+                    let plan = self.solve(trained, Some(e.telemetry()))?;
+                    OptimizeOutcome::model_only(plan, e.telemetry_report())
+                }
                 None => {
                     let local = Telemetry::new();
-                    (solve(&local)?, local.into_report())
+                    let plan = self.solve(trained, Some(&local))?;
+                    OptimizeOutcome::model_only(plan, local.into_report())
                 }
-            };
-            return Ok(OptimizeOutcome {
-                plan,
-                path: OptimizePath::ModelOnly,
-                measured: None,
-                candidates_tried: 0,
-                robustness: None,
-                telemetry,
-                control: None,
             });
         };
         let private_engine;
@@ -288,6 +282,44 @@ impl<'a> OptimizeRequest<'a> {
         outcome.robustness = engine.robustness_ledger();
         outcome.telemetry = engine.telemetry_report();
         Ok(outcome)
+    }
+
+    /// The model-only outcome of [`OptimizeRequest::run`] for a caller
+    /// that never reads [`OptimizeOutcome::telemetry`]: the solve records
+    /// no span or event, and the report stays empty. Validation and the
+    /// shared engine are not consulted.
+    pub(crate) fn run_untraced(
+        &self,
+        trained: &TrainedOpprox,
+    ) -> Result<OptimizeOutcome, OpproxError> {
+        trained.validate_integrity()?;
+        let plan = self.solve(trained, None)?;
+        Ok(OptimizeOutcome::model_only(
+            plan,
+            TelemetryReport::default(),
+        ))
+    }
+
+    /// The model-only Algorithm-2 solve on integrity-checked models. The
+    /// input's memo entry answers the iteration estimate and every
+    /// phase's staircase, so a repeated input predicts nothing.
+    fn solve(
+        &self,
+        trained: &TrainedOpprox,
+        telemetry: Option<&Telemetry>,
+    ) -> Result<OptimizationPlan, OpproxError> {
+        let models = trained.models();
+        let facts = models.facts(&self.input)?;
+        let expected = models.golden_iters(&facts, trained.blocks().len())?;
+        optimize_with(
+            models,
+            &facts,
+            trained.blocks(),
+            &self.spec,
+            expected,
+            self.conservatism,
+            telemetry,
+        )
     }
 
     /// The validated path: generate a bounded candidate set, vet every
@@ -357,15 +389,10 @@ impl<'a> OptimizeRequest<'a> {
                     self.conservatism,
                     Some(engine.telemetry()),
                 )?;
-                return Ok(OptimizeOutcome {
+                return Ok(OptimizeOutcome::model_only(
                     plan,
-                    path: OptimizePath::ModelOnly,
-                    measured: None,
-                    candidates_tried: 0,
-                    robustness: None,
-                    telemetry: TelemetryReport::default(),
-                    control: None,
-                });
+                    TelemetryReport::default(),
+                ));
             }
             Err(e) => return Err(e),
         };
@@ -575,6 +602,25 @@ mod tests {
         assert!(outcome.measured.is_none());
         assert_eq!(outcome.candidates_tried, 0);
         assert_eq!(engine.metrics().executions, 0);
+    }
+
+    #[test]
+    fn untraced_model_only_run_differs_from_run_only_in_its_report() {
+        let trained = Opprox::train(&Pso::new(), &fast_options()).unwrap();
+        for mode in [Conservatism::Band, Conservatism::Point] {
+            let req =
+                OptimizeRequest::new(InputParams::new(vec![16.0, 3.0]), AccuracySpec::new(10.0))
+                    .conservatism(mode);
+            let traced = req.run(&trained).unwrap();
+            let untraced = req.run_untraced(&trained).unwrap();
+            assert!(!traced.telemetry.is_empty());
+            assert!(untraced.telemetry.is_empty());
+            let traced = OptimizeOutcome {
+                telemetry: TelemetryReport::default(),
+                ..traced
+            };
+            assert_eq!(untraced, traced, "{mode:?}");
+        }
     }
 
     #[test]

@@ -26,9 +26,10 @@
 //!    configurations and are answered by the batched predictor in one
 //!    flat model pass.
 //!
-//! Serve keeps no reply cache. Every optimize frame runs
-//! [`OptimizeRequest::run`], and a repeated input is answered from the
-//! models' per-input memo (DESIGN §13) without a prediction. A reload
+//! Serve keeps no reply cache. Every optimize frame runs an
+//! [`OptimizeRequest`] (a model-only one with nothing traced, since no
+//! reply carries its telemetry), and a repeated input is answered from
+//! the models' per-input memo (DESIGN §13) without a prediction. A reload
 //! installs a fresh model set, whose memo starts empty, and may widen the
 //! level space but never narrow it (see `audit_candidate`).
 
@@ -432,9 +433,11 @@ impl ServeState {
             }
             req.run(trained)?
         } else {
+            // Nothing reads a model-only frame's telemetry report, so the
+            // solve records none.
             OptimizeRequest::new(input, spec)
                 .conservatism(conservatism)
-                .run(trained)?
+                .run_untraced(trained)?
         };
 
         Ok(ApiResponse::Optimize(OptimizeReply {
@@ -663,12 +666,16 @@ impl ServeState {
     /// control and the handling gate. Returns the response wire line
     /// (no trailing newline).
     pub fn serve_line(&self, line: &str) -> String {
+        let mut out = String::new();
+        self.serve_line_into(line, &mut out);
+        out
+    }
+
+    /// Appends [`ServeState::serve_line`]'s reply to `out`.
+    fn serve_line_into(&self, line: &str, out: &mut String) {
         let req = match ApiRequest::parse(line) {
             Ok(req) => req,
-            Err(e) => {
-                self.tele.incr("serve.errors");
-                return ApiResponse::from_error(&e).to_wire();
-            }
+            Err(e) => return self.refuse(&e, out),
         };
         let resp = match req {
             ApiRequest::Metrics | ApiRequest::Shutdown => self.handle(&req),
@@ -677,7 +684,14 @@ impl ServeState {
                 Err(refusal) => ApiResponse::from_error(&refusal),
             },
         };
-        resp.to_wire()
+        resp.to_wire_into(out);
+    }
+
+    /// Counts a frame refused before any handling (unparseable, not
+    /// UTF-8, or oversized) and appends its error reply to `out`.
+    fn refuse(&self, err: &OpproxError, out: &mut String) {
+        self.tele.incr("serve.errors");
+        ApiResponse::from_error(err).to_wire_into(out);
     }
 }
 
@@ -893,11 +907,9 @@ impl Drop for Server {
     }
 }
 
-/// One connection: line in, line out, until EOF or shutdown. Reads use
-/// a short timeout so the thread notices a shutdown even while idle. A
-/// frame that is not UTF-8 is answered with `bad_request`; one longer
-/// than [`MAX_FRAME_BYTES`] is refused with `bad_request` and ends the
-/// connection.
+/// One connection: line in, line out, until EOF or shutdown (see
+/// [`serve_frames`]). Reads use a short timeout so the thread notices a
+/// shutdown even while idle.
 fn handle_connection(state: &ServeState, stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
     // Frames are tiny; without TCP_NODELAY, Nagle + delayed ACKs add
@@ -908,36 +920,58 @@ fn handle_connection(state: &ServeState, stream: TcpStream) {
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
+    if serve_frames(state, &mut reader, &mut writer) == Ended::Oversized {
+        let _ = writer.shutdown(Shutdown::Write);
+        drain_after_refusal(state, &mut reader);
+    }
+}
+
+/// Why a connection's frame loop returned.
+#[derive(Debug, PartialEq, Eq)]
+enum Ended {
+    /// EOF, an I/O failure, or a shutdown.
+    Closed,
+    /// An oversized frame was refused; the peer may still be sending it.
+    Oversized,
+}
+
+/// Answers the frames read from `reader` on `writer`, in order. Each
+/// reply is written into the connection's one output buffer, then sent
+/// with its newline in a single write. A frame that is not UTF-8 is
+/// answered with `bad_request`; one longer than [`MAX_FRAME_BYTES`] is
+/// refused with `bad_request` and ends the loop.
+fn serve_frames(state: &ServeState, reader: &mut impl BufRead, writer: &mut impl Write) -> Ended {
     // Raw bytes, so a read that stops inside a multi-byte character (at
     // the cap or at a timeout) loses nothing.
     let mut frame = Vec::new();
+    let mut out = String::new();
     loop {
         // A partial frame from a timed-out read counts against the cap.
         let room = (MAX_FRAME_BYTES - frame.len()) as u64;
-        match (&mut reader).take(room).read_until(b'\n', &mut frame) {
-            Ok(0) => break,
+        match reader.by_ref().take(room).read_until(b'\n', &mut frame) {
+            Ok(0) => return Ended::Closed,
             Ok(_) if frame.len() >= MAX_FRAME_BYTES && !frame.ends_with(b"\n") => {
-                refuse_oversized_frame(state, &mut reader, &mut writer);
-                break;
+                let refusal = OpproxError::BadRequest(format!(
+                    "frame exceeds {MAX_FRAME_BYTES} bytes without a newline"
+                ));
+                state.refuse(&refusal, &mut out);
+                let _ = send(writer, &mut out);
+                return Ended::Oversized;
             }
             Ok(_) => {
-                let reply = match std::str::from_utf8(&frame) {
+                match std::str::from_utf8(&frame) {
                     Ok(line) if line.trim().is_empty() => {
                         frame.clear();
                         continue;
                     }
-                    Ok(line) => state.serve_line(line),
+                    Ok(line) => state.serve_line_into(line, &mut out),
                     Err(_) => {
-                        state.tele.incr("serve.errors");
                         let err = OpproxError::BadRequest("frame is not valid UTF-8".into());
-                        ApiResponse::from_error(&err).to_wire()
+                        state.refuse(&err, &mut out);
                     }
-                };
-                if writer.write_all(reply.as_bytes()).is_err()
-                    || writer.write_all(b"\n").is_err()
-                    || writer.flush().is_err()
-                {
-                    break;
+                }
+                if send(writer, &mut out).is_err() {
+                    return Ended::Closed;
                 }
                 frame.clear();
             }
@@ -945,37 +979,37 @@ fn handle_connection(state: &ServeState, stream: TcpStream) {
                 // A partial frame (no newline yet) stays in `frame` and
                 // the next read keeps appending to it.
                 if state.is_shutdown() {
-                    break;
+                    return Ended::Closed;
                 }
             }
-            Err(_) => break,
+            Err(_) => return Ended::Closed,
         }
     }
+}
+
+/// Sends the reply in `out` and its newline as one write, and empties
+/// `out` for the next frame. On a `TCP_NODELAY` socket every write is a
+/// segment of its own, and a separate newline would make the peer's
+/// line read wake twice.
+fn send(writer: &mut impl Write, out: &mut String) -> std::io::Result<()> {
+    out.push('\n');
+    let sent = writer
+        .write_all(out.as_bytes())
+        .and_then(|()| writer.flush());
+    out.clear();
+    sent
 }
 
 /// How long the server keeps discarding input after refusing an
 /// oversized frame, before it closes the connection.
 const REFUSAL_DRAIN: Duration = Duration::from_secs(1);
 
-/// Answers an oversized frame with one `bad_request`, closes the write
-/// half, and then discards what the peer still sends, until EOF or for
-/// at most [`REFUSAL_DRAIN`]. A socket closed with unread input sends a
-/// reset, which can fail the peer's write and destroy the reply before
-/// the peer reads it.
-fn refuse_oversized_frame(
-    state: &ServeState,
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut TcpStream,
-) {
-    state.tele.incr("serve.errors");
-    let refusal = OpproxError::BadRequest(format!(
-        "frame exceeds {MAX_FRAME_BYTES} bytes without a newline"
-    ));
-    let reply = ApiResponse::from_error(&refusal).to_wire();
-    let _ = writer.write_all(reply.as_bytes());
-    let _ = writer.write_all(b"\n");
-    let _ = writer.flush();
-    let _ = writer.shutdown(Shutdown::Write);
+/// After an oversized frame's refusal, with the write half closed,
+/// discards what the peer still sends, until EOF or for at most
+/// [`REFUSAL_DRAIN`]. A socket closed with unread input sends a reset,
+/// which can fail the peer's write and destroy the reply before the peer
+/// reads it.
+fn drain_after_refusal(state: &ServeState, reader: &mut impl Read) {
     let deadline = Instant::now() + REFUSAL_DRAIN;
     let mut sink = [0u8; 8192];
     while Instant::now() < deadline && !state.is_shutdown() {
@@ -1158,6 +1192,65 @@ mod tests {
             panic!("expected an error");
         };
         assert_eq!(code, crate::api::WireCode::BadRequest);
+    }
+
+    /// A writer that keeps the bytes of each `write` call apart.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_reply_is_one_write_ending_in_its_newline() {
+        let state = state_with_pso();
+        let optimize =
+            ApiRequest::Optimize(OptimizeParams::new("pso", vec![16.0, 3.0], 10.0)).to_wire();
+        let predict = ApiRequest::Predict(PredictParams {
+            app: "pso".to_string(),
+            input: vec![16.0, 3.0],
+            phase: 0,
+            configs: vec![vec![0, 0, 0], vec![1, 2, 1]],
+        })
+        .to_wire();
+        let mut input = format!("{optimize}\n{predict}\n\n").into_bytes();
+        input.extend_from_slice(b"{\"op\":\"\xff\"}\n");
+        input.extend_from_slice(format!("{optimize}\n").as_bytes());
+        input.extend(vec![b'x'; MAX_FRAME_BYTES + 10]);
+        let mut writes = Writes::default();
+        let ended = serve_frames(&state, &mut input.as_slice(), &mut writes);
+        assert_eq!(ended, Ended::Oversized);
+
+        // The blank line gets no reply; every other frame gets one write.
+        let replies: Vec<&str> = writes
+            .0
+            .iter()
+            .map(|w| {
+                let text = std::str::from_utf8(w).expect("replies are UTF-8");
+                assert_eq!(text.find('\n'), Some(text.len() - 1), "{text:?}");
+                text.trim_end()
+            })
+            .collect();
+        assert_eq!(replies.len(), 5, "{replies:?}");
+        assert_eq!(replies[0], state.serve_line(&optimize));
+        assert_eq!(replies[1], state.serve_line(&predict));
+        assert_eq!(replies[3], replies[0]);
+        for refused in [replies[2], replies[4]] {
+            let Ok(ApiResponse::Error { code, .. }) = ApiResponse::parse(refused) else {
+                panic!("expected an error frame, got {refused}");
+            };
+            assert_eq!(code, crate::api::WireCode::BadRequest);
+        }
+        assert!(replies[4].contains("without a newline"), "{}", replies[4]);
+        assert_eq!(state.telemetry().counter_value("serve.errors"), 2);
     }
 
     fn bare_server() -> (Arc<ServeState>, Server) {

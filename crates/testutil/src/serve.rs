@@ -48,8 +48,10 @@ pub fn send_lines(addr: &str, lines: &[&str]) -> Vec<String> {
     let mut reader = BufReader::new(stream);
     let mut replies = Vec::with_capacity(lines.len());
     for line in lines {
-        writer.write_all(line.as_bytes()).expect("send frame");
-        writer.write_all(b"\n").expect("send newline");
+        // The frame and its newline go out as one write.
+        writer
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send frame");
         writer.flush().expect("flush frame");
         let mut reply = String::new();
         reader.read_line(&mut reply).expect("read reply");
